@@ -32,7 +32,6 @@ from emprops.errors import (
     MissingDensity,
     ParseFailure,
     ToolkitError,
-    UnknownChannel,
 )
 from emprops.molgraph import parse_smiles
 from emprops.rng import derive_seed
@@ -195,28 +194,18 @@ def cmd_tune(args) -> int:
     if args.family == "st-rf":
         result = evaluation.forest_grid_search(forest_grid, design, inner_k=args.folds,
                                                seed=args.seed)
-        table = result.table
-        winner = {
-            "n_trees": result.best_config.n_trees,
-            "max_depth": result.best_config.max_depth,
-            "min_samples_leaf": result.best_config.min_samples_leaf,
-            "max_features": result.best_config.max_features,
-            "mean_val_rmse": result.best_score,
-        }
     else:
         result = mtnn.grid_search(mt_grid, design, base_train, inner_k=args.folds,
                                   seed=args.seed)
-        table = result.table
-        winner = {**{k: list(v) if isinstance(v, tuple) else v
-                     for k, v in result.best_cell.items()},
-                  "mean_val_rmse": result.best_score}
+    winner = {**{k: list(v) if isinstance(v, tuple) else v
+                 for k, v in result.best_cell.items()},
+              "mean_val_rmse": result.best_score}
 
-    if table:
-        columns = list(table[0].keys())
-        lines = [",".join(columns)]
-        for row in table:
-            lines.append(",".join(_cell_text(row[c]) for c in columns))
-        (out_dir / "grid_table.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = list(result.table[0].keys())
+    lines = [",".join(columns)]
+    for row in result.table:
+        lines.append(",".join(_cell_text(row[c]) for c in columns))
+    (out_dir / "grid_table.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (out_dir / "winner.json").write_text(
         json.dumps(winner, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -252,7 +241,7 @@ def cmd_train(args) -> int:
     if args.family == "st-rf":
         search = evaluation.forest_grid_search(forest_grid, design, inner_k=args.folds,
                                                seed=args.seed)
-        config = replace(search.best_config, seed=derive_seed(args.seed, 3))
+        config = rf.ForestConfig(seed=derive_seed(args.seed, 3), **search.best_cell)
         model = rf.fit_forest(design.features, design.targets, config)
         bundle = pipeline.ModelBundle(kind="forest", registry=design.registry,
                                       schema=schema, forest=model)
@@ -260,25 +249,10 @@ def cmd_train(args) -> int:
     else:
         search = mtnn.grid_search(mt_grid, design, base_train, inner_k=args.folds,
                                   seed=args.seed)
-        cell = search.best_cell
-        n_channels = len(design.registry)
-        standardizer = ds.Standardizer.fit(design.features, design.targets,
-                                           design.channel_idx, n_channels)
-        x = standardizer.apply_features(design.features)
-        y = standardizer.apply_targets(design.targets, design.channel_idx)
-        selector_dim = n_channels if n_channels > 1 else 0
-        selector = np.eye(n_channels)[design.channel_idx] if selector_dim else None
-        config = mtnn.MTNetConfig(
-            input_dim=design.features.shape[1],
-            selector_dim=selector_dim,
-            hidden_sizes=cell["hidden_sizes"],
-            selector_layer_index=cell["selector_layer_index"],
-            l2_penalty=cell["l2_penalty"],
-            seed=derive_seed(args.seed, 3),
-        )
-        train_config = replace(base_train, learning_rate=cell["learning_rate"],
-                               batch_size=cell["batch_size"], seed=derive_seed(args.seed, 5))
-        result = mtnn.train(mtnn.init_network(config), x, selector, y, train_config)
+        all_rows = np.ones(len(design.targets), dtype=bool)
+        standardizer, result = mtnn.fit_network(design, all_rows, search.best_cell, base_train,
+                                                derive_seed(args.seed, 3),
+                                                derive_seed(args.seed, 5))
         bundle = pipeline.ModelBundle(kind="mtnn", registry=design.registry, schema=schema,
                                       net=result.net, standardizer=standardizer)
         model_path = out_dir / "model.emmt"
@@ -303,8 +277,6 @@ def cmd_evaluate(args) -> int:
     for family in families:
         if family not in evaluation.MODEL_FAMILIES:
             raise InvalidConfig(f"unknown model family {family!r}")
-    if args.jobs < 1:
-        raise InvalidConfig("--jobs must be >= 1")
 
     reports = []
     for family in families:
@@ -454,8 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--inner-folds", type=int, default=5)
     p.add_argument("--grid", default=None)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker cap (execution is sequential; kept for compatibility)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 

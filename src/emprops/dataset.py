@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -184,15 +185,6 @@ class Dataset:
     def material_ids(self) -> list[str]:
         return sorted({record.material_id for record in self.records})
 
-    def records_for(self, material_id: str) -> list[Record]:
-        return [r for r in self.records if r.material_id == material_id]
-
-    def smiles_of(self, material_id: str) -> str:
-        for record in self.records:
-            if record.material_id == material_id:
-                return record.smiles
-        raise UnknownChannel(f"material {material_id!r} not in dataset")
-
 
 CSV_COLUMNS = ("material_id", "smiles", "property", "fidelity", "value", "density")
 
@@ -318,6 +310,47 @@ def kfold_by_material(material_ids: list[str], k: int, seed: int) -> SplitPlan:
     rng.shuffle(ids)
     assignment = {material: position % k for position, material in enumerate(ids)}
     return SplitPlan(seed=seed, k=k, assignment=assignment)
+
+
+@dataclass
+class GridResult:
+    best_cell: dict
+    best_score: float
+    table: list[dict]  # one row per cell: cell params + mean_val_rmse
+
+
+def cv_select(cells: list[dict], design: DesignMatrix, inner_k: int, seed: int,
+              score: Callable[[int, int, np.ndarray, np.ndarray], float]) -> GridResult:
+    """Inner k-fold selection over hyperparameter cells, for every model family.
+
+    Folds are material-level (kfold_by_material); a fold with no train or
+    no validation rows is skipped. score(cell_index, fold, train_rows,
+    val_rows) returns one fold's validation RMSE, and a cell scores the
+    mean over its folds: +inf with none, NaN when any fold is NaN, so such
+    a cell never wins. The lowest mean wins and ties go to the earliest
+    cell; when no cell has a finite score, cell 0 is chosen with +inf.
+    """
+    if not cells:
+        raise InvalidConfig("empty hyperparameter grid")
+    plan = kfold_by_material(design.material_ids, inner_k, seed)
+    folds = []
+    for fold in range(inner_k):
+        train_mats, val_mats = plan.train_test(fold)
+        train_rows = design.rows_for(train_mats)
+        val_rows = design.rows_for(val_mats)
+        if train_rows.any() and val_rows.any():
+            folds.append((fold, train_rows, val_rows))
+
+    result = GridResult(best_cell=cells[0], best_score=math.inf, table=[])
+    for cell_index, cell in enumerate(cells):
+        fold_scores = [score(cell_index, fold, train_rows, val_rows)
+                       for fold, train_rows, val_rows in folds]
+        mean_score = float(np.mean(fold_scores)) if fold_scores else math.inf
+        result.table.append({**cell, "mean_val_rmse": mean_score})
+        if mean_score < result.best_score:
+            result.best_cell = cell
+            result.best_score = mean_score
+    return result
 
 
 @dataclass

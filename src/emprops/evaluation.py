@@ -7,6 +7,9 @@ Metrics are computed in each channel's reporting space, i.e. original
 units after undoing standardization, except that log-transformed channels
 (drop height h50) are reported in log units. Aggregation is mean and
 sample standard deviation over the k x n_seeds fold values.
+
+Every family is selected by the same inner-CV loop, dataset.cv_select,
+and every network, single- or multi-task, is fitted by mtnn.fit_network.
 """
 
 from __future__ import annotations
@@ -140,49 +143,22 @@ def run_protocol(family: str, dataset: ds.Dataset, subset_id: int,
 
 
 def single_channel_design(design: ds.DesignMatrix, channel_pos: int) -> ds.DesignMatrix:
-    mask = design.channel_idx == channel_pos
-    registry = ds.PropertyRegistry(channels=(design.registry.channels[channel_pos],))
-    return ds.DesignMatrix(
-        features=design.features[mask],
-        channel_idx=np.zeros(int(mask.sum()), dtype=np.int64),
-        targets=design.targets[mask],
-        material_ids=[m for m, keep in zip(design.material_ids, mask) if keep],
-        registry=registry,
-    )
+    single = _restrict(design, design.channel_idx == channel_pos)
+    return replace(single, channel_idx=np.zeros_like(single.channel_idx),
+                   registry=ds.PropertyRegistry(channels=(design.registry.channels[channel_pos],)))
 
 
-def _fit_eval_net(design: ds.DesignMatrix, train_rows: np.ndarray, test_rows: np.ndarray,
-                  cell: dict, base_train: mtnn.TrainConfig, seed: int) -> np.ndarray:
-    """Refit one network on the full training fold; return test predictions
-    in transformed-target units."""
-    n_channels = len(design.registry)
-    standardizer = ds.Standardizer.fit(
-        design.features[train_rows], design.targets[train_rows],
-        design.channel_idx[train_rows], n_channels,
-    )
-    x_train = standardizer.apply_features(design.features[train_rows])
-    y_train = standardizer.apply_targets(design.targets[train_rows],
-                                         design.channel_idx[train_rows])
-    x_test = standardizer.apply_features(design.features[test_rows])
-
-    selector_dim = n_channels if n_channels > 1 else 0
-    s_train = s_test = None
-    if selector_dim:
-        eye = np.eye(n_channels)
-        s_train = eye[design.channel_idx[train_rows]]
-        s_test = eye[design.channel_idx[test_rows]]
-
-    config = mtnn.MTNetConfig(
-        input_dim=design.features.shape[1],
-        selector_dim=selector_dim,
-        hidden_sizes=cell["hidden_sizes"],
-        selector_layer_index=cell["selector_layer_index"],
-        l2_penalty=cell["l2_penalty"],
-        seed=seed,
-    )
-    train_config = replace(base_train, learning_rate=cell["learning_rate"],
-                           batch_size=cell["batch_size"], seed=derive_seed(seed, 11))
-    result = mtnn.train(mtnn.init_network(config), x_train, s_train, y_train, train_config)
+def _select_and_refit_net(design: ds.DesignMatrix, train_rows: np.ndarray,
+                          test_rows: np.ndarray, grid: mtnn.GridSpec,
+                          base_train: mtnn.TrainConfig, inner_k: int, seed: int) -> np.ndarray:
+    """Select a cell by inner CV on the training fold, refit it on the whole
+    fold and return test predictions in transformed-target units."""
+    search = mtnn.grid_search(grid, _restrict(design, train_rows), base_train,
+                              inner_k=inner_k, seed=seed)
+    refit_seed = derive_seed(seed, 3)
+    standardizer, result = mtnn.fit_network(design, train_rows, search.best_cell, base_train,
+                                            refit_seed, derive_seed(refit_seed, 11))
+    x_test, s_test, _ = mtnn.network_inputs(design, test_rows, standardizer)
     pred_std = mtnn.forward(result.net, x_test, s_test)
     return standardizer.invert_targets(pred_std, design.channel_idx[test_rows])
 
@@ -210,10 +186,7 @@ def _evaluate_mtnn_fold(report: ProtocolReport, design: ds.DesignMatrix,
                         inner_k: int, seed: int) -> None:
     train_rows = design.rows_for(train_mats)
     test_rows = design.rows_for(test_mats)
-    train_design = _restrict(design, train_rows)
-    search = mtnn.grid_search(grid, train_design, base_train, inner_k=inner_k, seed=seed)
-    pred = _fit_eval_net(design, train_rows, test_rows, search.best_cell,
-                         base_train, derive_seed(seed, 3))
+    pred = _select_and_refit_net(design, train_rows, test_rows, grid, base_train, inner_k, seed)
     _record_channel_metrics(report, design.registry, pred,
                             design.targets[test_rows], design.channel_idx[test_rows])
 
@@ -222,35 +195,27 @@ def _evaluate_st_fold(report: ProtocolReport, family: str, design: ds.DesignMatr
                       train_mats: set[str], test_mats: set[str],
                       grid: mtnn.GridSpec, forest_grid: "ForestGridSpec",
                       base_train: mtnn.TrainConfig, inner_k: int, seed: int) -> None:
-    for pos, channel in enumerate(design.registry):
+    for pos in range(len(design.registry)):
         single = single_channel_design(design, pos)
         train_rows = single.rows_for(train_mats)
         test_rows = single.rows_for(test_mats)
-        metrics = report.metrics_for(channel.key)
-        if not np.any(test_rows) or not np.any(train_rows):
-            metrics.rmse_values.append(math.nan)
-            metrics.r2_values.append(math.nan)
-            continue
-        channel_seed = derive_seed(seed, pos + 17)
-        train_design = _restrict(single, train_rows)
-        if family == "st-nn":
-            search = mtnn.grid_search(grid, train_design, base_train, inner_k=inner_k,
-                                      seed=channel_seed)
-            pred = _fit_eval_net(single, train_rows, test_rows, search.best_cell,
-                                 base_train, derive_seed(channel_seed, 3))
-        else:
-            search = forest_grid_search(forest_grid, train_design, inner_k=inner_k,
-                                        seed=channel_seed)
-            config = search.best_config
-            model = rf.fit_forest(single.features[train_rows], single.targets[train_rows],
-                                  _with_seed(config, derive_seed(channel_seed, 3)))
-            pred = rf.predict_forest(model, single.features[test_rows])
-        actual = single.targets[test_rows]
-        metrics.rmse_values.append(rmse(pred, actual))
-        try:
-            metrics.r2_values.append(r2(pred, actual))
-        except (ConstantTargets, LengthMismatch):
-            metrics.r2_values.append(math.nan)
+        if not np.any(train_rows):
+            test_rows = np.zeros_like(test_rows)  # nothing to fit: the channel records NaN
+        pred = np.empty(0)
+        if np.any(test_rows):
+            channel_seed = derive_seed(seed, pos + 17)
+            if family == "st-nn":
+                pred = _select_and_refit_net(single, train_rows, test_rows, grid, base_train,
+                                             inner_k, channel_seed)
+            else:
+                search = forest_grid_search(forest_grid, _restrict(single, train_rows),
+                                            inner_k=inner_k, seed=channel_seed)
+                config = rf.ForestConfig(seed=derive_seed(channel_seed, 3), **search.best_cell)
+                model = rf.fit_forest(single.features[train_rows],
+                                      single.targets[train_rows], config)
+                pred = rf.predict_forest(model, single.features[test_rows])
+        _record_channel_metrics(report, single.registry, pred, single.targets[test_rows],
+                                single.channel_idx[test_rows])
 
 
 def _restrict(design: ds.DesignMatrix, rows: np.ndarray) -> ds.DesignMatrix:
@@ -296,49 +261,23 @@ class ForestGridSpec:
         return cls(**kwargs)
 
 
-@dataclass
-class ForestGridResult:
-    best_config: rf.ForestConfig
-    best_score: float
-    table: list[dict]
-
-
-def _with_seed(config: rf.ForestConfig, seed: int) -> rf.ForestConfig:
-    return replace(config, seed=seed)
-
-
 def forest_grid_search(grid: ForestGridSpec, design: ds.DesignMatrix,
-                       inner_k: int = 5, seed: int = 0) -> ForestGridResult:
-    """Grid search for the forest, scored by inner-CV RMSE in transformed
-    target units (trees are scale-free, so no standardization)."""
+                       inner_k: int = 5, seed: int = 0) -> ds.GridResult:
+    """Grid search for the forest through ds.cv_select, scored by inner-CV
+    RMSE in transformed target units (trees are scale-free, so no
+    standardization)."""
     cells = grid.cells()
-    if not cells:
-        raise InvalidConfig("empty forest grid")
-    plan = ds.kfold_by_material(design.material_ids, inner_k, seed)
-    best_config = None
-    best_score = math.inf
-    table = []
-    for cell_index, cell in enumerate(cells):
-        config = rf.ForestConfig(seed=derive_seed(seed, cell_index + 1), **cell)
-        fold_scores = []
-        for fold in range(inner_k):
-            train_mats, val_mats = plan.train_test(fold)
-            train_rows = design.rows_for(train_mats)
-            val_rows = design.rows_for(val_mats)
-            if not train_rows.any() or not val_rows.any():
-                continue
-            model = rf.fit_forest(design.features[train_rows],
-                                  design.targets[train_rows], config)
-            pred = rf.predict_forest(model, design.features[val_rows])
-            fold_scores.append(rmse(pred, design.targets[val_rows]))
-        mean_score = float(np.mean(fold_scores)) if fold_scores else math.inf
-        table.append({**cell, "mean_val_rmse": mean_score})
-        if mean_score < best_score:
-            best_score = mean_score
-            best_config = config
-    if best_config is None:
-        best_config = rf.ForestConfig(**cells[0])
-    return ForestGridResult(best_config=best_config, best_score=best_score, table=table)
+    configs = [rf.ForestConfig(seed=derive_seed(seed, cell_index + 1), **cell)
+               for cell_index, cell in enumerate(cells)]
+
+    def score(cell_index: int, fold: int, train_rows: np.ndarray,
+              val_rows: np.ndarray) -> float:
+        model = rf.fit_forest(design.features[train_rows], design.targets[train_rows],
+                              configs[cell_index])
+        return rmse(rf.predict_forest(model, design.features[val_rows]),
+                    design.targets[val_rows])
+
+    return ds.cv_select(cells, design, inner_k, seed, score)
 
 
 # ---------------------------------------------------------------------------

@@ -42,12 +42,20 @@ def write_container(path: str | Path, magic: bytes, header: dict,
 
 
 def read_container(path: str | Path, magic: bytes) -> tuple[dict, bytes]:
-    """Return (header, payload bytes); verifies magic, version, checksum."""
+    """Return (header, payload bytes) of a container that must carry `magic`."""
+    _, header, payload = read_any_container(path, (magic,))
+    return header, payload
+
+
+def read_any_container(path: str | Path, magics: tuple[bytes, ...] = _MAGICS,
+                       ) -> tuple[bytes, dict, bytes]:
+    """Return (magic, header, payload bytes) of a container carrying any of
+    `magics`, reading the file once; verifies magic, version, checksum."""
     blob = Path(path).read_bytes()
     if len(blob) < 24:
         raise CorruptFile("file too short to be a model container")
-    if blob[:4] != magic:
-        raise CorruptFile(f"bad magic {blob[:4]!r}, expected {magic!r}")
+    if blob[:4] not in magics:
+        raise CorruptFile(f"bad magic {blob[:4]!r}, expected one of {magics!r}")
     (version,) = struct.unpack("<I", blob[4:8])
     if version != FORMAT_VERSION:
         raise VersionMismatch(f"format version {version}, supported {FORMAT_VERSION}")
@@ -59,7 +67,7 @@ def read_container(path: str | Path, magic: bytes) -> tuple[dict, bytes]:
     if len(body) < 8 + header_len:
         raise CorruptFile("header extends past end of file")
     header = json.loads(body[8 : 8 + header_len].decode("utf-8"))
-    return header, body[8 + header_len :]
+    return blob[:4], header, body[8 + header_len :]
 
 
 def split_payload(payload: bytes, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:

@@ -11,7 +11,7 @@ oxygens of a nitro group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from emprops.molgraph.graph import Bond, MolGraph
 
@@ -22,7 +22,6 @@ class PatternAtom:
     charge: int | None = None
     aromatic: bool | None = None
     h_count: int | None = None
-    min_h: int | None = None
     heavy_degree: int | None = None
     # (element, order) neighbor combinations that must not exist;
     # order None means any bond order.
@@ -41,7 +40,6 @@ class SubstructurePattern:
     name: str
     atoms: tuple[PatternAtom, ...]
     bonds: tuple[PatternBond, ...] = ()
-    _plan: tuple = field(default=(), compare=False, repr=False)
 
 
 def _atom_ok(g: MolGraph, idx: int, patom: PatternAtom) -> bool:
@@ -53,8 +51,6 @@ def _atom_ok(g: MolGraph, idx: int, patom: PatternAtom) -> bool:
     if patom.aromatic is not None and atom.aromatic != patom.aromatic:
         return False
     if patom.h_count is not None and atom.implicit_h != patom.h_count:
-        return False
-    if patom.min_h is not None and atom.implicit_h < patom.min_h:
         return False
     if patom.heavy_degree is not None and g.heavy_degree(idx) != patom.heavy_degree:
         return False

@@ -6,6 +6,10 @@ to the input of one hidden layer (a hyperparameter). With selector_dim=0
 this is the plain single-task network. Gradients are analytic
 backpropagation; training is Adam with early stopping on validation MSE.
 Everything seeded is driven by splitmix64, so runs are bit-reproducible.
+
+fit_network is the one path that fits a network (inner CV, the outer
+refit and the final model alike), and grid_search selects a cell through
+the shared inner-CV loop dataset.cv_select.
 """
 
 from __future__ import annotations
@@ -355,13 +359,6 @@ class GridSpec:
         return cls(**kwargs)
 
 
-@dataclass
-class GridResult:
-    best_cell: dict
-    best_score: float
-    table: list[dict]  # one row per cell: cell params + mean_val_rmse
-
-
 def _channel_mean_rmse(pred: np.ndarray, actual: np.ndarray, channel_idx: np.ndarray,
                        n_channels: int) -> float:
     """Per-channel RMSE averaged over the channels present."""
@@ -376,78 +373,68 @@ def _channel_mean_rmse(pred: np.ndarray, actual: np.ndarray, channel_idx: np.nda
 
 
 def grid_search(grid: GridSpec, design: ds.DesignMatrix, base_train: TrainConfig,
-                inner_k: int = 5, seed: int = 0) -> GridResult:
+                inner_k: int = 5, seed: int = 0) -> ds.GridResult:
     """Exhaustive grid search scored by inner k-fold cross-validation.
 
-    Per cell: material-level inner folds, train on each inner-train split
-    with early stopping against the held-out split, score the held-out
-    RMSE in standardized space averaged over channels, then average over
-    folds. Lowest mean wins; ties break toward the earliest cell.
+    Per cell and inner fold (ds.cv_select), fit_network trains on the
+    inner-train split with early stopping against the held-out split,
+    which is scored by its RMSE in standardized space averaged over
+    channels. Lowest mean wins; ties break toward the earliest cell.
     """
-    selector_dim = len(design.registry)
-    cells = grid.cells(selector_dim if selector_dim > 1 else 0)
-    if not cells:
-        raise InvalidConfig("empty hyperparameter grid")
-    plan = ds.kfold_by_material(design.material_ids, inner_k, seed)
+    n_channels = len(design.registry)
+    cells = grid.cells(n_channels if n_channels > 1 else 0)
 
-    best_cell = None
-    best_score = math.inf
-    table = []
-    for cell_index, cell in enumerate(cells):
-        fold_scores = []
-        for fold in range(inner_k):
-            train_mats, val_mats = plan.train_test(fold)
-            train_rows = design.rows_for(train_mats)
-            val_rows = design.rows_for(val_mats)
-            if not train_rows.any() or not val_rows.any():
-                continue
-            score = _run_cell(design, train_rows, val_rows, cell, base_train,
-                              derive_seed(seed, cell_index + 1, fold + 1))
-            if not math.isnan(score):
-                fold_scores.append(score)
-        mean_score = float(np.mean(fold_scores)) if fold_scores else math.inf
-        table.append({**cell, "mean_val_rmse": mean_score})
-        if mean_score < best_score:
-            best_score = mean_score
-            best_cell = cell
-    if best_cell is None:
-        best_cell = cells[0]
-        best_score = math.inf
-    return GridResult(best_cell=best_cell, best_score=best_score, table=table)
+    def score(cell_index: int, fold: int, train_rows: np.ndarray,
+              val_rows: np.ndarray) -> float:
+        net_seed = derive_seed(seed, cell_index + 1, fold + 1)
+        standardizer, result = fit_network(design, train_rows, cells[cell_index], base_train,
+                                           net_seed, derive_seed(net_seed, 7), val_rows)
+        x_val, s_val, y_val = network_inputs(design, val_rows, standardizer)
+        pred = forward(result.net, x_val, s_val)
+        return _channel_mean_rmse(pred, y_val, design.channel_idx[val_rows], n_channels)
+
+    return ds.cv_select(cells, design, inner_k, seed, score)
 
 
-def _run_cell(design: ds.DesignMatrix, train_rows: np.ndarray, val_rows: np.ndarray,
-              cell: dict, base_train: TrainConfig, seed: int) -> float:
+def network_inputs(design: ds.DesignMatrix, rows: np.ndarray, standardizer: ds.Standardizer,
+                   ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Standardized features, one-hot selectors (None for a single channel)
+    and standardized targets of the given design rows."""
+    n_channels = len(design.registry)
+    channel_idx = design.channel_idx[rows]
+    x = standardizer.apply_features(design.features[rows])
+    y = standardizer.apply_targets(design.targets[rows], channel_idx)
+    selector = np.eye(n_channels)[channel_idx] if n_channels > 1 else None
+    return x, selector, y
+
+
+def fit_network(design: ds.DesignMatrix, train_rows: np.ndarray, cell: dict,
+                base_train: TrainConfig, net_seed: int, train_seed: int,
+                val_rows: np.ndarray | None = None) -> tuple[ds.Standardizer, TrainResult]:
+    """Fit one network on the train rows: the single fit path of every
+    network family, for inner CV, the outer refit and the final model.
+
+    The standardizer is fitted on the train rows only. With val_rows the
+    net stops early on their validation MSE; without, it trains
+    max_epochs. net_seed seeds the initial weights, train_seed the batch
+    order. Returns the fitted standardizer and the training result.
+    """
     n_channels = len(design.registry)
     standardizer = ds.Standardizer.fit(
         design.features[train_rows], design.targets[train_rows],
         design.channel_idx[train_rows], n_channels,
     )
-    x_train = standardizer.apply_features(design.features[train_rows])
-    y_train = standardizer.apply_targets(design.targets[train_rows],
-                                         design.channel_idx[train_rows])
-    x_val = standardizer.apply_features(design.features[val_rows])
-    y_val = standardizer.apply_targets(design.targets[val_rows],
-                                       design.channel_idx[val_rows])
-    selector_dim = n_channels if n_channels > 1 else 0
-    s_train = s_val = None
-    if selector_dim:
-        eye = np.eye(n_channels)
-        s_train = eye[design.channel_idx[train_rows]]
-        s_val = eye[design.channel_idx[val_rows]]
-
+    x_train, s_train, y_train = network_inputs(design, train_rows, standardizer)
+    val = None if val_rows is None else network_inputs(design, val_rows, standardizer)
     net_config = MTNetConfig(
         input_dim=design.features.shape[1],
-        selector_dim=selector_dim,
+        selector_dim=n_channels if n_channels > 1 else 0,
         hidden_sizes=cell["hidden_sizes"],
         selector_layer_index=cell["selector_layer_index"],
         l2_penalty=cell["l2_penalty"],
-        seed=seed,
+        seed=net_seed,
     )
     train_config = replace(base_train, learning_rate=cell["learning_rate"],
-                           batch_size=cell["batch_size"], seed=derive_seed(seed, 7))
-    net = init_network(net_config)
-    result = train(net, x_train, s_train, y_train, train_config,
-                   val=(x_val, s_val, y_val))
-    pred = forward(result.net, x_val, s_val)
-    return _channel_mean_rmse(pred, y_val, design.channel_idx[val_rows], n_channels)
+                           batch_size=cell["batch_size"], seed=train_seed)
+    result = train(init_network(net_config), x_train, s_train, y_train, train_config, val=val)
+    return standardizer, result

@@ -16,7 +16,7 @@ import numpy as np
 
 from emprops import dataset as ds
 from emprops import descriptors, forest as rf, modelio, mtnn
-from emprops.errors import CorruptFile, MissingDensity, SchemaMismatch
+from emprops.errors import MissingDensity, SchemaMismatch
 from emprops.molgraph import MolGraph, parse_smiles
 
 
@@ -77,11 +77,7 @@ def save_model(path: str | Path, bundle: ModelBundle) -> None:
 
 
 def load_model(path: str | Path) -> ModelBundle:
-    blob = Path(path).read_bytes()[:4]
-    magic = blob if blob in (modelio.MAGIC_MTNN, modelio.MAGIC_FOREST) else None
-    if magic is None:
-        raise CorruptFile(f"unrecognized model magic {blob!r}")
-    header, payload = modelio.read_container(path, magic)
+    magic, header, payload = modelio.read_any_container(path)
     registry = ds.PropertyRegistry.from_json(header["registry"])
     schema = descriptors.FeatureSchema.from_manifest(header["schema"])
 

@@ -108,6 +108,24 @@ class TestTuneTrainPredictScreen:
         assert out[0] == "channel,prediction"
         assert len(out) == 1 + 7  # subset 1 keeps 7 of the default registry channels
 
+    def test_tune_forest_two_cell_grid(self, tmp_path, capsys):
+        data = write_dataset(tmp_path)
+        grid_path = write_grid(tmp_path)
+        grid = json.loads(grid_path.read_text())
+        grid["forest"]["min_samples_leaf"] = [1, 2]
+        grid_path.write_text(json.dumps(grid), encoding="utf-8")
+        out = tmp_path / "tune_rf"
+        assert cli.main(["tune", "--data", str(data), "--subset", "1", "--no-density",
+                         "--family", "st-rf", "--grid", str(grid_path), "--folds", "3",
+                         "--seed", "7", "--out", str(out)]) == 0
+        winner = json.loads((out / "winner.json").read_text())
+        assert set(winner) == {"n_trees", "max_depth", "min_samples_leaf", "max_features",
+                               "mean_val_rmse"}
+        assert winner["min_samples_leaf"] in (1, 2)
+        lines = (out / "grid_table.csv").read_text().splitlines()
+        assert lines[0] == "n_trees,max_depth,min_samples_leaf,max_features,mean_val_rmse"
+        assert [line.split(",")[2] for line in lines[1:]] == ["1", "2"]
+
     def test_predict_missing_density_exit_1(self, tmp_path, capsys):
         data = write_dataset(tmp_path)
         grid = write_grid(tmp_path)

@@ -114,6 +114,65 @@ class TestKfold:
             assert train | test == set(ids)
 
 
+class TestCvSelect:
+    CELLS = [{"leaf": 1}, {"leaf": 2}, {"leaf": 3}]
+
+    @staticmethod
+    def design(n_materials=6):
+        ids = [f"M{i}" for i in range(n_materials)]
+        return ds.DesignMatrix(
+            features=np.zeros((n_materials, 1)),
+            channel_idx=np.zeros(n_materials, dtype=np.int64),
+            targets=np.arange(n_materials, dtype=np.float64),
+            material_ids=ids,
+            registry=ds.PropertyRegistry(channels=(ds.PropertyChannel("det_velocity", "calc"),)),
+        )
+
+    def test_earliest_cell_wins_exact_tie(self):
+        per_cell = [2.0, 1.0, 1.0]
+        result = ds.cv_select(self.CELLS, self.design(), 3, 5,
+                              lambda cell, fold, tr, va: per_cell[cell])
+        assert result.best_cell is self.CELLS[1]
+        assert result.best_score == 1.0
+
+    def test_nan_fold_makes_cell_nan_and_never_wins(self):
+        def score(cell, fold, train_rows, val_rows):
+            if cell == 0:
+                return math.nan if fold == 0 else 0.5
+            return 9.0 if cell == 1 else 10.0
+
+        result = ds.cv_select(self.CELLS, self.design(), 3, 5, score)
+        assert math.isnan(result.table[0]["mean_val_rmse"])
+        assert result.best_cell is self.CELLS[1]
+        assert result.best_score == 9.0
+
+    def test_all_folds_empty_falls_back_to_cell_zero(self):
+        calls = []
+        # one inner fold leaves no training rows, so every fold is skipped
+        result = ds.cv_select(self.CELLS, self.design(), 1, 5,
+                              lambda *args: calls.append(args) or 0.0)
+        assert result.best_cell is self.CELLS[0]
+        assert result.best_score == math.inf
+        assert calls == []
+        assert [row["mean_val_rmse"] for row in result.table] == [math.inf] * 3
+
+    def test_table_one_row_per_cell_in_order(self):
+        seen = []
+
+        def score(cell, fold, train_rows, val_rows):
+            seen.append((cell, fold))
+            assert train_rows.any() and val_rows.any()
+            assert not (train_rows & val_rows).any()
+            return float(10 - cell)
+
+        result = ds.cv_select(self.CELLS, self.design(), 3, 5, score)
+        assert result.table == [{**cell, "mean_val_rmse": 10.0 - i}
+                                for i, cell in enumerate(self.CELLS)]
+        assert seen == [(cell, fold) for cell in range(3) for fold in range(3)]
+        assert result.best_cell is self.CELLS[2]
+        assert result.best_score == 8.0
+
+
 class TestStandardizer:
     def test_hand_example(self):
         feats = np.array([[1.0], [3.0]])

@@ -366,6 +366,14 @@ class TestPersistence:
         with pytest.raises(CorruptFile):
             pipeline.load_model(path)
 
+    def test_unknown_magic(self, tmp_path):
+        bundle = self.make_bundle()
+        path = tmp_path / "model.emmt"
+        pipeline.save_model(path, bundle)
+        path.write_bytes(b"XXXX" + path.read_bytes()[4:])
+        with pytest.raises(CorruptFile):
+            pipeline.load_model(path)
+
     def test_version_bump(self, tmp_path):
         bundle = self.make_bundle()
         path = tmp_path / "model.emmt"
