@@ -117,8 +117,7 @@ def _read_molecules(path: str) -> list[dict]:
         smiles = (row["smiles"] or "").strip()
         if not material or not smiles:
             raise ParseFailure(row_number, "empty material_id or smiles")
-        density_text = (row.get("density") or "").strip()
-        density = float(density_text) if density_text else None
+        density = ds.parse_density(row.get("density"), row_number)
         if material in seen:
             if seen[material]["smiles"] != smiles:
                 raise ParseFailure(row_number, f"conflicting SMILES for {material!r}")
@@ -184,12 +183,24 @@ def _prepare_design(args):
     return data, subset, subset_id, schema, design
 
 
+def _family_design(args, subset: ds.Dataset, design: ds.DesignMatrix) -> ds.DesignMatrix:
+    """The design a family fits: single-task families see only --channel."""
+    if args.family not in ("st-rf", "st-nn"):
+        return design
+    if not args.channel:
+        raise InvalidConfig(f"--channel is required for family {args.family}")
+    prop, _, fidelity = args.channel.partition(":")
+    channel = subset.registry.lookup(prop, fidelity)
+    return evaluation.single_channel_design(design, subset.registry.index_of(channel))
+
+
 def cmd_tune(args) -> int:
     started = time.monotonic()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     mt_grid, forest_grid, base_train = _load_grids(args.grid)
     _, subset, subset_id, schema, design = _prepare_design(args)
+    design = _family_design(args, subset, design)
 
     if args.family == "st-rf":
         result = evaluation.forest_grid_search(forest_grid, design, inner_k=args.folds,
@@ -229,14 +240,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     mt_grid, forest_grid, base_train = _load_grids(args.grid)
     _, subset, subset_id, schema, design = _prepare_design(args)
-
-    if args.family == "st-rf" or args.family == "st-nn":
-        if not args.channel:
-            raise InvalidConfig(f"--channel is required for family {args.family}")
-        prop, _, fidelity = args.channel.partition(":")
-        channel = subset.registry.lookup(prop, fidelity)
-        position = subset.registry.index_of(channel)
-        design = evaluation.single_channel_design(design, position)
+    design = _family_design(args, subset, design)
 
     if args.family == "st-rf":
         search = evaluation.forest_grid_search(forest_grid, design, inner_k=args.folds,
@@ -402,6 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("tune", help="hyperparameter grid search")
     _add_common_data_flags(p)
     p.add_argument("--family", choices=evaluation.MODEL_FAMILIES, default="mt-nn")
+    p.add_argument("--channel", default=None, help="property:fidelity (single-task only)")
     p.add_argument("--grid", default=None, help="grid JSON file")
     p.add_argument("--folds", type=int, default=5, help="inner CV folds")
     p.add_argument("--seed", type=int, default=1)

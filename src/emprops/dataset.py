@@ -189,6 +189,21 @@ class Dataset:
 CSV_COLUMNS = ("material_id", "smiles", "property", "fidelity", "value", "density")
 
 
+def parse_density(text: str | None, row: int) -> float | None:
+    """A CSV density cell: None when blank, else a finite positive number;
+    anything else raises ParseFailure for the 1-based data row."""
+    text = (text or "").strip()
+    if not text:
+        return None
+    try:
+        density = float(text)
+    except ValueError:
+        raise ParseFailure(row, f"bad density {text!r}") from None
+    if not math.isfinite(density) or density <= 0:
+        raise ParseFailure(row, f"density {text!r} is not a finite positive number")
+    return density
+
+
 def load_records(path: str | Path, registry: PropertyRegistry, dedupe: str = "error") -> Dataset:
     """Load the documented CSV schema into a Dataset.
 
@@ -231,13 +246,7 @@ def load_records(path: str | Path, registry: PropertyRegistry, dedupe: str = "er
             raise ParseFailure(row_number, f"bad value {row['value']!r}")
         if not math.isfinite(value):
             raise ParseFailure(row_number, f"non-finite value {value!r}")
-        density_text = (row.get("density") or "").strip()
-        density = None
-        if density_text:
-            try:
-                density = float(density_text)
-            except ValueError:
-                raise ParseFailure(row_number, f"bad density {density_text!r}")
+        density = parse_density(row.get("density"), row_number)
 
         if material in smiles_by_material:
             if smiles_by_material[material] != smiles:

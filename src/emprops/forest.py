@@ -6,6 +6,14 @@ winner maximizes the total squared-error reduction, and ties break to the
 lowest feature index then the lowest threshold. Bootstraps and per-split
 feature subsets are drawn from splitmix64 streams, so a seed pins the
 whole forest.
+
+A tree is a float64 array of node rows ``[feature, threshold, value,
+left, right]`` in preorder, root first. Leaves have feature and links -1;
+a split node sends x left when ``x[feature] <= threshold``. Fitting,
+prediction and the model file all use this layout. The split search sorts
+a node's candidate columns together, scores every (feature, threshold)
+candidate from cumulative sums in one pass, then applies the tie rule to
+the running maxima of those scores in scan order.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ import numpy as np
 
 from emprops.errors import DimensionMismatch, EmptyData, InvalidConfig
 from emprops.rng import SplitMix64, derive_seed
+
+FEATURE, THRESHOLD, VALUE, LEFT, RIGHT = range(5)  # tree array columns
 
 
 @dataclass(frozen=True)
@@ -44,38 +54,13 @@ class ForestConfig:
 
 
 @dataclass
-class TreeNode:
-    feature: int = -1          # -1 marks a leaf
-    threshold: float = 0.0
-    value: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
-
-
-@dataclass
-class DecisionTree:
-    root: TreeNode
-    n_features: int
-
-    def predict_one(self, x: np.ndarray) -> float:
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.value
-
-
-@dataclass
 class RandomForest:
     config: ForestConfig
-    trees: list[DecisionTree]
+    trees: list[np.ndarray]  # one (nodes, 5) array per tree, see the module docstring
     n_features: int
 
 
-def _sse(total: float, total_sq: float, count: int) -> float:
+def _sse(total, total_sq, count):
     return total_sq - total * total / count
 
 
@@ -98,34 +83,44 @@ def best_split(x: np.ndarray, y: np.ndarray, feature_indices: list[int],
     parent_sse = _sse(float(y.sum()), float((y * y).sum()), n)
     margin = 1e-12 * max(parent_sse, 1.0)
 
-    best: tuple[int, float, float] | None = None
-    for feature in sorted(feature_indices):
-        column = x[:, feature]
-        order = np.argsort(column, kind="stable")
-        sorted_x = column[order]
-        sorted_y = y[order]
-        cum = np.cumsum(sorted_y)
-        cum_sq = np.cumsum(sorted_y * sorted_y)
-        total, total_sq = float(cum[-1]), float(cum_sq[-1])
-        for i in range(n - 1):
-            if sorted_x[i] == sorted_x[i + 1]:
-                continue
-            left_n = i + 1
-            right_n = n - left_n
-            if left_n < min_samples_leaf or right_n < min_samples_leaf:
-                continue
-            left_sse = _sse(float(cum[i]), float(cum_sq[i]), left_n)
-            right_sse = _sse(total - float(cum[i]), total_sq - float(cum_sq[i]), right_n)
-            reduction = parent_sse - left_sse - right_sse
-            threshold = (float(sorted_x[i]) + float(sorted_x[i + 1])) / 2.0
-            if reduction > margin and (best is None or reduction > best[2] + margin):
-                best = (feature, threshold, reduction)
-    return best
+    features = sorted(feature_indices)
+    columns = x[:, features]
+    order = np.argsort(columns, axis=0, kind="stable")
+    sorted_x = columns[order, np.arange(len(features))]
+    sorted_y = y[order]
+    cum = np.cumsum(sorted_y, axis=0)
+    cum_sq = np.cumsum(sorted_y * sorted_y, axis=0)
+    left_n = np.arange(1, n)[:, None]
+    left, left_sq = cum[:-1], cum_sq[:-1]
+    reduction = (parent_sse - _sse(left, left_sq, left_n)
+                 - _sse(cum[-1] - left, cum_sq[-1] - left_sq, n - left_n))
+    usable = (sorted_x[:-1] != sorted_x[1:]) & (reduction > margin)
+    # Row i splits off i + 1 samples on the left, n - i - 1 on the right.
+    usable[:min_samples_leaf - 1] = False
+    usable[max(n - min_samples_leaf, 0):] = False
+    # Score of candidate c = feature position * (n - 1) + split position,
+    # in the order a sequential scan meets them.
+    scores = np.where(usable, reduction, -np.inf).ravel(order="F")
+
+    # The scan's incumbent changes when a candidate beats it by more than
+    # the margin. Such a candidate beats every earlier score too, so only
+    # strict running maxima need the sequential rule.
+    earlier_peak = np.concatenate(([-np.inf], np.maximum.accumulate(scores)[:-1]))
+    records = np.flatnonzero(scores > earlier_peak)
+    best = None
+    for candidate, score in zip(records.tolist(), scores[records].tolist()):
+        if best is None or score > best[1] + margin:
+            best = (candidate, score)
+    if best is None:
+        return None
+    column, i = divmod(best[0], n - 1)
+    threshold = (float(sorted_x[i, column]) + float(sorted_x[i + 1, column])) / 2.0
+    return features[column], threshold, best[1]
 
 
 def fit_tree(x: np.ndarray, y: np.ndarray, config: ForestConfig,
-             feature_rng: SplitMix64 | None = None) -> DecisionTree:
-    """Grow one tree on the given sample (no bootstrap here).
+             feature_rng: SplitMix64 | None = None) -> np.ndarray:
+    """Grow one tree on the given sample (no bootstrap here) as node rows.
 
     feature_rng enables per-split feature subsampling; None considers all
     features at every split, which is the configuration the brute-force
@@ -133,28 +128,36 @@ def fit_tree(x: np.ndarray, y: np.ndarray, config: ForestConfig,
     """
     n_features = x.shape[1]
     max_features = config.resolve_max_features(n_features)
-
-    def grow(rows: np.ndarray, depth: int) -> TreeNode:
+    nodes: list[list[float]] = []
+    # Depth-first in preorder (left subtree before right), so feature
+    # draws happen in node order and each node's row index is its preorder
+    # position. Entries: (sample rows, depth, parent row, link column).
+    stack = [(np.arange(len(y)), 0, -1, LEFT)]
+    while stack:
+        rows, depth, parent, link = stack.pop()
+        index = len(nodes)
+        if parent >= 0:
+            nodes[parent][link] = float(index)
         values = y[rows]
-        node = TreeNode(value=float(values.mean()))
+        # sum / count is values.mean() bit for bit, without its call overhead
+        node = [-1.0, 0.0, float(values.sum() / len(values)), -1.0, -1.0]
+        nodes.append(node)
         if depth >= config.max_depth or len(rows) < 2 * config.min_samples_leaf:
-            return node
+            continue
         if feature_rng is None or max_features >= n_features:
             candidates = list(range(n_features))
         else:
             candidates = feature_rng.sample_indices(n_features, max_features)
         split = best_split(x[rows], values, candidates, config.min_samples_leaf)
         if split is None:
-            return node
+            continue
         feature, threshold, _ = split
         mask = x[rows, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = grow(rows[mask], depth + 1)
-        node.right = grow(rows[~mask], depth + 1)
-        return node
-
-    return DecisionTree(root=grow(np.arange(len(y)), 0), n_features=n_features)
+        node[FEATURE] = float(feature)
+        node[THRESHOLD] = threshold
+        stack.append((rows[~mask], depth + 1, index, RIGHT))
+        stack.append((rows[mask], depth + 1, index, LEFT))
+    return np.array(nodes, dtype=np.float64)
 
 
 def fit_forest(x: np.ndarray, y: np.ndarray, config: ForestConfig) -> RandomForest:
@@ -173,7 +176,7 @@ def fit_forest(x: np.ndarray, y: np.ndarray, config: ForestConfig) -> RandomFore
     trees = []
     for tree_index in range(config.n_trees):
         rng = SplitMix64(derive_seed(config.seed, tree_index))
-        rows = np.array([rng.next_below(n) for _ in range(n)], dtype=np.int64)
+        rows = (rng.next_block(n) % np.uint64(n)).astype(np.intp)
         trees.append(fit_tree(x[rows], y[rows], config, feature_rng=rng))
     return RandomForest(config=config, trees=trees, n_features=x.shape[1])
 
@@ -190,36 +193,21 @@ def predict_forest(forest: RandomForest, x: np.ndarray) -> np.ndarray:
         )
     out = np.zeros(x.shape[0])
     for tree in forest.trees:
-        out += np.array([tree.predict_one(row) for row in x])
+        out += _predict_tree(tree, x)
     out /= len(forest.trees)
     return out[0] if single else out
 
 
-# (de)serialization helpers used by the shared model container
-
-def tree_to_lists(tree: DecisionTree) -> list[list[float]]:
-    """Flatten to rows [feature, threshold, value, left, right] with -1 links."""
-    rows: list[list[float]] = []
-
-    def walk(node: TreeNode) -> int:
-        idx = len(rows)
-        rows.append([float(node.feature), node.threshold, node.value, -1.0, -1.0])
-        if not node.is_leaf:
-            rows[idx][3] = float(walk(node.left))
-            rows[idx][4] = float(walk(node.right))
-        return idx
-
-    walk(tree.root)
-    return rows
-
-
-def tree_from_lists(rows: list[list[float]], n_features: int) -> DecisionTree:
-    def build(idx: int) -> TreeNode:
-        feature, threshold, value, left, right = rows[idx]
-        node = TreeNode(feature=int(feature), threshold=threshold, value=value)
-        if node.feature >= 0:
-            node.left = build(int(left))
-            node.right = build(int(right))
-        return node
-
-    return DecisionTree(root=build(0), n_features=n_features)
+def _predict_tree(tree: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Walk every row down one tree, one level per step."""
+    feature = tree[:, FEATURE].astype(np.intp)
+    children = tree[:, LEFT:].astype(np.intp)
+    node = np.zeros(len(x), dtype=np.intp)
+    active = np.arange(len(x))
+    while active.size:
+        at = node[active]
+        inner = feature[at] >= 0
+        active, at = active[inner], at[inner]
+        goes_left = x[active, feature[at]] <= tree[at, THRESHOLD]
+        node[active] = np.where(goes_left, children[at, 0], children[at, 1])
+    return tree[node, VALUE]

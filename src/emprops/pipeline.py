@@ -16,7 +16,7 @@ import numpy as np
 
 from emprops import dataset as ds
 from emprops import descriptors, forest as rf, modelio, mtnn
-from emprops.errors import MissingDensity, SchemaMismatch
+from emprops.errors import CorruptFile, MissingDensity, SchemaMismatch
 from emprops.molgraph import MolGraph, parse_smiles
 
 
@@ -55,7 +55,6 @@ def save_model(path: str | Path, bundle: ModelBundle) -> None:
         modelio.write_container(path, modelio.MAGIC_MTNN, header, arrays)
     elif bundle.kind == "forest":
         forest = bundle.forest
-        tree_rows = [rf.tree_to_lists(tree) for tree in forest.trees]
         header = {
             "kind": "forest",
             "config": {
@@ -68,10 +67,9 @@ def save_model(path: str | Path, bundle: ModelBundle) -> None:
             "n_features": forest.n_features,
             "registry": bundle.registry.to_json(),
             "schema": bundle.schema.manifest(),
-            "tree_sizes": [len(rows) for rows in tree_rows],
+            "tree_sizes": [len(tree) for tree in forest.trees],
         }
-        arrays = [np.asarray(rows, dtype=np.float64) for rows in tree_rows]
-        modelio.write_container(path, modelio.MAGIC_FOREST, header, arrays)
+        modelio.write_container(path, modelio.MAGIC_FOREST, header, forest.trees)
     else:
         raise SchemaMismatch(f"unknown bundle kind {bundle.kind!r}")
 
@@ -112,10 +110,23 @@ def load_model(path: str | Path) -> ModelBundle:
         seed=header["config"]["seed"],
     )
     shapes = [(size, 5) for size in header["tree_sizes"]]
-    arrays = modelio.split_payload(payload, shapes)
-    trees = [rf.tree_from_lists(a.tolist(), header["n_features"]) for a in arrays]
+    trees = modelio.split_payload(payload, shapes)
+    for tree in trees:
+        _check_tree(tree, header["n_features"])
     forest = rf.RandomForest(config=config, trees=trees, n_features=header["n_features"])
     return ModelBundle(kind="forest", registry=registry, schema=schema, forest=forest)
+
+
+def _check_tree(tree: np.ndarray, n_features: int) -> None:
+    """Every split node must name a feature in range and link to two later
+    rows, so that every walk from the root ends at a leaf."""
+    feature = tree[:, rf.FEATURE]
+    split = feature >= 0
+    links = tree[split, rf.LEFT:]
+    if (len(tree) == 0 or np.any(feature != np.floor(feature)) or np.any(feature < -1)
+            or np.any(feature >= n_features) or np.any(links != np.floor(links))
+            or np.any(links <= np.flatnonzero(split)[:, None]) or np.any(links >= len(tree))):
+        raise CorruptFile("malformed tree in forest file")
 
 
 def features_for(bundle: ModelBundle, graph: MolGraph, density: float | None) -> np.ndarray:

@@ -213,10 +213,10 @@ def test_criterion_08_forest_split_oracle():
         tree = rf.fit_tree(x, y, config)
         expected = oracle_best_split(x, y)
         if expected is None:
-            assert tree.root.is_leaf
+            assert tree[0, rf.FEATURE] == -1
         else:
-            assert tree.root.feature == expected[0]
-            assert tree.root.threshold == expected[1]
+            assert tree[0, rf.FEATURE] == expected[0]
+            assert tree[0, rf.THRESHOLD] == expected[1]
             checked += 1
     assert checked >= 80
     report(8, f"100 random datasets, {checked} splits agree exactly with the oracle")

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from emprops import cli
+import emprops
+from emprops import cli, dataset as ds, descriptors, evaluation
 
 
 MOLS = [
@@ -116,7 +121,8 @@ class TestTuneTrainPredictScreen:
         grid_path.write_text(json.dumps(grid), encoding="utf-8")
         out = tmp_path / "tune_rf"
         assert cli.main(["tune", "--data", str(data), "--subset", "1", "--no-density",
-                         "--family", "st-rf", "--grid", str(grid_path), "--folds", "3",
+                         "--family", "st-rf", "--channel", "det_velocity:calc",
+                         "--grid", str(grid_path), "--folds", "3",
                          "--seed", "7", "--out", str(out)]) == 0
         winner = json.loads((out / "winner.json").read_text())
         assert set(winner) == {"n_trees", "max_depth", "min_samples_leaf", "max_features",
@@ -125,6 +131,26 @@ class TestTuneTrainPredictScreen:
         lines = (out / "grid_table.csv").read_text().splitlines()
         assert lines[0] == "n_trees,max_depth,min_samples_leaf,max_features,mean_val_rmse"
         assert [line.split(",")[2] for line in lines[1:]] == ["1", "2"]
+
+        # the tuned design is the one channel alone, as train and evaluate fit it
+        subset = ds.subset_filter(ds.load_records(data, ds.default_registry()), 1)
+        schema = descriptors.fit_schema([subset.graphs[m] for m in sorted(subset.graphs)],
+                                        include_density=False)
+        design = ds.assemble(subset, schema)
+        position = subset.registry.index_of(subset.registry.lookup("det_velocity", "calc"))
+        expected = evaluation.forest_grid_search(
+            evaluation.ForestGridSpec.from_json(grid["forest"]),
+            evaluation.single_channel_design(design, position), inner_k=3, seed=7)
+        assert winner == {**expected.best_cell, "mean_val_rmse": expected.best_score}
+
+    @pytest.mark.parametrize("family", ["st-rf", "st-nn"])
+    def test_tune_single_task_needs_channel(self, tmp_path, capsys, family):
+        data = write_dataset(tmp_path)
+        grid = write_grid(tmp_path)
+        code = cli.main(["tune", "--data", str(data), "--subset", "1", "--family", family,
+                         "--grid", str(grid), "--folds", "3", "--out", str(tmp_path / "t")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error InvalidConfig:")
 
     def test_predict_missing_density_exit_1(self, tmp_path, capsys):
         data = write_dataset(tmp_path)
@@ -192,6 +218,37 @@ class TestEvaluate:
         assert outputs[0] == outputs[1]
 
 
+BAD_DENSITIES = ["abc", "nan", "inf", "0", "-1.2"]
+
+
+class TestBadDensity:
+    @pytest.mark.parametrize("density", BAD_DENSITIES)
+    def test_featurize(self, tmp_path, capsys, density):
+        data = tmp_path / "mols.csv"
+        data.write_text(f"material_id,smiles,density\nM1,CC,1.0\nM2,CCO,{density}\n",
+                        encoding="utf-8")
+        code = cli.main(["featurize", "--data", str(data), "--out", str(tmp_path / "f")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error ParseFailure: row 2:")
+
+    @pytest.mark.parametrize("density", BAD_DENSITIES)
+    def test_screen(self, tmp_path, capsys, density):
+        data = write_dataset(tmp_path)
+        grid = write_grid(tmp_path)
+        train_out = tmp_path / "train"
+        assert cli.main(["train", "--data", str(data), "--subset", "1", "--no-density",
+                         "--family", "st-rf", "--channel", "det_velocity:calc",
+                         "--grid", str(grid), "--folds", "3", "--out", str(train_out)]) == 0
+        candidates = tmp_path / "candidates.csv"
+        candidates.write_text(f"material_id,smiles,density\nX1,CCC,{density}\n",
+                              encoding="utf-8")
+        capsys.readouterr()
+        code = cli.main(["screen", "--model", str(train_out / "model.emrf"),
+                         "--data", str(candidates), "--by", "det_velocity:calc"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error ParseFailure: row 1:")
+
+
 class TestUsageErrors:
     def test_unknown_flag_exit_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -211,3 +268,13 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("error UnknownChannel:")
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(emprops.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "emprops", "--version"], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == f"emprops {emprops.__version__}"

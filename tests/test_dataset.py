@@ -58,6 +58,14 @@ class TestLoad:
             ds.load_records(path, ds.default_registry())
         assert excinfo.value.row == 2
 
+    @pytest.mark.parametrize("density", ["abc", "nan", "-inf", "0", "-1.5"])
+    def test_bad_density_reports_row(self, tmp_path, density):
+        path = write_csv(tmp_path, ["M1,CC,det_velocity,exp,7.0,1.2",
+                                    f"M2,CCO,det_velocity,exp,7.0,{density}"])
+        with pytest.raises(ParseFailure) as excinfo:
+            ds.load_records(path, ds.default_registry())
+        assert excinfo.value.row == 2
+
     def test_conflicting_smiles(self, tmp_path):
         path = write_csv(tmp_path, ["M1,CC,det_velocity,exp,7.0,", "M1,CCC,det_pressure,exp,20,"])
         with pytest.raises(ParseFailure):
