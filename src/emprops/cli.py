@@ -173,25 +173,21 @@ def cmd_correlate(args) -> int:
 
 
 def _prepare_design(args):
-    registry = _load_registry(args.registry)
-    data = ds.load_records(args.data, registry, dedupe=args.dedupe)
-    subset_id = _parse_subset(args.subset)
-    subset = ds.subset_filter(data, subset_id)
-    corpus = [subset.graphs[m] for m in sorted(subset.graphs)]
-    schema = descriptors.fit_schema(corpus, include_density=args.density)
-    design = ds.assemble(subset, schema)
-    return data, subset, subset_id, schema, design
-
-
-def _family_design(args, subset: ds.Dataset, design: ds.DesignMatrix) -> ds.DesignMatrix:
-    """The design a family fits: single-task families see only --channel."""
-    if args.family not in ("st-rf", "st-nn"):
-        return design
-    if not args.channel:
+    """(subset id, schema, design) for --family: single-task families see
+    only --channel, which mt-nn, fitting every channel, does not take."""
+    single_task = args.family in ("st-rf", "st-nn")
+    if single_task and not args.channel:
         raise InvalidConfig(f"--channel is required for family {args.family}")
-    prop, _, fidelity = args.channel.partition(":")
-    channel = subset.registry.lookup(prop, fidelity)
-    return evaluation.single_channel_design(design, subset.registry.index_of(channel))
+    if not single_task and args.channel:
+        raise InvalidConfig(f"--channel applies to st-rf and st-nn only, not {args.family}")
+    data = ds.load_records(args.data, _load_registry(args.registry), dedupe=args.dedupe)
+    subset_id = _parse_subset(args.subset)
+    subset, schema, design = ds.build_design(data, subset_id, args.density)
+    if single_task:
+        prop, _, fidelity = args.channel.partition(":")
+        position = subset.registry.index_of(subset.registry.lookup(prop, fidelity))
+        design = evaluation.single_channel_design(design, position)
+    return subset_id, schema, design
 
 
 def cmd_tune(args) -> int:
@@ -199,8 +195,7 @@ def cmd_tune(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     mt_grid, forest_grid, base_train = _load_grids(args.grid)
-    _, subset, subset_id, schema, design = _prepare_design(args)
-    design = _family_design(args, subset, design)
+    subset_id, schema, design = _prepare_design(args)
 
     if args.family == "st-rf":
         result = evaluation.forest_grid_search(forest_grid, design, inner_k=args.folds,
@@ -239,8 +234,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     mt_grid, forest_grid, base_train = _load_grids(args.grid)
-    _, subset, subset_id, schema, design = _prepare_design(args)
-    design = _family_design(args, subset, design)
+    subset_id, schema, design = _prepare_design(args)
 
     if args.family == "st-rf":
         search = evaluation.forest_grid_search(forest_grid, design, inner_k=args.folds,

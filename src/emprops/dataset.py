@@ -77,8 +77,12 @@ class PropertyChannel:
         return value
 
     def invert_transform(self, value: float) -> float:
+        """Undo the transform; 10^value past the float range is inf."""
         if self.transform == "log10":
-            return 10.0 ** value
+            try:
+                return 10.0 ** value
+            except OverflowError:
+                return math.inf
         return value
 
 
@@ -287,12 +291,6 @@ def load_records(path: str | Path, registry: PropertyRegistry, dedupe: str = "er
     return Dataset(registry=registry, records=records, graphs=graphs)
 
 
-def selector_onehot(channel: PropertyChannel, registry: PropertyRegistry) -> np.ndarray:
-    out = np.zeros(len(registry), dtype=np.float64)
-    out[registry.index_of(channel)] = 1.0
-    return out
-
-
 @dataclass(frozen=True)
 class SplitPlan:
     seed: int
@@ -312,6 +310,8 @@ def kfold_by_material(material_ids: list[str], k: int, seed: int) -> SplitPlan:
     """Material-level folds: sort ids, Fisher-Yates shuffle with
     splitmix64(seed), deal round-robin. All records of one material land in
     one fold, so no molecule can straddle train and test."""
+    if k < 2:
+        raise InvalidConfig(f"need at least 2 folds, got {k}")
     ids = sorted(set(material_ids))
     if len(ids) < k:
         raise TooFewMaterials(f"{len(ids)} materials < {k} folds")
@@ -332,12 +332,12 @@ def cv_select(cells: list[dict], design: DesignMatrix, inner_k: int, seed: int,
               score: Callable[[int, int, np.ndarray, np.ndarray], float]) -> GridResult:
     """Inner k-fold selection over hyperparameter cells, for every model family.
 
-    Folds are material-level (kfold_by_material); a fold with no train or
-    no validation rows is skipped. score(cell_index, fold, train_rows,
+    Folds are material-level (kfold_by_material, k >= 2), so every fold has
+    train and validation rows. score(cell_index, fold, train_rows,
     val_rows) returns one fold's validation RMSE, and a cell scores the
-    mean over its folds: +inf with none, NaN when any fold is NaN, so such
-    a cell never wins. The lowest mean wins and ties go to the earliest
-    cell; when no cell has a finite score, cell 0 is chosen with +inf.
+    mean over its folds: NaN when any fold is NaN, so such a cell never
+    wins. The lowest mean wins and ties go to the earliest cell; when no
+    cell has a finite score, cell 0 is chosen with +inf.
     """
     if not cells:
         raise InvalidConfig("empty hyperparameter grid")
@@ -345,16 +345,12 @@ def cv_select(cells: list[dict], design: DesignMatrix, inner_k: int, seed: int,
     folds = []
     for fold in range(inner_k):
         train_mats, val_mats = plan.train_test(fold)
-        train_rows = design.rows_for(train_mats)
-        val_rows = design.rows_for(val_mats)
-        if train_rows.any() and val_rows.any():
-            folds.append((fold, train_rows, val_rows))
+        folds.append((fold, design.rows_for(train_mats), design.rows_for(val_mats)))
 
     result = GridResult(best_cell=cells[0], best_score=math.inf, table=[])
     for cell_index, cell in enumerate(cells):
-        fold_scores = [score(cell_index, fold, train_rows, val_rows)
-                       for fold, train_rows, val_rows in folds]
-        mean_score = float(np.mean(fold_scores)) if fold_scores else math.inf
+        mean_score = float(np.mean([score(cell_index, fold, train_rows, val_rows)
+                                    for fold, train_rows, val_rows in folds]))
         result.table.append({**cell, "mean_val_rmse": mean_score})
         if mean_score < result.best_score:
             result.best_cell = cell
@@ -539,6 +535,16 @@ class DesignMatrix:
 
     def rows_for(self, materials: set[str]) -> np.ndarray:
         return np.array([m in materials for m in self.material_ids], dtype=bool)
+
+
+def build_design(dataset: Dataset, subset_id: int,
+                 include_density: bool) -> tuple[Dataset, descriptors.FeatureSchema, DesignMatrix]:
+    """The design every command fits: the subset's records, featurized with a
+    schema fitted on the subset's molecules in material-id order."""
+    subset = subset_filter(dataset, subset_id)
+    corpus = [subset.graphs[m] for m in sorted(subset.graphs)]
+    schema = descriptors.fit_schema(corpus, include_density=include_density)
+    return subset, schema, assemble(subset, schema)
 
 
 def assemble(dataset: Dataset, schema: descriptors.FeatureSchema) -> DesignMatrix:

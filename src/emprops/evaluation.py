@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from emprops import dataset as ds
-from emprops import descriptors, forest as rf, mtnn
+from emprops import forest as rf, mtnn
 from emprops.errors import ConstantTargets, InvalidConfig, LengthMismatch
 from emprops.rng import derive_seed
 
@@ -114,10 +114,7 @@ def run_protocol(family: str, dataset: ds.Dataset, subset_id: int,
     """
     if family not in MODEL_FAMILIES:
         raise InvalidConfig(f"unknown model family {family!r}")
-    subset = ds.subset_filter(dataset, subset_id)
-    corpus = [subset.graphs[m] for m in sorted(subset.graphs)]
-    schema = descriptors.fit_schema(corpus, include_density=density_mode)
-    design = ds.assemble(subset, schema)
+    _, _, design = ds.build_design(dataset, subset_id, density_mode)
     grid = grid or mtnn.GridSpec()
     forest_grid = forest_grid or ForestGridSpec()
     base_train = base_train or mtnn.TrainConfig()

@@ -74,16 +74,14 @@ class TrainConfig:
 
 @dataclass
 class MTNet:
-    config: MTNetConfig
-    weights: list[np.ndarray]  # per layer, shape (fan_out, fan_in)
-    biases: list[np.ndarray]   # per layer, shape (fan_out,)
+    """params, [W1 row-major, b1, W2, b2, ...], is the one parameter store
+    (and the EMMT payload); weights and biases are per-layer views of it."""
 
-    def copy(self) -> "MTNet":
-        return MTNet(
-            config=self.config,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+    config: MTNetConfig
+    params: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.weights, self.biases = layer_views(self.config, self.params)
 
 
 def layer_shapes(config: MTNetConfig) -> list[tuple[int, int]]:
@@ -99,20 +97,37 @@ def layer_shapes(config: MTNetConfig) -> list[tuple[int, int]]:
     return shapes
 
 
-def init_network(config: MTNetConfig) -> MTNet:
-    """Glorot-uniform weights from splitmix64(seed), zero biases."""
-    rng = SplitMix64(config.seed)
-    weights = []
-    biases = []
+def parameter_count(config: MTNetConfig) -> int:
+    return sum(fan_out * (fan_in + 1) for fan_out, fan_in in layer_shapes(config))
+
+
+def layer_views(config: MTNetConfig, vector: np.ndarray,
+                ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer (fan_out, fan_in) weight and (fan_out,) bias views of a
+    flat parameter-layout vector: the parameters or their gradient."""
+    weights, biases = [], []
+    offset = 0
     for fan_out, fan_in in layer_shapes(config):
+        weights.append(vector[offset : offset + fan_out * fan_in].reshape(fan_out, fan_in))
+        offset += fan_out * fan_in
+        biases.append(vector[offset : offset + fan_out])
+        offset += fan_out
+    return weights, biases
+
+
+def init_network(config: MTNetConfig) -> MTNet:
+    """Glorot-uniform weights from one block of splitmix64(seed) draws, one
+    53-bit uniform per weight in parameter order; zero biases."""
+    net = MTNet(config=config, params=np.zeros(parameter_count(config)))
+    draws = SplitMix64(config.seed).next_block(sum(w.size for w in net.weights))
+    offset = 0
+    for w in net.weights:
+        fan_out, fan_in = w.shape
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        w = np.empty((fan_out, fan_in), dtype=np.float64)
-        flat = w.reshape(-1)
-        for i in range(flat.size):
-            flat[i] = (2.0 * rng.next_float() - 1.0) * limit
-        weights.append(w)
-        biases.append(np.zeros(fan_out, dtype=np.float64))
-    return MTNet(config=config, weights=weights, biases=biases)
+        uniform = (draws[offset : offset + w.size] >> 11) * 2.0 ** -53
+        w.reshape(-1)[:] = (2.0 * uniform - 1.0) * limit
+        offset += w.size
+    return net
 
 
 def _layer_inputs(net: MTNet, features: np.ndarray, selector: np.ndarray | None):
@@ -161,10 +176,10 @@ def forward(net: MTNet, features: np.ndarray, selector: np.ndarray | None = None
 
 
 def gradients(net: MTNet, features: np.ndarray, selector: np.ndarray | None,
-              targets: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray], float]:
+              targets: np.ndarray) -> tuple[np.ndarray, float]:
     """Mean-squared-error gradients plus the l2 weight penalty.
 
-    Returns (dWeights, dBiases, loss). The l2 term is
+    Returns (grad, loss), grad laid out like net.params. The l2 term is
     l2_penalty * sum(w^2) over weights only, so its gradient is
     2 * l2_penalty * w; biases are not penalized.
     """
@@ -176,15 +191,14 @@ def gradients(net: MTNet, features: np.ndarray, selector: np.ndarray | None,
     residual = out - targets
     loss = float(residual @ residual) / n
 
-    d_weights = [np.zeros_like(w) for w in net.weights]
-    d_biases = [np.zeros_like(b) for b in net.biases]
+    grad = np.empty_like(net.params)
+    d_weights, d_biases = layer_views(config, grad)
 
     delta = (2.0 / n) * residual[:, None]  # gradient at the linear output
     n_hidden = len(config.hidden_sizes)
     for layer in range(n_hidden, -1, -1):
-        layer_in = inputs[layer]
-        d_weights[layer] = delta.T @ layer_in
-        d_biases[layer] = delta.sum(axis=0)
+        d_weights[layer][...] = delta.T @ inputs[layer]
+        d_biases[layer][...] = delta.sum(axis=0)
         if layer == 0:
             break
         # relu gate: the layer input is the previous hidden activation
@@ -195,10 +209,10 @@ def gradients(net: MTNet, features: np.ndarray, selector: np.ndarray | None,
         delta = back
 
     if config.l2_penalty > 0.0:
-        for layer, w in enumerate(net.weights):
+        for d_w, w in zip(d_weights, net.weights):
             loss += config.l2_penalty * float(np.sum(w * w))
-            d_weights[layer] += 2.0 * config.l2_penalty * w
-    return d_weights, d_biases, loss
+            d_w += 2.0 * config.l2_penalty * w
+    return grad, loss
 
 
 @dataclass
@@ -230,13 +244,12 @@ def train(net: MTNet, features: np.ndarray, selector: np.ndarray | None,
     rng = SplitMix64(config.seed)
     n = len(targets)
 
-    m_w = [np.zeros_like(w) for w in net.weights]
-    v_w = [np.zeros_like(w) for w in net.weights]
-    m_b = [np.zeros_like(b) for b in net.biases]
-    v_b = [np.zeros_like(b) for b in net.biases]
+    params = net.params
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
     step = 0
 
-    best = net.copy()
+    best = params.copy()
     best_val = math.inf
     best_epoch = 0
     stale = 0
@@ -250,23 +263,17 @@ def train(net: MTNet, features: np.ndarray, selector: np.ndarray | None,
             bx = features[batch]
             bs = selector[batch] if selector is not None else None
             by = targets[batch]
-            d_w, d_b, loss = gradients(net, bx, bs, by)
+            grad, loss = gradients(net, bx, bs, by)
             if not math.isfinite(loss):
                 raise NonFiniteLoss(f"non-finite loss at epoch {epoch}")
             step += 1
             correction1 = 1.0 - config.beta1 ** step
             correction2 = 1.0 - config.beta2 ** step
-            for i in range(len(net.weights)):
-                m_w[i] = config.beta1 * m_w[i] + (1 - config.beta1) * d_w[i]
-                v_w[i] = config.beta2 * v_w[i] + (1 - config.beta2) * d_w[i] ** 2
-                net.weights[i] -= config.learning_rate * (m_w[i] / correction1) / (
-                    np.sqrt(v_w[i] / correction2) + config.epsilon
-                )
-                m_b[i] = config.beta1 * m_b[i] + (1 - config.beta1) * d_b[i]
-                v_b[i] = config.beta2 * v_b[i] + (1 - config.beta2) * d_b[i] ** 2
-                net.biases[i] -= config.learning_rate * (m_b[i] / correction1) / (
-                    np.sqrt(v_b[i] / correction2) + config.epsilon
-                )
+            m = config.beta1 * m + (1 - config.beta1) * grad
+            v = config.beta2 * v + (1 - config.beta2) * grad ** 2
+            params -= config.learning_rate * (m / correction1) / (
+                np.sqrt(v / correction2) + config.epsilon
+            )
 
         train_mse = mse(net, features, selector, targets)
         if not math.isfinite(train_mse):
@@ -279,19 +286,19 @@ def train(net: MTNet, features: np.ndarray, selector: np.ndarray | None,
             entry["val_mse"] = val_mse
             if val_mse < best_val:
                 best_val = val_mse
-                best = net.copy()
+                best = params.copy()
                 best_epoch = epoch
                 stale = 0
             else:
                 stale += 1
             history.append(entry)
             if stale > config.patience:
-                return TrainResult(net=best, history=history, best_epoch=best_epoch)
+                break
         else:
             history.append(entry)
 
     if val is not None:
-        return TrainResult(net=best, history=history, best_epoch=best_epoch)
+        return TrainResult(net=MTNet(net.config, best), history=history, best_epoch=best_epoch)
     return TrainResult(net=net, history=history, best_epoch=config.max_epochs)
 
 

@@ -9,7 +9,7 @@ the checksummed binary container of :mod:`emprops.modelio`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,35 +35,18 @@ def save_model(path: str | Path, bundle: ModelBundle) -> None:
         net = bundle.net
         header = {
             "kind": "mtnn",
-            "config": {
-                "input_dim": net.config.input_dim,
-                "selector_dim": net.config.selector_dim,
-                "hidden_sizes": list(net.config.hidden_sizes),
-                "selector_layer_index": net.config.selector_layer_index,
-                "l2_penalty": net.config.l2_penalty,
-                "seed": net.config.seed,
-            },
+            "config": asdict(net.config),
             "registry": bundle.registry.to_json(),
             "schema": bundle.schema.manifest(),
             "standardizer": bundle.standardizer.to_json(),
-            "layer_shapes": [list(w.shape) for w in net.weights],
+            "layer_shapes": [list(shape) for shape in mtnn.layer_shapes(net.config)],
         }
-        arrays: list[np.ndarray] = []
-        for w, b in zip(net.weights, net.biases):
-            arrays.append(w)
-            arrays.append(b)
-        modelio.write_container(path, modelio.MAGIC_MTNN, header, arrays)
+        modelio.write_container(path, modelio.MAGIC_MTNN, header, [net.params])
     elif bundle.kind == "forest":
         forest = bundle.forest
         header = {
             "kind": "forest",
-            "config": {
-                "n_trees": forest.config.n_trees,
-                "max_depth": forest.config.max_depth,
-                "min_samples_leaf": forest.config.min_samples_leaf,
-                "max_features": forest.config.max_features,
-                "seed": forest.config.seed,
-            },
+            "config": asdict(forest.config),
             "n_features": forest.n_features,
             "registry": bundle.registry.to_json(),
             "schema": bundle.schema.manifest(),
@@ -88,12 +71,10 @@ def load_model(path: str | Path) -> ModelBundle:
             l2_penalty=header["config"]["l2_penalty"],
             seed=header["config"]["seed"],
         )
-        shapes: list[tuple[int, ...]] = []
-        for w_shape in header["layer_shapes"]:
-            shapes.append(tuple(w_shape))
-            shapes.append((w_shape[0],))
-        arrays = modelio.split_payload(payload, shapes)
-        net = mtnn.MTNet(config=config, weights=arrays[0::2], biases=arrays[1::2])
+        if header["layer_shapes"] != [list(shape) for shape in mtnn.layer_shapes(config)]:
+            raise CorruptFile("layer_shapes in network file do not match its config")
+        (params,) = modelio.split_payload(payload, [(mtnn.parameter_count(config),)])
+        net = mtnn.MTNet(config=config, params=params)
         return ModelBundle(
             kind="mtnn",
             registry=registry,

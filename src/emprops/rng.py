@@ -58,9 +58,11 @@ class SplitMix64:
         return self.next_u64() % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates, walking from the highest index down."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_u64() % (i + 1)
+        """In-place Fisher-Yates, walking from the highest index down; the
+        swap partner of index i is draw % (i + 1), all n - 1 drawn in one block."""
+        n = len(items)
+        offsets = (self.next_block(max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+        for i, j in zip(range(n - 1, 0, -1), offsets):
             items[i], items[j] = items[j], items[i]
 
     def sample_indices(self, n: int, k: int) -> list[int]:

@@ -152,6 +152,18 @@ class TestTuneTrainPredictScreen:
         assert code == 1
         assert capsys.readouterr().err.startswith("error InvalidConfig:")
 
+    @pytest.mark.parametrize("command", ["tune", "train"])
+    def test_mt_nn_rejects_channel(self, tmp_path, capsys, command):
+        data = write_dataset(tmp_path)
+        grid = write_grid(tmp_path)
+        out = tmp_path / "o"
+        code = cli.main([command, "--data", str(data), "--subset", "1", "--family", "mt-nn",
+                         "--channel", "bogus:nothing", "--grid", str(grid), "--folds", "3",
+                         "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error InvalidConfig: --channel")
+        assert not (out / "model.emmt").exists() and not (out / "winner.json").exists()
+
     def test_predict_missing_density_exit_1(self, tmp_path, capsys):
         data = write_dataset(tmp_path)
         grid = write_grid(tmp_path)
@@ -216,6 +228,26 @@ class TestEvaluate:
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()
                             if p.suffix == ".csv" or p.suffix == ".md"})
         assert outputs[0] == outputs[1]
+
+
+FOLD_COUNT_CASES = [
+    ["evaluate", "--models", "mt-nn", "--folds", "0"],
+    ["evaluate", "--models", "st-rf,mt-nn", "--folds", "3", "--inner-folds", "1"],
+    ["tune", "--folds", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", FOLD_COUNT_CASES,
+                         ids=["evaluate-folds-0", "evaluate-inner-folds-1", "tune-folds-0"])
+def test_fold_counts_below_two_exit_1(tmp_path, capsys, argv):
+    data = write_dataset(tmp_path)
+    grid = write_grid(tmp_path)
+    code = cli.main([argv[0], "--data", str(data), "--subset", "1", "--grid", str(grid),
+                     "--out", str(tmp_path / "o"), *argv[1:]])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error InvalidConfig: need at least 2 folds")
+    assert len(err.splitlines()) == 1
 
 
 BAD_DENSITIES = ["abc", "nan", "inf", "0", "-1.2"]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from emprops import dataset as ds
 from emprops.errors import (
     DuplicateRecord,
+    InvalidConfig,
     NonPositiveForLog,
     ParseFailure,
     TooFewMaterials,
@@ -72,18 +73,28 @@ class TestLoad:
             ds.load_records(path, ds.default_registry())
 
 
+class TestChannelTransform:
+    def test_log_round_trip(self):
+        channel = ds.PropertyChannel("impact_h50", "exp", transform="log10")
+        assert channel.invert_transform(channel.apply_transform(100.0)) == 100.0
+        assert ds.PropertyChannel("det_velocity", "exp").invert_transform(400.0) == 400.0
+
+    def test_log_overflow_is_inf(self):
+        channel = ds.PropertyChannel("impact_h50", "exp", transform="log10")
+        assert channel.invert_transform(400.0) == math.inf
+        assert channel.invert_transform(-400.0) == 0.0
+
+
 class TestSelector:
     def test_onehot_positions(self):
         registry = ds.default_registry()
         for index, channel in enumerate(registry):
-            onehot = ds.selector_onehot(channel, registry)
-            assert onehot[index] == 1.0
-            assert onehot.sum() == 1.0
+            assert registry.index_of(channel) == index
 
     def test_unknown_channel(self):
         registry = ds.PropertyRegistry(channels=(ds.PropertyChannel("det_velocity", "exp"),))
         with pytest.raises(UnknownChannel):
-            ds.selector_onehot(ds.PropertyChannel("det_pressure", "exp"), registry)
+            registry.index_of(ds.PropertyChannel("det_pressure", "exp"))
 
 
 class TestKfold:
@@ -101,6 +112,11 @@ class TestKfold:
     def test_too_few_materials(self):
         with pytest.raises(TooFewMaterials):
             ds.kfold_by_material(["M1", "M2"], 5, seed=0)
+
+    @pytest.mark.parametrize("k", [-1, 0, 1])
+    def test_fewer_than_two_folds(self, k):
+        with pytest.raises(InvalidConfig):
+            ds.kfold_by_material([f"M{i}" for i in range(10)], k, seed=0)
 
     @given(
         n=st.integers(min_value=5, max_value=60),
@@ -154,15 +170,17 @@ class TestCvSelect:
         assert result.best_cell is self.CELLS[1]
         assert result.best_score == 9.0
 
-    def test_all_folds_empty_falls_back_to_cell_zero(self):
+    def test_one_inner_fold_is_rejected(self):
         calls = []
-        # one inner fold leaves no training rows, so every fold is skipped
-        result = ds.cv_select(self.CELLS, self.design(), 1, 5,
-                              lambda *args: calls.append(args) or 0.0)
+        with pytest.raises(InvalidConfig):
+            ds.cv_select(self.CELLS, self.design(), 1, 5, lambda *args: calls.append(args) or 0.0)
+        assert calls == []
+
+    def test_no_finite_score_falls_back_to_cell_zero(self):
+        result = ds.cv_select(self.CELLS, self.design(), 3, 5, lambda *args: math.nan)
         assert result.best_cell is self.CELLS[0]
         assert result.best_score == math.inf
-        assert calls == []
-        assert [row["mean_val_rmse"] for row in result.table] == [math.inf] * 3
+        assert all(math.isnan(row["mean_val_rmse"]) for row in result.table)
 
     def test_table_one_row_per_cell_in_order(self):
         seen = []
@@ -311,9 +329,7 @@ class TestRegistryPersistence:
         restored = ds.PropertyRegistry.load(path)
         assert [c.key for c in restored] == [c.key for c in registry]
         for channel in registry:
-            a = ds.selector_onehot(channel, registry)
-            b = ds.selector_onehot(channel, restored)
-            assert np.array_equal(a, b)
+            assert restored.index_of(channel) == registry.index_of(channel)
 
     def test_registry_json_shape(self, tmp_path):
         path = tmp_path / "registry.json"

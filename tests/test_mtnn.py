@@ -1,10 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from emprops import dataset as ds
-from emprops import mtnn, pipeline
+from emprops import modelio, mtnn, pipeline
 from emprops.errors import (
     CorruptFile,
     DimensionMismatch,
@@ -12,10 +13,14 @@ from emprops.errors import (
     NonFiniteLoss,
     VersionMismatch,
 )
+from emprops.rng import SplitMix64
+
+from test_rng import scalar_shuffle
 
 
 def finite_difference(net, features, selector, targets, h=1e-6):
-    """Central finite differences on the full training loss."""
+    """Central finite differences on the full training loss, one entry of
+    net.params at a time, so the result is laid out like the gradient."""
 
     def loss():
         out = mtnn.forward(net, features, selector)
@@ -24,34 +29,27 @@ def finite_difference(net, features, selector, targets, h=1e-6):
             value += net.config.l2_penalty * float(np.sum(w * w))
         return value
 
-    grads_w = [np.zeros_like(w) for w in net.weights]
-    grads_b = [np.zeros_like(b) for b in net.biases]
-    for arrays, grads in ((net.weights, grads_w), (net.biases, grads_b)):
-        for arr, grad in zip(arrays, grads):
-            flat = arr.reshape(-1)
-            gflat = grad.reshape(-1)
-            for i in range(flat.size):
-                original = flat[i]
-                flat[i] = original + h
-                upper = loss()
-                flat[i] = original - h
-                lower = loss()
-                flat[i] = original
-                gflat[i] = (upper - lower) / (2 * h)
-    return grads_w, grads_b
+    grad = np.zeros_like(net.params)
+    for i in range(net.params.size):
+        original = net.params[i]
+        net.params[i] = original + h
+        upper = loss()
+        net.params[i] = original - h
+        lower = loss()
+        net.params[i] = original
+        grad[i] = (upper - lower) / (2 * h)
+    return grad
 
 
 def max_relative_error(analytic, numeric):
-    """Relative error of the full flattened gradient vector.
+    """Relative error of the full gradient vector.
 
     Norm-based rather than per-component: central differences carry an
     absolute noise floor of about eps * |loss| / h, which would swamp the
     comparison on individual near-zero entries.
     """
-    a = np.concatenate([g.reshape(-1) for group in analytic for g in group])
-    b = np.concatenate([g.reshape(-1) for group in numeric for g in group])
-    scale = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)), 1e-12)
-    return float(np.linalg.norm(a - b)) / scale
+    scale = max(float(np.linalg.norm(analytic)), float(np.linalg.norm(numeric)), 1e-12)
+    return float(np.linalg.norm(analytic - numeric)) / scale
 
 
 def random_case(seed, selector_dim, hidden_sizes, selector_layer_index, l2):
@@ -90,6 +88,165 @@ def _kink_clearance(net, features, selector):
         clearance = min(clearance, float(np.min(np.abs(pre))))
         activation = np.maximum(pre, 0.0)
     return clearance
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the per-weight init, per-layer gradients and per-layer Adam
+# training that the flat parameter vector replaced. Nets here are plain
+# namespaces holding one weight and one bias array per layer.
+# ---------------------------------------------------------------------------
+
+def scalar_init_network(config):
+    rng = SplitMix64(config.seed)
+    weights, biases = [], []
+    for fan_out, fan_in in mtnn.layer_shapes(config):
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        w = np.empty((fan_out, fan_in), dtype=np.float64)
+        flat = w.reshape(-1)
+        for i in range(flat.size):
+            flat[i] = (2.0 * rng.next_float() - 1.0) * limit
+        weights.append(w)
+        biases.append(np.zeros(fan_out, dtype=np.float64))
+    return SimpleNamespace(config=config, weights=weights, biases=biases)
+
+
+def per_layer_gradients(net, features, selector, targets):
+    config = net.config
+    n = features.shape[0]
+    inputs, out = mtnn._layer_inputs(net, features, selector)
+    residual = out - targets
+    loss = float(residual @ residual) / n
+    d_weights = [np.zeros_like(w) for w in net.weights]
+    d_biases = [np.zeros_like(b) for b in net.biases]
+    delta = (2.0 / n) * residual[:, None]
+    n_hidden = len(config.hidden_sizes)
+    for layer in range(n_hidden, -1, -1):
+        d_weights[layer] = delta.T @ inputs[layer]
+        d_biases[layer] = delta.sum(axis=0)
+        if layer == 0:
+            break
+        back = (delta @ net.weights[layer]) * (inputs[layer] > 0.0)
+        if config.selector_dim > 0 and layer == config.selector_layer_index - 1:
+            back = back[:, : back.shape[1] - config.selector_dim]
+        delta = back
+    if config.l2_penalty > 0.0:
+        for layer, w in enumerate(net.weights):
+            loss += config.l2_penalty * float(np.sum(w * w))
+            d_weights[layer] += 2.0 * config.l2_penalty * w
+    return d_weights, d_biases, loss
+
+
+def per_layer_train(net, features, selector, targets, config, val=None):
+    """Returns (net, history, best_epoch) like mtnn.train."""
+
+    def snapshot():
+        return SimpleNamespace(config=net.config, weights=[w.copy() for w in net.weights],
+                               biases=[b.copy() for b in net.biases])
+
+    rng = SplitMix64(config.seed)
+    n = len(targets)
+    m_w = [np.zeros_like(w) for w in net.weights]
+    v_w = [np.zeros_like(w) for w in net.weights]
+    m_b = [np.zeros_like(b) for b in net.biases]
+    v_b = [np.zeros_like(b) for b in net.biases]
+    step = 0
+    best, best_val, best_epoch, stale = snapshot(), math.inf, 0, 0
+    history = []
+    for epoch in range(1, config.max_epochs + 1):
+        order = list(range(n))
+        scalar_shuffle(rng, order)
+        for start in range(0, n, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            d_w, d_b, _ = per_layer_gradients(
+                net, features[batch], None if selector is None else selector[batch],
+                targets[batch])
+            step += 1
+            correction1 = 1.0 - config.beta1 ** step
+            correction2 = 1.0 - config.beta2 ** step
+            for i in range(len(net.weights)):
+                m_w[i] = config.beta1 * m_w[i] + (1 - config.beta1) * d_w[i]
+                v_w[i] = config.beta2 * v_w[i] + (1 - config.beta2) * d_w[i] ** 2
+                net.weights[i] -= config.learning_rate * (m_w[i] / correction1) / (
+                    np.sqrt(v_w[i] / correction2) + config.epsilon
+                )
+                m_b[i] = config.beta1 * m_b[i] + (1 - config.beta1) * d_b[i]
+                v_b[i] = config.beta2 * v_b[i] + (1 - config.beta2) * d_b[i] ** 2
+                net.biases[i] -= config.learning_rate * (m_b[i] / correction1) / (
+                    np.sqrt(v_b[i] / correction2) + config.epsilon
+                )
+        entry = {"epoch": epoch, "train_mse": mtnn.mse(net, features, selector, targets)}
+        history.append(entry)
+        if val is None:
+            continue
+        entry["val_mse"] = mtnn.mse(net, *val)
+        if entry["val_mse"] < best_val:
+            best, best_val, best_epoch, stale = snapshot(), entry["val_mse"], epoch, 0
+        else:
+            stale += 1
+            if stale > config.patience:
+                break
+    if val is None:
+        return net, history, config.max_epochs
+    return best, history, best_epoch
+
+
+def flat_params(net):
+    return np.concatenate([a.reshape(-1) for pair in zip(net.weights, net.biases)
+                           for a in pair])
+
+
+ORACLE_CONFIGS = [
+    # (selector_dim, hidden_sizes, selector_layer_index, l2_penalty)
+    (0, (8,), 0, 0.0),
+    (3, (8,), 1, 1e-3),
+    (3, (6, 4), 1, 0.0),
+    (3, (6, 4), 2, 1e-4),
+    (0, (5, 4, 3), 0, 1e-3),
+]
+
+
+class TestFlatEqualsOracles:
+    @pytest.mark.parametrize("sel_dim,hidden,sel_idx,l2", ORACLE_CONFIGS)
+    @pytest.mark.parametrize("seed", [0, 11, 2**64 - 1])
+    def test_init(self, sel_dim, hidden, sel_idx, l2, seed):
+        config = mtnn.MTNetConfig(5, sel_dim, hidden, sel_idx, l2_penalty=l2, seed=seed)
+        net = mtnn.init_network(config)
+        assert net.params.tobytes() == flat_params(scalar_init_network(config)).tobytes()
+
+    def test_views_share_the_vector(self):
+        net = mtnn.init_network(mtnn.MTNetConfig(5, 3, (6, 4), 2, seed=1))
+        assert net.params.size == mtnn.parameter_count(net.config) == 6 * 6 + 4 * 10 + 5
+        for array in net.weights + net.biases:
+            assert np.shares_memory(array, net.params)
+        net.biases[-1][0] = 7.0
+        assert net.params[-1] == 7.0
+
+    @pytest.mark.parametrize("sel_dim,hidden,sel_idx,l2", ORACLE_CONFIGS)
+    @pytest.mark.parametrize("batch_size,validate", [(7, True), (16, False), (5, True),
+                                                     (64, False)])
+    def test_train(self, sel_dim, hidden, sel_idx, l2, batch_size, validate):
+        rng = np.random.default_rng(batch_size + len(hidden))
+        n, n_val = 37, 11
+        x, x_val = rng.normal(size=(n, 5)), rng.normal(size=(n_val, 5))
+        y, y_val = rng.normal(size=n), rng.normal(size=n_val)
+        s = s_val = None
+        if sel_dim:
+            s = np.eye(sel_dim)[rng.integers(0, sel_dim, n)]
+            s_val = np.eye(sel_dim)[rng.integers(0, sel_dim, n_val)]
+        val = (x_val, s_val, y_val) if validate else None
+        net_config = mtnn.MTNetConfig(5, sel_dim, hidden, sel_idx, l2_penalty=l2, seed=3)
+        train_config = mtnn.TrainConfig(learning_rate=1e-2, batch_size=batch_size,
+                                        max_epochs=40, patience=4, seed=9)
+
+        result = mtnn.train(mtnn.init_network(net_config), x, s, y, train_config, val=val)
+        oracle, history, best_epoch = per_layer_train(scalar_init_network(net_config),
+                                                      x, s, y, train_config, val=val)
+        assert result.history == history
+        assert result.best_epoch == best_epoch
+        assert result.net.params.tobytes() == flat_params(oracle).tobytes()
+        if validate:
+            # early stopping returned an earlier epoch than the last one
+            assert best_epoch < len(history)
 
 
 class TestInit:
@@ -167,19 +324,20 @@ class TestGradients:
         net = mtnn.init_network(config)
         x = np.array([[0.5, -0.2]])
         y = mtnn.forward(net, x)
-        d_w, d_b, loss = mtnn.gradients(net, x, None, y)
+        grad, loss = mtnn.gradients(net, x, None, y)
         assert loss == 0.0
-        assert all(np.all(g == 0.0) for g in d_w)
-        assert all(np.all(g == 0.0) for g in d_b)
+        assert grad.shape == net.params.shape
+        assert np.all(grad == 0.0)
 
     def test_l2_term_alone(self):
         config = mtnn.MTNetConfig(2, 0, (3,), 0, l2_penalty=0.5, seed=2)
         net = mtnn.init_network(config)
         x = np.array([[0.5, -0.2]])
         y = mtnn.forward(net, x)
-        d_w, d_b, _ = mtnn.gradients(net, x, None, y)
-        for grad, w in zip(d_w, net.weights):
-            assert np.allclose(grad, 2 * 0.5 * w, atol=1e-12)
+        grad, _ = mtnn.gradients(net, x, None, y)
+        d_w, d_b = mtnn.layer_views(config, grad)
+        for g, w in zip(d_w, net.weights):
+            assert np.allclose(g, 2 * 0.5 * w, atol=1e-12)
         assert all(np.all(g == 0.0) for g in d_b)
 
     def test_matches_finite_differences(self):
@@ -192,17 +350,15 @@ class TestGradients:
         ]
         for seed, sel_dim, hidden, sel_idx, l2 in cases:
             net, x, s, y = random_case(seed, sel_dim, hidden, sel_idx, l2)
-            d_w, d_b, _ = mtnn.gradients(net, x, s, y)
-            fd_w, fd_b = finite_difference(net, x, s, y)
-            assert max_relative_error((d_w, d_b), (fd_w, fd_b)) < 1e-5
+            grad, _ = mtnn.gradients(net, x, s, y)
+            assert max_relative_error(grad, finite_difference(net, x, s, y)) < 1e-5
 
     def test_batch_order_invariance(self):
         net, x, s, y = random_case(7, 3, (5, 3), 2, 0.0)
-        d_w, d_b, _ = mtnn.gradients(net, x, s, y)
+        grad, _ = mtnn.gradients(net, x, s, y)
         perm = np.array([2, 0, 1, 3])[: len(y)]
-        d_w2, d_b2, _ = mtnn.gradients(net, x[perm], s[perm] if s is not None else None, y[perm])
-        for a, b in zip(d_w + d_b, d_w2 + d_b2):
-            assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+        grad2, _ = mtnn.gradients(net, x[perm], s[perm] if s is not None else None, y[perm])
+        assert np.allclose(grad, grad2, rtol=1e-12, atol=1e-14)
 
 
 class TestTrain:
@@ -393,6 +549,53 @@ class TestPersistence:
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptFile):
             pipeline.load_model(path)
+
+    def test_payload_is_the_parameter_vector(self, tmp_path):
+        bundle = self.make_bundle()
+        path = tmp_path / "model.emmt"
+        pipeline.save_model(path, bundle)
+        header, payload = modelio.read_container(path, modelio.MAGIC_MTNN)
+        assert payload == bundle.net.params.astype("<f8").tobytes()
+        assert header["layer_shapes"] == [[6, len(bundle.schema)], [4, 8], [1, 4]]
+        restored = pipeline.load_model(path).net
+        assert restored.params.tobytes() == bundle.net.params.tobytes()
+        assert np.shares_memory(restored.weights[1], restored.params)
+
+    @staticmethod
+    def rewrite_header(path, edit):
+        header, payload = modelio.read_container(path, modelio.MAGIC_MTNN)
+        edit(header)
+        modelio.write_container(path, modelio.MAGIC_MTNN, header,
+                                [np.frombuffer(payload, dtype="<f8")])
+
+    def test_layer_shapes_must_match_config(self, tmp_path):
+        bundle = self.make_bundle()
+        path = tmp_path / "model.emmt"
+        pipeline.save_model(path, bundle)
+        self.rewrite_header(path, lambda h: h["layer_shapes"].reverse())
+        with pytest.raises(CorruptFile, match="layer_shapes"):
+            pipeline.load_model(path)
+
+    def test_payload_length_must_match_config(self, tmp_path):
+        bundle = self.make_bundle()
+        path = tmp_path / "model.emmt"
+        pipeline.save_model(path, bundle)
+
+        def widen(header):
+            header["config"]["hidden_sizes"] = [6, 5]
+            header["layer_shapes"][1][0] = 5
+            header["layer_shapes"][2][1] = 5
+
+        self.rewrite_header(path, widen)
+        with pytest.raises(CorruptFile, match="payload"):
+            pipeline.load_model(path)
+
+    def test_predict_matrix_log_overflow_is_inf(self):
+        bundle = self.make_bundle()
+        bundle.net.biases[-1][:] = 1e6
+        predictions = pipeline.predict_matrix(bundle, "CCO")
+        assert predictions["impact_h50:exp"] == math.inf
+        assert math.isfinite(predictions["det_velocity:calc"])
 
     def test_predict_matrix_channels_and_positivity(self, tmp_path):
         bundle = self.make_bundle()

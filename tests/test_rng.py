@@ -4,6 +4,13 @@ import pytest
 from emprops.rng import SplitMix64
 
 
+def scalar_shuffle(rng, items):
+    """The draw-per-swap top-down Fisher-Yates that shuffle blocks."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.next_u64() % (i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
 def scalar_sample_indices(rng, n, k):
     """The draw-per-step partial Fisher-Yates that sample_indices blocks."""
     pool = list(range(n))
@@ -32,6 +39,17 @@ def test_sample_indices_equals_scalar_loop(n, k):
         got = block.sample_indices(n, k)
         assert got == scalar_sample_indices(scalar, n, k)
         assert all(type(index) is int for index in got)
+        assert block.next_u64() == scalar.next_u64()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 144, 1000])
+def test_shuffle_equals_scalar_loop(n):
+    for seed in (0, 7, 2**64 - 1):
+        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        got, expected = list(range(n)), list(range(n))
+        block.shuffle(got)
+        scalar_shuffle(scalar, expected)
+        assert got == expected
         assert block.next_u64() == scalar.next_u64()
 
 
