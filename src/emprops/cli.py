@@ -26,10 +26,11 @@ import numpy as np
 
 import emprops
 from emprops import dataset as ds
-from emprops import descriptors, evaluation, forest as rf, mtnn, pipeline
+from emprops import descriptors, evaluation, mtnn, pipeline
 from emprops.errors import (
     InvalidConfig,
     MissingDensity,
+    MissingFile,
     ParseFailure,
     ToolkitError,
 )
@@ -70,7 +71,9 @@ def _load_grids(path: str | None):
     mt_grid = mtnn.GridSpec()
     forest_grid = evaluation.ForestGridSpec()
     base_train = mtnn.TrainConfig()
-    if path:
+    if not path:
+        return mt_grid, forest_grid, base_train
+    try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         if "mtnn" in data:
             mt_grid = mtnn.GridSpec.from_json(data["mtnn"])
@@ -82,6 +85,8 @@ def _load_grids(path: str | None):
             if unknown:
                 raise InvalidConfig(f"unknown train settings: {sorted(unknown)}")
             base_train = replace(base_train, **data["train"])
+    except (ValueError, TypeError, AttributeError) as exc:  # bad JSON or a mistyped value
+        raise InvalidConfig(f"grid file {path}: {exc}") from exc
     return mt_grid, forest_grid, base_train
 
 
@@ -151,7 +156,7 @@ def cmd_featurize(args) -> int:
         if args.density and density is None:
             raise MissingDensity(f"material {mol['material_id']!r} has no density")
         vector = descriptors.featurize(graphs[mol["material_id"]], schema, density)
-        lines.append(mol["material_id"] + "," + ",".join(f"{v:.12g}" for v in vector.values))
+        lines.append(mol["material_id"] + "," + ",".join(f"{v:.12g}" for v in vector))
     (out_dir / "features.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (out_dir / "schema_manifest.json").write_text(
         json.dumps(schema.manifest(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -197,12 +202,8 @@ def cmd_tune(args) -> int:
     mt_grid, forest_grid, base_train = _load_grids(args.grid)
     subset_id, schema, design = _prepare_design(args)
 
-    if args.family == "st-rf":
-        result = evaluation.forest_grid_search(forest_grid, design, inner_k=args.folds,
-                                               seed=args.seed)
-    else:
-        result = mtnn.grid_search(mt_grid, design, base_train, inner_k=args.folds,
-                                  seed=args.seed)
+    result = evaluation.select_cell(args.family, design, mt_grid, forest_grid, base_train,
+                                    args.folds, args.seed)
     winner = {**{k: list(v) if isinstance(v, tuple) else v
                  for k, v in result.best_cell.items()},
               "mean_val_rmse": result.best_score}
@@ -236,25 +237,10 @@ def cmd_train(args) -> int:
     mt_grid, forest_grid, base_train = _load_grids(args.grid)
     subset_id, schema, design = _prepare_design(args)
 
-    if args.family == "st-rf":
-        search = evaluation.forest_grid_search(forest_grid, design, inner_k=args.folds,
-                                               seed=args.seed)
-        config = rf.ForestConfig(seed=derive_seed(args.seed, 3), **search.best_cell)
-        model = rf.fit_forest(design.features, design.targets, config)
-        bundle = pipeline.ModelBundle(kind="forest", registry=design.registry,
-                                      schema=schema, forest=model)
-        model_path = out_dir / "model.emrf"
-    else:
-        search = mtnn.grid_search(mt_grid, design, base_train, inner_k=args.folds,
-                                  seed=args.seed)
-        all_rows = np.ones(len(design.targets), dtype=bool)
-        standardizer, result = mtnn.fit_network(design, all_rows, search.best_cell, base_train,
-                                                derive_seed(args.seed, 3),
-                                                derive_seed(args.seed, 5))
-        bundle = pipeline.ModelBundle(kind="mtnn", registry=design.registry, schema=schema,
-                                      net=result.net, standardizer=standardizer)
-        model_path = out_dir / "model.emmt"
-
+    all_rows = np.ones(len(design.targets), dtype=bool)
+    bundle = evaluation.fit_selected(args.family, design, schema, all_rows, mt_grid, forest_grid,
+                                     base_train, args.folds, args.seed, derive_seed(args.seed, 5))
+    model_path = out_dir / ("model.emrf" if bundle.kind == "forest" else "model.emmt")
     pipeline.save_model(model_path, bundle)
     _write_manifest(out_dir, "train", _options(args), {"data": args.data, "grid": args.grid,
                     "registry": args.registry}, {"schema": schema.manifest()}, started)
@@ -444,10 +430,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_input_files(args) -> None:
+    """Every input file named by --data, --grid, --registry or --model must exist."""
+    for flag in ("data", "grid", "registry", "model"):
+        path = getattr(args, flag, None)
+        if path is not None and not Path(path).is_file():
+            raise MissingFile(path)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_input_files(args)
         return args.func(args)
     except ToolkitError as exc:
         print(f"error {exc.code}: {exc}", file=sys.stderr)

@@ -126,8 +126,8 @@ class PropertyRegistry:
 
     @classmethod
     def from_json(cls, data: list[dict]) -> "PropertyRegistry":
-        return cls(
-            channels=tuple(
+        try:
+            channels = tuple(
                 PropertyChannel(
                     property=entry["property"],
                     fidelity=entry["fidelity"],
@@ -136,14 +136,20 @@ class PropertyRegistry:
                 )
                 for entry in data
             )
-        )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise InvalidConfig(f"malformed registry entry ({type(exc).__name__}: {exc})") from exc
+        return cls(channels=channels)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "PropertyRegistry":
-        return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise InvalidConfig(f"registry file {path}: {exc}") from exc
+        return cls.from_json(data)
 
 
 def default_registry() -> PropertyRegistry:
@@ -567,7 +573,7 @@ def assemble(dataset: Dataset, schema: descriptors.FeatureSchema) -> DesignMatri
             base_schema = descriptors.FeatureSchema(
                 bond_vocabulary=schema.bond_vocabulary, include_density=False
             )
-            base_cache[record.material_id] = descriptors.featurize(graph, base_schema).values
+            base_cache[record.material_id] = descriptors.featurize(graph, base_schema)
         base = base_cache[record.material_id]
         if schema.include_density:
             if record.density is None:

@@ -453,18 +453,6 @@ class FeatureSchema:
         return cls(bond_vocabulary=vocab, include_density=bool(manifest["include_density"]))
 
 
-@dataclass(frozen=True)
-class DescriptorVector:
-    values: np.ndarray
-    schema: FeatureSchema
-
-    def __post_init__(self) -> None:
-        if len(self.values) != len(self.schema):
-            raise UnknownBondType(
-                f"vector length {len(self.values)} does not match schema {len(self.schema)}"
-            )
-
-
 def fit_schema(corpus: list[MolGraph], include_density: bool) -> FeatureSchema:
     """Fit the bond vocabulary on a corpus and freeze the layout."""
     return FeatureSchema(
@@ -505,8 +493,9 @@ def _fixed_block(g: MolGraph) -> list[float]:
     return values
 
 
-def featurize(g: MolGraph, schema: FeatureSchema, density: float | None = None) -> DescriptorVector:
-    """Assemble the model input vector for a single-fragment molecule."""
+def featurize(g: MolGraph, schema: FeatureSchema, density: float | None = None) -> np.ndarray:
+    """The float64 model input vector of a single-fragment molecule, laid
+    out as schema.names."""
     if len(g.fragments()) > 1:
         raise MultiFragment("composite/multi-fragment inputs cannot be featurized")
     if schema.include_density and density is None:
@@ -522,4 +511,4 @@ def featurize(g: MolGraph, schema: FeatureSchema, density: float | None = None) 
     if not np.all(np.isfinite(array)):
         bad = [schema.names[i] for i in np.where(~np.isfinite(array))[0]]
         raise ZeroDenominator(f"non-finite descriptor values: {bad}")
-    return DescriptorVector(values=array, schema=schema)
+    return array

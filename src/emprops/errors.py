@@ -13,6 +13,11 @@ class ToolkitError(Exception):
         return type(self).__name__
 
 
+# input files
+class MissingFile(ToolkitError):
+    pass
+
+
 # molecular graph / SMILES
 class UnsupportedElement(ToolkitError):
     pass

@@ -8,8 +8,10 @@ units after undoing standardization, except that log-transformed channels
 (drop height h50) are reported in log units. Aggregation is mean and
 sample standard deviation over the k x n_seeds fold values.
 
-Every family is selected by the same inner-CV loop, dataset.cv_select,
-and every network, single- or multi-task, is fitted by mtnn.fit_network.
+Every family goes through the same steps: select_cell picks a cell by
+the shared inner-CV loop dataset.cv_select, fit_selected refits it (every
+network, single- or multi-task, through mtnn.fit_network), and
+pipeline.predict_rows predicts.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from emprops import dataset as ds
-from emprops import forest as rf, mtnn
+from emprops import descriptors, forest as rf, mtnn, pipeline
 from emprops.errors import ConstantTargets, InvalidConfig, LengthMismatch
 from emprops.rng import derive_seed
 
@@ -108,16 +110,20 @@ def run_protocol(family: str, dataset: ds.Dataset, subset_id: int,
                  inner_k: int = 5) -> ProtocolReport:
     """Full evaluation protocol for one model family.
 
-    Single-task families run one model per channel on that channel's
-    records; the multi-task family trains one selector network per fold on
-    every channel of the subset.
+    A unit is what one model is fitted to: the whole design for the
+    multi-task family, one channel's records for a single-task family.
+    Per seed, fold and unit, fit_selected selects and refits on the
+    training fold and predict_rows predicts the held-out fold. A unit with
+    no training or no test records in a fold records NaN.
     """
     if family not in MODEL_FAMILIES:
         raise InvalidConfig(f"unknown model family {family!r}")
-    _, _, design = ds.build_design(dataset, subset_id, density_mode)
+    _, schema, design = ds.build_design(dataset, subset_id, density_mode)
     grid = grid or mtnn.GridSpec()
     forest_grid = forest_grid or ForestGridSpec()
     base_train = base_train or mtnn.TrainConfig()
+    units = [design] if family == "mt-nn" else [
+        single_channel_design(design, pos) for pos in range(len(design.registry))]
 
     report = ProtocolReport(
         model_id=model_identifier(family, subset_id),
@@ -129,13 +135,22 @@ def run_protocol(family: str, dataset: ds.Dataset, subset_id: int,
         plan = ds.kfold_by_material(design.material_ids, k, seed)
         for fold in range(k):
             train_mats, test_mats = plan.train_test(fold)
-            if family == "mt-nn":
-                _evaluate_mtnn_fold(report, design, train_mats, test_mats,
-                                    grid, base_train, inner_k, derive_seed(seed, fold))
-            else:
-                _evaluate_st_fold(report, family, design, train_mats, test_mats,
-                                  grid, forest_grid, base_train, inner_k,
-                                  derive_seed(seed, fold))
+            fold_seed = derive_seed(seed, fold)
+            for pos, unit in enumerate(units):
+                train_rows = unit.rows_for(train_mats)
+                test_rows = unit.rows_for(test_mats)
+                if not np.any(train_rows):
+                    test_rows[:] = False  # nothing to fit: the unit records NaN
+                pred = np.empty(0)
+                if np.any(test_rows):
+                    unit_seed = fold_seed if family == "mt-nn" else derive_seed(fold_seed, pos + 17)
+                    bundle = fit_selected(family, unit, schema, train_rows, grid, forest_grid,
+                                          base_train, inner_k, unit_seed,
+                                          derive_seed(derive_seed(unit_seed, 3), 11))
+                    pred = pipeline.predict_rows(bundle, unit.features[test_rows],
+                                                 unit.channel_idx[test_rows])
+                _record_channel_metrics(report, unit.registry, pred, unit.targets[test_rows],
+                                        unit.channel_idx[test_rows])
     return report
 
 
@@ -145,19 +160,35 @@ def single_channel_design(design: ds.DesignMatrix, channel_pos: int) -> ds.Desig
                    registry=ds.PropertyRegistry(channels=(design.registry.channels[channel_pos],)))
 
 
-def _select_and_refit_net(design: ds.DesignMatrix, train_rows: np.ndarray,
-                          test_rows: np.ndarray, grid: mtnn.GridSpec,
-                          base_train: mtnn.TrainConfig, inner_k: int, seed: int) -> np.ndarray:
-    """Select a cell by inner CV on the training fold, refit it on the whole
-    fold and return test predictions in transformed-target units."""
-    search = mtnn.grid_search(grid, _restrict(design, train_rows), base_train,
-                              inner_k=inner_k, seed=seed)
+def select_cell(family: str, design: ds.DesignMatrix, grid: mtnn.GridSpec,
+                forest_grid: "ForestGridSpec", base_train: mtnn.TrainConfig,
+                inner_k: int, seed: int) -> ds.GridResult:
+    """Inner-CV selection of the family's best cell on the design: the one
+    place that chooses between the forest and the network grid search."""
+    if family == "st-rf":
+        return forest_grid_search(forest_grid, design, inner_k=inner_k, seed=seed)
+    return mtnn.grid_search(grid, design, base_train, inner_k=inner_k, seed=seed)
+
+
+def fit_selected(family: str, design: ds.DesignMatrix, schema: descriptors.FeatureSchema,
+                 train_rows: np.ndarray, grid: mtnn.GridSpec, forest_grid: "ForestGridSpec",
+                 base_train: mtnn.TrainConfig, inner_k: int, seed: int,
+                 train_seed: int) -> pipeline.ModelBundle:
+    """Select a cell by inner CV on the train rows and refit it on all of
+    them, seeded by derive_seed(seed, 3); a network's batch order is
+    seeded by train_seed. Every command fits its models through here."""
+    search = select_cell(family, _restrict(design, train_rows), grid, forest_grid,
+                         base_train, inner_k, seed)
     refit_seed = derive_seed(seed, 3)
+    if family == "st-rf":
+        model = rf.fit_forest(design.features[train_rows], design.targets[train_rows],
+                              rf.ForestConfig(seed=refit_seed, **search.best_cell))
+        return pipeline.ModelBundle(kind="forest", registry=design.registry, schema=schema,
+                                    forest=model)
     standardizer, result = mtnn.fit_network(design, train_rows, search.best_cell, base_train,
-                                            refit_seed, derive_seed(refit_seed, 11))
-    x_test, s_test, _ = mtnn.network_inputs(design, test_rows, standardizer)
-    pred_std = mtnn.forward(result.net, x_test, s_test)
-    return standardizer.invert_targets(pred_std, design.channel_idx[test_rows])
+                                            refit_seed, train_seed)
+    return pipeline.ModelBundle(kind="mtnn", registry=design.registry, schema=schema,
+                                net=result.net, standardizer=standardizer)
 
 
 def _record_channel_metrics(report: ProtocolReport, registry: ds.PropertyRegistry,
@@ -175,44 +206,6 @@ def _record_channel_metrics(report: ProtocolReport, registry: ds.PropertyRegistr
             metrics.r2_values.append(r2(pred[mask], actual[mask]))
         except (ConstantTargets, LengthMismatch):
             metrics.r2_values.append(math.nan)
-
-
-def _evaluate_mtnn_fold(report: ProtocolReport, design: ds.DesignMatrix,
-                        train_mats: set[str], test_mats: set[str],
-                        grid: mtnn.GridSpec, base_train: mtnn.TrainConfig,
-                        inner_k: int, seed: int) -> None:
-    train_rows = design.rows_for(train_mats)
-    test_rows = design.rows_for(test_mats)
-    pred = _select_and_refit_net(design, train_rows, test_rows, grid, base_train, inner_k, seed)
-    _record_channel_metrics(report, design.registry, pred,
-                            design.targets[test_rows], design.channel_idx[test_rows])
-
-
-def _evaluate_st_fold(report: ProtocolReport, family: str, design: ds.DesignMatrix,
-                      train_mats: set[str], test_mats: set[str],
-                      grid: mtnn.GridSpec, forest_grid: "ForestGridSpec",
-                      base_train: mtnn.TrainConfig, inner_k: int, seed: int) -> None:
-    for pos in range(len(design.registry)):
-        single = single_channel_design(design, pos)
-        train_rows = single.rows_for(train_mats)
-        test_rows = single.rows_for(test_mats)
-        if not np.any(train_rows):
-            test_rows = np.zeros_like(test_rows)  # nothing to fit: the channel records NaN
-        pred = np.empty(0)
-        if np.any(test_rows):
-            channel_seed = derive_seed(seed, pos + 17)
-            if family == "st-nn":
-                pred = _select_and_refit_net(single, train_rows, test_rows, grid, base_train,
-                                             inner_k, channel_seed)
-            else:
-                search = forest_grid_search(forest_grid, _restrict(single, train_rows),
-                                            inner_k=inner_k, seed=channel_seed)
-                config = rf.ForestConfig(seed=derive_seed(channel_seed, 3), **search.best_cell)
-                model = rf.fit_forest(single.features[train_rows],
-                                      single.targets[train_rows], config)
-                pred = rf.predict_forest(model, single.features[test_rows])
-        _record_channel_metrics(report, single.registry, pred, single.targets[test_rows],
-                                single.channel_idx[test_rows])
 
 
 def _restrict(design: ds.DesignMatrix, rows: np.ndarray) -> ds.DesignMatrix:

@@ -306,9 +306,6 @@ def train(net: MTNet, features: np.ndarray, selector: np.ndarray | None,
 # Grid search
 # ---------------------------------------------------------------------------
 
-GRID_AXES = ("hidden_sizes", "selector_layer_index", "learning_rate", "batch_size", "l2_penalty")
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Enumerable axes; cells are the Cartesian product in declaration order.

@@ -1,4 +1,4 @@
-"""Trained-model bundles: persistence and whole-registry prediction.
+"""Trained-model bundles: persistence and prediction for either kind.
 
 A bundle couples fitted parameters with everything needed to reproduce
 predictions exactly: the feature schema (bond vocabulary, density slot),
@@ -16,7 +16,7 @@ import numpy as np
 
 from emprops import dataset as ds
 from emprops import descriptors, forest as rf, modelio, mtnn
-from emprops.errors import CorruptFile, MissingDensity, SchemaMismatch
+from emprops.errors import CorruptFile, InvalidConfig, MissingDensity, SchemaMismatch
 from emprops.molgraph import MolGraph, parse_smiles
 
 
@@ -31,71 +31,54 @@ class ModelBundle:
 
 
 def save_model(path: str | Path, bundle: ModelBundle) -> None:
-    if bundle.kind == "mtnn":
-        net = bundle.net
-        header = {
-            "kind": "mtnn",
-            "config": asdict(net.config),
-            "registry": bundle.registry.to_json(),
-            "schema": bundle.schema.manifest(),
-            "standardizer": bundle.standardizer.to_json(),
-            "layer_shapes": [list(shape) for shape in mtnn.layer_shapes(net.config)],
-        }
-        modelio.write_container(path, modelio.MAGIC_MTNN, header, [net.params])
-    elif bundle.kind == "forest":
-        forest = bundle.forest
-        header = {
-            "kind": "forest",
-            "config": asdict(forest.config),
-            "n_features": forest.n_features,
-            "registry": bundle.registry.to_json(),
-            "schema": bundle.schema.manifest(),
-            "tree_sizes": [len(tree) for tree in forest.trees],
-        }
-        modelio.write_container(path, modelio.MAGIC_FOREST, header, forest.trees)
-    else:
+    if bundle.kind not in ("mtnn", "forest"):
         raise SchemaMismatch(f"unknown bundle kind {bundle.kind!r}")
+    model = bundle.net if bundle.kind == "mtnn" else bundle.forest
+    header = {"kind": bundle.kind, "config": asdict(model.config),
+              "registry": bundle.registry.to_json(), "schema": bundle.schema.manifest()}
+    if bundle.kind == "mtnn":
+        header["standardizer"] = bundle.standardizer.to_json()
+        header["layer_shapes"] = [list(shape) for shape in mtnn.layer_shapes(model.config)]
+        modelio.write_container(path, modelio.MAGIC_MTNN, header, [model.params])
+    else:
+        header["n_features"] = model.n_features
+        header["tree_sizes"] = [len(tree) for tree in model.trees]
+        modelio.write_container(path, modelio.MAGIC_FOREST, header, model.trees)
 
 
 def load_model(path: str | Path) -> ModelBundle:
+    """Read a model file. A header field that is missing or does not decode,
+    or a model whose input width is not its schema's, is CorruptFile."""
     magic, header, payload = modelio.read_any_container(path)
+    try:
+        return _decode(magic, header, payload)
+    except (KeyError, TypeError, ValueError, AttributeError, InvalidConfig) as exc:
+        raise CorruptFile(f"malformed model header ({type(exc).__name__}: {exc})") from exc
+
+
+def _decode(magic: bytes, header: dict, payload: bytes) -> ModelBundle:
     registry = ds.PropertyRegistry.from_json(header["registry"])
     schema = descriptors.FeatureSchema.from_manifest(header["schema"])
-
+    config = header["config"]
     if magic == modelio.MAGIC_MTNN:
-        config = mtnn.MTNetConfig(
-            input_dim=header["config"]["input_dim"],
-            selector_dim=header["config"]["selector_dim"],
-            hidden_sizes=tuple(header["config"]["hidden_sizes"]),
-            selector_layer_index=header["config"]["selector_layer_index"],
-            l2_penalty=header["config"]["l2_penalty"],
-            seed=header["config"]["seed"],
-        )
+        config = mtnn.MTNetConfig(**{**config, "hidden_sizes": tuple(config["hidden_sizes"])})
         if header["layer_shapes"] != [list(shape) for shape in mtnn.layer_shapes(config)]:
             raise CorruptFile("layer_shapes in network file do not match its config")
         (params,) = modelio.split_payload(payload, [(mtnn.parameter_count(config),)])
-        net = mtnn.MTNet(config=config, params=params)
-        return ModelBundle(
-            kind="mtnn",
-            registry=registry,
-            schema=schema,
-            net=net,
-            standardizer=ds.Standardizer.from_json(header["standardizer"]),
-        )
-
-    config = rf.ForestConfig(
-        n_trees=header["config"]["n_trees"],
-        max_depth=header["config"]["max_depth"],
-        min_samples_leaf=header["config"]["min_samples_leaf"],
-        max_features=header["config"]["max_features"],
-        seed=header["config"]["seed"],
-    )
-    shapes = [(size, 5) for size in header["tree_sizes"]]
-    trees = modelio.split_payload(payload, shapes)
-    for tree in trees:
-        _check_tree(tree, header["n_features"])
-    forest = rf.RandomForest(config=config, trees=trees, n_features=header["n_features"])
-    return ModelBundle(kind="forest", registry=registry, schema=schema, forest=forest)
+        bundle = ModelBundle(kind="mtnn", registry=registry, schema=schema,
+                             net=mtnn.MTNet(config=config, params=params),
+                             standardizer=ds.Standardizer.from_json(header["standardizer"]))
+        width = config.input_dim
+    else:
+        width = header["n_features"]
+        trees = modelio.split_payload(payload, [(size, 5) for size in header["tree_sizes"]])
+        for tree in trees:
+            _check_tree(tree, width)
+        forest = rf.RandomForest(config=rf.ForestConfig(**config), trees=trees, n_features=width)
+        bundle = ModelBundle(kind="forest", registry=registry, schema=schema, forest=forest)
+    if width != len(schema):
+        raise CorruptFile(f"model takes {width} features, its schema gives {len(schema)}")
+    return bundle
 
 
 def _check_tree(tree: np.ndarray, n_features: int) -> None:
@@ -115,43 +98,34 @@ def features_for(bundle: ModelBundle, graph: MolGraph, density: float | None) ->
         raise MissingDensity("this model requires a density input")
     if not bundle.schema.include_density:
         density = None
-    return descriptors.featurize(graph, bundle.schema, density).values
+    return descriptors.featurize(graph, bundle.schema, density)
+
+
+def predict_rows(bundle: ModelBundle, features: np.ndarray, channel_idx: np.ndarray,
+                 ) -> np.ndarray:
+    """Predictions for feature rows in transformed-target units, row i for
+    channel channel_idx[i]; a forest models one channel and ignores it."""
+    if bundle.kind == "forest":
+        return rf.predict_forest(bundle.forest, features)
+    selector_dim = bundle.net.config.selector_dim
+    selector = np.eye(selector_dim)[channel_idx] if selector_dim else None
+    x = bundle.standardizer.apply_features(features)
+    return bundle.standardizer.invert_targets(mtnn.forward(bundle.net, x, selector), channel_idx)
 
 
 def predict_matrix(bundle: ModelBundle, smiles_or_graph: str | MolGraph,
                    density: float | None = None) -> dict[str, float]:
     """Predictions for every registry channel, in original channel units.
 
-    Loops the selector one-hots, undoes standardization, and inverts the
-    channel transform (10^x for log channels), so log-channel outputs are
-    strictly positive.
+    One single-row predict_rows call per channel (one batched call over
+    the channels would change the last bits of most predictions), then
+    the channel transform is inverted (10^x for log channels), so
+    log-channel outputs are strictly positive.
     """
     graph = smiles_or_graph if isinstance(smiles_or_graph, MolGraph) else parse_smiles(smiles_or_graph)
-    features = features_for(bundle, graph, density)
+    features = features_for(bundle, graph, density)[None, :]
     out: dict[str, float] = {}
-    if bundle.kind == "mtnn":
-        net = bundle.net
-        if net.config.input_dim != features.size:
-            raise SchemaMismatch(
-                f"model expects {net.config.input_dim} features, got {features.size}"
-            )
-        x = bundle.standardizer.apply_features(features[None, :])
-        for idx, channel in enumerate(bundle.registry):
-            selector = None
-            if net.config.selector_dim:
-                selector = np.zeros((1, net.config.selector_dim))
-                selector[0, idx] = 1.0
-            pred_std = mtnn.forward(net, x, selector)[0]
-            value = bundle.standardizer.invert_targets(
-                np.array([pred_std]), np.array([idx])
-            )[0]
-            out[channel.key] = channel.invert_transform(float(value))
-    else:
-        if bundle.forest.n_features != features.size:
-            raise SchemaMismatch(
-                f"model expects {bundle.forest.n_features} features, got {features.size}"
-            )
-        for channel in bundle.registry:
-            value = float(rf.predict_forest(bundle.forest, features))
-            out[channel.key] = channel.invert_transform(value)
+    for idx, channel in enumerate(bundle.registry):
+        value = predict_rows(bundle, features, np.array([idx]))[0]
+        out[channel.key] = channel.invert_transform(float(value))
     return out

@@ -50,8 +50,8 @@ def test_criterion_02_representation_invariance():
     corpus = [g for pair in graphs for g in pair]
     schema = d.fit_schema(corpus, include_density=False)
     for (sa, sb), (ga, gb) in zip(SPELLING_PAIRS, graphs):
-        va = d.featurize(ga, schema).values
-        vb = d.featurize(gb, schema).values
+        va = d.featurize(ga, schema)
+        vb = d.featurize(gb, schema)
         assert np.array_equal(va, vb), (sa, sb)
     report(2, f"{len(SPELLING_PAIRS)} spelling pairs give bitwise-identical vectors")
 
@@ -138,7 +138,7 @@ def _linear_multitask_dataset():
     smiles_list = [b + g for b in backbones for g in groups]
     graphs = {f"M{i:02d}": parse_smiles(s) for i, s in enumerate(smiles_list)}
     schema = d.fit_schema(list(graphs.values()), include_density=False)
-    features = np.array([d.featurize(g, schema).values for g in graphs.values()])
+    features = np.array([d.featurize(g, schema) for g in graphs.values()])
     mu, sd = features.mean(0), features.std(0)
     sd[sd == 0] = 1.0
     z = (features - mu) / sd

@@ -4,10 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import emprops
-from emprops import cli, dataset as ds, descriptors, evaluation
+from emprops import cli, dataset as ds, descriptors, evaluation, modelio
 
 
 MOLS = [
@@ -279,6 +280,118 @@ class TestBadDensity:
                          "--data", str(candidates), "--by", "det_velocity:calc"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error ParseFailure: row 1:")
+
+
+@pytest.fixture(scope="module")
+def model_files(tmp_path_factory):
+    """An EMMT and an EMRF file trained on the small dataset, by magic."""
+    tmp_path = tmp_path_factory.mktemp("models")
+    common = ["train", "--data", str(write_dataset(tmp_path)), "--subset", "1",
+              "--grid", str(write_grid(tmp_path)), "--folds", "3"]
+    assert cli.main([*common, "--out", str(tmp_path / "mt")]) == 0
+    assert cli.main([*common, "--family", "st-rf", "--channel", "det_velocity:calc",
+                     "--out", str(tmp_path / "rf")]) == 0
+    return {modelio.MAGIC_MTNN: tmp_path / "mt" / "model.emmt",
+            modelio.MAGIC_FOREST: tmp_path / "rf" / "model.emrf"}
+
+
+def rewrite_header(source, target, magic, edit):
+    """Copy a model file with its header edited and its checksum recomputed."""
+    header, payload = modelio.read_container(source, magic)
+    edit(header)
+    modelio.write_container(target, magic, header, [np.frombuffer(payload, dtype="<f8")])
+
+
+HEADER_KEYS = [(modelio.MAGIC_MTNN, key)
+               for key in ("config", "registry", "schema", "standardizer", "layer_shapes")]
+HEADER_KEYS += [(modelio.MAGIC_FOREST, key)
+                for key in ("config", "registry", "schema", "tree_sizes", "n_features")]
+
+
+class TestModelHeader:
+    @pytest.mark.parametrize("magic", [modelio.MAGIC_MTNN, modelio.MAGIC_FOREST])
+    def test_unedited_copy_predicts(self, tmp_path, capsys, model_files, magic):
+        path = tmp_path / "copy"
+        rewrite_header(model_files[magic], path, magic, lambda header: None)
+        assert cli.main(["predict", "--model", str(path), "--smiles", "CCC"]) == 0
+
+    @pytest.mark.parametrize("edit", ["missing", "mistyped"])
+    @pytest.mark.parametrize("magic,key", HEADER_KEYS,
+                             ids=[f"{m.decode()}-{k}" for m, k in HEADER_KEYS])
+    def test_bad_key_is_corrupt_file(self, tmp_path, capsys, model_files, magic, key, edit):
+        def change(header):
+            if edit == "missing":
+                del header[key]
+            else:
+                header[key] = "x"
+
+        path = tmp_path / "edited"
+        rewrite_header(model_files[magic], path, magic, change)
+        code = cli.main(["predict", "--model", str(path), "--smiles", "CCC"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error CorruptFile:") and len(err.splitlines()) == 1
+
+    def test_forest_width_must_match_schema(self, tmp_path, capsys, model_files):
+        path = tmp_path / "wide.emrf"
+        rewrite_header(model_files[modelio.MAGIC_FOREST], path, modelio.MAGIC_FOREST,
+                       lambda header: header.update(n_features=header["n_features"] + 1))
+        code = cli.main(["predict", "--model", str(path), "--smiles", "CCC"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error CorruptFile: model takes")
+
+
+GRID_ERRORS = {
+    "not-json": "{not json",
+    "hidden-sizes-not-nested": '{"mtnn": {"hidden_sizes": [8]}}',
+    "max-epochs-string": '{"train": {"max_epochs": "5"}}',
+}
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("text", GRID_ERRORS.values(), ids=GRID_ERRORS)
+    def test_bad_grid_json(self, tmp_path, capsys, text):
+        grid = tmp_path / "grid.json"
+        grid.write_text(text, encoding="utf-8")
+        code = cli.main(["train", "--data", str(write_dataset(tmp_path)), "--subset", "1",
+                         "--grid", str(grid), "--folds", "3", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error InvalidConfig: grid file {grid}:")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("text", [
+        '[{"property": "det_velocity", "unit": "km/s"}]',  # no fidelity
+        "[not json",
+    ], ids=["entry-without-fidelity", "not-json"])
+    def test_bad_registry_json(self, tmp_path, capsys, text):
+        registry = tmp_path / "registry.json"
+        registry.write_text(text, encoding="utf-8")
+        code = cli.main(["correlate", "--data", str(write_dataset(tmp_path)),
+                         "--registry", str(registry), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error InvalidConfig:") and len(err.splitlines()) == 1
+
+
+class TestMissingFile:
+    @pytest.mark.parametrize("flag", ["--data", "--grid", "--registry", "--model"])
+    def test_missing_input_file(self, tmp_path, capsys, model_files, flag):
+        inputs = {"--data": write_dataset(tmp_path), "--grid": write_grid(tmp_path),
+                  "--registry": None, "--model": model_files[modelio.MAGIC_MTNN]}
+        missing = tmp_path / "absent" / "file"
+        inputs[flag] = missing
+        if flag == "--model":
+            argv = ["predict", "--model", str(missing), "--smiles", "CCC"]
+        else:
+            argv = ["train", "--data", str(inputs["--data"]), "--grid", str(inputs["--grid"]),
+                    "--folds", "3", "--out", str(tmp_path / "o")]
+            if inputs["--registry"]:
+                argv += ["--registry", str(inputs["--registry"])]
+        code = cli.main(argv)
+        assert code == 1
+        assert capsys.readouterr().err == f"error MissingFile: {missing}\n"
+        assert not (tmp_path / "o" / "model.emmt").exists()
 
 
 class TestUsageErrors:

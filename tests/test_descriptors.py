@@ -252,7 +252,7 @@ class TestFeaturize:
         g = parse_smiles(TNT)
         schema = d.fit_schema([g], include_density=True)
         vector = d.featurize(g, schema, density=1.65)
-        assert vector.values[-1] == 1.65
+        assert vector[-1] == 1.65
 
     def test_multi_fragment_rejected(self):
         g = parse_smiles("C.C")
@@ -276,7 +276,7 @@ class TestFeaturize:
         graphs = [parse_smiles(s) for s in CORPUS.values()]
         schema = d.fit_schema(graphs, include_density=False)
         for g in graphs:
-            assert np.all(np.isfinite(d.featurize(g, schema).values))
+            assert np.all(np.isfinite(d.featurize(g, schema)))
 
 
 class TestRepresentationInvariance:
@@ -285,6 +285,6 @@ class TestRepresentationInvariance:
         corpus = [g for pair in graphs for g in pair]
         schema = d.fit_schema(corpus, include_density=False)
         for (sa, sb), (ga, gb) in zip(SPELLING_PAIRS, graphs):
-            va = d.featurize(ga, schema).values
-            vb = d.featurize(gb, schema).values
+            va = d.featurize(ga, schema)
+            vb = d.featurize(gb, schema)
             assert np.array_equal(va, vb), (sa, sb)

@@ -609,7 +609,7 @@ class TestPersistence:
         from emprops import descriptors
 
         graph = parse_smiles("CCO")
-        features = descriptors.featurize(graph, bundle.schema).values
+        features = descriptors.featurize(graph, bundle.schema)
         x = bundle.standardizer.apply_features(features[None, :])
         predictions = pipeline.predict_matrix(bundle, graph)
         for idx, channel in enumerate(bundle.registry):
