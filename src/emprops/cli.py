@@ -26,7 +26,7 @@ import numpy as np
 
 import emprops
 from emprops import dataset as ds
-from emprops import descriptors, evaluation, mtnn, pipeline
+from emprops import descriptors, evaluation, forest as rf, mtnn, pipeline
 from emprops.errors import (
     InvalidConfig,
     MissingDensity,
@@ -85,9 +85,21 @@ def _load_grids(path: str | None):
             if unknown:
                 raise InvalidConfig(f"unknown train settings: {sorted(unknown)}")
             base_train = replace(base_train, **data["train"])
-    except (ValueError, TypeError, AttributeError) as exc:  # bad JSON or a mistyped value
+        _check_cells(mt_grid, forest_grid, base_train)
+    except (ValueError, TypeError, AttributeError, InvalidConfig) as exc:  # bad JSON or value
         raise InvalidConfig(f"grid file {path}: {exc}") from exc
     return mt_grid, forest_grid, base_train
+
+
+def _check_cells(mt_grid: mtnn.GridSpec, forest_grid: evaluation.ForestGridSpec,
+                 base_train: mtnn.TrainConfig) -> None:
+    """Build the configs of every cell, so that a bad axis value fails when
+    the grid is loaded rather than in the middle of a fit."""
+    for selector_dim in (0, 2):  # single- and multi-channel cells resolve apart
+        for cell in mt_grid.cells(selector_dim):
+            mtnn.cell_configs(cell, 1, selector_dim, base_train)
+    for cell in forest_grid.cells():
+        rf.ForestConfig(**cell)
 
 
 def _write_manifest(out_dir: Path, command: str, options: dict, inputs: dict,

@@ -312,12 +312,16 @@ class SplitPlan:
         return train, test
 
 
+def check_fold_count(k: int) -> None:
+    if k < 2:
+        raise InvalidConfig(f"need at least 2 folds, got {k}")
+
+
 def kfold_by_material(material_ids: list[str], k: int, seed: int) -> SplitPlan:
     """Material-level folds: sort ids, Fisher-Yates shuffle with
     splitmix64(seed), deal round-robin. All records of one material land in
     one fold, so no molecule can straddle train and test."""
-    if k < 2:
-        raise InvalidConfig(f"need at least 2 folds, got {k}")
+    check_fold_count(k)
     ids = sorted(set(material_ids))
     if len(ids) < k:
         raise TooFewMaterials(f"{len(ids)} materials < {k} folds")

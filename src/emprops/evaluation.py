@@ -11,7 +11,9 @@ sample standard deviation over the k x n_seeds fold values.
 Every family goes through the same steps: select_cell picks a cell by
 the shared inner-CV loop dataset.cv_select, fit_selected refits it (every
 network, single- or multi-task, through mtnn.fit_network), and
-pipeline.predict_rows predicts.
+pipeline.predict_rows predicts. fit_selected refits a one-cell grid
+without inner CV, since selection could only return that cell; tune
+always runs select_cell, because its score table is its output.
 """
 
 from __future__ import annotations
@@ -160,6 +162,12 @@ def single_channel_design(design: ds.DesignMatrix, channel_pos: int) -> ds.Desig
                    registry=ds.PropertyRegistry(channels=(design.registry.channels[channel_pos],)))
 
 
+def family_cells(family: str, design: ds.DesignMatrix, grid: mtnn.GridSpec,
+                 forest_grid: "ForestGridSpec") -> list[dict]:
+    """The cells select_cell chooses among for the family on the design."""
+    return forest_grid.cells() if family == "st-rf" else mtnn.design_cells(grid, design)
+
+
 def select_cell(family: str, design: ds.DesignMatrix, grid: mtnn.GridSpec,
                 forest_grid: "ForestGridSpec", base_train: mtnn.TrainConfig,
                 inner_k: int, seed: int) -> ds.GridResult:
@@ -176,16 +184,23 @@ def fit_selected(family: str, design: ds.DesignMatrix, schema: descriptors.Featu
                  train_seed: int) -> pipeline.ModelBundle:
     """Select a cell by inner CV on the train rows and refit it on all of
     them, seeded by derive_seed(seed, 3); a network's batch order is
-    seeded by train_seed. Every command fits its models through here."""
-    search = select_cell(family, _restrict(design, train_rows), grid, forest_grid,
-                         base_train, inner_k, seed)
+    seeded by train_seed. A one-cell grid skips inner CV and refits its
+    cell, which selection would return whatever the scores; inner_k must
+    still be at least 2. Every command fits its models through here."""
+    ds.check_fold_count(inner_k)
+    cells = family_cells(family, design, grid, forest_grid)
+    if len(cells) == 1:
+        cell = cells[0]
+    else:
+        cell = select_cell(family, _restrict(design, train_rows), grid, forest_grid,
+                           base_train, inner_k, seed).best_cell
     refit_seed = derive_seed(seed, 3)
     if family == "st-rf":
         model = rf.fit_forest(design.features[train_rows], design.targets[train_rows],
-                              rf.ForestConfig(seed=refit_seed, **search.best_cell))
+                              rf.ForestConfig(seed=refit_seed, **cell))
         return pipeline.ModelBundle(kind="forest", registry=design.registry, schema=schema,
                                     forest=model)
-    standardizer, result = mtnn.fit_network(design, train_rows, search.best_cell, base_train,
+    standardizer, result = mtnn.fit_network(design, train_rows, cell, base_train,
                                             refit_seed, train_seed)
     return pipeline.ModelBundle(kind="mtnn", registry=design.registry, schema=schema,
                                 net=result.net, standardizer=standardizer)

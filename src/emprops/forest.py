@@ -38,6 +38,10 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        ints = (self.n_trees, self.max_depth, self.min_samples_leaf,
+                1 if self.max_features is None else self.max_features)
+        if not all(isinstance(v, int) for v in ints):
+            raise InvalidConfig("n_trees, max_depth, min_samples_leaf, max_features must be integers")
         if self.n_trees < 1 or self.max_depth < 1 or self.min_samples_leaf < 1:
             raise InvalidConfig("n_trees, max_depth, min_samples_leaf must be positive")
         if self.max_features is not None and self.max_features < 1:

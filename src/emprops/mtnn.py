@@ -43,7 +43,8 @@ class MTNetConfig:
             raise InvalidConfig("input_dim must be positive")
         if self.selector_dim < 0:
             raise InvalidConfig("selector_dim must be non-negative")
-        if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
+        if not self.hidden_sizes or any(not isinstance(h, int) or h < 1
+                                        for h in self.hidden_sizes):
             raise InvalidConfig("hidden_sizes must be positive integers")
         if self.selector_dim > 0 and not (1 <= self.selector_layer_index <= len(self.hidden_sizes)):
             raise InvalidConfig(
@@ -66,6 +67,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not all(isinstance(v, int) for v in (self.batch_size, self.max_epochs, self.patience)):
+            raise InvalidConfig("batch_size, max_epochs, patience must be integers")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
             raise InvalidConfig("learning_rate, batch_size, max_epochs must be positive")
         if self.patience < 0 or self.patience > self.max_epochs:
@@ -376,6 +379,13 @@ def _channel_mean_rmse(pred: np.ndarray, actual: np.ndarray, channel_idx: np.nda
     return float(np.mean(scores)) if scores else math.nan
 
 
+def design_cells(grid: GridSpec, design: ds.DesignMatrix) -> list[dict]:
+    """The grid's cells for a network on the design: selector-fed for
+    several channels, plain (selector_dim 0) for one."""
+    n_channels = len(design.registry)
+    return grid.cells(n_channels if n_channels > 1 else 0)
+
+
 def grid_search(grid: GridSpec, design: ds.DesignMatrix, base_train: TrainConfig,
                 inner_k: int = 5, seed: int = 0) -> ds.GridResult:
     """Exhaustive grid search scored by inner k-fold cross-validation.
@@ -386,7 +396,7 @@ def grid_search(grid: GridSpec, design: ds.DesignMatrix, base_train: TrainConfig
     channels. Lowest mean wins; ties break toward the earliest cell.
     """
     n_channels = len(design.registry)
-    cells = grid.cells(n_channels if n_channels > 1 else 0)
+    cells = design_cells(grid, design)
 
     def score(cell_index: int, fold: int, train_rows: np.ndarray,
               val_rows: np.ndarray) -> float:
@@ -430,9 +440,19 @@ def fit_network(design: ds.DesignMatrix, train_rows: np.ndarray, cell: dict,
     )
     x_train, s_train, y_train = network_inputs(design, train_rows, standardizer)
     val = None if val_rows is None else network_inputs(design, val_rows, standardizer)
+    net_config, train_config = cell_configs(cell, design.features.shape[1],
+                                            n_channels if n_channels > 1 else 0, base_train,
+                                            net_seed, train_seed)
+    result = train(init_network(net_config), x_train, s_train, y_train, train_config, val=val)
+    return standardizer, result
+
+
+def cell_configs(cell: dict, input_dim: int, selector_dim: int, base_train: TrainConfig,
+                 net_seed: int = 0, train_seed: int = 0) -> tuple[MTNetConfig, TrainConfig]:
+    """The network and training configs of one grid cell."""
     net_config = MTNetConfig(
-        input_dim=design.features.shape[1],
-        selector_dim=n_channels if n_channels > 1 else 0,
+        input_dim=input_dim,
+        selector_dim=selector_dim,
         hidden_sizes=cell["hidden_sizes"],
         selector_layer_index=cell["selector_layer_index"],
         l2_penalty=cell["l2_penalty"],
@@ -440,5 +460,4 @@ def fit_network(design: ds.DesignMatrix, train_rows: np.ndarray, cell: dict,
     )
     train_config = replace(base_train, learning_rate=cell["learning_rate"],
                            batch_size=cell["batch_size"], seed=train_seed)
-    result = train(init_network(net_config), x_train, s_train, y_train, train_config, val=val)
-    return standardizer, result
+    return net_config, train_config

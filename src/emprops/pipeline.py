@@ -48,7 +48,8 @@ def save_model(path: str | Path, bundle: ModelBundle) -> None:
 
 def load_model(path: str | Path) -> ModelBundle:
     """Read a model file. A header field that is missing or does not decode,
-    or a model whose input width is not its schema's, is CorruptFile."""
+    a model whose input width is not its schema's, or a standardizer whose
+    lengths are not the network's, is CorruptFile."""
     magic, header, payload = modelio.read_any_container(path)
     try:
         return _decode(magic, header, payload)
@@ -65,9 +66,11 @@ def _decode(magic: bytes, header: dict, payload: bytes) -> ModelBundle:
         if header["layer_shapes"] != [list(shape) for shape in mtnn.layer_shapes(config)]:
             raise CorruptFile("layer_shapes in network file do not match its config")
         (params,) = modelio.split_payload(payload, [(mtnn.parameter_count(config),)])
+        standardizer = ds.Standardizer.from_json(header["standardizer"])
+        _check_standardizer(standardizer, config.input_dim, len(registry))
         bundle = ModelBundle(kind="mtnn", registry=registry, schema=schema,
                              net=mtnn.MTNet(config=config, params=params),
-                             standardizer=ds.Standardizer.from_json(header["standardizer"]))
+                             standardizer=standardizer)
         width = config.input_dim
     else:
         width = header["n_features"]
@@ -79,6 +82,16 @@ def _decode(magic: bytes, header: dict, payload: bytes) -> ModelBundle:
     if width != len(schema):
         raise CorruptFile(f"model takes {width} features, its schema gives {len(schema)}")
     return bundle
+
+
+def _check_standardizer(std: ds.Standardizer, n_features: int, n_channels: int) -> None:
+    """One feature entry per network input and one target entry per channel."""
+    features = (std.feature_mean, std.feature_std, std.feature_constant)
+    targets = (std.target_mean, std.target_std, std.target_constant)
+    if any(a.shape != (n_features,) for a in features) \
+            or any(a.shape != (n_channels,) for a in targets):
+        raise CorruptFile(f"standardizer does not fit {n_features} features "
+                          f"and {n_channels} channels")
 
 
 def _check_tree(tree: np.ndarray, n_features: int) -> None:

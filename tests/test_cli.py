@@ -216,6 +216,29 @@ class TestEvaluate:
         assert "impact_h50:exp" in report
         assert (out / "table2_log_h50.md").exists()
 
+    @pytest.mark.parametrize("cells", [1, 2])
+    def test_sparse_channel_needs_inner_cv_only_for_several_cells(self, tmp_path, capsys,
+                                                                  cells):
+        """impact_h50:exp has 6 of the 12 materials, so no outer training fold
+        holds 5 of them for 5 inner folds; a one-cell grid is refit without."""
+        grid = write_grid(tmp_path)
+        spec = json.loads(grid.read_text())
+        spec["forest"]["min_samples_leaf"] = [1, 2][:cells]
+        grid.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "ev"
+        code = cli.main(["evaluate", "--data", str(write_dataset(tmp_path)), "--subset", "2",
+                         "--no-density", "--models", "st-rf", "--seeds", "1", "--folds", "3",
+                         "--inner-folds", "5", "--grid", str(grid), "--out", str(out)])
+        err = capsys.readouterr().err
+        if cells == 2:
+            assert code == 1
+            assert err.startswith("error TooFewMaterials:") and err.endswith("< 5 folds\n")
+            return
+        assert code == 0
+        rows = {line.split(",")[1]: line.split(",")
+                for line in (out / "report.csv").read_text().splitlines()[1:]}
+        assert rows["impact_h50:exp"][6] == "3"  # n_rmse: every outer fold scored
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         data = write_dataset(tmp_path)
         grid = write_grid(tmp_path)
@@ -235,11 +258,13 @@ FOLD_COUNT_CASES = [
     ["evaluate", "--models", "mt-nn", "--folds", "0"],
     ["evaluate", "--models", "st-rf,mt-nn", "--folds", "3", "--inner-folds", "1"],
     ["tune", "--folds", "0"],
+    ["train", "--folds", "1"],
 ]
 
 
 @pytest.mark.parametrize("argv", FOLD_COUNT_CASES,
-                         ids=["evaluate-folds-0", "evaluate-inner-folds-1", "tune-folds-0"])
+                         ids=["evaluate-folds-0", "evaluate-inner-folds-1", "tune-folds-0",
+                              "train-folds-1"])
 def test_fold_counts_below_two_exit_1(tmp_path, capsys, argv):
     data = write_dataset(tmp_path)
     grid = write_grid(tmp_path)
@@ -332,6 +357,22 @@ class TestModelHeader:
         assert code == 1
         assert err.startswith("error CorruptFile:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+    @pytest.mark.parametrize("array", ["feature_mean", "feature_std", "feature_constant",
+                                       "target_mean", "target_std", "target_constant"])
+    def test_standardizer_length_is_corrupt_file(self, tmp_path, capsys, model_files, array,
+                                                 change):
+        def resize(header):
+            values = header["standardizer"][array]
+            header["standardizer"][array] = values[:-1] if change < 0 else values + values[:1]
+
+        path = tmp_path / "resized.emmt"
+        rewrite_header(model_files[modelio.MAGIC_MTNN], path, modelio.MAGIC_MTNN, resize)
+        code = cli.main(["predict", "--model", str(path), "--smiles", "CCC"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error CorruptFile: standardizer") and len(err.splitlines()) == 1
+
     def test_forest_width_must_match_schema(self, tmp_path, capsys, model_files):
         path = tmp_path / "wide.emrf"
         rewrite_header(model_files[modelio.MAGIC_FOREST], path, modelio.MAGIC_FOREST,
@@ -345,6 +386,13 @@ GRID_ERRORS = {
     "not-json": "{not json",
     "hidden-sizes-not-nested": '{"mtnn": {"hidden_sizes": [8]}}',
     "max-epochs-string": '{"train": {"max_epochs": "5"}}',
+    "learning-rate-string": '{"mtnn": {"learning_rate": ["x"]}}',
+    "batch-size-float": '{"mtnn": {"batch_size": [16.5]}}',
+    "hidden-size-zero": '{"mtnn": {"hidden_sizes": [[8, 0]]}}',
+    "n-trees-string": '{"forest": {"n_trees": ["x"]}}',
+    "min-samples-leaf-float": '{"forest": {"min_samples_leaf": [1.5]}}',
+    "max-features-zero": '{"forest": {"max_features": [null, 0]}}',
+    "patience-above-max-epochs": '{"train": {"max_epochs": 5, "patience": 6}}',
 }
 
 

@@ -7,6 +7,7 @@ single-task fold loops of the protocol, and `train`'s forest and network
 branches. run_protocol and `emprops train` must reproduce them bit for bit.
 """
 
+import csv
 import json
 import math
 
@@ -117,9 +118,24 @@ def oracle_train(path, family, data, subset_id, channel, grid, forest_grid, base
     pipeline.save_model(path, bundle)
 
 
+def oracle_fit_selected(family, design, train_rows, grid, forest_grid, base_train, inner_k,
+                        seed, train_seed):
+    """fit_selected as it was before one-cell grids skipped inner CV: select,
+    then refit. Returns the fitted trees or the network's parameters."""
+    search = evaluation.select_cell(family, evaluation._restrict(design, train_rows), grid,
+                                    forest_grid, base_train, inner_k, seed)
+    if family == "st-rf":
+        config = rf.ForestConfig(seed=derive_seed(seed, 3), **search.best_cell)
+        return rf.fit_forest(design.features[train_rows], design.targets[train_rows],
+                             config).trees
+    _, result = mtnn.fit_network(design, train_rows, search.best_cell, base_train,
+                                 derive_seed(seed, 3), train_seed)
+    return [result.net.params]
+
+
 # ---------------------------------------------------------------------------
 # Inputs: the CLI tests' dataset and grid, plus one single-material channel
-# and a second cell on both grids
+# and a second cell on both grids (the one-cell grids are kept as well)
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -128,6 +144,9 @@ def inputs(tmp_path_factory):
     data_path = write_dataset(tmp_path)
     with open(data_path, "a", encoding="utf-8") as handle:
         handle.write("M05,CCN,det_velocity,exp,6.1,1.0\n")
+    one_cell_dir = tmp_path / "one_cell"
+    one_cell_dir.mkdir()
+    one_cell_path = write_grid(one_cell_dir)
     grid_path = write_grid(tmp_path)
     two_cells = json.loads(grid_path.read_text(encoding="utf-8"))  # so that selection decides
     two_cells["mtnn"]["learning_rate"] = [0.01, 0.03]
@@ -136,7 +155,8 @@ def inputs(tmp_path_factory):
     grid, forest_grid, base_train = cli._load_grids(str(grid_path))
     data = ds.load_records(data_path, ds.default_registry())
     return {"data_path": data_path, "grid_path": grid_path, "data": data,
-            "grid": grid, "forest_grid": forest_grid, "base_train": base_train}
+            "grid": grid, "forest_grid": forest_grid, "base_train": base_train,
+            "one_cell_path": one_cell_path, "one_cell": cli._load_grids(str(one_cell_path))}
 
 
 def bits(values):
@@ -197,3 +217,84 @@ def test_tune_scores_the_single_channel_network_grid(inputs, tmp_path, capsys):
     assert winner == {**expected.best_cell, "hidden_sizes": list(expected.best_cell["hidden_sizes"]),
                       "mean_val_rmse": expected.best_score}
 
+
+
+# ---------------------------------------------------------------------------
+# One-cell grids: refit without inner CV, same bits as select-then-refit
+# ---------------------------------------------------------------------------
+
+def unit_design(inputs, family):
+    """(schema, design) of the unit fit_selected sees for the family."""
+    _, schema, design = ds.build_design(inputs["data"], SUBSET, False)
+    if family != "mt-nn":
+        position = design.registry.index_of(design.registry.lookup("det_velocity", "calc"))
+        design = evaluation.single_channel_design(design, position)
+    return schema, design
+
+
+@pytest.mark.parametrize("family", evaluation.MODEL_FAMILIES)
+def test_one_cell_fit_selected_equals_select_then_refit(inputs, family):
+    grid, forest_grid, base_train = inputs["one_cell"]
+    schema, design = unit_design(inputs, family)
+    train_mats, _ = ds.kfold_by_material(design.material_ids, FOLDS, 5).train_test(0)
+    train_rows = design.rows_for(train_mats)
+    bundle = evaluation.fit_selected(family, design, schema, train_rows, grid, forest_grid,
+                                     base_train, INNER_FOLDS, 9, 10)
+    fitted = bundle.forest.trees if family == "st-rf" else [bundle.net.params]
+    expected = oracle_fit_selected(family, design, train_rows, grid, forest_grid, base_train,
+                                   INNER_FOLDS, 9, 10)
+    assert [a.tobytes() for a in fitted] == [a.tobytes() for a in expected]
+
+
+@pytest.mark.parametrize("family", evaluation.MODEL_FAMILIES)
+def test_one_cell_run_protocol_equals_select_then_refit(inputs, family):
+    grid, forest_grid, base_train = inputs["one_cell"]
+    kwargs = dict(grid=grid, forest_grid=forest_grid, base_train=base_train,
+                  inner_k=INNER_FOLDS)
+    report = evaluation.run_protocol(family, inputs["data"], SUBSET, False, seeds=SEEDS,
+                                     k=FOLDS, **kwargs)
+    oracle = oracle_run_protocol(family, inputs["data"], SUBSET, SEEDS, FOLDS, **kwargs)
+    assert list(report.channels) == list(oracle.channels)
+    for key, metrics in oracle.channels.items():
+        assert bits(report.channels[key].rmse_values) == bits(metrics.rmse_values), key
+        assert bits(report.channels[key].r2_values) == bits(metrics.r2_values), key
+
+
+class InnerCVEntered(Exception):
+    pass
+
+
+@pytest.mark.parametrize("module,name", [(evaluation, "select_cell"), (ds, "cv_select")],
+                         ids=["select_cell", "cv_select"])
+@pytest.mark.parametrize("family", evaluation.MODEL_FAMILIES)
+def test_inner_cv_runs_only_for_several_cells(inputs, monkeypatch, family, module, name):
+    def refuse(*args, **kwargs):
+        raise InnerCVEntered(name)
+
+    monkeypatch.setattr(module, name, refuse)
+    schema, design = unit_design(inputs, family)
+    all_rows = np.ones(len(design.targets), dtype=bool)
+
+    def fit(grid, forest_grid, base_train):
+        return evaluation.fit_selected(family, design, schema, all_rows, grid, forest_grid,
+                                       base_train, INNER_FOLDS, 1, 2)
+
+    fit(*inputs["one_cell"])
+    with pytest.raises(InnerCVEntered):
+        fit(inputs["grid"], inputs["forest_grid"], inputs["base_train"])
+
+
+@pytest.mark.parametrize("family,channel", [("st-rf", "det_velocity:calc"), ("mt-nn", None)])
+def test_tune_scores_a_one_cell_grid(inputs, tmp_path, capsys, family, channel):
+    argv = ["tune", "--data", str(inputs["data_path"]), "--subset", str(SUBSET),
+            "--family", family, "--grid", str(inputs["one_cell_path"]),
+            "--folds", str(INNER_FOLDS), "--out", str(tmp_path / "tune")]
+    if channel:
+        argv += ["--channel", channel]
+    assert cli.main(argv) == 0
+    winner = json.loads((tmp_path / "tune" / "winner.json").read_text(encoding="utf-8"))
+    assert math.isfinite(winner["mean_val_rmse"])
+    with open(tmp_path / "tune" / "grid_table.csv", newline="", encoding="utf-8") as handle:
+        table = list(csv.DictReader(handle))
+    assert len(table) == 1
+    assert float(table[0]["mean_val_rmse"]) == winner["mean_val_rmse"]
