@@ -75,6 +75,11 @@ def _load_grids(path: str | None):
         return mt_grid, forest_grid, base_train
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise InvalidConfig("the top level must be a JSON object")
+        unknown = set(data) - {"mtnn", "forest", "train"}
+        if unknown:
+            raise InvalidConfig(f"unknown grid sections: {sorted(unknown)}")
         if "mtnn" in data:
             mt_grid = mtnn.GridSpec.from_json(data["mtnn"])
         if "forest" in data:

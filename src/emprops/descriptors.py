@@ -29,7 +29,7 @@ from emprops.molgraph.elements import (
     VDW_BOND_CORRECTION,
     VDW_NONAROMATIC_RING_CORRECTION,
 )
-from emprops.molgraph.graph import ElementCounts, MolGraph, graph_distances, molecular_formula
+from emprops.molgraph.graph import ElementCounts, MolGraph, bfs, molecular_formula
 from emprops.molgraph.match import PatternAtom, PatternBond, SubstructurePattern, match_pattern
 
 BondKey = tuple[str, str, str]  # (element_a, element_b, order), elements sorted
@@ -264,7 +264,7 @@ def estate_vector(g: MolGraph) -> dict[str, float]:
         if g.heavy_degree(i) == 0:
             continue
         terms: list[float] = []
-        dist = graph_distances(g, i)
+        dist = bfs(g, i)[1]
         for j in range(n):
             if j == i or dist[j] < 0 or g.heavy_degree(j) == 0:
                 continue

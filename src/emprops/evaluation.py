@@ -259,11 +259,7 @@ class ForestGridSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "ForestGridSpec":
-        kwargs = {}
-        for axis in ("n_trees", "max_depth", "min_samples_leaf", "max_features"):
-            if axis in data:
-                kwargs[axis] = tuple(data[axis])
-        return cls(**kwargs)
+        return cls(**ds.grid_axes(cls, data))
 
 
 def forest_grid_search(grid: ForestGridSpec, design: ds.DesignMatrix,

@@ -28,9 +28,6 @@ class Bond:
     # for plain bonds, 1 or 2 for aromatic bonds once perceived.
     kekule_order: int = 0
 
-    def other(self, idx: int) -> int:
-        return self.j if idx == self.i else self.i
-
     def key(self) -> tuple[int, int]:
         return (self.i, self.j) if self.i < self.j else (self.j, self.i)
 
@@ -52,6 +49,13 @@ class Ring:
 class MolGraph:
     """Perceived molecular graph.
 
+    The neighbour list is built once, when the graph is made: neighbors(i)
+    holds the (neighbour atom, bond) pairs of atom i in bond-index order.
+    Every perception step reads that list, and ring perception depends on
+    its order: BFS parents, hence SSSR candidate cycles and the order of
+    `rings`, follow it. Bond orders may change after construction, but the
+    bond list must not gain or lose a bond.
+
     Treated as immutable once the parser returns it; nothing in the package
     mutates a perceived graph, so instances are safe to share.
     """
@@ -59,49 +63,36 @@ class MolGraph:
     atoms: list[Atom]
     bonds: list[Bond]
     rings: list[Ring] = field(default_factory=list)
-    _adjacency: list[list[int]] | None = field(default=None, repr=False)
+    _neighbors: list[list[tuple[int, Bond]]] = field(init=False, repr=False, compare=False)
 
-    def adjacency(self) -> list[list[int]]:
-        """Bond indices incident to each atom."""
-        if self._adjacency is None:
-            adj: list[list[int]] = [[] for _ in self.atoms]
-            for bidx, bond in enumerate(self.bonds):
-                adj[bond.i].append(bidx)
-                adj[bond.j].append(bidx)
-            self._adjacency = adj
-        return self._adjacency
+    def __post_init__(self) -> None:
+        self._neighbors = [[] for _ in self.atoms]
+        for bond in self.bonds:
+            self._neighbors[bond.i].append((bond.j, bond))
+            self._neighbors[bond.j].append((bond.i, bond))
 
     def neighbors(self, idx: int) -> list[tuple[int, Bond]]:
-        """(neighbor atom index, bond) pairs for one atom."""
-        return [(self.bonds[b].other(idx), self.bonds[b]) for b in self.adjacency()[idx]]
+        """(neighbor atom index, bond) pairs for one atom; do not modify."""
+        return self._neighbors[idx]
 
     def heavy_degree(self, idx: int) -> int:
-        return len(self.adjacency()[idx])
+        return len(self._neighbors[idx])
 
     def fragments(self) -> list[list[int]]:
         """Connected components as sorted atom-index lists."""
         seen = [False] * len(self.atoms)
         out: list[list[int]] = []
         for start in range(len(self.atoms)):
-            if seen[start]:
-                continue
-            comp = []
-            queue = deque([start])
-            seen[start] = True
-            while queue:
-                u = queue.popleft()
-                comp.append(u)
-                for v, _ in self.neighbors(u):
-                    if not seen[v]:
-                        seen[v] = True
-                        queue.append(v)
-            out.append(sorted(comp))
+            if not seen[start]:
+                comp = [i for i, d in enumerate(bfs(self, start)[1]) if d >= 0]
+                for i in comp:
+                    seen[i] = True
+                out.append(comp)
         return out
 
     def bond_between(self, i: int, j: int) -> Bond | None:
-        for bidx in self.adjacency()[i]:
-            bond = self.bonds[bidx]
-            if bond.other(i) == j:
+        for nbr, bond in self._neighbors[i]:
+            if nbr == j:
                 return bond
         return None
 
@@ -136,15 +127,23 @@ def molecular_formula(g: MolGraph) -> ElementCounts:
     )
 
 
-def graph_distances(g: MolGraph, start: int) -> list[int]:
-    """BFS distances over the heavy-atom graph; -1 marks unreachable atoms."""
+def bfs(g: MolGraph, root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first search over the heavy-atom graph from root.
+
+    Returns (parent, dist): the BFS-tree parent of each atom (-1 for the
+    root and unreachable atoms) and its distance (-1 when unreachable).
+    Neighbours are visited in neighbour-list order, so parents are
+    deterministic.
+    """
+    parent = [-1] * len(g.atoms)
     dist = [-1] * len(g.atoms)
-    dist[start] = 0
-    queue = deque([start])
+    dist[root] = 0
+    queue = deque([root])
     while queue:
         u = queue.popleft()
-        for v, _ in g.neighbors(u):
+        for v, _ in g._neighbors[u]:
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
+                parent[v] = u
                 queue.append(v)
-    return dist
+    return parent, dist

@@ -24,7 +24,7 @@ from emprops.errors import (
 )
 from emprops.molgraph.elements import AROMATIC_TOKENS, HEAVY_ELEMENTS, effective_valence
 from emprops.molgraph.graph import Atom, Bond, MolGraph, ORDER_VALUE
-from emprops.molgraph.rings import mark_ring_bonds, sssr_rings
+from emprops.molgraph.rings import sssr_rings
 
 _BOND_SYMBOLS = {"-": "single", "=": "double", "#": "triple", ":": "aromatic",
                  "/": "single", "\\": "single"}
@@ -211,41 +211,35 @@ def _tokenize_and_build(text: str) -> _Builder:
     return builder
 
 
-def _normalize_nitro(builder: _Builder) -> None:
+def _normalize_nitro(g: MolGraph) -> None:
     """Rewrite neutral N(=O)=O groups to the charge-separated form.
 
     Both spellings occur in public datasets; normalizing makes pattern
     counting and valence checks uniform. The double bond to the
     lowest-index oxygen is kept.
     """
-    adjacency: dict[int, list[Bond]] = {}
-    for bond in builder.bonds:
-        adjacency.setdefault(bond.i, []).append(bond)
-        adjacency.setdefault(bond.j, []).append(bond)
-
-    for n_idx, atom in enumerate(builder.atoms):
+    for n_idx, atom in enumerate(g.atoms):
         if atom.element != "N" or atom.formal_charge != 0 or atom.aromatic:
             continue
         doubles = []
-        for bond in adjacency.get(n_idx, []):
-            o_idx = bond.other(n_idx)
-            other = builder.atoms[o_idx]
+        for o_idx, bond in g.neighbors(n_idx):
+            other = g.atoms[o_idx]
             if (
                 bond.order == "double"
                 and other.element == "O"
                 and other.formal_charge == 0
-                and len(adjacency.get(o_idx, [])) == 1
+                and g.heavy_degree(o_idx) == 1
             ):
                 doubles.append((o_idx, bond))
         if len(doubles) >= 2:
             doubles.sort(key=lambda pair: pair[0])
             o_idx, bond = doubles[-1]
             bond.order = "single"
-            builder.atoms[o_idx].formal_charge = -1
+            g.atoms[o_idx].formal_charge = -1
             atom.formal_charge = 1
 
 
-def _kekulize(builder: _Builder, rings) -> None:
+def _kekulize(g: MolGraph, explicit_h: list[int | None]) -> None:
     """Assign kekule orders to aromatic bonds via perfect matching.
 
     An aromatic atom needs one double bond when its charge-adjusted valence
@@ -254,38 +248,36 @@ def _kekulize(builder: _Builder, rings) -> None:
     need none. The lexicographically first perfect matching over needy
     atoms is selected, so hydrogen counts are deterministic.
     """
-    aromatic_atoms = [a.index for a in builder.atoms if a.aromatic]
+    aromatic_atoms = [a.index for a in g.atoms if a.aromatic]
     if not aromatic_atoms:
-        for bond in builder.bonds:
+        for bond in g.bonds:
             bond.kekule_order = ORDER_VALUE[bond.order]
         return
 
     aromatic_ring_atoms: set[int] = set()
-    for ring in rings:
+    for ring in g.rings:
         if ring.aromatic:
             aromatic_ring_atoms.update(ring.atoms)
     for idx in aromatic_atoms:
         if idx not in aromatic_ring_atoms:
             raise KekulizationError(f"aromatic atom {idx} is not part of an aromatic ring")
-    for bond in builder.bonds:
+    for bond in g.bonds:
         if bond.order == "aromatic" and not bond.in_ring:
             raise KekulizationError(
                 f"aromatic bond between atoms {bond.i} and {bond.j} is not in a ring"
             )
 
-    sigma: dict[int, int] = {}
-    for idx in aromatic_atoms:
-        total = 0
-        for bond in builder.bonds:
-            if bond.i == idx or bond.j == idx:
-                total += 1 if bond.order == "aromatic" else ORDER_VALUE[bond.order]
-        sigma[idx] = total
+    sigma = {
+        idx: sum(1 if bond.order == "aromatic" else ORDER_VALUE[bond.order]
+                 for _, bond in g.neighbors(idx))
+        for idx in aromatic_atoms
+    }
 
     needy: set[int] = set()
     for idx in aromatic_atoms:
-        atom = builder.atoms[idx]
+        atom = g.atoms[idx]
         valence = effective_valence(atom.element, atom.formal_charge)
-        h_count = builder.explicit_h[idx]
+        h_count = explicit_h[idx]
         if h_count is None:
             needs = max(0, min(1, valence - sigma[idx]))
         else:
@@ -298,13 +290,11 @@ def _kekulize(builder: _Builder, rings) -> None:
             needy.add(idx)
 
     # Adjacency over in-ring aromatic bonds between two needy atoms.
-    partner_bonds: dict[int, list[tuple[int, Bond]]] = {idx: [] for idx in needy}
-    for bond in builder.bonds:
-        if bond.order == "aromatic" and bond.i in needy and bond.j in needy:
-            partner_bonds[bond.i].append((bond.j, bond))
-            partner_bonds[bond.j].append((bond.i, bond))
-    for idx in partner_bonds:
-        partner_bonds[idx].sort(key=lambda pair: pair[0])
+    partner_bonds = {
+        idx: sorted(((v, bond) for v, bond in g.neighbors(idx)
+                     if bond.order == "aromatic" and v in needy), key=lambda pair: pair[0])
+        for idx in needy
+    }
 
     matched: dict[int, int] = {}
     double_bonds: set[int] = set()
@@ -330,21 +320,18 @@ def _kekulize(builder: _Builder, rings) -> None:
     if not backtrack():
         raise KekulizationError("no kekule structure exists for the aromatic system")
 
-    for bond in builder.bonds:
+    for bond in g.bonds:
         if bond.order == "aromatic":
             bond.kekule_order = 2 if id(bond) in double_bonds else 1
         else:
             bond.kekule_order = ORDER_VALUE[bond.order]
 
 
-def _assign_hydrogens(builder: _Builder) -> None:
-    for idx, atom in enumerate(builder.atoms):
-        order_sum = 0
-        for bond in builder.bonds:
-            if bond.i == idx or bond.j == idx:
-                order_sum += bond.kekule_order
+def _assign_hydrogens(g: MolGraph, explicit_h: list[int | None]) -> None:
+    for idx, atom in enumerate(g.atoms):
+        order_sum = sum(bond.kekule_order for _, bond in g.neighbors(idx))
         valence = effective_valence(atom.element, atom.formal_charge)
-        h_count = builder.explicit_h[idx]
+        h_count = explicit_h[idx]
         if h_count is None:
             implicit = valence - order_sum
             if implicit < 0:
@@ -371,24 +358,24 @@ def parse_smiles(text: str) -> MolGraph:
     if not text:
         raise SmilesSyntaxError("empty SMILES")
     builder = _tokenize_and_build(text)
-    _normalize_nitro(builder)
+    g = MolGraph(atoms=builder.atoms, bonds=builder.bonds)
+    _normalize_nitro(g)
 
-    mark_ring_bonds(len(builder.atoms), builder.bonds)
+    # The SSSR edges are exactly the bonds that lie on a cycle (see rings).
+    # Ring aromatic flags read only ring bonds, which are never demoted
+    # below, and depend on notation, not on kekulization.
+    g.rings = sssr_rings(g)
+    for ring in g.rings:
+        for a, b in zip(ring.atoms, ring.atoms[1:] + ring.atoms[:1]):
+            g.bond_between(a, b).in_ring = True
     for idx in builder.default_aromatic:
-        bond = builder.bonds[idx]
+        bond = g.bonds[idx]
         if not bond.in_ring:
             bond.order = "single"
 
-    provisional = MolGraph(atoms=builder.atoms, bonds=builder.bonds)
-    rings = sssr_rings(provisional)
-    _kekulize(builder, rings)
-    _assign_hydrogens(builder)
-
-    graph = MolGraph(atoms=builder.atoms, bonds=builder.bonds)
-    # Ring aromatic flags depend only on notation, not on kekulization,
-    # so the pre-kekulization perception stays valid.
-    graph.rings = rings
-    return graph
+    _kekulize(g, builder.explicit_h)
+    _assign_hydrogens(g, builder.explicit_h)
+    return g
 
 
 def _closure_token(number: int) -> str:

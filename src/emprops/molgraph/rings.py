@@ -1,33 +1,24 @@
-"""Smallest set of smallest rings.
+"""Smallest set of smallest rings, and the ring bonds.
 
-Horton-style minimum cycle basis: collect candidate cycles built from
-shortest paths, then greedily keep cycles whose edge sets are independent
-over GF(2) until the cyclomatic number is reached. Molecular graphs are
-tiny, so the O(V * E) candidate sweep is perfectly affordable.
+Horton-style minimum cycle basis (Horton, SIAM J. Comput. 1987): collect
+candidate cycles built from shortest paths, then greedily keep cycles whose
+edge sets are independent over GF(2) until the cyclomatic number is
+reached. Molecular graphs are tiny, so the O(V * E) candidate sweep is
+perfectly affordable.
+
+The shortest paths are BFS-tree paths over the graph's neighbour list, so
+the candidate order, and with it the choice among equally small rings and
+their order, follows the neighbour-list (bond-index) order.
+
+A bond lies on some cycle exactly when some SSSR ring contains it: every
+cycle is a GF(2) sum of basis cycles, so an edge that no basis cycle holds
+lies on no cycle. The parser therefore sets Bond.in_ring from the edges of
+these rings instead of searching for bridges separately.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
-from emprops.molgraph.graph import Bond, MolGraph, Ring
-
-
-def _shortest_path_tree(adj: list[list[tuple[int, int]]], root: int) -> tuple[list[int], list[int]]:
-    """BFS parents and distances from root; parent of unreachable atoms is -1."""
-    n = len(adj)
-    parent = [-1] * n
-    dist = [-1] * n
-    dist[root] = 0
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v, _ in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                parent[v] = u
-                queue.append(v)
-    return parent, dist
+from emprops.molgraph.graph import MolGraph, Ring, bfs
 
 
 def _path_to_root(parent: list[int], node: int) -> list[int]:
@@ -40,16 +31,10 @@ def _path_to_root(parent: list[int], node: int) -> list[int]:
 def _candidate_cycles(g: MolGraph) -> list[tuple[int, ...]]:
     """Candidate rings: for every root r and edge (x, y), the cycle formed by
     the shortest paths r->x, r->y plus the edge, when those paths only share r."""
-    n = len(g.atoms)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for bidx, bond in enumerate(g.bonds):
-        adj[bond.i].append((bond.j, bidx))
-        adj[bond.j].append((bond.i, bidx))
-
     seen: set[frozenset[int]] = set()
     cycles: list[tuple[int, ...]] = []
-    for root in range(n):
-        parent, dist = _shortest_path_tree(adj, root)
+    for root in range(len(g.atoms)):
+        parent, dist = bfs(g, root)
         for bond in g.bonds:
             x, y = bond.i, bond.j
             if dist[x] < 0 or dist[y] < 0:
@@ -122,33 +107,3 @@ def _classify(g: MolGraph, cycle: tuple[int, ...]) -> Ring:
 def sssr_rings(g: MolGraph) -> list[Ring]:
     """SSSR with aromatic and hetero flags; empty for acyclic molecules."""
     return [_classify(g, cycle) for cycle in sssr_atom_cycles(g)]
-
-
-def mark_ring_bonds(atoms_count: int, bonds: list[Bond]) -> None:
-    """Set in_ring on every bond that lies on some cycle (i.e. is not a bridge).
-
-    A bond is a bridge when removing it disconnects its endpoints; this is
-    independent of which SSSR was selected.
-    """
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(atoms_count)]
-    for bidx, bond in enumerate(bonds):
-        adj[bond.i].append((bond.j, bidx))
-        adj[bond.j].append((bond.i, bidx))
-
-    for bidx, bond in enumerate(bonds):
-        # BFS from bond.i to bond.j avoiding this bond.
-        seen = [False] * atoms_count
-        seen[bond.i] = True
-        queue = deque([bond.i])
-        reachable = False
-        while queue and not reachable:
-            u = queue.popleft()
-            for v, eidx in adj[u]:
-                if eidx == bidx or seen[v]:
-                    continue
-                if v == bond.j:
-                    reachable = True
-                    break
-                seen[v] = True
-                queue.append(v)
-        bond.in_ring = reachable

@@ -325,6 +325,11 @@ class GridSpec:
     l2_penalty: tuple[float, ...] = (0.0,)
 
     def cells(self, selector_dim: int) -> list[dict]:
+        for sel_raw in self.selector_layer_index:
+            if sel_raw not in ("last", "second_to_last") and (
+                    not isinstance(sel_raw, int) or isinstance(sel_raw, bool)):
+                raise InvalidConfig(f"selector_layer_index {sel_raw!r} is neither an integer "
+                                    "nor 'last' or 'second_to_last'")
         out: list[dict] = []
         seen = set()
         for hidden, sel_raw, lr, batch, l2 in itertools.product(
@@ -339,7 +344,7 @@ class GridSpec:
             elif sel_raw == "second_to_last":
                 sel_index = max(1, len(hidden) - 1)
             else:
-                sel_index = int(sel_raw)
+                sel_index = sel_raw
                 if not 1 <= sel_index <= len(hidden):
                     continue
             cell = {
@@ -357,13 +362,10 @@ class GridSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "GridSpec":
-        kwargs = {}
-        if "hidden_sizes" in data:
-            kwargs["hidden_sizes"] = tuple(tuple(h) for h in data["hidden_sizes"])
-        for axis in ("selector_layer_index", "learning_rate", "batch_size", "l2_penalty"):
-            if axis in data:
-                kwargs[axis] = tuple(data[axis])
-        return cls(**kwargs)
+        axes = ds.grid_axes(cls, data)
+        if "hidden_sizes" in axes:
+            axes["hidden_sizes"] = tuple(tuple(h) for h in axes["hidden_sizes"])
+        return cls(**axes)
 
 
 def _channel_mean_rmse(pred: np.ndarray, actual: np.ndarray, channel_idx: np.ndarray,

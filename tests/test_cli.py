@@ -393,6 +393,13 @@ GRID_ERRORS = {
     "min-samples-leaf-float": '{"forest": {"min_samples_leaf": [1.5]}}',
     "max-features-zero": '{"forest": {"max_features": [null, 0]}}',
     "patience-above-max-epochs": '{"train": {"max_epochs": 5, "patience": 6}}',
+    "selector-layer-float": '{"mtnn": {"selector_layer_index": [1.5]}}',
+    "selector-layer-string-digit": '{"mtnn": {"selector_layer_index": ["2"]}}',
+    "unknown-section": '{"mtn": {"hidden_sizes": [[8]]}}',
+    "unknown-forest-axis": '{"forest": {"n_tree": [5]}}',
+    "unknown-mtnn-axis": '{"mtnn": {"hidden_size": [[8]]}}',
+    "top-level-not-object": '[{"mtnn": {}}]',
+    "section-not-object": '{"forest": [5]}',
 }
 
 
