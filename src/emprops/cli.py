@@ -98,12 +98,21 @@ def _load_grids(path: str | None):
 
 def _check_cells(mt_grid: mtnn.GridSpec, forest_grid: evaluation.ForestGridSpec,
                  base_train: mtnn.TrainConfig) -> None:
-    """Build the configs of every cell, so that a bad axis value fails when
-    the grid is loaded rather than in the middle of a fit."""
+    """Build the configs of every cell, so that a bad axis value or a grid
+    with no cell fails when the grid is loaded rather than after the data
+    are featurized or in the middle of a fit."""
     for selector_dim in (0, 2):  # single- and multi-channel cells resolve apart
-        for cell in mt_grid.cells(selector_dim):
+        cells = mt_grid.cells(selector_dim)
+        if not cells:
+            kind = "multi-channel" if selector_dim else "single-channel"
+            raise InvalidConfig(f"the mtnn grid has no {kind} cell (an empty axis, or no "
+                                "selector_layer_index within the depth of any hidden_sizes)")
+        for cell in cells:
             mtnn.cell_configs(cell, 1, selector_dim, base_train)
-    for cell in forest_grid.cells():
+    forest_cells = forest_grid.cells()
+    if not forest_cells:
+        raise InvalidConfig("the forest grid has no cell (an empty axis)")
+    for cell in forest_cells:
         rf.ForestConfig(**cell)
 
 

@@ -245,6 +245,12 @@ def estate_vector(g: MolGraph) -> dict[str, float]:
     I = ((2/N)^2 * delta_v + 1) / delta with N the principal quantum
     number, perturbation sum over (I_i - I_j) / (d_ij + 1)^2. An isolated
     heavy atom (delta = 0) contributes S = 0 by convention.
+
+    Every sum is math.fsum, which returns the exact sum correctly rounded,
+    so the result does not depend on the order of the terms: values are
+    bit-identical across atom numberings without sorting the terms. The
+    perturbation runs over the atoms one BFS from i reaches, i excluded,
+    which leaves out unreachable and isolated atoms.
     """
     n = len(g.atoms)
     intrinsic = [0.0] * n
@@ -256,25 +262,17 @@ def estate_vector(g: MolGraph) -> dict[str, float]:
         scale = (2.0 / PRINCIPAL_QUANTUM[atom.element]) ** 2
         intrinsic[atom.index] = (scale * delta_v + 1.0) / delta
 
-    # Sorted summations keep results bit-identical across different atom
-    # numberings of the same molecule.
     per_element: dict[str, list[float]] = {"C": [], "N": [], "O": [], "F": [], "Cl": []}
     for atom in g.atoms:
         i = atom.index
         if g.heavy_degree(i) == 0:
             continue
-        terms: list[float] = []
-        dist = bfs(g, i)[1]
-        for j in range(n):
-            if j == i or dist[j] < 0 or g.heavy_degree(j) == 0:
-                continue
-            terms.append((intrinsic[i] - intrinsic[j]) / (dist[j] + 1.0) ** 2)
-        perturbation = math.fsum(sorted(terms))
-        per_element[atom.element].append(intrinsic[i] + perturbation)
-    return {
-        f"estate_{element}": math.fsum(sorted(values))
-        for element, values in per_element.items()
-    }
+        order, _, dist = bfs(g, i)
+        own = intrinsic[i]
+        perturbation = math.fsum([(own - intrinsic[j]) / (dist[j] + 1.0) ** 2
+                                  for j in order[1:]])
+        per_element[atom.element].append(own + perturbation)
+    return {f"estate_{element}": math.fsum(values) for element, values in per_element.items()}
 
 
 def vdw_volume(g: MolGraph) -> float:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 BOND_ORDERS = ("single", "double", "triple", "aromatic")
@@ -84,7 +83,7 @@ class MolGraph:
         out: list[list[int]] = []
         for start in range(len(self.atoms)):
             if not seen[start]:
-                comp = [i for i, d in enumerate(bfs(self, start)[1]) if d >= 0]
+                comp = sorted(bfs(self, start)[0])
                 for i in comp:
                     seen[i] = True
                 out.append(comp)
@@ -127,23 +126,25 @@ def molecular_formula(g: MolGraph) -> ElementCounts:
     )
 
 
-def bfs(g: MolGraph, root: int) -> tuple[list[int], list[int]]:
+def bfs(g: MolGraph, root: int) -> tuple[list[int], list[int], list[int]]:
     """Breadth-first search over the heavy-atom graph from root.
 
-    Returns (parent, dist): the BFS-tree parent of each atom (-1 for the
-    root and unreachable atoms) and its distance (-1 when unreachable).
-    Neighbours are visited in neighbour-list order, so parents are
-    deterministic.
+    Returns (order, parent, dist): the atoms reached, root first, in visit
+    order; the BFS-tree parent of each atom (-1 for the root and unreachable
+    atoms); and its distance (-1 when unreachable). Neighbours are visited in
+    neighbour-list order, so order and parents are deterministic. The order
+    list is the queue itself: iterating it while appending visits each
+    reached atom once.
     """
     parent = [-1] * len(g.atoms)
     dist = [-1] * len(g.atoms)
     dist[root] = 0
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
+    order = [root]
+    for u in order:
+        d = dist[u] + 1
         for v, _ in g._neighbors[u]:
             if dist[v] < 0:
-                dist[v] = dist[u] + 1
+                dist[v] = d
                 parent[v] = u
-                queue.append(v)
-    return parent, dist
+                order.append(v)
+    return order, parent, dist

@@ -7,11 +7,27 @@ touch (e.g. N-oxide versus nitro). Matching is a plain backtracking
 subgraph embedding; embeddings are deduplicated by the set of molecule
 atoms they cover, which collapses automorphic repeats such as the two
 oxygens of a nitro group.
+
+Each pattern's visit plan is built once and cached. The plan is a tuple of
+steps in breadth-first order over the pattern from its atom 0; step k is
+(pattern atom, anchor, anchor bond, closures):
+
+- anchor is the index of the earlier step whose molecule atom the new atom
+  must neighbour, with anchor bond the pattern bond between them; the
+  first step has neither and tries every molecule atom;
+- closures holds (earlier step, pattern bond) for every other pattern bond
+  from this atom back to an atom placed before it: the ring-closure bonds.
+
+Backtracking takes candidates from the anchor atom's (neighbour, bond)
+pairs, so the anchor bond is checked on the bond at hand, and looks up only
+the closure bonds in the molecule. Each pattern bond is thereby checked
+exactly once, when its later end is placed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from emprops.molgraph.graph import Bond, MolGraph
 
@@ -65,29 +81,42 @@ def _bond_ok(bond: Bond, pbond: PatternBond) -> bool:
     return pbond.order is None or bond.order == pbond.order
 
 
-def _match_order(pattern: SubstructurePattern) -> list[tuple[int, int | None, PatternBond | None]]:
-    """Visit order for pattern atoms: each entry is (atom, anchor, anchor bond).
+def _closure_ok(g: MolGraph, a: int, b: int, pbond: PatternBond) -> bool:
+    bond = g.bond_between(a, b)
+    return bond is not None and _bond_ok(bond, pbond)
 
-    The first atom has no anchor; every later atom must connect to an
-    already-visited one (patterns are connected by contract).
+
+PlanStep = tuple[PatternAtom, int | None, PatternBond | None, tuple[tuple[int, PatternBond], ...]]
+
+
+@cache
+def _plan(pattern: SubstructurePattern) -> tuple[PlanStep, ...]:
+    """The visit plan of a pattern (see the module docstring).
+
+    Every atom after the first must connect to an already-placed one
+    (patterns are connected by contract).
     """
-    adjacency: dict[int, list[tuple[int, PatternBond]]] = {i: [] for i in range(len(pattern.atoms))}
+    adjacency: list[list[tuple[int, PatternBond]]] = [[] for _ in pattern.atoms]
     for pb in pattern.bonds:
         adjacency[pb.i].append((pb.j, pb))
         adjacency[pb.j].append((pb.i, pb))
-    order: list[tuple[int, int | None, PatternBond | None]] = [(0, None, None)]
-    placed = {0}
-    frontier = [0]
-    while frontier:
-        u = frontier.pop(0)
-        for v, pb in adjacency[u]:
-            if v not in placed:
-                placed.add(v)
-                order.append((v, u, pb))
-                frontier.append(v)
-    if len(placed) != len(pattern.atoms):
+    step_of = {0: 0}
+    visit: list[tuple[int, int | None, PatternBond | None]] = [(0, None, None)]
+    for atom, _, _ in visit:  # grows while iterated: a breadth-first queue
+        for other, pb in adjacency[atom]:
+            if other not in step_of:
+                step_of[other] = len(visit)
+                visit.append((other, step_of[atom], pb))
+    if len(visit) != len(pattern.atoms):
         raise ValueError(f"pattern {pattern.name!r} is not connected")
-    return order
+    plan: list[PlanStep] = []
+    for step, (atom, anchor, anchor_bond) in enumerate(visit):
+        closures = tuple(
+            (step_of[other], pb) for other, pb in adjacency[atom]
+            if pb is not anchor_bond and step_of[other] < step
+        )
+        plan.append((pattern.atoms[atom], anchor, anchor_bond, closures))
+    return tuple(plan)
 
 
 def match_pattern(g: MolGraph, pattern: SubstructurePattern) -> int:
@@ -97,40 +126,32 @@ def match_pattern(g: MolGraph, pattern: SubstructurePattern) -> int:
 
 def match_atom_sets(g: MolGraph, pattern: SubstructurePattern) -> set[frozenset[int]]:
     """Distinct matched atom-index sets for a pattern."""
-    order = _match_order(pattern)
+    plan = _plan(pattern)
     found: set[frozenset[int]] = set()
-    assignment: dict[int, int] = {}
-
-    def constraints_hold() -> bool:
-        # every pattern bond whose endpoints are both assigned must exist
-        for pb in pattern.bonds:
-            a = assignment.get(pb.i)
-            b = assignment.get(pb.j)
-            if a is None or b is None:
-                continue
-            bond = g.bond_between(a, b)
-            if bond is None or not _bond_ok(bond, pb):
-                return False
-        return True
+    assignment: list[int] = []  # molecule atom of each placed step
 
     def backtrack(step: int) -> None:
-        if step == len(order):
-            found.add(frozenset(assignment.values()))
+        if step == len(plan):
+            found.add(frozenset(assignment))
             return
-        pidx, anchor, _ = order[step]
+        patom, anchor, anchor_bond, closures = plan[step]
         if anchor is None:
-            candidates = range(len(g.atoms))
+            candidates = [(midx, None) for midx in range(len(g.atoms))]
         else:
-            candidates = [nbr for nbr, _ in g.neighbors(assignment[anchor])]
-        for midx in candidates:
-            if midx in assignment.values():
+            candidates = g.neighbors(assignment[anchor])
+        for midx, bond in candidates:
+            if midx in assignment:
                 continue
-            if not _atom_ok(g, midx, pattern.atoms[pidx]):
+            if bond is not None and not _bond_ok(bond, anchor_bond):
                 continue
-            assignment[pidx] = midx
-            if constraints_hold():
-                backtrack(step + 1)
-            del assignment[pidx]
+            if not _atom_ok(g, midx, patom):
+                continue
+            if closures and not all(
+                    _closure_ok(g, assignment[earlier], midx, pb) for earlier, pb in closures):
+                continue
+            assignment.append(midx)
+            backtrack(step + 1)
+            assignment.pop()
 
     backtrack(0)
     return found

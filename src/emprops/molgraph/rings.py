@@ -3,8 +3,23 @@
 Horton-style minimum cycle basis (Horton, SIAM J. Comput. 1987): collect
 candidate cycles built from shortest paths, then greedily keep cycles whose
 edge sets are independent over GF(2) until the cyclomatic number is
-reached. Molecular graphs are tiny, so the O(V * E) candidate sweep is
-perfectly affordable.
+reached.
+
+Candidates come from the graph's 2-core only: the atoms left after
+repeatedly removing atoms of degree <= 1 (Vismara 1997 restricts the
+relevant cycles to the 2-connected parts). A pruned atom lies on no cycle,
+so a root outside the core, or a bond with a pruned end, never closes a
+candidate: every tree path from such a root runs through the one core atom
+its pendant tree hangs from, and a pendant bond is a tree edge. Roots and
+bonds keep their order and the BFS still runs over the whole graph, so the
+candidate list is that of the full sweep, order included.
+
+For each root, every atom is labelled with its branch: the child of the
+root that its tree path descends from. The tree paths from two atoms meet
+below the root exactly when the atoms share a branch, so a bond (x, y)
+closes a candidate exactly when x and y lie on different branches and
+neither is the root (a bond at the root is a tree edge). Paths are walked
+only for bonds that pass this test.
 
 The shortest paths are BFS-tree paths over the graph's neighbour list, so
 the candidate order, and with it the choice among equally small rings and
@@ -21,35 +36,52 @@ from __future__ import annotations
 from emprops.molgraph.graph import MolGraph, Ring, bfs
 
 
-def _path_to_root(parent: list[int], node: int) -> list[int]:
-    path = [node]
-    while parent[path[-1]] >= 0:
-        path.append(parent[path[-1]])
-    return path
+def _ring_core(g: MolGraph) -> list[bool]:
+    """in_core[i]: atom i survives repeated pruning of atoms of degree <= 1."""
+    degree = [g.heavy_degree(i) for i in range(len(g.atoms))]
+    in_core = [True] * len(g.atoms)
+    leaves = [i for i, d in enumerate(degree) if d <= 1]
+    while leaves:
+        u = leaves.pop()
+        in_core[u] = False
+        for v, _ in g.neighbors(u):
+            if in_core[v]:
+                degree[v] -= 1
+                if degree[v] == 1:
+                    leaves.append(v)
+    return in_core
 
 
 def _candidate_cycles(g: MolGraph) -> list[tuple[int, ...]]:
-    """Candidate rings: for every root r and edge (x, y), the cycle formed by
-    the shortest paths r->x, r->y plus the edge, when those paths only share r."""
+    """Candidate rings: for every core root r and core bond (x, y), the cycle
+    formed by the tree paths r->x, r->y plus the bond, when those paths only
+    share r."""
+    in_core = _ring_core(g)
+    bonds = [(b.i, b.j) for b in g.bonds if in_core[b.i] and in_core[b.j]]
     seen: set[frozenset[int]] = set()
     cycles: list[tuple[int, ...]] = []
     for root in range(len(g.atoms)):
-        parent, dist = bfs(g, root)
-        for bond in g.bonds:
-            x, y = bond.i, bond.j
-            if dist[x] < 0 or dist[y] < 0:
+        if not in_core[root]:
+            continue
+        order, parent, _ = bfs(g, root)
+        branch = [-1] * len(g.atoms)  # unreached atoms share -1: their bonds fail the test
+        for v in order[1:]:
+            p = parent[v]
+            branch[v] = v if p == root else branch[p]
+        for x, y in bonds:
+            if branch[x] == branch[y] or root in (x, y):
                 continue
-            px = _path_to_root(parent, x)
-            py = _path_to_root(parent, y)
-            if set(px) & set(py) != {root}:
-                continue
-            cycle = tuple(px + py[::-1][1:])  # x..root..y, closed by (x, y)
-            if len(cycle) < 3:
-                continue
+            cycle = [x]
+            while cycle[-1] != root:
+                cycle.append(parent[cycle[-1]])
+            tail = [y]
+            while parent[tail[-1]] != root:
+                tail.append(parent[tail[-1]])
+            cycle.extend(reversed(tail))  # x..root..y, closed by (x, y)
             key = frozenset(cycle)
-            if len(key) == len(cycle) and key not in seen:
+            if key not in seen:
                 seen.add(key)
-                cycles.append(cycle)
+                cycles.append(tuple(cycle))
     return cycles
 
 

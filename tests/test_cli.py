@@ -400,6 +400,9 @@ GRID_ERRORS = {
     "unknown-mtnn-axis": '{"mtnn": {"hidden_size": [[8]]}}',
     "top-level-not-object": '[{"mtnn": {}}]',
     "section-not-object": '{"forest": [5]}',
+    "selector-layer-beyond-depth": '{"mtnn": {"hidden_sizes": [[8]], "selector_layer_index": [5]}}',
+    "mtnn-axis-empty": '{"mtnn": {"learning_rate": []}}',
+    "forest-axis-empty": '{"forest": {"n_trees": []}}',
 }
 
 
