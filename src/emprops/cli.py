@@ -18,7 +18,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -26,7 +25,7 @@ import numpy as np
 
 import emprops
 from emprops import dataset as ds
-from emprops import descriptors, evaluation, forest as rf, mtnn, pipeline
+from emprops import descriptors, evaluation, pipeline
 from emprops.errors import (
     InvalidConfig,
     MissingDensity,
@@ -65,55 +64,6 @@ def _parse_subset(text: str) -> int:
         return int(text)
     except ValueError:
         raise InvalidConfig(f"subset must be 1..6 or 'all', got {text!r}")
-
-
-def _load_grids(path: str | None):
-    mt_grid = mtnn.GridSpec()
-    forest_grid = evaluation.ForestGridSpec()
-    base_train = mtnn.TrainConfig()
-    if not path:
-        return mt_grid, forest_grid, base_train
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise InvalidConfig("the top level must be a JSON object")
-        unknown = set(data) - {"mtnn", "forest", "train"}
-        if unknown:
-            raise InvalidConfig(f"unknown grid sections: {sorted(unknown)}")
-        if "mtnn" in data:
-            mt_grid = mtnn.GridSpec.from_json(data["mtnn"])
-        if "forest" in data:
-            forest_grid = evaluation.ForestGridSpec.from_json(data["forest"])
-        if "train" in data:
-            allowed = {"learning_rate", "batch_size", "max_epochs", "patience", "seed"}
-            unknown = set(data["train"]) - allowed
-            if unknown:
-                raise InvalidConfig(f"unknown train settings: {sorted(unknown)}")
-            base_train = replace(base_train, **data["train"])
-        _check_cells(mt_grid, forest_grid, base_train)
-    except (ValueError, TypeError, AttributeError, InvalidConfig) as exc:  # bad JSON or value
-        raise InvalidConfig(f"grid file {path}: {exc}") from exc
-    return mt_grid, forest_grid, base_train
-
-
-def _check_cells(mt_grid: mtnn.GridSpec, forest_grid: evaluation.ForestGridSpec,
-                 base_train: mtnn.TrainConfig) -> None:
-    """Build the configs of every cell, so that a bad axis value or a grid
-    with no cell fails when the grid is loaded rather than after the data
-    are featurized or in the middle of a fit."""
-    for selector_dim in (0, 2):  # single- and multi-channel cells resolve apart
-        cells = mt_grid.cells(selector_dim)
-        if not cells:
-            kind = "multi-channel" if selector_dim else "single-channel"
-            raise InvalidConfig(f"the mtnn grid has no {kind} cell (an empty axis, or no "
-                                "selector_layer_index within the depth of any hidden_sizes)")
-        for cell in cells:
-            mtnn.cell_configs(cell, 1, selector_dim, base_train)
-    forest_cells = forest_grid.cells()
-    if not forest_cells:
-        raise InvalidConfig("the forest grid has no cell (an empty axis)")
-    for cell in forest_cells:
-        rf.ForestConfig(**cell)
 
 
 def _write_manifest(out_dir: Path, command: str, options: dict, inputs: dict,
@@ -225,11 +175,10 @@ def cmd_tune(args) -> int:
     started = time.monotonic()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    mt_grid, forest_grid, base_train = _load_grids(args.grid)
+    grids = evaluation.Grids.load(args.grid)
     subset_id, schema, design = _prepare_design(args)
 
-    result = evaluation.select_cell(args.family, design, mt_grid, forest_grid, base_train,
-                                    args.folds, args.seed)
+    result = evaluation.select_cell(args.family, design, grids, args.folds, args.seed)
     winner = {**{k: list(v) if isinstance(v, tuple) else v
                  for k, v in result.best_cell.items()},
               "mean_val_rmse": result.best_score}
@@ -260,12 +209,12 @@ def cmd_train(args) -> int:
     started = time.monotonic()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    mt_grid, forest_grid, base_train = _load_grids(args.grid)
+    grids = evaluation.Grids.load(args.grid)
     subset_id, schema, design = _prepare_design(args)
 
     all_rows = np.ones(len(design.targets), dtype=bool)
-    bundle = evaluation.fit_selected(args.family, design, schema, all_rows, mt_grid, forest_grid,
-                                     base_train, args.folds, args.seed, derive_seed(args.seed, 5))
+    bundle = evaluation.fit_selected(args.family, design, schema, all_rows, grids, args.folds,
+                                     args.seed, derive_seed(args.seed, 5))
     model_path = out_dir / ("model.emrf" if bundle.kind == "forest" else "model.emmt")
     pipeline.save_model(model_path, bundle)
     _write_manifest(out_dir, "train", _options(args), {"data": args.data, "grid": args.grid,
@@ -282,7 +231,7 @@ def cmd_evaluate(args) -> int:
     data = ds.load_records(args.data, registry, dedupe=args.dedupe)
     subset_id = _parse_subset(args.subset)
     seeds = _parse_seeds(args.seeds)
-    mt_grid, forest_grid, base_train = _load_grids(args.grid)
+    grids = evaluation.Grids.load(args.grid)
     families = [f.strip() for f in args.models.split(",") if f.strip()]
     for family in families:
         if family not in evaluation.MODEL_FAMILIES:
@@ -293,47 +242,17 @@ def cmd_evaluate(args) -> int:
         reports.append(
             evaluation.run_protocol(
                 family, data, subset_id, args.density, seeds=seeds, k=args.folds,
-                grid=mt_grid, forest_grid=forest_grid, base_train=base_train,
-                inner_k=args.inner_folds,
+                grids=grids, inner_k=args.inner_folds,
             )
         )
-    artifacts = evaluation.report_table(reports)
-    for name, text in artifacts.items():
+    for name, text in evaluation.report_table(reports).items():
         (out_dir / name).write_text(text, encoding="utf-8")
-
-    log_h50_key = "impact_h50:exp"
-    if any(log_h50_key in report.channels for report in reports):
-        table2 = _log_h50_table(reports, log_h50_key)
-        (out_dir / "table2_log_h50.md").write_text(table2, encoding="utf-8")
 
     _write_manifest(out_dir, "evaluate", _options(args), {"data": args.data,
                     "grid": args.grid, "registry": args.registry}, None, started)
     print(f"evaluated {','.join(families)} on subset {subset_id} "
           f"({len(seeds)} seeds x {args.folds} folds) -> {out_dir}")
     return 0
-
-
-def _log_h50_table(reports, key: str) -> str:
-    lines = [
-        "# Predictive accuracy on experimental log(h50)",
-        "",
-        "| Model | Test RMSE | Test R² |",
-        "| --- | --- | --- |",
-    ]
-    rows = []
-    for report in reports:
-        metrics = report.channels.get(key)
-        if metrics is None:
-            continue
-        rmse_mean, rmse_std, _ = metrics.rmse_mean_std
-        r2_mean, r2_std, _ = metrics.r2_mean_std
-        rows.append((rmse_mean, report.model_id,
-                     evaluation.format_mean_std(rmse_mean, rmse_std),
-                     evaluation.format_mean_std(r2_mean, r2_std)))
-    rows.sort(key=lambda row: (float("inf") if row[0] != row[0] else row[0], row[1]))
-    for _, model_id, rmse_text, r2_text in rows:
-        lines.append(f"| {model_id} | {rmse_text} | {r2_text} |")
-    return "\n".join(lines) + "\n"
 
 
 def cmd_predict(args) -> int:

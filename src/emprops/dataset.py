@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -329,19 +329,6 @@ def kfold_by_material(material_ids: list[str], k: int, seed: int) -> SplitPlan:
     rng.shuffle(ids)
     assignment = {material: position % k for position, material in enumerate(ids)}
     return SplitPlan(seed=seed, k=k, assignment=assignment)
-
-
-def grid_axes(spec_cls: type, data: dict) -> dict[str, tuple]:
-    """The axes of one grid-file section as tuples, keyed by the fields of
-    the grid dataclass spec_cls; a section that is not an object or names an
-    unknown axis is an InvalidConfig."""
-    if not isinstance(data, dict):
-        raise InvalidConfig(f"a grid section must be a JSON object, not {data!r}")
-    names = [f.name for f in fields(spec_cls)]
-    unknown = sorted(set(data) - set(names))
-    if unknown:
-        raise InvalidConfig(f"unknown grid axes {unknown}; known axes are {names}")
-    return {name: tuple(data[name]) for name in names if name in data}
 
 
 @dataclass

@@ -461,34 +461,18 @@ def fit_schema(corpus: list[MolGraph], include_density: bool) -> FeatureSchema:
 
 def _fixed_block(g: MolGraph) -> list[float]:
     counts = molecular_formula(g)
-    values = [oxygen_balance(counts), gas_product_ratio(counts)]
-    atom_feats = atom_count_features(counts)
-    values += [atom_feats["n_to_c_ratio"], atom_feats["hydrogen_count"], atom_feats["fluorine_count"]]
-    groups = functional_group_counts(g)
-    values += [float(groups[name]) for name in FUNCTIONAL_GROUPS]
-    ring_feats = ring_count_features(g)
-    values += [float(ring_feats[f"ring_size_{size}"]) for size in RING_SIZES]
-    values += [
-        float(ring_feats["rings_aromatic"]),
-        float(ring_feats["rings_aliphatic"]),
-        float(ring_feats["rings_hetero"]),
-    ]
-    topo = topology_features(g)
-    values += [
-        topo["rotatable_bonds"],
-        topo["aromatic_atoms"],
-        topo["aromatic_bonds"],
-        topo["hbond_donors"],
-        topo["hbond_acceptors"],
-        topo["bond_polarity_sum"],
-    ]
-    estate = estate_vector(g)
-    values += [estate["estate_C"], estate["estate_N"], estate["estate_O"],
-               estate["estate_F"], estate["estate_Cl"]]
-    values.append(vdw_volume(g))
-    acid_base = acid_base_counts(g)
-    values += [float(acid_base["acidic_groups"]), float(acid_base["basic_groups"])]
-    return values
+    values = {
+        "oxygen_balance_100": oxygen_balance(counts),
+        "gas_product_ratio": gas_product_ratio(counts),
+        **atom_count_features(counts),
+        **{f"fg_{name}": count for name, count in functional_group_counts(g).items()},
+        **ring_count_features(g),
+        **topology_features(g),
+        **estate_vector(g),
+        "vdw_volume": vdw_volume(g),
+        **acid_base_counts(g),
+    }
+    return [float(values[name]) for name in FIXED_BLOCK_NAMES]
 
 
 def featurize(g: MolGraph, schema: FeatureSchema, density: float | None = None) -> np.ndarray:

@@ -93,10 +93,6 @@ class NonFiniteLoss(ToolkitError):
     pass
 
 
-class SchemaMismatch(ToolkitError):
-    pass
-
-
 class VersionMismatch(ToolkitError):
     pass
 

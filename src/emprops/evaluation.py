@@ -14,19 +14,26 @@ network, single- or multi-task, through mtnn.fit_network), and
 pipeline.predict_rows predicts. fit_selected refits a one-cell grid
 without inner CV, since selection could only return that cell; tune
 always runs select_cell, because its score table is its output.
+
+Grids is everything a grid file sets (the network grid, the forest grid
+and the base training settings), passed as one value from the file to
+the fit; Grids.load is the one reader of the grid-file format.
 """
 
 from __future__ import annotations
 
-import math
 import itertools
-from dataclasses import dataclass, field, replace
+import json
+import math
+from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 
 import numpy as np
 
 from emprops import dataset as ds
 from emprops import descriptors, forest as rf, mtnn, pipeline
 from emprops.errors import ConstantTargets, InvalidConfig, LengthMismatch
+from emprops.mtnn import GridSpec, TrainConfig
 from emprops.rng import derive_seed
 
 DEFAULT_SEEDS = (1, 2, 3)
@@ -93,6 +100,112 @@ class ProtocolReport:
         return self.channels.setdefault(channel_key, ChannelMetrics())
 
 
+# ---------------------------------------------------------------------------
+# Hyperparameter grids and the grid file
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ForestGridSpec:
+    n_trees: tuple[int, ...] = (100,)
+    max_depth: tuple[int, ...] = (12,)
+    min_samples_leaf: tuple[int, ...] = (1, 3)
+    max_features: tuple = (None,)  # None resolves to ceil(d / 3)
+
+    def cells(self) -> list[dict]:
+        return [
+            {
+                "n_trees": t,
+                "max_depth": d,
+                "min_samples_leaf": leaf,
+                "max_features": mf,
+            }
+            for t, d, leaf, mf in itertools.product(
+                self.n_trees, self.max_depth, self.min_samples_leaf, self.max_features
+            )
+        ]
+
+
+@dataclass(frozen=True)
+class Grids:
+    """The network grid, the forest grid and the base training settings of
+    every network cell. Building one checks every cell, so a bad value or a
+    grid without a cell fails when the grid file is loaded rather than
+    after the data are featurized or in the middle of a fit."""
+
+    mtnn: GridSpec = GridSpec()
+    forest: ForestGridSpec = ForestGridSpec()
+    train: TrainConfig = TrainConfig()
+
+    def __post_init__(self) -> None:
+        empty = [f"{name}.{axis.name}"
+                 for name, spec in (("mtnn", self.mtnn), ("forest", self.forest))
+                 for axis in fields(spec) if not getattr(spec, axis.name)]
+        if empty:
+            raise InvalidConfig(f"empty grid axes {empty}")
+        for sel in self.mtnn.selector_layer_index:
+            if sel in ("last", "second_to_last"):
+                continue
+            if not isinstance(sel, int) or isinstance(sel, bool):
+                raise InvalidConfig(f"selector_layer_index {sel!r} is neither an integer "
+                                    "nor 'last' or 'second_to_last'")
+            # a value that fits only some hidden_sizes entries pairs with those
+            if not any(1 <= sel <= len(hidden) for hidden in self.mtnn.hidden_sizes):
+                raise InvalidConfig(f"selector_layer_index {sel} is beyond the depth of "
+                                    "every hidden_sizes entry")
+        for selector_dim in (0, 2):  # single- and multi-channel cells resolve apart
+            for cell in self.mtnn.cells(selector_dim):
+                mtnn.cell_configs(cell, 1, selector_dim, self.train)
+        for cell in self.forest.cells():
+            rf.ForestConfig(**cell)
+
+    @classmethod
+    def load(cls, path: str | None) -> "Grids":
+        """The grids a grid JSON file sets, every section and key optional;
+        the defaults without a file. A file that is not JSON or holds an
+        unknown section or key or a bad value is InvalidConfig naming it."""
+        if not path:
+            return cls()
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            if not isinstance(data, dict):
+                raise InvalidConfig("the top level must be a JSON object")
+            unknown = sorted(set(data) - {"mtnn", "forest", "train"})
+            if unknown:
+                raise InvalidConfig(f"unknown grid sections: {unknown}")
+            network = {name: tuple(values) for name, values in _grid_section(
+                data, "mtnn", [axis.name for axis in fields(GridSpec)]).items()}
+            if "hidden_sizes" in network:
+                network["hidden_sizes"] = tuple(tuple(h) for h in network["hidden_sizes"])
+            forest = {name: tuple(values) for name, values in _grid_section(
+                data, "forest", [axis.name for axis in fields(ForestGridSpec)]).items()}
+            # learning_rate and batch_size are grid axes, and each fit derives its seed
+            train = _grid_section(data, "train", ["max_epochs", "patience"])
+            return cls(GridSpec(**network), ForestGridSpec(**forest), TrainConfig(**train))
+        except (ValueError, TypeError, InvalidConfig) as exc:  # bad JSON or value
+            raise InvalidConfig(f"grid file {path}: {exc}") from exc
+
+    def cells(self, family: str, design: ds.DesignMatrix) -> list[dict]:
+        """The cells select_cell chooses among for the family on the design."""
+        if family == "st-rf":
+            return self.forest.cells()
+        return mtnn.design_cells(self.mtnn, design)
+
+
+def _grid_section(data: dict, name: str, known: list[str]) -> dict:
+    """One section of a grid file: a JSON object with known keys only."""
+    section = data.get(name, {})
+    if not isinstance(section, dict):
+        raise InvalidConfig(f"the {name} section must be a JSON object, not {section!r}")
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise InvalidConfig(f"unknown {name} settings {unknown}; known are {known}")
+    return section
+
+
+# ---------------------------------------------------------------------------
+# The protocol: select, refit, predict
+# ---------------------------------------------------------------------------
+
 MODEL_FAMILIES = ("st-rf", "st-nn", "mt-nn")
 
 
@@ -106,10 +219,7 @@ def model_identifier(family: str, subset_id: int) -> str:
 
 def run_protocol(family: str, dataset: ds.Dataset, subset_id: int,
                  density_mode: bool, seeds=DEFAULT_SEEDS, k: int = DEFAULT_FOLDS,
-                 grid: mtnn.GridSpec | None = None,
-                 forest_grid: "ForestGridSpec | None" = None,
-                 base_train: mtnn.TrainConfig | None = None,
-                 inner_k: int = 5) -> ProtocolReport:
+                 grids: Grids = Grids(), inner_k: int = 5) -> ProtocolReport:
     """Full evaluation protocol for one model family.
 
     A unit is what one model is fitted to: the whole design for the
@@ -121,9 +231,6 @@ def run_protocol(family: str, dataset: ds.Dataset, subset_id: int,
     if family not in MODEL_FAMILIES:
         raise InvalidConfig(f"unknown model family {family!r}")
     _, schema, design = ds.build_design(dataset, subset_id, density_mode)
-    grid = grid or mtnn.GridSpec()
-    forest_grid = forest_grid or ForestGridSpec()
-    base_train = base_train or mtnn.TrainConfig()
     units = [design] if family == "mt-nn" else [
         single_channel_design(design, pos) for pos in range(len(design.registry))]
 
@@ -146,9 +253,8 @@ def run_protocol(family: str, dataset: ds.Dataset, subset_id: int,
                 pred = np.empty(0)
                 if np.any(test_rows):
                     unit_seed = fold_seed if family == "mt-nn" else derive_seed(fold_seed, pos + 17)
-                    bundle = fit_selected(family, unit, schema, train_rows, grid, forest_grid,
-                                          base_train, inner_k, unit_seed,
-                                          derive_seed(derive_seed(unit_seed, 3), 11))
+                    bundle = fit_selected(family, unit, schema, train_rows, grids, inner_k,
+                                          unit_seed, derive_seed(derive_seed(unit_seed, 3), 11))
                     pred = pipeline.predict_rows(bundle, unit.features[test_rows],
                                                  unit.channel_idx[test_rows])
                 _record_channel_metrics(report, unit.registry, pred, unit.targets[test_rows],
@@ -162,25 +268,17 @@ def single_channel_design(design: ds.DesignMatrix, channel_pos: int) -> ds.Desig
                    registry=ds.PropertyRegistry(channels=(design.registry.channels[channel_pos],)))
 
 
-def family_cells(family: str, design: ds.DesignMatrix, grid: mtnn.GridSpec,
-                 forest_grid: "ForestGridSpec") -> list[dict]:
-    """The cells select_cell chooses among for the family on the design."""
-    return forest_grid.cells() if family == "st-rf" else mtnn.design_cells(grid, design)
-
-
-def select_cell(family: str, design: ds.DesignMatrix, grid: mtnn.GridSpec,
-                forest_grid: "ForestGridSpec", base_train: mtnn.TrainConfig,
-                inner_k: int, seed: int) -> ds.GridResult:
+def select_cell(family: str, design: ds.DesignMatrix, grids: Grids, inner_k: int,
+                seed: int) -> ds.GridResult:
     """Inner-CV selection of the family's best cell on the design: the one
     place that chooses between the forest and the network grid search."""
     if family == "st-rf":
-        return forest_grid_search(forest_grid, design, inner_k=inner_k, seed=seed)
-    return mtnn.grid_search(grid, design, base_train, inner_k=inner_k, seed=seed)
+        return forest_grid_search(grids.forest, design, inner_k=inner_k, seed=seed)
+    return mtnn.grid_search(grids.mtnn, design, grids.train, inner_k=inner_k, seed=seed)
 
 
 def fit_selected(family: str, design: ds.DesignMatrix, schema: descriptors.FeatureSchema,
-                 train_rows: np.ndarray, grid: mtnn.GridSpec, forest_grid: "ForestGridSpec",
-                 base_train: mtnn.TrainConfig, inner_k: int, seed: int,
+                 train_rows: np.ndarray, grids: Grids, inner_k: int, seed: int,
                  train_seed: int) -> pipeline.ModelBundle:
     """Select a cell by inner CV on the train rows and refit it on all of
     them, seeded by derive_seed(seed, 3); a network's batch order is
@@ -188,19 +286,19 @@ def fit_selected(family: str, design: ds.DesignMatrix, schema: descriptors.Featu
     cell, which selection would return whatever the scores; inner_k must
     still be at least 2. Every command fits its models through here."""
     ds.check_fold_count(inner_k)
-    cells = family_cells(family, design, grid, forest_grid)
+    cells = grids.cells(family, design)
     if len(cells) == 1:
         cell = cells[0]
     else:
-        cell = select_cell(family, _restrict(design, train_rows), grid, forest_grid,
-                           base_train, inner_k, seed).best_cell
+        cell = select_cell(family, _restrict(design, train_rows), grids, inner_k,
+                           seed).best_cell
     refit_seed = derive_seed(seed, 3)
     if family == "st-rf":
         model = rf.fit_forest(design.features[train_rows], design.targets[train_rows],
                               rf.ForestConfig(seed=refit_seed, **cell))
         return pipeline.ModelBundle(kind="forest", registry=design.registry, schema=schema,
                                     forest=model)
-    standardizer, result = mtnn.fit_network(design, train_rows, cell, base_train,
+    standardizer, result = mtnn.fit_network(design, train_rows, cell, grids.train,
                                             refit_seed, train_seed)
     return pipeline.ModelBundle(kind="mtnn", registry=design.registry, schema=schema,
                                 net=result.net, standardizer=standardizer)
@@ -231,35 +329,6 @@ def _restrict(design: ds.DesignMatrix, rows: np.ndarray) -> ds.DesignMatrix:
         material_ids=[m for m, keep in zip(design.material_ids, rows) if keep],
         registry=design.registry,
     )
-
-
-# ---------------------------------------------------------------------------
-# Forest hyperparameter grid
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ForestGridSpec:
-    n_trees: tuple[int, ...] = (100,)
-    max_depth: tuple[int, ...] = (12,)
-    min_samples_leaf: tuple[int, ...] = (1, 3)
-    max_features: tuple = (None,)  # None resolves to ceil(d / 3)
-
-    def cells(self) -> list[dict]:
-        return [
-            {
-                "n_trees": t,
-                "max_depth": d,
-                "min_samples_leaf": leaf,
-                "max_features": mf,
-            }
-            for t, d, leaf, mf in itertools.product(
-                self.n_trees, self.max_depth, self.min_samples_leaf, self.max_features
-            )
-        ]
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ForestGridSpec":
-        return cls(**ds.grid_axes(cls, data))
 
 
 def forest_grid_search(grid: ForestGridSpec, design: ds.DesignMatrix,
@@ -296,10 +365,14 @@ def _fmt(value: float) -> str:
     return "nan" if math.isnan(value) else f"{value:.12g}"
 
 
+LOG_H50_KEY = "impact_h50:exp"
+
+
 def report_table(reports: list[ProtocolReport]) -> dict[str, str]:
     """Comparison artifacts: a long-form CSV, a Markdown comparison table per
     channel, grouped-bar data, and percent-improvement
-    lines of the multi-task model over the best single-task model."""
+    lines of the multi-task model over the best single-task model; plus
+    the experimental log(h50) table when some report has that channel."""
     if not reports:
         raise InvalidConfig("report_table needs at least one report")
 
@@ -359,12 +432,38 @@ def report_table(reports: list[ProtocolReport]) -> dict[str, str]:
                 f"versus {best_st[0]}"
             )
 
-    return {
+    artifacts = {
         "report.csv": "\n".join(csv_lines) + "\n",
         "report.md": "\n".join(md_lines) + "\n",
         "bars.csv": "\n".join(bar_lines) + "\n",
         "improvement.csv": "\n".join(improvement_lines) + "\n",
     }
+    if LOG_H50_KEY in channel_keys:
+        artifacts["table2_log_h50.md"] = _log_h50_table(reports)
+    return artifacts
+
+
+def _log_h50_table(reports: list[ProtocolReport]) -> str:
+    """Models ranked by test RMSE on experimental log(h50), NaN last."""
+    lines = [
+        "# Predictive accuracy on experimental log(h50)",
+        "",
+        "| Model | Test RMSE | Test R² |",
+        "| --- | --- | --- |",
+    ]
+    rows = []
+    for report in reports:
+        metrics = report.channels.get(LOG_H50_KEY)
+        if metrics is None:
+            continue
+        rmse_mean, rmse_std, _ = metrics.rmse_mean_std
+        r2_mean, r2_std, _ = metrics.r2_mean_std
+        rows.append((rmse_mean, report.model_id, format_mean_std(rmse_mean, rmse_std),
+                     format_mean_std(r2_mean, r2_std)))
+    rows.sort(key=lambda row: (float("inf") if row[0] != row[0] else row[0], row[1]))
+    for _, model_id, rmse_text, r2_text in rows:
+        lines.append(f"| {model_id} | {rmse_text} | {r2_text} |")
+    return "\n".join(lines) + "\n"
 
 
 def correlation_tables(labels: list[str], r_matrix: np.ndarray,

@@ -314,8 +314,10 @@ class GridSpec:
     """Enumerable axes; cells are the Cartesian product in declaration order.
 
     selector_layer_index accepts integers or the tokens "last" /
-    "second_to_last", which resolve against each hidden_sizes value. Cells
-    that resolve identically are deduplicated, keeping the earliest.
+    "second_to_last", which resolve against each hidden_sizes value; an
+    integer pairs only with the hidden_sizes values deep enough for it
+    (evaluation.Grids rejects one that fits none). Cells that resolve
+    identically are deduplicated, keeping the earliest.
     """
 
     hidden_sizes: tuple[tuple[int, ...], ...] = ((32,),)
@@ -325,11 +327,6 @@ class GridSpec:
     l2_penalty: tuple[float, ...] = (0.0,)
 
     def cells(self, selector_dim: int) -> list[dict]:
-        for sel_raw in self.selector_layer_index:
-            if sel_raw not in ("last", "second_to_last") and (
-                    not isinstance(sel_raw, int) or isinstance(sel_raw, bool)):
-                raise InvalidConfig(f"selector_layer_index {sel_raw!r} is neither an integer "
-                                    "nor 'last' or 'second_to_last'")
         out: list[dict] = []
         seen = set()
         for hidden, sel_raw, lr, batch, l2 in itertools.product(
@@ -359,13 +356,6 @@ class GridSpec:
                 seen.add(key)
                 out.append(cell)
         return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GridSpec":
-        axes = ds.grid_axes(cls, data)
-        if "hidden_sizes" in axes:
-            axes["hidden_sizes"] = tuple(tuple(h) for h in axes["hidden_sizes"])
-        return cls(**axes)
 
 
 def _channel_mean_rmse(pred: np.ndarray, actual: np.ndarray, channel_idx: np.ndarray,

@@ -16,7 +16,7 @@ import numpy as np
 
 from emprops import dataset as ds
 from emprops import descriptors, forest as rf, modelio, mtnn
-from emprops.errors import CorruptFile, InvalidConfig, MissingDensity, SchemaMismatch
+from emprops.errors import CorruptFile, InvalidConfig, MissingDensity
 from emprops.molgraph import MolGraph, parse_smiles
 
 
@@ -31,8 +31,6 @@ class ModelBundle:
 
 
 def save_model(path: str | Path, bundle: ModelBundle) -> None:
-    if bundle.kind not in ("mtnn", "forest"):
-        raise SchemaMismatch(f"unknown bundle kind {bundle.kind!r}")
     model = bundle.net if bundle.kind == "mtnn" else bundle.forest
     header = {"kind": bundle.kind, "config": asdict(model.config),
               "registry": bundle.registry.to_json(), "schema": bundle.schema.manifest()}

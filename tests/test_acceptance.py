@@ -186,7 +186,7 @@ def test_criterion_07_overfit_sanity():
                          learning_rate=(1e-2,), batch_size=(64,), l2_penalty=(0.0,))
     base = mtnn.TrainConfig(max_epochs=2000, patience=250)
     protocol = evaluation.run_protocol("mt-nn", data, 6, False, seeds=(1, 2, 3), k=5,
-                                       grid=grid, base_train=base)
+                                       grids=evaluation.Grids(mtnn=grid, train=base))
     worst_ratio = 0.0
     for c, channel in enumerate(data.registry):
         mean_rmse, _, n = protocol.channels[channel.key].rmse_mean_std

@@ -58,7 +58,7 @@ def test_grid_searches_get_grid_and_design_positionally(monkeypatch, family):
 
     monkeypatch.setattr(evaluation, "forest_grid_search", record)
     monkeypatch.setattr(mtnn, "grid_search", record)
-    grid, forest_grid, design = mtnn.GridSpec(), evaluation.ForestGridSpec(), object()
-    evaluation.select_cell(family, design, grid, forest_grid, mtnn.TrainConfig(), 3, 1)
-    expected_grid = forest_grid if family == "st-rf" else grid
+    grids, design = evaluation.Grids(), object()
+    evaluation.select_cell(family, design, grids, 3, 1)
+    expected_grid = grids.forest if family == "st-rf" else grids.mtnn
     assert len(calls) == 1 and calls[0][0] is expected_grid and calls[0][1] is design

@@ -140,7 +140,7 @@ class TestTuneTrainPredictScreen:
         design = ds.assemble(subset, schema)
         position = subset.registry.index_of(subset.registry.lookup("det_velocity", "calc"))
         expected = evaluation.forest_grid_search(
-            evaluation.ForestGridSpec.from_json(grid["forest"]),
+            evaluation.Grids.load(str(grid_path)).forest,
             evaluation.single_channel_design(design, position), inner_k=3, seed=7)
         assert winner == {**expected.best_cell, "mean_val_rmse": expected.best_score}
 
@@ -401,6 +401,11 @@ GRID_ERRORS = {
     "top-level-not-object": '[{"mtnn": {}}]',
     "section-not-object": '{"forest": [5]}',
     "selector-layer-beyond-depth": '{"mtnn": {"hidden_sizes": [[8]], "selector_layer_index": [5]}}',
+    "selector-layer-beyond-every-depth":
+        '{"mtnn": {"hidden_sizes": [[8], [8, 8]], "selector_layer_index": [1, 5]}}',
+    "train-learning-rate": '{"train": {"learning_rate": 0.01}}',
+    "train-batch-size": '{"train": {"batch_size": 16}}',
+    "train-seed": '{"train": {"seed": 3}}',
     "mtnn-axis-empty": '{"mtnn": {"learning_rate": []}}',
     "forest-axis-empty": '{"forest": {"n_trees": []}}',
 }
@@ -417,6 +422,24 @@ class TestConfigErrors:
         assert code == 1
         assert err.startswith(f"error InvalidConfig: grid file {grid}:")
         assert len(err.splitlines()) == 1
+
+    def test_selector_layer_pairs_with_the_entries_deep_enough(self, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"mtnn": {"hidden_sizes": [[8], [8, 8]], '
+                        '"selector_layer_index": [1, 2]}}', encoding="utf-8")
+        cells = evaluation.Grids.load(str(grid)).mtnn.cells(2)
+        assert [(c["hidden_sizes"], c["selector_layer_index"]) for c in cells] == [
+            ((8,), 1), ((8, 8), 1), ((8, 8), 2)]
+
+    def test_readme_grid_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("**Grid JSON**", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        grid = tmp_path / "grid.json"
+        grid.write_text(example, encoding="utf-8")
+        grids = evaluation.Grids.load(str(grid))
+        assert grids.mtnn.hidden_sizes == ((64,), (128, 64))
+        assert grids.forest.min_samples_leaf == (1, 3)
+        assert (grids.train.max_epochs, grids.train.patience) == (400, 40)
 
     @pytest.mark.parametrize("text", [
         '[{"property": "det_velocity", "unit": "km/s"}]',  # no fidelity

@@ -101,6 +101,18 @@ class TestReportFormat:
         assert best_mt == "MT-NN-sub2"
         assert float(reduction) == pytest.approx((0.27 - 0.24) / 0.27 * 100, abs=1e-9)
 
+    def test_log_h50_table_exactly_when_the_channel_is_reported(self):
+        artifacts = evaluation.report_table(self.make_reports())
+        assert artifacts["table2_log_h50.md"] == (
+            "# Predictive accuracy on experimental log(h50)\n\n"
+            "| Model | Test RMSE | Test R² |\n| --- | --- | --- |\n"
+            "| MT-NN-sub2 | 0.240 ± 0.010 | 0.700 ± 0.010 |\n"
+            "| ST-RF | 0.270 ± 0.010 | 0.610 ± 0.010 |\n")
+        report = evaluation.ProtocolReport(model_id="ST-RF", density_mode=False, n_seeds=1, k=1)
+        report.metrics_for("impact_h50:calc").rmse_values.append(0.5)
+        assert list(evaluation.report_table([report])) == [
+            "report.csv", "report.md", "bars.csv", "improvement.csv"]
+
     def test_bars_structure(self):
         artifacts = evaluation.report_table(self.make_reports())
         lines = artifacts["bars.csv"].strip().splitlines()
@@ -132,22 +144,23 @@ FAST_GRID = mtnn.GridSpec(hidden_sizes=((8,),), selector_layer_index=("last",),
 FAST_TRAIN = mtnn.TrainConfig(max_epochs=30, patience=10)
 FAST_FOREST = evaluation.ForestGridSpec(n_trees=(10,), max_depth=(4,),
                                         min_samples_leaf=(1,), max_features=(None,))
+FAST_GRIDS = evaluation.Grids(FAST_GRID, FAST_FOREST, FAST_TRAIN)
 
 
 class TestProtocol:
     def test_fold_counts(self):
         data = tiny_dataset()
         report = evaluation.run_protocol("mt-nn", data, 6, False, seeds=(1, 2), k=3,
-                                         grid=FAST_GRID, base_train=FAST_TRAIN, inner_k=3)
+                                         grids=FAST_GRIDS, inner_k=3)
         for metrics in report.channels.values():
             assert len(metrics.rmse_values) == 2 * 3
 
     def test_seed_order_swap_leaves_summary_unchanged(self):
         data = tiny_dataset()
         a = evaluation.run_protocol("mt-nn", data, 6, False, seeds=(1, 2), k=3,
-                                    grid=FAST_GRID, base_train=FAST_TRAIN, inner_k=3)
+                                    grids=FAST_GRIDS, inner_k=3)
         b = evaluation.run_protocol("mt-nn", data, 6, False, seeds=(2, 1), k=3,
-                                    grid=FAST_GRID, base_train=FAST_TRAIN, inner_k=3)
+                                    grids=FAST_GRIDS, inner_k=3)
         for key in a.channels:
             assert sorted(a.channels[key].rmse_values) == sorted(b.channels[key].rmse_values)
             assert a.channels[key].rmse_mean_std[0] == pytest.approx(
@@ -157,7 +170,7 @@ class TestProtocol:
     def test_st_families_run_per_channel(self):
         data = tiny_dataset()
         report = evaluation.run_protocol("st-rf", data, 6, False, seeds=(1,), k=3,
-                                         forest_grid=FAST_FOREST, inner_k=3)
+                                         grids=FAST_GRIDS, inner_k=3)
         assert set(report.channels) == {"det_velocity:calc", "det_pressure:calc"}
         assert report.model_id == "ST-RF"
 
@@ -169,8 +182,8 @@ class TestProtocol:
     def test_deterministic_repeat(self):
         data = tiny_dataset()
         a = evaluation.run_protocol("mt-nn", data, 6, False, seeds=(3,), k=3,
-                                    grid=FAST_GRID, base_train=FAST_TRAIN, inner_k=3)
+                                    grids=FAST_GRIDS, inner_k=3)
         b = evaluation.run_protocol("mt-nn", data, 6, False, seeds=(3,), k=3,
-                                    grid=FAST_GRID, base_train=FAST_TRAIN, inner_k=3)
+                                    grids=FAST_GRIDS, inner_k=3)
         for key in a.channels:
             assert a.channels[key].rmse_values == b.channels[key].rmse_values

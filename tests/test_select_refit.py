@@ -118,17 +118,16 @@ def oracle_train(path, family, data, subset_id, channel, grid, forest_grid, base
     pipeline.save_model(path, bundle)
 
 
-def oracle_fit_selected(family, design, train_rows, grid, forest_grid, base_train, inner_k,
-                        seed, train_seed):
+def oracle_fit_selected(family, design, train_rows, grids, inner_k, seed, train_seed):
     """fit_selected as it was before one-cell grids skipped inner CV: select,
     then refit. Returns the fitted trees or the network's parameters."""
-    search = evaluation.select_cell(family, evaluation._restrict(design, train_rows), grid,
-                                    forest_grid, base_train, inner_k, seed)
+    search = evaluation.select_cell(family, evaluation._restrict(design, train_rows), grids,
+                                    inner_k, seed)
     if family == "st-rf":
         config = rf.ForestConfig(seed=derive_seed(seed, 3), **search.best_cell)
         return rf.fit_forest(design.features[train_rows], design.targets[train_rows],
                              config).trees
-    _, result = mtnn.fit_network(design, train_rows, search.best_cell, base_train,
+    _, result = mtnn.fit_network(design, train_rows, search.best_cell, grids.train,
                                  derive_seed(seed, 3), train_seed)
     return [result.net.params]
 
@@ -152,11 +151,12 @@ def inputs(tmp_path_factory):
     two_cells["mtnn"]["learning_rate"] = [0.01, 0.03]
     two_cells["forest"]["min_samples_leaf"] = [1, 2]
     grid_path.write_text(json.dumps(two_cells), encoding="utf-8")
-    grid, forest_grid, base_train = cli._load_grids(str(grid_path))
+    grids = evaluation.Grids.load(str(grid_path))
     data = ds.load_records(data_path, ds.default_registry())
-    return {"data_path": data_path, "grid_path": grid_path, "data": data,
-            "grid": grid, "forest_grid": forest_grid, "base_train": base_train,
-            "one_cell_path": one_cell_path, "one_cell": cli._load_grids(str(one_cell_path))}
+    return {"data_path": data_path, "grid_path": grid_path, "data": data, "grids": grids,
+            "grid": grids.mtnn, "forest_grid": grids.forest, "base_train": grids.train,
+            "one_cell_path": one_cell_path,
+            "one_cell": evaluation.Grids.load(str(one_cell_path))}
 
 
 def bits(values):
@@ -166,10 +166,11 @@ def bits(values):
 @pytest.mark.parametrize("family", evaluation.MODEL_FAMILIES)
 def test_run_protocol_equals_per_family_oracle(inputs, family):
     args = (inputs["data"], SUBSET)
-    kwargs = dict(grid=inputs["grid"], forest_grid=inputs["forest_grid"],
-                  base_train=inputs["base_train"], inner_k=INNER_FOLDS)
-    report = evaluation.run_protocol(family, *args, False, seeds=SEEDS, k=FOLDS, **kwargs)
-    oracle = oracle_run_protocol(family, *args, SEEDS, FOLDS, **kwargs)
+    report = evaluation.run_protocol(family, *args, False, seeds=SEEDS, k=FOLDS,
+                                     grids=inputs["grids"], inner_k=INNER_FOLDS)
+    oracle = oracle_run_protocol(family, *args, SEEDS, FOLDS, grid=inputs["grid"],
+                                 forest_grid=inputs["forest_grid"],
+                                 base_train=inputs["base_train"], inner_k=INNER_FOLDS)
 
     assert list(report.channels) == list(oracle.channels)
     for key, metrics in oracle.channels.items():
@@ -234,26 +235,24 @@ def unit_design(inputs, family):
 
 @pytest.mark.parametrize("family", evaluation.MODEL_FAMILIES)
 def test_one_cell_fit_selected_equals_select_then_refit(inputs, family):
-    grid, forest_grid, base_train = inputs["one_cell"]
+    grids = inputs["one_cell"]
     schema, design = unit_design(inputs, family)
     train_mats, _ = ds.kfold_by_material(design.material_ids, FOLDS, 5).train_test(0)
     train_rows = design.rows_for(train_mats)
-    bundle = evaluation.fit_selected(family, design, schema, train_rows, grid, forest_grid,
-                                     base_train, INNER_FOLDS, 9, 10)
+    bundle = evaluation.fit_selected(family, design, schema, train_rows, grids, INNER_FOLDS,
+                                     9, 10)
     fitted = bundle.forest.trees if family == "st-rf" else [bundle.net.params]
-    expected = oracle_fit_selected(family, design, train_rows, grid, forest_grid, base_train,
-                                   INNER_FOLDS, 9, 10)
+    expected = oracle_fit_selected(family, design, train_rows, grids, INNER_FOLDS, 9, 10)
     assert [a.tobytes() for a in fitted] == [a.tobytes() for a in expected]
 
 
 @pytest.mark.parametrize("family", evaluation.MODEL_FAMILIES)
 def test_one_cell_run_protocol_equals_select_then_refit(inputs, family):
-    grid, forest_grid, base_train = inputs["one_cell"]
-    kwargs = dict(grid=grid, forest_grid=forest_grid, base_train=base_train,
-                  inner_k=INNER_FOLDS)
+    grids = inputs["one_cell"]
     report = evaluation.run_protocol(family, inputs["data"], SUBSET, False, seeds=SEEDS,
-                                     k=FOLDS, **kwargs)
-    oracle = oracle_run_protocol(family, inputs["data"], SUBSET, SEEDS, FOLDS, **kwargs)
+                                     k=FOLDS, grids=grids, inner_k=INNER_FOLDS)
+    oracle = oracle_run_protocol(family, inputs["data"], SUBSET, SEEDS, FOLDS, grids.mtnn,
+                                 grids.forest, grids.train, INNER_FOLDS)
     assert list(report.channels) == list(oracle.channels)
     for key, metrics in oracle.channels.items():
         assert bits(report.channels[key].rmse_values) == bits(metrics.rmse_values), key
@@ -275,13 +274,13 @@ def test_inner_cv_runs_only_for_several_cells(inputs, monkeypatch, family, modul
     schema, design = unit_design(inputs, family)
     all_rows = np.ones(len(design.targets), dtype=bool)
 
-    def fit(grid, forest_grid, base_train):
-        return evaluation.fit_selected(family, design, schema, all_rows, grid, forest_grid,
-                                       base_train, INNER_FOLDS, 1, 2)
+    def fit(grids):
+        return evaluation.fit_selected(family, design, schema, all_rows, grids, INNER_FOLDS,
+                                       1, 2)
 
-    fit(*inputs["one_cell"])
+    fit(inputs["one_cell"])
     with pytest.raises(InnerCVEntered):
-        fit(inputs["grid"], inputs["forest_grid"], inputs["base_train"])
+        fit(inputs["grids"])
 
 
 @pytest.mark.parametrize("family,channel", [("st-rf", "det_velocity:calc"), ("mt-nn", None)])
