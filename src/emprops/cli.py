@@ -13,7 +13,6 @@ Anticipated failures exit 1 with a single machine-readable line
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -26,14 +25,7 @@ import numpy as np
 import emprops
 from emprops import dataset as ds
 from emprops import descriptors, evaluation, pipeline
-from emprops.errors import (
-    InvalidConfig,
-    MissingDensity,
-    MissingFile,
-    ParseFailure,
-    ToolkitError,
-)
-from emprops.molgraph import parse_smiles
+from emprops.errors import InvalidConfig, MissingDensity, MissingFile, ToolkitError
 from emprops.rng import derive_seed
 
 DEFAULT_SEEDS = "1,2,3"
@@ -84,31 +76,6 @@ def _write_manifest(out_dir: Path, command: str, options: dict, inputs: dict,
     )
 
 
-def _read_molecules(path: str) -> list[dict]:
-    """material_id, smiles, optional density from any CSV carrying those columns."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or "material_id" not in reader.fieldnames \
-                or "smiles" not in reader.fieldnames:
-            raise ParseFailure(0, "need material_id and smiles columns")
-        rows = list(reader)
-    seen: dict[str, dict] = {}
-    for row_number, row in enumerate(rows, start=1):
-        material = (row["material_id"] or "").strip()
-        smiles = (row["smiles"] or "").strip()
-        if not material or not smiles:
-            raise ParseFailure(row_number, "empty material_id or smiles")
-        density = ds.parse_density(row.get("density"), row_number)
-        if material in seen:
-            if seen[material]["smiles"] != smiles:
-                raise ParseFailure(row_number, f"conflicting SMILES for {material!r}")
-            if seen[material]["density"] is None:
-                seen[material]["density"] = density
-        else:
-            seen[material] = {"material_id": material, "smiles": smiles, "density": density}
-    return list(seen.values())
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -116,23 +83,15 @@ def _read_molecules(path: str) -> list[dict]:
 def cmd_featurize(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    molecules = _read_molecules(args.data)
-    graphs = {}
-    for index, mol in enumerate(molecules, start=1):
-        try:
-            graphs[mol["material_id"]] = parse_smiles(mol["smiles"])
-        except ToolkitError as exc:
-            raise ParseFailure(index, f"material {mol['material_id']!r}: {exc}") from exc
-    schema = descriptors.fit_schema(
-        [graphs[m["material_id"]] for m in molecules], include_density=args.density
-    )
+    molecules = ds.read_molecules(args.data)
+    graphs = [mol.parse() for mol in molecules]
+    schema = descriptors.fit_schema(graphs, include_density=args.density)
     lines = ["material_id," + ",".join(schema.names)]
-    for mol in molecules:
-        density = mol["density"] if args.density else None
-        if args.density and density is None:
-            raise MissingDensity(f"material {mol['material_id']!r} has no density")
-        vector = descriptors.featurize(graphs[mol["material_id"]], schema, density)
-        lines.append(mol["material_id"] + "," + ",".join(f"{v:.12g}" for v in vector))
+    for mol, graph in zip(molecules, graphs):
+        if args.density and mol.density is None:
+            raise MissingDensity(f"material {mol.material_id!r} has no density")
+        vector = descriptors.featurize(graph, schema, mol.density if args.density else None)
+        lines.append(mol.material_id + "," + ",".join(f"{v:.12g}" for v in vector))
     (out_dir / "features.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (out_dir / "schema_manifest.json").write_text(
         json.dumps(schema.manifest(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -153,6 +112,14 @@ def cmd_correlate(args) -> int:
     return 0
 
 
+def _load_design(args):
+    """(subset id, subset, schema, design) of --data, --registry, --dedupe,
+    --subset and --density: the one design a command fits."""
+    data = ds.load_records(args.data, _load_registry(args.registry), dedupe=args.dedupe)
+    subset_id = _parse_subset(args.subset)
+    return (subset_id, *ds.build_design(data, subset_id, args.density))
+
+
 def _prepare_design(args):
     """(subset id, schema, design) for --family: single-task families see
     only --channel, which mt-nn, fitting every channel, does not take."""
@@ -161,9 +128,7 @@ def _prepare_design(args):
         raise InvalidConfig(f"--channel is required for family {args.family}")
     if not single_task and args.channel:
         raise InvalidConfig(f"--channel applies to st-rf and st-nn only, not {args.family}")
-    data = ds.load_records(args.data, _load_registry(args.registry), dedupe=args.dedupe)
-    subset_id = _parse_subset(args.subset)
-    subset, schema, design = ds.build_design(data, subset_id, args.density)
+    subset_id, subset, schema, design = _load_design(args)
     if single_task:
         prop, _, fidelity = args.channel.partition(":")
         position = subset.registry.index_of(subset.registry.lookup(prop, fidelity))
@@ -227,24 +192,17 @@ def cmd_evaluate(args) -> int:
     started = time.monotonic()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    registry = _load_registry(args.registry)
-    data = ds.load_records(args.data, registry, dedupe=args.dedupe)
-    subset_id = _parse_subset(args.subset)
     seeds = _parse_seeds(args.seeds)
     grids = evaluation.Grids.load(args.grid)
     families = [f.strip() for f in args.models.split(",") if f.strip()]
     for family in families:
         if family not in evaluation.MODEL_FAMILIES:
             raise InvalidConfig(f"unknown model family {family!r}")
+    subset_id, _, schema, design = _load_design(args)
 
-    reports = []
-    for family in families:
-        reports.append(
-            evaluation.run_protocol(
-                family, data, subset_id, args.density, seeds=seeds, k=args.folds,
-                grids=grids, inner_k=args.inner_folds,
-            )
-        )
+    reports = [evaluation.run_protocol(family, schema, design, subset_id, seeds=seeds,
+                                       k=args.folds, grids=grids, inner_k=args.inner_folds)
+               for family in families]
     for name, text in evaluation.report_table(reports).items():
         (out_dir / name).write_text(text, encoding="utf-8")
 
@@ -268,11 +226,10 @@ def cmd_screen(args) -> int:
     bundle = pipeline.load_model(args.model)
     prop, _, fidelity = args.by.partition(":")
     channel = bundle.registry.lookup(prop, fidelity)  # validates the channel
-    molecules = _read_molecules(args.data)
     ranked = []
-    for mol in molecules:
-        predictions = pipeline.predict_matrix(bundle, mol["smiles"], mol["density"])
-        ranked.append((mol["material_id"], mol["smiles"], predictions[channel.key]))
+    for mol in ds.read_molecules(args.data):
+        predictions = pipeline.predict_matrix(bundle, mol.smiles, mol.density)
+        ranked.append((mol.material_id, mol.smiles, predictions[channel.key]))
     # descending by prediction, stable tie order by material_id
     ranked.sort(key=lambda row: row[0])
     ranked.sort(key=lambda row: row[2], reverse=True)

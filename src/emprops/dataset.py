@@ -1,5 +1,5 @@
-"""Property channels, record ingestion, splits, standardization, and the
-cross-property correlation analysis.
+"""Property channels, the molecule CSV reader, record ingestion, splits,
+standardization, and the cross-property correlation analysis.
 
 A channel is one (property, fidelity) pair; its position in the registry
 is the selector index of the multi-task model, so registry order is part
@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -189,7 +189,7 @@ class Record:
 class Dataset:
     registry: PropertyRegistry
     records: list[Record]
-    graphs: dict[str, MolGraph] = field(default_factory=dict)
+    graphs: dict[str, MolGraph]  # the parsed molecule of every material
 
     @property
     def material_ids(self) -> list[str]:
@@ -197,6 +197,7 @@ class Dataset:
 
 
 CSV_COLUMNS = ("material_id", "smiles", "property", "fidelity", "value", "density")
+MOLECULE_COLUMNS = ("material_id", "smiles")  # density is optional
 
 
 def parse_density(text: str | None, row: int) -> float | None:
@@ -214,6 +215,64 @@ def parse_density(text: str | None, row: int) -> float | None:
     return density
 
 
+@dataclass(frozen=True)
+class Molecule:
+    """One row's material, SMILES and density, with its 1-based data row."""
+
+    material_id: str
+    smiles: str
+    density: float | None
+    row: int
+
+    def parse(self) -> MolGraph:
+        try:
+            return parse_smiles(self.smiles)
+        except ToolkitError as exc:
+            raise ParseFailure(self.row, f"SMILES {self.smiles!r}: {exc}") from exc
+
+
+def _csv_molecules(path: str | Path, columns: tuple[str, ...]):
+    """(CSV row, Molecule) per data row of a CSV that has the columns: the
+    one reader of every molecule CSV. A missing header or column, an empty
+    material_id or smiles, a bad density, or a material whose SMILES
+    differs from its first row's is ParseFailure for the data row (0 for
+    the header)."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None:
+            raise ParseFailure(0, "missing CSV header")
+        missing = [c for c in columns if c not in reader.fieldnames]
+        if missing:
+            raise ParseFailure(0, f"missing required columns: {missing}")
+        rows = list(reader)
+
+    smiles_by_material: dict[str, str] = {}
+    for row_number, row in enumerate(rows, start=1):
+        material = (row["material_id"] or "").strip()
+        if not material:
+            raise ParseFailure(row_number, "empty material_id")
+        smiles = (row["smiles"] or "").strip()
+        if not smiles:
+            raise ParseFailure(row_number, "empty smiles")
+        density = parse_density(row.get("density"), row_number)
+        if smiles_by_material.setdefault(material, smiles) != smiles:
+            raise ParseFailure(row_number, f"conflicting SMILES for material {material!r}")
+        yield row, Molecule(material, smiles, density, row_number)
+
+
+def read_molecules(path: str | Path) -> list[Molecule]:
+    """The materials of a CSV with material_id, smiles and optionally
+    density columns, in order of first appearance. A material listed again
+    keeps its first row and takes the first density given for it. SMILES
+    are not parsed here (Molecule.parse)."""
+    molecules: dict[str, Molecule] = {}
+    for _, molecule in _csv_molecules(path, MOLECULE_COLUMNS):
+        first = molecules.setdefault(molecule.material_id, molecule)
+        if first.density is None and molecule.density is not None:
+            molecules[molecule.material_id] = replace(first, density=molecule.density)
+    return list(molecules.values())
+
+
 def load_records(path: str | Path, registry: PropertyRegistry, dedupe: str = "error") -> Dataset:
     """Load the documented CSV schema into a Dataset.
 
@@ -224,26 +283,11 @@ def load_records(path: str | Path, registry: PropertyRegistry, dedupe: str = "er
     if dedupe not in ("error", "mean"):
         raise InvalidConfig(f"dedupe must be 'error' or 'mean', got {dedupe!r}")
 
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise ParseFailure(0, "missing CSV header")
-        missing = [c for c in CSV_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise ParseFailure(0, f"missing required columns: {missing}")
-        rows = list(reader)
-
     graphs: dict[str, MolGraph] = {}
-    smiles_by_material: dict[str, str] = {}
     grouped: dict[tuple[str, str], list[Record]] = {}
 
-    for row_number, row in enumerate(rows, start=1):
-        material = (row["material_id"] or "").strip()
-        if not material:
-            raise ParseFailure(row_number, "empty material_id")
-        smiles = (row["smiles"] or "").strip()
-        if not smiles:
-            raise ParseFailure(row_number, "empty smiles")
+    for row, molecule in _csv_molecules(path, CSV_COLUMNS):
+        row_number = molecule.row
         prop = (row["property"] or "").strip()
         fidelity = (row["fidelity"] or "").strip()
         try:
@@ -256,24 +300,14 @@ def load_records(path: str | Path, registry: PropertyRegistry, dedupe: str = "er
             raise ParseFailure(row_number, f"bad value {row['value']!r}")
         if not math.isfinite(value):
             raise ParseFailure(row_number, f"non-finite value {value!r}")
-        density = parse_density(row.get("density"), row_number)
-
-        if material in smiles_by_material:
-            if smiles_by_material[material] != smiles:
-                raise ParseFailure(row_number, f"conflicting SMILES for material {material!r}")
-        else:
-            try:
-                graphs[material] = parse_smiles(smiles)
-            except ToolkitError as exc:
-                raise ParseFailure(row_number, f"SMILES {smiles!r}: {exc}") from exc
-            smiles_by_material[material] = smiles
-
+        if molecule.material_id not in graphs:
+            graphs[molecule.material_id] = molecule.parse()
         if channel.transform == "log10" and value <= 0:
             raise NonPositiveForLog(f"row {row_number}: {channel.key} value {value} is not positive")
 
-        record = Record(material_id=material, smiles=smiles, channel=channel,
-                        value=value, density=density)
-        grouped.setdefault((material, channel.key), []).append(record)
+        record = Record(material_id=molecule.material_id, smiles=molecule.smiles,
+                        channel=channel, value=value, density=molecule.density)
+        grouped.setdefault((molecule.material_id, channel.key), []).append(record)
 
     records: list[Record] = []
     for (material, channel_key), bucket in grouped.items():
@@ -558,36 +592,25 @@ def build_design(dataset: Dataset, subset_id: int,
 
 
 def assemble(dataset: Dataset, schema: descriptors.FeatureSchema) -> DesignMatrix:
-    """Featurize every record against a fitted schema.
-
-    The descriptor part is computed once per material; the density slot
-    (when present) is filled per record, since densities ride on records.
-    """
-    base_cache: dict[str, np.ndarray] = {}
+    """Featurize every record against a fitted schema, once per distinct
+    (material, density) pair; without a density slot that is once per
+    material, since the density key is then None."""
+    cache: dict[tuple[str, float | None], np.ndarray] = {}
     rows = []
     channel_idx = []
     targets = []
     material_ids = []
     for record in dataset.records:
-        graph = dataset.graphs.get(record.material_id)
-        if graph is None:
-            graph = parse_smiles(record.smiles)
-            dataset.graphs[record.material_id] = graph
-        if record.material_id not in base_cache:
-            base_schema = descriptors.FeatureSchema(
-                bond_vocabulary=schema.bond_vocabulary, include_density=False
+        density = record.density if schema.include_density else None
+        if schema.include_density and density is None:
+            raise MissingDensity(
+                f"material {record.material_id!r} has no density but the schema needs one"
             )
-            base_cache[record.material_id] = descriptors.featurize(graph, base_schema)
-        base = base_cache[record.material_id]
-        if schema.include_density:
-            if record.density is None:
-                raise MissingDensity(
-                    f"material {record.material_id!r} has no density but the schema needs one"
-                )
-            row = np.concatenate([base, [record.density]])
-        else:
-            row = base
-        rows.append(row)
+        key = (record.material_id, density)
+        if key not in cache:
+            cache[key] = descriptors.featurize(dataset.graphs[record.material_id], schema,
+                                               density)
+        rows.append(cache[key])
         channel_idx.append(dataset.registry.index_of(record.channel))
         targets.append(record.transformed_value)
         material_ids.append(record.material_id)

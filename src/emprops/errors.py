@@ -85,6 +85,18 @@ class InvalidConfig(ToolkitError):
     pass
 
 
+def check_number(name: str, value, integer: bool, positive: bool) -> None:
+    """A config value must be a number (an int when integer) that is
+    positive, or else non-negative; a bool is not a number here, although
+    Python's bool is an int. InvalidConfig names the value otherwise."""
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds) \
+            or not (value > 0 if positive else value >= 0):
+        sign = "positive" if positive else "non-negative"
+        raise InvalidConfig(f"{name} must be a {sign} {'integer' if integer else 'number'}, "
+                            f"not {value!r}")
+
+
 class DimensionMismatch(ToolkitError):
     pass
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -33,7 +34,7 @@ import numpy as np
 from emprops import dataset as ds
 from emprops import descriptors, forest as rf, mtnn, pipeline
 from emprops.errors import ConstantTargets, InvalidConfig, LengthMismatch
-from emprops.mtnn import GridSpec, TrainConfig
+from emprops.mtnn import GridSpec, MTNetConfig, TrainConfig
 from emprops.rng import derive_seed
 
 DEFAULT_SEEDS = (1, 2, 3)
@@ -91,9 +92,6 @@ class ChannelMetrics:
 @dataclass
 class ProtocolReport:
     model_id: str
-    density_mode: bool
-    n_seeds: int
-    k: int
     channels: dict[str, ChannelMetrics] = field(default_factory=dict)
 
     def metrics_for(self, channel_key: str) -> ChannelMetrics:
@@ -128,8 +126,9 @@ class ForestGridSpec:
 @dataclass(frozen=True)
 class Grids:
     """The network grid, the forest grid and the base training settings of
-    every network cell. Building one checks every cell, so a bad value or a
-    grid without a cell fails when the grid file is loaded rather than
+    every network cell. Building one checks every axis value once, by the
+    rule of the config that takes it, so a bad value or an empty axis fails
+    when the grid file is loaded, naming its section and key, rather than
     after the data are featurized or in the middle of a fit."""
 
     mtnn: GridSpec = GridSpec()
@@ -137,26 +136,27 @@ class Grids:
     train: TrainConfig = TrainConfig()
 
     def __post_init__(self) -> None:
-        empty = [f"{name}.{axis.name}"
-                 for name, spec in (("mtnn", self.mtnn), ("forest", self.forest))
-                 for axis in fields(spec) if not getattr(spec, axis.name)]
-        if empty:
-            raise InvalidConfig(f"empty grid axes {empty}")
-        for sel in self.mtnn.selector_layer_index:
-            if sel in ("last", "second_to_last"):
-                continue
-            if not isinstance(sel, int) or isinstance(sel, bool):
-                raise InvalidConfig(f"selector_layer_index {sel!r} is neither an integer "
-                                    "nor 'last' or 'second_to_last'")
-            # a value that fits only some hidden_sizes entries pairs with those
-            if not any(1 <= sel <= len(hidden) for hidden in self.mtnn.hidden_sizes):
-                raise InvalidConfig(f"selector_layer_index {sel} is beyond the depth of "
-                                    "every hidden_sizes entry")
-        for selector_dim in (0, 2):  # single- and multi-channel cells resolve apart
-            for cell in self.mtnn.cells(selector_dim):
-                mtnn.cell_configs(cell, 1, selector_dim, self.train)
-        for cell in self.forest.cells():
-            rf.ForestConfig(**cell)
+        network_checks = {"hidden_sizes": MTNetConfig.check, "l2_penalty": MTNetConfig.check,
+                          "selector_layer_index": self._check_selector,
+                          "learning_rate": TrainConfig.check, "batch_size": TrainConfig.check}
+        for section, spec in (("mtnn", self.mtnn), ("forest", self.forest)):
+            for axis in fields(spec):  # hidden_sizes first: the selector check reads it
+                check = rf.ForestConfig.check if section == "forest" else network_checks[axis.name]
+                with _naming(f"{section}.{axis.name}"):
+                    if not getattr(spec, axis.name):
+                        raise InvalidConfig("empty grid axis")
+                    for value in getattr(spec, axis.name):
+                        check(axis.name, value)
+
+    def _check_selector(self, _, sel) -> None:
+        """A token, or an integer that fits some hidden_sizes entry (the one
+        rule across axes; a value that fits only some entries pairs with those)."""
+        if sel in ("last", "second_to_last"):
+            return
+        if not isinstance(sel, int) or isinstance(sel, bool):
+            raise InvalidConfig(f"{sel!r} is neither an integer nor 'last' or 'second_to_last'")
+        if not any(1 <= sel <= len(hidden) for hidden in self.mtnn.hidden_sizes):
+            raise InvalidConfig(f"{sel} is beyond the depth of every hidden_sizes entry")
 
     @classmethod
     def load(cls, path: str | None) -> "Grids":
@@ -172,14 +172,16 @@ class Grids:
             unknown = sorted(set(data) - {"mtnn", "forest", "train"})
             if unknown:
                 raise InvalidConfig(f"unknown grid sections: {unknown}")
-            network = {name: tuple(values) for name, values in _grid_section(
-                data, "mtnn", [axis.name for axis in fields(GridSpec)]).items()}
-            if "hidden_sizes" in network:
-                network["hidden_sizes"] = tuple(tuple(h) for h in network["hidden_sizes"])
-            forest = {name: tuple(values) for name, values in _grid_section(
-                data, "forest", [axis.name for axis in fields(ForestGridSpec)]).items()}
+            network = _grid_axes(data, "mtnn", GridSpec)
+            if "hidden_sizes" in network:  # a non-list entry is left to MTNetConfig.check
+                network["hidden_sizes"] = tuple(tuple(h) if isinstance(h, list) else h
+                                                for h in network["hidden_sizes"])
+            forest = _grid_axes(data, "forest", ForestGridSpec)
             # learning_rate and batch_size are grid axes, and each fit derives its seed
             train = _grid_section(data, "train", ["max_epochs", "patience"])
+            for key, value in train.items():
+                with _naming(f"train.{key}"):
+                    TrainConfig.check(key, value)
             return cls(GridSpec(**network), ForestGridSpec(**forest), TrainConfig(**train))
         except (ValueError, TypeError, InvalidConfig) as exc:  # bad JSON or value
             raise InvalidConfig(f"grid file {path}: {exc}") from exc
@@ -191,6 +193,15 @@ class Grids:
         return mtnn.design_cells(self.mtnn, design)
 
 
+@contextmanager
+def _naming(key: str):
+    """Prefix an InvalidConfig raised inside with the grid key, section.key."""
+    try:
+        yield
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"{key}: {exc}") from exc
+
+
 def _grid_section(data: dict, name: str, known: list[str]) -> dict:
     """One section of a grid file: a JSON object with known keys only."""
     section = data.get(name, {})
@@ -200,6 +211,15 @@ def _grid_section(data: dict, name: str, known: list[str]) -> dict:
     if unknown:
         raise InvalidConfig(f"unknown {name} settings {unknown}; known are {known}")
     return section
+
+
+def _grid_axes(data: dict, name: str, spec) -> dict:
+    """The axes of a grid section, each a JSON list, as tuples."""
+    axes = _grid_section(data, name, [axis.name for axis in fields(spec)])
+    for key, values in axes.items():
+        if not isinstance(values, list):
+            raise InvalidConfig(f"{name}.{key}: a grid axis is a JSON list, not {values!r}")
+    return {key: tuple(values) for key, values in axes.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +237,11 @@ def model_identifier(family: str, subset_id: int) -> str:
     return "MT-NN-all" if subset_id == 6 else f"MT-NN-sub{subset_id}"
 
 
-def run_protocol(family: str, dataset: ds.Dataset, subset_id: int,
-                 density_mode: bool, seeds=DEFAULT_SEEDS, k: int = DEFAULT_FOLDS,
+def run_protocol(family: str, schema: descriptors.FeatureSchema, design: ds.DesignMatrix,
+                 subset_id: int, seeds=DEFAULT_SEEDS, k: int = DEFAULT_FOLDS,
                  grids: Grids = Grids(), inner_k: int = 5) -> ProtocolReport:
-    """Full evaluation protocol for one model family.
+    """Full evaluation protocol for one model family on the schema and
+    design ds.build_design gives for subset_id.
 
     A unit is what one model is fitted to: the whole design for the
     multi-task family, one channel's records for a single-task family.
@@ -230,16 +251,10 @@ def run_protocol(family: str, dataset: ds.Dataset, subset_id: int,
     """
     if family not in MODEL_FAMILIES:
         raise InvalidConfig(f"unknown model family {family!r}")
-    _, schema, design = ds.build_design(dataset, subset_id, density_mode)
     units = [design] if family == "mt-nn" else [
         single_channel_design(design, pos) for pos in range(len(design.registry))]
 
-    report = ProtocolReport(
-        model_id=model_identifier(family, subset_id),
-        density_mode=density_mode,
-        n_seeds=len(seeds),
-        k=k,
-    )
+    report = ProtocolReport(model_id=model_identifier(family, subset_id))
     for seed in seeds:
         plan = ds.kfold_by_material(design.material_ids, k, seed)
         for fold in range(k):
@@ -372,56 +387,42 @@ def report_table(reports: list[ProtocolReport]) -> dict[str, str]:
     """Comparison artifacts: a long-form CSV, a Markdown comparison table per
     channel, grouped-bar data, and percent-improvement
     lines of the multi-task model over the best single-task model; plus
-    the experimental log(h50) table when some report has that channel."""
+    the experimental log(h50) table when some report has that channel.
+    Every artifact is written from one summary per (channel, report)."""
     if not reports:
         raise InvalidConfig("report_table needs at least one report")
 
-    channel_keys: list[str] = []
+    summaries: dict[str, list] = {}  # channel -> [(model_id, rmse, r2)], first-seen order
     for report in reports:
-        for key in report.channels:
-            if key not in channel_keys:
-                channel_keys.append(key)
+        for key, metrics in report.channels.items():
+            summaries.setdefault(key, []).append(
+                (report.model_id, metrics.rmse_mean_std, metrics.r2_mean_std))
 
     csv_lines = ["model,channel,mean_rmse,std_rmse,mean_r2,std_r2,n_rmse,n_r2"]
     bar_lines = ["channel,model,mean_rmse,std_rmse"]
     md_lines = ["# Model comparison", ""]
-    for key in channel_keys:
+    for key, rows in summaries.items():
         md_lines += [f"## {key}", "", "| Model | Test RMSE | Test R² |", "| --- | --- | --- |"]
-        for report in reports:
-            metrics = report.channels.get(key)
-            if metrics is None:
-                continue
-            rmse_mean, rmse_std, n_rmse = metrics.rmse_mean_std
-            r2_mean, r2_std, n_r2 = metrics.r2_mean_std
+        for model_id, (rmse_mean, rmse_std, n_rmse), (r2_mean, r2_std, n_r2) in rows:
             csv_lines.append(
-                f"{report.model_id},{key},{_fmt(rmse_mean)},{_fmt(rmse_std)},"
+                f"{model_id},{key},{_fmt(rmse_mean)},{_fmt(rmse_std)},"
                 f"{_fmt(r2_mean)},{_fmt(r2_std)},{n_rmse},{n_r2}"
             )
-            bar_lines.append(f"{key},{report.model_id},{_fmt(rmse_mean)},{_fmt(rmse_std)}")
+            bar_lines.append(f"{key},{model_id},{_fmt(rmse_mean)},{_fmt(rmse_std)}")
             md_lines.append(
-                f"| {report.model_id} | {format_mean_std(rmse_mean, rmse_std)} "
+                f"| {model_id} | {format_mean_std(rmse_mean, rmse_std)} "
                 f"| {format_mean_std(r2_mean, r2_std)} |"
             )
         md_lines.append("")
 
     improvement_lines = ["channel,best_st_model,best_st_rmse,best_mt_model,mt_rmse,percent_reduction"]
-    for key in channel_keys:
-        best_st = None
-        best_mt = None
-        for report in reports:
-            metrics = report.channels.get(key)
-            if metrics is None:
-                continue
-            mean = metrics.rmse_mean_std[0]
-            if math.isnan(mean):
-                continue
-            if report.model_id.startswith("ST-"):
-                if best_st is None or mean < best_st[1]:
-                    best_st = (report.model_id, mean)
-            else:
-                if best_mt is None or mean < best_mt[1]:
-                    best_mt = (report.model_id, mean)
-        if best_st and best_mt:
+    for key, rows in summaries.items():
+        scored = [(model_id, rmse[0]) for model_id, rmse, _ in rows if not math.isnan(rmse[0])]
+        single = [row for row in scored if row[0].startswith("ST-")]
+        multi = [row for row in scored if not row[0].startswith("ST-")]
+        if single and multi:
+            best_st = min(single, key=lambda row: row[1])  # the first of equal RMSEs
+            best_mt = min(multi, key=lambda row: row[1])
             reduction = (best_st[1] - best_mt[1]) / best_st[1] * 100.0
             improvement_lines.append(
                 f"{key},{best_st[0]},{_fmt(best_st[1])},{best_mt[0]},"
@@ -438,31 +439,25 @@ def report_table(reports: list[ProtocolReport]) -> dict[str, str]:
         "bars.csv": "\n".join(bar_lines) + "\n",
         "improvement.csv": "\n".join(improvement_lines) + "\n",
     }
-    if LOG_H50_KEY in channel_keys:
-        artifacts["table2_log_h50.md"] = _log_h50_table(reports)
+    if LOG_H50_KEY in summaries:
+        artifacts["table2_log_h50.md"] = _log_h50_table(summaries[LOG_H50_KEY])
     return artifacts
 
 
-def _log_h50_table(reports: list[ProtocolReport]) -> str:
-    """Models ranked by test RMSE on experimental log(h50), NaN last."""
+def _log_h50_table(rows: list) -> str:
+    """The (model_id, rmse, r2) summaries of experimental log(h50), ranked
+    by test RMSE, NaN last."""
     lines = [
         "# Predictive accuracy on experimental log(h50)",
         "",
         "| Model | Test RMSE | Test R² |",
         "| --- | --- | --- |",
     ]
-    rows = []
-    for report in reports:
-        metrics = report.channels.get(LOG_H50_KEY)
-        if metrics is None:
-            continue
-        rmse_mean, rmse_std, _ = metrics.rmse_mean_std
-        r2_mean, r2_std, _ = metrics.r2_mean_std
-        rows.append((rmse_mean, report.model_id, format_mean_std(rmse_mean, rmse_std),
-                     format_mean_std(r2_mean, r2_std)))
-    rows.sort(key=lambda row: (float("inf") if row[0] != row[0] else row[0], row[1]))
-    for _, model_id, rmse_text, r2_text in rows:
-        lines.append(f"| {model_id} | {rmse_text} | {r2_text} |")
+    ranked = sorted(rows, key=lambda row: (math.inf if math.isnan(row[1][0]) else row[1][0],
+                                           row[0]))
+    for model_id, (rmse_mean, rmse_std, _), (r2_mean, r2_std, _) in ranked:
+        lines.append(f"| {model_id} | {format_mean_std(rmse_mean, rmse_std)} "
+                     f"| {format_mean_std(r2_mean, r2_std)} |")
     return "\n".join(lines) + "\n"
 
 

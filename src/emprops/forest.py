@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from emprops.errors import DimensionMismatch, EmptyData, InvalidConfig
+from emprops.errors import DimensionMismatch, EmptyData, InvalidConfig, check_number
 from emprops.rng import SplitMix64, derive_seed
 
 FEATURE, THRESHOLD, VALUE, LEFT, RIGHT = range(5)  # tree array columns
@@ -38,14 +38,15 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        ints = (self.n_trees, self.max_depth, self.min_samples_leaf,
-                1 if self.max_features is None else self.max_features)
-        if not all(isinstance(v, int) for v in ints):
-            raise InvalidConfig("n_trees, max_depth, min_samples_leaf, max_features must be integers")
-        if self.n_trees < 1 or self.max_depth < 1 or self.min_samples_leaf < 1:
-            raise InvalidConfig("n_trees, max_depth, min_samples_leaf must be positive")
-        if self.max_features is not None and self.max_features < 1:
-            raise InvalidConfig("max_features must be positive")
+        for name in ("n_trees", "max_depth", "min_samples_leaf", "max_features"):
+            self.check(name, getattr(self, name))
+
+    @staticmethod
+    def check(name: str, value) -> None:
+        """The rule of one setting on its own: a positive integer, or None
+        for max_features."""
+        if not (name == "max_features" and value is None):
+            check_number(name, value, integer=True, positive=True)
 
     def resolve_max_features(self, n_features: int) -> int:
         if self.max_features is None:

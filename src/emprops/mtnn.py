@@ -21,11 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from emprops import dataset as ds
-from emprops.errors import (
-    DimensionMismatch,
-    InvalidConfig,
-    NonFiniteLoss,
-)
+from emprops.errors import DimensionMismatch, InvalidConfig, NonFiniteLoss, check_number
 from emprops.rng import SplitMix64, derive_seed
 
 
@@ -39,20 +35,33 @@ class MTNetConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.input_dim < 1:
-            raise InvalidConfig("input_dim must be positive")
-        if self.selector_dim < 0:
-            raise InvalidConfig("selector_dim must be non-negative")
-        if not self.hidden_sizes or any(not isinstance(h, int) or h < 1
-                                        for h in self.hidden_sizes):
-            raise InvalidConfig("hidden_sizes must be positive integers")
+        for name in ("input_dim", "selector_dim", "hidden_sizes", "selector_layer_index",
+                     "l2_penalty"):
+            self.check(name, getattr(self, name))
         if self.selector_dim > 0 and not (1 <= self.selector_layer_index <= len(self.hidden_sizes)):
             raise InvalidConfig(
                 f"selector_layer_index {self.selector_layer_index} outside "
                 f"1..{len(self.hidden_sizes)}"
             )
-        if self.l2_penalty < 0:
-            raise InvalidConfig("l2_penalty must be non-negative")
+
+    @staticmethod
+    def check(name: str, value) -> None:
+        """The rule of one setting on its own; hidden_sizes is a non-empty
+        tuple of positive integers."""
+        if name != "hidden_sizes":
+            check_number(name, value, integer=name != "l2_penalty", positive=name == "input_dim")
+        elif not isinstance(value, tuple) or not value:
+            raise InvalidConfig(f"hidden_sizes must be a non-empty list of positive integers, "
+                                f"not {value!r}")
+        else:
+            for size in value:
+                check_number("hidden_sizes entry", size, integer=True, positive=True)
+
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
@@ -61,18 +70,18 @@ class TrainConfig:
     batch_size: int = 32
     max_epochs: int = 400
     patience: int = 40
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not all(isinstance(v, int) for v in (self.batch_size, self.max_epochs, self.patience)):
-            raise InvalidConfig("batch_size, max_epochs, patience must be integers")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise InvalidConfig("learning_rate, batch_size, max_epochs must be positive")
-        if self.patience < 0 or self.patience > self.max_epochs:
-            raise InvalidConfig("need 0 <= patience <= max_epochs")
+        for name in ("learning_rate", "batch_size", "max_epochs", "patience"):
+            self.check(name, getattr(self, name))
+        if self.patience > self.max_epochs:
+            raise InvalidConfig("need patience <= max_epochs")
+
+    @staticmethod
+    def check(name: str, value) -> None:
+        """The rule of one setting on its own."""
+        check_number(name, value, integer=name != "learning_rate", positive=name != "patience")
 
 
 @dataclass
@@ -270,12 +279,12 @@ def train(net: MTNet, features: np.ndarray, selector: np.ndarray | None,
             if not math.isfinite(loss):
                 raise NonFiniteLoss(f"non-finite loss at epoch {epoch}")
             step += 1
-            correction1 = 1.0 - config.beta1 ** step
-            correction2 = 1.0 - config.beta2 ** step
-            m = config.beta1 * m + (1 - config.beta1) * grad
-            v = config.beta2 * v + (1 - config.beta2) * grad ** 2
+            correction1 = 1.0 - ADAM_BETA1 ** step
+            correction2 = 1.0 - ADAM_BETA2 ** step
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
+            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad ** 2
             params -= config.learning_rate * (m / correction1) / (
-                np.sqrt(v / correction2) + config.epsilon
+                np.sqrt(v / correction2) + ADAM_EPSILON
             )
 
         train_mse = mse(net, features, selector, targets)
@@ -432,19 +441,9 @@ def fit_network(design: ds.DesignMatrix, train_rows: np.ndarray, cell: dict,
     )
     x_train, s_train, y_train = network_inputs(design, train_rows, standardizer)
     val = None if val_rows is None else network_inputs(design, val_rows, standardizer)
-    net_config, train_config = cell_configs(cell, design.features.shape[1],
-                                            n_channels if n_channels > 1 else 0, base_train,
-                                            net_seed, train_seed)
-    result = train(init_network(net_config), x_train, s_train, y_train, train_config, val=val)
-    return standardizer, result
-
-
-def cell_configs(cell: dict, input_dim: int, selector_dim: int, base_train: TrainConfig,
-                 net_seed: int = 0, train_seed: int = 0) -> tuple[MTNetConfig, TrainConfig]:
-    """The network and training configs of one grid cell."""
     net_config = MTNetConfig(
-        input_dim=input_dim,
-        selector_dim=selector_dim,
+        input_dim=design.features.shape[1],
+        selector_dim=n_channels if n_channels > 1 else 0,
         hidden_sizes=cell["hidden_sizes"],
         selector_layer_index=cell["selector_layer_index"],
         l2_penalty=cell["l2_penalty"],
@@ -452,4 +451,5 @@ def cell_configs(cell: dict, input_dim: int, selector_dim: int, base_train: Trai
     )
     train_config = replace(base_train, learning_rate=cell["learning_rate"],
                            batch_size=cell["batch_size"], seed=train_seed)
-    return net_config, train_config
+    result = train(init_network(net_config), x_train, s_train, y_train, train_config, val=val)
+    return standardizer, result

@@ -9,6 +9,7 @@ import pytest
 
 import emprops
 from emprops import cli, dataset as ds, descriptors, evaluation, modelio
+from emprops.errors import InvalidConfig
 
 
 MOLS = [
@@ -69,6 +70,13 @@ class TestFeaturize:
         assert cli.main(["featurize", "--data", str(data), "--density", "--out", str(out)]) == 0
         header = (out / "features.csv").read_text().splitlines()[0]
         assert header.endswith(",density")
+
+    def test_bad_smiles_reports_its_csv_row(self, tmp_path, capsys):
+        data = tmp_path / "mols.csv"
+        data.write_text("material_id,smiles\nM1,CC\nM1,CC\nM2,C1CC\n", encoding="utf-8")
+        code = cli.main(["featurize", "--data", str(data), "--out", str(tmp_path / "f")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error ParseFailure: row 3: SMILES 'C1CC'")
 
 
 class TestCorrelate:
@@ -239,6 +247,20 @@ class TestEvaluate:
                 for line in (out / "report.csv").read_text().splitlines()[1:]}
         assert rows["impact_h50:exp"][6] == "3"  # n_rmse: every outer fold scored
 
+    @pytest.mark.parametrize("density", ["--no-density", "--density"])
+    def test_families_share_one_design(self, tmp_path, capsys, monkeypatch, density):
+        calls = []
+        featurize, fit_schema = descriptors.featurize, descriptors.fit_schema
+        monkeypatch.setattr(descriptors, "featurize",
+                            lambda *a, **k: calls.append("featurize") or featurize(*a, **k))
+        monkeypatch.setattr(descriptors, "fit_schema",
+                            lambda *a, **k: calls.append("fit_schema") or fit_schema(*a, **k))
+        assert cli.main(["evaluate", "--data", str(write_dataset(tmp_path)), "--subset", "2",
+                         density, "--models", "st-rf,st-nn,mt-nn", "--seeds", "1",
+                         "--folds", "3", "--inner-folds", "3", "--grid", str(write_grid(tmp_path)),
+                         "--out", str(tmp_path / "ev")]) == 0
+        assert (calls.count("featurize"), calls.count("fit_schema")) == (len(MOLS), 1)
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         data = write_dataset(tmp_path)
         grid = write_grid(tmp_path)
@@ -373,6 +395,19 @@ class TestModelHeader:
         assert code == 1
         assert err.startswith("error CorruptFile: standardizer") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("magic,key,value", [(modelio.MAGIC_FOREST, "n_trees", True),
+                                                 (modelio.MAGIC_MTNN, "l2_penalty", False)],
+                             ids=["EMRF-n_trees-true", "EMMT-l2_penalty-false"])
+    def test_boolean_config_value_is_corrupt_file(self, tmp_path, capsys, model_files, magic,
+                                                  key, value):
+        path = tmp_path / "boolean"
+        rewrite_header(model_files[magic], path, magic,
+                       lambda header: header["config"].update({key: value}))
+        code = cli.main(["predict", "--model", str(path), "--smiles", "CCC"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error CorruptFile: malformed model header "
+                                                  f"(InvalidConfig: {key} must be")
+
     def test_forest_width_must_match_schema(self, tmp_path, capsys, model_files):
         path = tmp_path / "wide.emrf"
         rewrite_header(model_files[modelio.MAGIC_FOREST], path, modelio.MAGIC_FOREST,
@@ -408,6 +443,35 @@ GRID_ERRORS = {
     "train-seed": '{"train": {"seed": 3}}',
     "mtnn-axis-empty": '{"mtnn": {"learning_rate": []}}',
     "forest-axis-empty": '{"forest": {"n_trees": []}}',
+    "max-epochs-true": '{"train": {"max_epochs": true, "patience": 0}}',
+    "hidden-size-true": '{"mtnn": {"hidden_sizes": [[true]]}}',
+    "n-trees-true": '{"forest": {"n_trees": [true]}}',
+    "learning-rate-true": '{"mtnn": {"learning_rate": [true]}}',
+    "l2-penalty-false": '{"mtnn": {"l2_penalty": [false]}}',
+    "axis-not-list": '{"mtnn": {"learning_rate": 0.01}}',
+}
+
+# the section.key that a value-level grid error names
+GRID_ERROR_KEYS = {
+    "hidden-sizes-not-nested": "mtnn.hidden_sizes",
+    "max-epochs-string": "train.max_epochs",
+    "learning-rate-string": "mtnn.learning_rate",
+    "batch-size-float": "mtnn.batch_size",
+    "hidden-size-zero": "mtnn.hidden_sizes",
+    "n-trees-string": "forest.n_trees",
+    "min-samples-leaf-float": "forest.min_samples_leaf",
+    "max-features-zero": "forest.max_features",
+    "selector-layer-float": "mtnn.selector_layer_index",
+    "selector-layer-string-digit": "mtnn.selector_layer_index",
+    "selector-layer-beyond-depth": "mtnn.selector_layer_index",
+    "mtnn-axis-empty": "mtnn.learning_rate",
+    "forest-axis-empty": "forest.n_trees",
+    "max-epochs-true": "train.max_epochs",
+    "hidden-size-true": "mtnn.hidden_sizes",
+    "n-trees-true": "forest.n_trees",
+    "learning-rate-true": "mtnn.learning_rate",
+    "l2-penalty-false": "mtnn.l2_penalty",
+    "axis-not-list": "mtnn.learning_rate",
 }
 
 
@@ -422,6 +486,14 @@ class TestConfigErrors:
         assert code == 1
         assert err.startswith(f"error InvalidConfig: grid file {grid}:")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("case", GRID_ERROR_KEYS)
+    def test_bad_grid_value_names_its_key(self, tmp_path, case):
+        grid = tmp_path / "grid.json"
+        grid.write_text(GRID_ERRORS[case], encoding="utf-8")
+        with pytest.raises(InvalidConfig) as excinfo:
+            evaluation.Grids.load(str(grid))
+        assert str(excinfo.value).startswith(f"grid file {grid}: {GRID_ERROR_KEYS[case]}: ")
 
     def test_selector_layer_pairs_with_the_entries_deep_enough(self, tmp_path):
         grid = tmp_path / "grid.json"

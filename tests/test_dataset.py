@@ -73,6 +73,37 @@ class TestLoad:
             ds.load_records(path, ds.default_registry())
 
 
+class TestReadMolecules:
+    def test_first_row_and_first_density_per_material(self, tmp_path):
+        path = tmp_path / "mols.csv"
+        path.write_text("material_id,smiles,density\nM2,CC,\nM1,CCO,1.3\nM2,CC,1.1\n"
+                        "M2,CC,1.4\n", encoding="utf-8")
+        assert ds.read_molecules(path) == [ds.Molecule("M2", "CC", 1.1, 1),
+                                           ds.Molecule("M1", "CCO", 1.3, 2)]
+
+    @pytest.mark.parametrize("header", ["material_id,property,fidelity,value,density",
+                                        "smiles,property,fidelity,value,density"])
+    def test_missing_column_fails_alike_in_both_readers(self, tmp_path, header):
+        path = tmp_path / "data.csv"
+        path.write_text(header + "\n", encoding="utf-8")
+        failures = []
+        for read in (ds.read_molecules, lambda p: ds.load_records(p, ds.default_registry())):
+            with pytest.raises(ParseFailure) as excinfo:
+                read(path)
+            failures.append((excinfo.value.row, str(excinfo.value)))
+        assert failures[0] == failures[1]
+        assert failures[0][0] == 0 and "missing required columns" in failures[0][1]
+
+    def test_conflicting_smiles_fails_alike_in_both_readers(self, tmp_path):
+        path = write_csv(tmp_path, ["M1,CC,det_velocity,exp,7.0,", "M1,CCC,det_pressure,exp,20,"])
+        messages = []
+        for read in (ds.read_molecules, lambda p: ds.load_records(p, ds.default_registry())):
+            with pytest.raises(ParseFailure) as excinfo:
+                read(path)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1] == "row 2: conflicting SMILES for material 'M1'"
+
+
 class TestChannelTransform:
     def test_log_round_trip(self):
         channel = ds.PropertyChannel("impact_h50", "exp", transform="log10")

@@ -68,16 +68,16 @@ class TestReportFormat:
         assert evaluation.format_mean_std(0.2381, 0.0103) == "0.238 ± 0.010"
 
     def make_reports(self):
-        st = evaluation.ProtocolReport(model_id="ST-RF", density_mode=False, n_seeds=3, k=5)
+        st = evaluation.ProtocolReport(model_id="ST-RF")
         st.metrics_for("impact_h50:exp").rmse_values.extend([0.27, 0.26, 0.28])
         st.metrics_for("impact_h50:exp").r2_values.extend([0.6, 0.62, 0.61])
-        mt = evaluation.ProtocolReport(model_id="MT-NN-sub2", density_mode=False, n_seeds=3, k=5)
+        mt = evaluation.ProtocolReport(model_id="MT-NN-sub2")
         mt.metrics_for("impact_h50:exp").rmse_values.extend([0.24, 0.23, 0.25])
         mt.metrics_for("impact_h50:exp").r2_values.extend([0.7, 0.71, 0.69])
         return [st, mt]
 
     def test_single_cell_report(self):
-        report = evaluation.ProtocolReport(model_id="ST-RF", density_mode=False, n_seeds=1, k=1)
+        report = evaluation.ProtocolReport(model_id="ST-RF")
         report.metrics_for("det_velocity:exp").rmse_values.append(0.5)
         report.metrics_for("det_velocity:exp").r2_values.append(0.9)
         artifacts = evaluation.report_table([report])
@@ -108,7 +108,7 @@ class TestReportFormat:
             "| Model | Test RMSE | Test R² |\n| --- | --- | --- |\n"
             "| MT-NN-sub2 | 0.240 ± 0.010 | 0.700 ± 0.010 |\n"
             "| ST-RF | 0.270 ± 0.010 | 0.610 ± 0.010 |\n")
-        report = evaluation.ProtocolReport(model_id="ST-RF", density_mode=False, n_seeds=1, k=1)
+        report = evaluation.ProtocolReport(model_id="ST-RF")
         report.metrics_for("impact_h50:calc").rmse_values.append(0.5)
         assert list(evaluation.report_table([report])) == [
             "report.csv", "report.md", "bars.csv", "improvement.csv"]
@@ -139,6 +139,12 @@ def tiny_dataset(n_materials=12):
     return ds.Dataset(registry=registry, records=records, graphs=graphs)
 
 
+def design_of(data):
+    """The (schema, design) run_protocol takes for the whole dataset."""
+    _, schema, design = ds.build_design(data, 6, False)
+    return schema, design
+
+
 FAST_GRID = mtnn.GridSpec(hidden_sizes=((8,),), selector_layer_index=("last",),
                           learning_rate=(1e-2,), batch_size=(16,), l2_penalty=(0.0,))
 FAST_TRAIN = mtnn.TrainConfig(max_epochs=30, patience=10)
@@ -150,16 +156,16 @@ FAST_GRIDS = evaluation.Grids(FAST_GRID, FAST_FOREST, FAST_TRAIN)
 class TestProtocol:
     def test_fold_counts(self):
         data = tiny_dataset()
-        report = evaluation.run_protocol("mt-nn", data, 6, False, seeds=(1, 2), k=3,
+        report = evaluation.run_protocol("mt-nn", *design_of(data), 6, seeds=(1, 2), k=3,
                                          grids=FAST_GRIDS, inner_k=3)
         for metrics in report.channels.values():
             assert len(metrics.rmse_values) == 2 * 3
 
     def test_seed_order_swap_leaves_summary_unchanged(self):
         data = tiny_dataset()
-        a = evaluation.run_protocol("mt-nn", data, 6, False, seeds=(1, 2), k=3,
+        a = evaluation.run_protocol("mt-nn", *design_of(data), 6, seeds=(1, 2), k=3,
                                     grids=FAST_GRIDS, inner_k=3)
-        b = evaluation.run_protocol("mt-nn", data, 6, False, seeds=(2, 1), k=3,
+        b = evaluation.run_protocol("mt-nn", *design_of(data), 6, seeds=(2, 1), k=3,
                                     grids=FAST_GRIDS, inner_k=3)
         for key in a.channels:
             assert sorted(a.channels[key].rmse_values) == sorted(b.channels[key].rmse_values)
@@ -169,7 +175,7 @@ class TestProtocol:
 
     def test_st_families_run_per_channel(self):
         data = tiny_dataset()
-        report = evaluation.run_protocol("st-rf", data, 6, False, seeds=(1,), k=3,
+        report = evaluation.run_protocol("st-rf", *design_of(data), 6, seeds=(1,), k=3,
                                          grids=FAST_GRIDS, inner_k=3)
         assert set(report.channels) == {"det_velocity:calc", "det_pressure:calc"}
         assert report.model_id == "ST-RF"
@@ -181,9 +187,9 @@ class TestProtocol:
 
     def test_deterministic_repeat(self):
         data = tiny_dataset()
-        a = evaluation.run_protocol("mt-nn", data, 6, False, seeds=(3,), k=3,
+        a = evaluation.run_protocol("mt-nn", *design_of(data), 6, seeds=(3,), k=3,
                                     grids=FAST_GRIDS, inner_k=3)
-        b = evaluation.run_protocol("mt-nn", data, 6, False, seeds=(3,), k=3,
+        b = evaluation.run_protocol("mt-nn", *design_of(data), 6, seeds=(3,), k=3,
                                     grids=FAST_GRIDS, inner_k=3)
         for key in a.channels:
             assert a.channels[key].rmse_values == b.channels[key].rmse_values

@@ -161,18 +161,18 @@ def per_layer_train(net, features, selector, targets, config, val=None):
                 net, features[batch], None if selector is None else selector[batch],
                 targets[batch])
             step += 1
-            correction1 = 1.0 - config.beta1 ** step
-            correction2 = 1.0 - config.beta2 ** step
+            correction1 = 1.0 - mtnn.ADAM_BETA1 ** step
+            correction2 = 1.0 - mtnn.ADAM_BETA2 ** step
             for i in range(len(net.weights)):
-                m_w[i] = config.beta1 * m_w[i] + (1 - config.beta1) * d_w[i]
-                v_w[i] = config.beta2 * v_w[i] + (1 - config.beta2) * d_w[i] ** 2
+                m_w[i] = mtnn.ADAM_BETA1 * m_w[i] + (1 - mtnn.ADAM_BETA1) * d_w[i]
+                v_w[i] = mtnn.ADAM_BETA2 * v_w[i] + (1 - mtnn.ADAM_BETA2) * d_w[i] ** 2
                 net.weights[i] -= config.learning_rate * (m_w[i] / correction1) / (
-                    np.sqrt(v_w[i] / correction2) + config.epsilon
+                    np.sqrt(v_w[i] / correction2) + mtnn.ADAM_EPSILON
                 )
-                m_b[i] = config.beta1 * m_b[i] + (1 - config.beta1) * d_b[i]
-                v_b[i] = config.beta2 * v_b[i] + (1 - config.beta2) * d_b[i] ** 2
+                m_b[i] = mtnn.ADAM_BETA1 * m_b[i] + (1 - mtnn.ADAM_BETA1) * d_b[i]
+                v_b[i] = mtnn.ADAM_BETA2 * v_b[i] + (1 - mtnn.ADAM_BETA2) * d_b[i] ** 2
                 net.biases[i] -= config.learning_rate * (m_b[i] / correction1) / (
-                    np.sqrt(v_b[i] / correction2) + config.epsilon
+                    np.sqrt(v_b[i] / correction2) + mtnn.ADAM_EPSILON
                 )
         entry = {"epoch": epoch, "train_mse": mtnn.mse(net, features, selector, targets)}
         history.append(entry)

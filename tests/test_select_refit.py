@@ -79,8 +79,7 @@ def oracle_st_fold(report, family, design, train_mats, test_mats, grid, forest_g
 def oracle_run_protocol(family, data, subset_id, seeds, k, grid, forest_grid, base_train,
                         inner_k):
     _, _, design = ds.build_design(data, subset_id, False)
-    report = evaluation.ProtocolReport(model_id=evaluation.model_identifier(family, subset_id),
-                                       density_mode=False, n_seeds=len(seeds), k=k)
+    report = evaluation.ProtocolReport(model_id=evaluation.model_identifier(family, subset_id))
     for seed in seeds:
         plan = ds.kfold_by_material(design.material_ids, k, seed)
         for fold in range(k):
@@ -165,10 +164,10 @@ def bits(values):
 
 @pytest.mark.parametrize("family", evaluation.MODEL_FAMILIES)
 def test_run_protocol_equals_per_family_oracle(inputs, family):
-    args = (inputs["data"], SUBSET)
-    report = evaluation.run_protocol(family, *args, False, seeds=SEEDS, k=FOLDS,
+    _, schema, design = ds.build_design(inputs["data"], SUBSET, False)
+    report = evaluation.run_protocol(family, schema, design, SUBSET, seeds=SEEDS, k=FOLDS,
                                      grids=inputs["grids"], inner_k=INNER_FOLDS)
-    oracle = oracle_run_protocol(family, *args, SEEDS, FOLDS, grid=inputs["grid"],
+    oracle = oracle_run_protocol(family, inputs["data"], SUBSET, SEEDS, FOLDS, grid=inputs["grid"],
                                  forest_grid=inputs["forest_grid"],
                                  base_train=inputs["base_train"], inner_k=INNER_FOLDS)
 
@@ -249,8 +248,9 @@ def test_one_cell_fit_selected_equals_select_then_refit(inputs, family):
 @pytest.mark.parametrize("family", evaluation.MODEL_FAMILIES)
 def test_one_cell_run_protocol_equals_select_then_refit(inputs, family):
     grids = inputs["one_cell"]
-    report = evaluation.run_protocol(family, inputs["data"], SUBSET, False, seeds=SEEDS,
-                                     k=FOLDS, grids=grids, inner_k=INNER_FOLDS)
+    _, schema, design = ds.build_design(inputs["data"], SUBSET, False)
+    report = evaluation.run_protocol(family, schema, design, SUBSET, seeds=SEEDS, k=FOLDS,
+                                     grids=grids, inner_k=INNER_FOLDS)
     oracle = oracle_run_protocol(family, inputs["data"], SUBSET, SEEDS, FOLDS, grids.mtnn,
                                  grids.forest, grids.train, INNER_FOLDS)
     assert list(report.channels) == list(oracle.channels)
