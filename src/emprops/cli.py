@@ -17,6 +17,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -25,10 +26,11 @@ import numpy as np
 import emprops
 from emprops import dataset as ds
 from emprops import descriptors, evaluation, pipeline
-from emprops.errors import InvalidConfig, MissingDensity, MissingFile, ToolkitError
+from emprops.errors import InvalidConfig, MissingFile, ToolkitError
 from emprops.rng import derive_seed
 
 DEFAULT_SEEDS = "1,2,3"
+INPUT_FLAGS = ("data", "grid", "registry", "model")  # the flags that name input files
 
 
 def _sha256(path: str) -> str:
@@ -58,22 +60,34 @@ def _parse_subset(text: str) -> int:
         raise InvalidConfig(f"subset must be 1..6 or 'all', got {text!r}")
 
 
-def _write_manifest(out_dir: Path, command: str, options: dict, inputs: dict,
-                    extra: dict | None = None, started: float | None = None) -> None:
+def _write_manifest(out_dir: Path, args, started: float, extra: dict | None = None) -> None:
+    """manifest.json: the command, its options, the checksum of every input
+    file it names, and the time it took."""
     manifest = {
         "tool": "emprops",
         "tool_version": emprops.__version__,
-        "command": command,
-        "options": options,
-        "inputs": {name: _sha256(path) for name, path in inputs.items() if path},
+        "command": args.command,
+        "options": {k: v for k, v in vars(args).items() if k != "func"},
+        "inputs": {flag: _sha256(getattr(args, flag)) for flag in INPUT_FLAGS
+                   if getattr(args, flag, None)},
         "wall_clock_utc": datetime.now(timezone.utc).isoformat(),
-        "elapsed_seconds": round(time.monotonic() - started, 3) if started else None,
+        "elapsed_seconds": round(time.monotonic() - started, 3),
     }
     if extra:
         manifest.update(extra)
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+
+
+@contextmanager
+def _naming(mol: ds.Molecule):
+    """Prefix a ToolkitError raised inside with the material and its CSV
+    data row; the class, which is the error code, stays."""
+    try:
+        yield
+    except ToolkitError as exc:
+        raise type(exc)(f"material {mol.material_id!r} (row {mol.row}): {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +102,8 @@ def cmd_featurize(args) -> int:
     schema = descriptors.fit_schema(graphs, include_density=args.density)
     lines = ["material_id," + ",".join(schema.names)]
     for mol, graph in zip(molecules, graphs):
-        if args.density and mol.density is None:
-            raise MissingDensity(f"material {mol.material_id!r} has no density")
-        vector = descriptors.featurize(graph, schema, mol.density if args.density else None)
+        with _naming(mol):
+            vector = descriptors.featurize(graph, schema, mol.density if args.density else None)
         lines.append(mol.material_id + "," + ",".join(f"{v:.12g}" for v in vector))
     (out_dir / "features.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (out_dir / "schema_manifest.json").write_text(
@@ -156,8 +169,7 @@ def cmd_tune(args) -> int:
     (out_dir / "winner.json").write_text(
         json.dumps(winner, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    _write_manifest(out_dir, "tune", _options(args), {"data": args.data, "grid": args.grid,
-                    "registry": args.registry}, {"schema": schema.manifest()}, started)
+    _write_manifest(out_dir, args, started, {"schema": schema.manifest()})
     print(f"tuned {args.family} on subset {subset_id}: winner -> {out_dir / 'winner.json'}")
     return 0
 
@@ -178,12 +190,12 @@ def cmd_train(args) -> int:
     subset_id, schema, design = _prepare_design(args)
 
     all_rows = np.ones(len(design.targets), dtype=bool)
-    bundle = evaluation.fit_selected(args.family, design, schema, all_rows, grids, args.folds,
-                                     args.seed, derive_seed(args.seed, 5))
+    fit = evaluation.Fit(args.family, design, all_rows, ~all_rows, args.seed,
+                         derive_seed(args.seed, 5))
+    bundle = evaluation.fit_selected(fit, schema, grids, args.folds)
     model_path = out_dir / ("model.emrf" if bundle.kind == "forest" else "model.emmt")
     pipeline.save_model(model_path, bundle)
-    _write_manifest(out_dir, "train", _options(args), {"data": args.data, "grid": args.grid,
-                    "registry": args.registry}, {"schema": schema.manifest()}, started)
+    _write_manifest(out_dir, args, started, {"schema": schema.manifest()})
     print(f"trained {args.family} on subset {subset_id} -> {model_path}")
     return 0
 
@@ -206,8 +218,7 @@ def cmd_evaluate(args) -> int:
     for name, text in evaluation.report_table(reports).items():
         (out_dir / name).write_text(text, encoding="utf-8")
 
-    _write_manifest(out_dir, "evaluate", _options(args), {"data": args.data,
-                    "grid": args.grid, "registry": args.registry}, None, started)
+    _write_manifest(out_dir, args, started)
     print(f"evaluated {','.join(families)} on subset {subset_id} "
           f"({len(seeds)} seeds x {args.folds} folds) -> {out_dir}")
     return 0
@@ -228,7 +239,9 @@ def cmd_screen(args) -> int:
     channel = bundle.registry.lookup(prop, fidelity)  # validates the channel
     ranked = []
     for mol in ds.read_molecules(args.data):
-        predictions = pipeline.predict_matrix(bundle, mol.smiles, mol.density)
+        graph = mol.parse()
+        with _naming(mol):
+            predictions = pipeline.predict_matrix(bundle, graph, mol.density)
         ranked.append((mol.material_id, mol.smiles, predictions[channel.key]))
     # descending by prediction, stable tie order by material_id
     ranked.sort(key=lambda row: row[0])
@@ -249,11 +262,6 @@ def cmd_screen(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
-
-def _options(args) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
-
 
 def _add_common_data_flags(parser, *, subset: bool = True) -> None:
     parser.add_argument("--data", required=True, help="dataset CSV path")
@@ -334,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_input_files(args) -> None:
     """Every input file named by --data, --grid, --registry or --model must exist."""
-    for flag in ("data", "grid", "registry", "model"):
+    for flag in INPUT_FLAGS:
         path = getattr(args, flag, None)
         if path is not None and not Path(path).is_file():
             raise MissingFile(path)

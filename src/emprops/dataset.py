@@ -231,20 +231,40 @@ class Molecule:
             raise ParseFailure(self.row, f"SMILES {self.smiles!r}: {exc}") from exc
 
 
+def _utf8_lines(handle):
+    """The lines of a file opened with errors="surrogateescape", where a
+    byte that is not UTF-8 reads as a lone surrogate; a line holding one
+    is a csv.Error."""
+    for line in handle:
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise csv.Error("bytes that are not UTF-8 text") from None
+        yield line
+
+
 def _csv_molecules(path: str | Path, columns: tuple[str, ...]):
     """(CSV row, Molecule) per data row of a CSV that has the columns: the
-    one reader of every molecule CSV. A missing header or column, an empty
-    material_id or smiles, a bad density, or a material whose SMILES
-    differs from its first row's is ParseFailure for the data row (0 for
-    the header)."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise ParseFailure(0, "missing CSV header")
-        missing = [c for c in columns if c not in reader.fieldnames]
-        if missing:
-            raise ParseFailure(0, f"missing required columns: {missing}")
-        rows = list(reader)
+    one reader of every molecule CSV. A missing header or column, bytes
+    that are not UTF-8, a row the csv module cannot read (such as a field
+    over its size limit), an empty material_id or smiles, a bad density,
+    or a material whose SMILES differs from its first row's is
+    ParseFailure for the data row (0 for the header)."""
+    header, rows = None, []
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
+        reader = csv.DictReader(_utf8_lines(handle))
+        try:
+            header = reader.fieldnames
+            if header is None:
+                raise ParseFailure(0, "missing CSV header")
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise ParseFailure(0, f"missing required columns: {missing}")
+            for row in reader:
+                rows.append(row)
+        except csv.Error as exc:
+            raise ParseFailure(0 if header is None else len(rows) + 1, str(exc)) from None
 
     smiles_by_material: dict[str, str] = {}
     for row_number, row in enumerate(rows, start=1):

@@ -8,12 +8,16 @@ units after undoing standardization, except that log-transformed channels
 (drop height h50) are reported in log units. Aggregation is mean and
 sample standard deviation over the k x n_seeds fold values.
 
-Every family goes through the same steps: select_cell picks a cell by
-the shared inner-CV loop dataset.cv_select, fit_selected refits it (every
-network, single- or multi-task, through mtnn.fit_network), and
-pipeline.predict_rows predicts. fit_selected refits a one-cell grid
-without inner CV, since selection could only return that cell; tune
-always runs select_cell, because its score table is its output.
+The protocol is a list of fits: plan gives one Fit per seed, outer fold
+and unit, with its rows and derived seeds; run_protocol fits each one
+that has test rows with fit_selected, predicts its held-out rows with
+pipeline.predict_rows and records the metrics, in plan order. Every
+family goes through the same steps: select_cell picks a cell by the
+shared inner-CV loop dataset.cv_select, and fit_selected refits it (every
+network, single- or multi-task, through mtnn.fit_network). fit_selected
+refits a one-cell grid without inner CV, since selection could only
+return that cell; tune always runs select_cell, because its score table
+is its output.
 
 Grids is everything a grid file sets (the network grid, the forest grid
 and the base training settings), passed as one value from the file to
@@ -182,7 +186,9 @@ class Grids:
             for key, value in train.items():
                 with _naming(f"train.{key}"):
                     TrainConfig.check(key, value)
-            return cls(GridSpec(**network), ForestGridSpec(**forest), TrainConfig(**train))
+            with _naming("train.patience"):  # the one rule across settings
+                base = TrainConfig(**train)
+            return cls(GridSpec(**network), ForestGridSpec(**forest), base)
         except (ValueError, TypeError, InvalidConfig) as exc:  # bad JSON or value
             raise InvalidConfig(f"grid file {path}: {exc}") from exc
 
@@ -237,43 +243,60 @@ def model_identifier(family: str, subset_id: int) -> str:
     return "MT-NN-all" if subset_id == 6 else f"MT-NN-sub{subset_id}"
 
 
-def run_protocol(family: str, schema: descriptors.FeatureSchema, design: ds.DesignMatrix,
-                 subset_id: int, seeds=DEFAULT_SEEDS, k: int = DEFAULT_FOLDS,
-                 grids: Grids = Grids(), inner_k: int = 5) -> ProtocolReport:
-    """Full evaluation protocol for one model family on the schema and
-    design ds.build_design gives for subset_id.
+@dataclass(frozen=True)
+class Fit:
+    """One model fit: the family, the unit design the model sees, its
+    training and held-out rows, the selection seed (the refit takes
+    derive_seed(seed, 3)) and a network's batch-order seed."""
 
-    A unit is what one model is fitted to: the whole design for the
-    multi-task family, one channel's records for a single-task family.
-    Per seed, fold and unit, fit_selected selects and refits on the
-    training fold and predict_rows predicts the held-out fold. A unit with
-    no training or no test records in a fold records NaN.
-    """
+    family: str
+    unit: ds.DesignMatrix
+    train_rows: np.ndarray
+    test_rows: np.ndarray
+    seed: int
+    train_seed: int
+
+
+def plan(family: str, design: ds.DesignMatrix, seeds, k: int) -> list[Fit]:
+    """One Fit per seed, outer fold and unit, in that order; the one place
+    that derives the protocol's seeds. A unit is the whole design for
+    mt-nn and one channel's records for st-rf and st-nn. A unit without
+    training rows in a fold gets no test rows either, so it records NaN."""
     if family not in MODEL_FAMILIES:
         raise InvalidConfig(f"unknown model family {family!r}")
     units = [design] if family == "mt-nn" else [
         single_channel_design(design, pos) for pos in range(len(design.registry))]
-
-    report = ProtocolReport(model_id=model_identifier(family, subset_id))
+    fits = []
     for seed in seeds:
-        plan = ds.kfold_by_material(design.material_ids, k, seed)
+        folds = ds.kfold_by_material(design.material_ids, k, seed)
         for fold in range(k):
-            train_mats, test_mats = plan.train_test(fold)
+            train_mats, test_mats = folds.train_test(fold)
             fold_seed = derive_seed(seed, fold)
             for pos, unit in enumerate(units):
+                unit_seed = fold_seed if family == "mt-nn" else derive_seed(fold_seed, pos + 17)
                 train_rows = unit.rows_for(train_mats)
-                test_rows = unit.rows_for(test_mats)
-                if not np.any(train_rows):
-                    test_rows[:] = False  # nothing to fit: the unit records NaN
-                pred = np.empty(0)
-                if np.any(test_rows):
-                    unit_seed = fold_seed if family == "mt-nn" else derive_seed(fold_seed, pos + 17)
-                    bundle = fit_selected(family, unit, schema, train_rows, grids, inner_k,
-                                          unit_seed, derive_seed(derive_seed(unit_seed, 3), 11))
-                    pred = pipeline.predict_rows(bundle, unit.features[test_rows],
-                                                 unit.channel_idx[test_rows])
-                _record_channel_metrics(report, unit.registry, pred, unit.targets[test_rows],
-                                        unit.channel_idx[test_rows])
+                test_rows = unit.rows_for(test_mats) & np.any(train_rows)
+                fits.append(Fit(family, unit, train_rows, test_rows, unit_seed,
+                                derive_seed(derive_seed(unit_seed, 3), 11)))
+    return fits
+
+
+def run_protocol(family: str, schema: descriptors.FeatureSchema, design: ds.DesignMatrix,
+                 subset_id: int, seeds=DEFAULT_SEEDS, k: int = DEFAULT_FOLDS,
+                 grids: Grids = Grids(), inner_k: int = 5) -> ProtocolReport:
+    """Full evaluation protocol for one model family on the schema and
+    design ds.build_design gives for subset_id: per fit of the plan,
+    fit_selected selects and refits on the training rows and predict_rows
+    predicts the held-out rows. A fit without test rows records NaN."""
+    report = ProtocolReport(model_id=model_identifier(family, subset_id))
+    for fit in plan(family, design, seeds, k):
+        unit, test_rows = fit.unit, fit.test_rows
+        pred = np.empty(0)
+        if np.any(test_rows):
+            pred = pipeline.predict_rows(fit_selected(fit, schema, grids, inner_k),
+                                         unit.features[test_rows], unit.channel_idx[test_rows])
+        _record_channel_metrics(report, unit.registry, pred, unit.targets[test_rows],
+                                unit.channel_idx[test_rows])
     return report
 
 
@@ -292,29 +315,30 @@ def select_cell(family: str, design: ds.DesignMatrix, grids: Grids, inner_k: int
     return mtnn.grid_search(grids.mtnn, design, grids.train, inner_k=inner_k, seed=seed)
 
 
-def fit_selected(family: str, design: ds.DesignMatrix, schema: descriptors.FeatureSchema,
-                 train_rows: np.ndarray, grids: Grids, inner_k: int, seed: int,
-                 train_seed: int) -> pipeline.ModelBundle:
-    """Select a cell by inner CV on the train rows and refit it on all of
-    them, seeded by derive_seed(seed, 3); a network's batch order is
-    seeded by train_seed. A one-cell grid skips inner CV and refits its
-    cell, which selection would return whatever the scores; inner_k must
-    still be at least 2. Every command fits its models through here."""
+def fit_selected(fit: Fit, schema: descriptors.FeatureSchema, grids: Grids,
+                 inner_k: int) -> pipeline.ModelBundle:
+    """Select a cell by inner CV on the fit's training rows and refit it on
+    all of them, seeded by derive_seed(fit.seed, 3); a network's batch
+    order is seeded by fit.train_seed. A one-cell grid skips inner CV and
+    refits its cell, which selection would return whatever the scores;
+    inner_k must still be at least 2. Every command fits its models
+    through here."""
     ds.check_fold_count(inner_k)
-    cells = grids.cells(family, design)
+    design, train_rows = fit.unit, fit.train_rows
+    cells = grids.cells(fit.family, design)
     if len(cells) == 1:
         cell = cells[0]
     else:
-        cell = select_cell(family, _restrict(design, train_rows), grids, inner_k,
-                           seed).best_cell
-    refit_seed = derive_seed(seed, 3)
-    if family == "st-rf":
+        cell = select_cell(fit.family, _restrict(design, train_rows), grids, inner_k,
+                           fit.seed).best_cell
+    refit_seed = derive_seed(fit.seed, 3)
+    if fit.family == "st-rf":
         model = rf.fit_forest(design.features[train_rows], design.targets[train_rows],
                               rf.ForestConfig(seed=refit_seed, **cell))
         return pipeline.ModelBundle(kind="forest", registry=design.registry, schema=schema,
                                     forest=model)
     standardizer, result = mtnn.fit_network(design, train_rows, cell, grids.train,
-                                            refit_seed, train_seed)
+                                            refit_seed, fit.train_seed)
     return pipeline.ModelBundle(kind="mtnn", registry=design.registry, schema=schema,
                                 net=result.net, standardizer=standardizer)
 

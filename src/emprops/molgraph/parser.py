@@ -49,7 +49,7 @@ def _parse_bracket(body: str, pos: int) -> tuple[str, bool, int, int]:
         attempt = _ELEMENT_ATTEMPT_RE.match(body)
         if attempt and attempt.group(0) not in HEAVY_ELEMENTS and attempt.group(0) not in AROMATIC_TOKENS:
             raise UnsupportedElement(f"element {attempt.group(0)!r} at position {pos} is outside CHNOClF")
-        raise SmilesSyntaxError(f"malformed bracket atom [{body}] at position {pos}")
+        raise SmilesSyntaxError(f"malformed bracket atom {'[' + body + ']'!r} at position {pos}")
     sym = m.group("sym")
     aromatic = sym in AROMATIC_TOKENS
     element = AROMATIC_TOKENS.get(sym, sym)

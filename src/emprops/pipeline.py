@@ -16,7 +16,7 @@ import numpy as np
 
 from emprops import dataset as ds
 from emprops import descriptors, forest as rf, modelio, mtnn
-from emprops.errors import CorruptFile, InvalidConfig, MissingDensity
+from emprops.errors import CorruptFile, InvalidConfig
 from emprops.molgraph import MolGraph, parse_smiles
 
 
@@ -105,11 +105,9 @@ def _check_tree(tree: np.ndarray, n_features: int) -> None:
 
 
 def features_for(bundle: ModelBundle, graph: MolGraph, density: float | None) -> np.ndarray:
-    if bundle.schema.include_density and density is None:
-        raise MissingDensity("this model requires a density input")
-    if not bundle.schema.include_density:
-        density = None
-    return descriptors.featurize(graph, bundle.schema, density)
+    """The model's input row; a density is dropped unless its schema takes one."""
+    return descriptors.featurize(graph, bundle.schema,
+                                 density if bundle.schema.include_density else None)
 
 
 def predict_rows(bundle: ModelBundle, features: np.ndarray, channel_idx: np.ndarray,

@@ -417,6 +417,42 @@ class TestModelHeader:
         assert capsys.readouterr().err.startswith("error CorruptFile: model takes")
 
 
+MOLECULE_ERRORS = {
+    "multi-fragment": ("CC.O", "error MultiFragment: material 'X3' (row 2): "),
+    "bad-smiles": ("C1CC", "error ParseFailure: row 2: SMILES 'C1CC': "),
+}
+
+
+class TestMoleculeErrors:
+    """featurize and screen name the material and CSV data row of a
+    molecule they cannot parse or featurize."""
+
+    @pytest.mark.parametrize("command", ["featurize", "screen-EMMT", "screen-EMRF"])
+    @pytest.mark.parametrize("case", MOLECULE_ERRORS)
+    def test_names_material_and_row(self, tmp_path, capsys, model_files, command, case):
+        smiles, expected = MOLECULE_ERRORS[case]
+        data = tmp_path / "mols.csv"
+        data.write_text(f"material_id,smiles\nX1,CCO\nX3,{smiles}\n", encoding="utf-8")
+        if command == "featurize":
+            argv = ["featurize", "--data", str(data), "--out", str(tmp_path / "f")]
+        else:
+            model = model_files[command.split("-")[1].encode()]
+            argv = ["screen", "--model", str(model), "--data", str(data),
+                    "--by", "det_velocity:calc"]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(expected) and len(err.splitlines()) == 1
+
+    def test_featurize_missing_density(self, tmp_path, capsys):
+        data = tmp_path / "mols.csv"
+        data.write_text("material_id,smiles,density\nM1,CC,1.0\nM2,CCO,\n", encoding="utf-8")
+        code = cli.main(["featurize", "--data", str(data), "--density",
+                         "--out", str(tmp_path / "f")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error MissingDensity: material 'M2' (row 2): ")
+
+
 GRID_ERRORS = {
     "not-json": "{not json",
     "hidden-sizes-not-nested": '{"mtnn": {"hidden_sizes": [8]}}',
@@ -472,6 +508,7 @@ GRID_ERROR_KEYS = {
     "learning-rate-true": "mtnn.learning_rate",
     "l2-penalty-false": "mtnn.l2_penalty",
     "axis-not-list": "mtnn.learning_rate",
+    "patience-above-max-epochs": "train.patience",
 }
 
 

@@ -86,22 +86,41 @@ class TestReadMolecules:
     def test_missing_column_fails_alike_in_both_readers(self, tmp_path, header):
         path = tmp_path / "data.csv"
         path.write_text(header + "\n", encoding="utf-8")
-        failures = []
-        for read in (ds.read_molecules, lambda p: ds.load_records(p, ds.default_registry())):
-            with pytest.raises(ParseFailure) as excinfo:
-                read(path)
-            failures.append((excinfo.value.row, str(excinfo.value)))
-        assert failures[0] == failures[1]
-        assert failures[0][0] == 0 and "missing required columns" in failures[0][1]
+        row, message = both_readers_fail(path)
+        assert row == 0 and "missing required columns" in message
 
     def test_conflicting_smiles_fails_alike_in_both_readers(self, tmp_path):
         path = write_csv(tmp_path, ["M1,CC,det_velocity,exp,7.0,", "M1,CCC,det_pressure,exp,20,"])
-        messages = []
-        for read in (ds.read_molecules, lambda p: ds.load_records(p, ds.default_registry())):
-            with pytest.raises(ParseFailure) as excinfo:
-                read(path)
-            messages.append(str(excinfo.value))
-        assert messages[0] == messages[1] == "row 2: conflicting SMILES for material 'M1'"
+        assert both_readers_fail(path) == (2, "row 2: conflicting SMILES for material 'M1'")
+
+    def test_byte_that_is_not_utf8_names_its_row(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"material_id,smiles,property,fidelity,value,density\n"
+                         b"M1,CC,det_velocity,exp,7.0,\nM2,C\xe9C,det_velocity,exp,7.5,\n")
+        assert both_readers_fail(path) == (2, "row 2: bytes that are not UTF-8 text")
+
+    def test_utf16_file_fails_at_the_header(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("material_id,smiles,property,fidelity,value,density\n"
+                        "M1,CC,det_velocity,exp,7.0,\n", encoding="utf-16")
+        assert both_readers_fail(path) == (0, "row 0: bytes that are not UTF-8 text")
+
+    def test_field_over_the_csv_size_limit_names_its_row(self, tmp_path):
+        path = write_csv(tmp_path, ["M1,CC,det_velocity,exp,7.0,",
+                                    f"M2,{'C' * 131_073},det_velocity,exp,7.5,"])
+        assert both_readers_fail(path) == (2, "row 2: field larger than field limit (131072)")
+
+
+def both_readers_fail(path) -> tuple[int, str]:
+    """(row, message) of the ParseFailure that read_molecules and
+    load_records both raise on the file."""
+    failures = []
+    for read in (ds.read_molecules, lambda p: ds.load_records(p, ds.default_registry())):
+        with pytest.raises(ParseFailure) as excinfo:
+            read(path)
+        failures.append((excinfo.value.row, str(excinfo.value)))
+    assert failures[0] == failures[1]
+    return failures[0]
 
 
 class TestChannelTransform:

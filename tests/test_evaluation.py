@@ -5,8 +5,9 @@ import pytest
 
 from emprops import dataset as ds
 from emprops import evaluation, mtnn
-from emprops.errors import ConstantTargets, LengthMismatch
+from emprops.errors import ConstantTargets, InvalidConfig, LengthMismatch
 from emprops.molgraph import parse_smiles
+from emprops.rng import derive_seed
 
 
 class TestMetrics:
@@ -193,3 +194,56 @@ class TestProtocol:
                                     grids=FAST_GRIDS, inner_k=3)
         for key in a.channels:
             assert a.channels[key].rmse_values == b.channels[key].rmse_values
+
+
+def sparse_design():
+    """Two channels on nine materials and a third channel on M0 alone, so
+    the third channel's unit has no training rows in M0's test fold."""
+    registry = ds.PropertyRegistry(channels=(
+        ds.PropertyChannel("det_velocity", "calc"),
+        ds.PropertyChannel("det_pressure", "calc"),
+        ds.PropertyChannel("heat_form_gas", "calc"),
+    ))
+    rows = [(f"M{i}", pos) for i in range(9) for pos in (0, 1)] + [("M0", 2)]
+    return ds.DesignMatrix(features=np.arange(2.0 * len(rows)).reshape(-1, 2),
+                           channel_idx=np.array([pos for _, pos in rows]),
+                           targets=np.arange(float(len(rows))),
+                           material_ids=[m for m, _ in rows], registry=registry)
+
+
+class TestPlan:
+    """The protocol's fits, checked without fitting a model."""
+
+    @pytest.mark.parametrize("family", evaluation.MODEL_FAMILIES)
+    def test_order_seeds_and_rows(self, family):
+        design, seeds, k = sparse_design(), (4, 7), 3
+        units = [design] if family == "mt-nn" else [
+            evaluation.single_channel_design(design, pos) for pos in range(3)]
+        fits = evaluation.plan(family, design, seeds, k)
+        assert len(fits) == len(seeds) * k * len(units)
+        blanked = 0
+        for i, fit in enumerate(fits):
+            seed, fold, pos = seeds[i // (k * len(units))], i // len(units) % k, i % len(units)
+            unit_seed = derive_seed(seed, fold)
+            if family != "mt-nn":
+                unit_seed = derive_seed(unit_seed, pos + 17)
+            assert (fit.family, fit.seed) == (family, unit_seed)
+            assert fit.train_seed == derive_seed(derive_seed(unit_seed, 3), 11)
+            assert fit.unit.registry == units[pos].registry
+            assert fit.unit.material_ids == units[pos].material_ids
+
+            train_mats, test_mats = ds.kfold_by_material(design.material_ids, k,
+                                                         seed).train_test(fold)
+            mats = np.array(fit.unit.material_ids)
+            assert set(mats[fit.train_rows]) == set(mats) & train_mats
+            assert not set(mats[fit.train_rows]) & set(mats[fit.test_rows])
+            if np.any(fit.train_rows):
+                assert set(mats[fit.test_rows]) == set(mats) & test_mats
+            else:  # nothing to fit, so nothing to score: the fit records NaN
+                assert not np.any(fit.test_rows)
+                blanked += 1
+        assert blanked == (0 if family == "mt-nn" else len(seeds))
+
+    def test_unknown_family(self):
+        with pytest.raises(InvalidConfig, match="unknown model family 'gp'"):
+            evaluation.plan("gp", sparse_design(), (1,), 3)

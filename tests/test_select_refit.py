@@ -238,8 +238,8 @@ def test_one_cell_fit_selected_equals_select_then_refit(inputs, family):
     schema, design = unit_design(inputs, family)
     train_mats, _ = ds.kfold_by_material(design.material_ids, FOLDS, 5).train_test(0)
     train_rows = design.rows_for(train_mats)
-    bundle = evaluation.fit_selected(family, design, schema, train_rows, grids, INNER_FOLDS,
-                                     9, 10)
+    bundle = evaluation.fit_selected(evaluation.Fit(family, design, train_rows, ~train_rows, 9, 10),
+                                     schema, grids, INNER_FOLDS)
     fitted = bundle.forest.trees if family == "st-rf" else [bundle.net.params]
     expected = oracle_fit_selected(family, design, train_rows, grids, INNER_FOLDS, 9, 10)
     assert [a.tobytes() for a in fitted] == [a.tobytes() for a in expected]
@@ -275,8 +275,8 @@ def test_inner_cv_runs_only_for_several_cells(inputs, monkeypatch, family, modul
     all_rows = np.ones(len(design.targets), dtype=bool)
 
     def fit(grids):
-        return evaluation.fit_selected(family, design, schema, all_rows, grids, INNER_FOLDS,
-                                       1, 2)
+        return evaluation.fit_selected(evaluation.Fit(family, design, all_rows, ~all_rows, 1, 2),
+                                       schema, grids, INNER_FOLDS)
 
     fit(inputs["one_cell"])
     with pytest.raises(InnerCVEntered):

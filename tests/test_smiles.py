@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emprops.errors import (
@@ -168,6 +168,17 @@ def test_parsing_is_total(text):
     assert g.atoms
     for atom in g.atoms:
         assert atom.implicit_h >= 0
+
+
+@given(st.text(alphabet="CNOc()[]=#+-1%@.H\n\r\x00\x85x", min_size=1, max_size=10))
+@example("[,\nM1,[NH4+],")
+@settings(max_examples=300, deadline=None)
+def test_error_messages_are_one_line(text):
+    # the CLI reports an error as one line, so input line breaks must not reach it
+    try:
+        parse_smiles(text)
+    except ToolkitError as exc:
+        assert len(str(exc).splitlines()) == 1, str(exc)
 
 
 def test_aromatic_atoms_sit_in_aromatic_rings():
