@@ -192,7 +192,7 @@ def cmd_train(args) -> int:
     all_rows = np.ones(len(design.targets), dtype=bool)
     fit = evaluation.Fit(args.family, design, all_rows, ~all_rows, args.seed,
                          derive_seed(args.seed, 5))
-    bundle = evaluation.fit_selected(fit, schema, grids, args.folds)
+    (bundle,) = evaluation.fit_all([fit], schema, grids, args.folds)
     model_path = out_dir / ("model.emrf" if bundle.kind == "forest" else "model.emmt")
     pipeline.save_model(model_path, bundle)
     _write_manifest(out_dir, args, started, {"schema": schema.manifest()})

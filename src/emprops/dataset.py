@@ -105,13 +105,13 @@ class PropertyRegistry:
         for i, existing in enumerate(self.channels):
             if existing.key == channel.key:
                 return i
-        raise UnknownChannel(f"channel {channel.key} not in registry")
+        raise UnknownChannel(f"channel {channel.key!r} not in registry")
 
     def lookup(self, prop: str, fidelity: str) -> PropertyChannel:
         for channel in self.channels:
             if channel.property == prop and channel.fidelity == fidelity:
                 return channel
-        raise UnknownChannel(f"channel {prop}:{fidelity} not in registry")
+        raise UnknownChannel(f"channel {prop + ':' + fidelity!r} not in registry")
 
     def to_json(self) -> list[dict]:
         return [
@@ -246,13 +246,14 @@ def _utf8_lines(handle):
 
 def _csv_molecules(path: str | Path, columns: tuple[str, ...]):
     """(CSV row, Molecule) per data row of a CSV that has the columns: the
-    one reader of every molecule CSV. A missing header or column, bytes
-    that are not UTF-8, a row the csv module cannot read (such as a field
-    over its size limit), an empty material_id or smiles, a bad density,
-    or a material whose SMILES differs from its first row's is
+    one reader of every molecule CSV. A leading UTF-8 byte-order mark, as
+    spreadsheets save "CSV UTF-8", is skipped. A missing header or column,
+    bytes that are not UTF-8, a row the csv module cannot read (such as a
+    field over its size limit), an empty material_id or smiles, a bad
+    density, or a material whose SMILES differs from its first row's is
     ParseFailure for the data row (0 for the header)."""
     header, rows = None, []
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
         reader = csv.DictReader(_utf8_lines(handle))
         try:
             header = reader.fieldnames

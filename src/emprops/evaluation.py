@@ -9,15 +9,16 @@ units after undoing standardization, except that log-transformed channels
 sample standard deviation over the k x n_seeds fold values.
 
 The protocol is a list of fits: plan gives one Fit per seed, outer fold
-and unit, with its rows and derived seeds; run_protocol fits each one
-that has test rows with fit_selected, predicts its held-out rows with
-pipeline.predict_rows and records the metrics, in plan order. Every
-family goes through the same steps: select_cell picks a cell by the
-shared inner-CV loop dataset.cv_select, and fit_selected refits it (every
-network, single- or multi-task, through mtnn.fit_network). fit_selected
-refits a one-cell grid without inner CV, since selection could only
-return that cell; tune always runs select_cell, because its score table
-is its output.
+and unit, with its rows and derived seeds; run_protocol fits every one
+that has test rows with one fit_all call, then predicts their held-out
+rows with pipeline.predict_rows and records the metrics, in plan order.
+Every family goes through the same steps: select_cell picks a cell by the
+shared inner-CV loop dataset.cv_select, and fit_all refits it: a forest
+on its own, every network, single- or multi-task, prepared by
+mtnn.network_job and trained in one mtnn.train_many stack with the other
+refits that won the same cell. fit_all refits a one-cell grid without
+inner CV, since selection could only return that cell; tune always runs
+select_cell, because its score table is its output.
 
 Grids is everything a grid file sets (the network grid, the forest grid
 and the base training settings), passed as one value from the file to
@@ -37,7 +38,7 @@ import numpy as np
 
 from emprops import dataset as ds
 from emprops import descriptors, forest as rf, mtnn, pipeline
-from emprops.errors import ConstantTargets, InvalidConfig, LengthMismatch
+from emprops.errors import ConstantTargets, InvalidConfig, LengthMismatch, ToolkitError
 from emprops.mtnn import GridSpec, MTNetConfig, TrainConfig
 from emprops.rng import derive_seed
 
@@ -285,16 +286,20 @@ def run_protocol(family: str, schema: descriptors.FeatureSchema, design: ds.Desi
                  subset_id: int, seeds=DEFAULT_SEEDS, k: int = DEFAULT_FOLDS,
                  grids: Grids = Grids(), inner_k: int = 5) -> ProtocolReport:
     """Full evaluation protocol for one model family on the schema and
-    design ds.build_design gives for subset_id: per fit of the plan,
-    fit_selected selects and refits on the training rows and predict_rows
-    predicts the held-out rows. A fit without test rows records NaN."""
+    design ds.build_design gives for subset_id: fit_all selects and refits
+    every fit of the plan that has test rows on its training rows, and
+    predict_rows predicts its held-out rows, recorded in plan order. A fit
+    without test rows records NaN."""
     report = ProtocolReport(model_id=model_identifier(family, subset_id))
-    for fit in plan(family, design, seeds, k):
+    fits = plan(family, design, seeds, k)
+    bundles = iter(fit_all([fit for fit in fits if np.any(fit.test_rows)], schema, grids,
+                           inner_k))
+    for fit in fits:
         unit, test_rows = fit.unit, fit.test_rows
         pred = np.empty(0)
         if np.any(test_rows):
-            pred = pipeline.predict_rows(fit_selected(fit, schema, grids, inner_k),
-                                         unit.features[test_rows], unit.channel_idx[test_rows])
+            pred = pipeline.predict_rows(next(bundles), unit.features[test_rows],
+                                         unit.channel_idx[test_rows])
         _record_channel_metrics(report, unit.registry, pred, unit.targets[test_rows],
                                 unit.channel_idx[test_rows])
     return report
@@ -315,32 +320,63 @@ def select_cell(family: str, design: ds.DesignMatrix, grids: Grids, inner_k: int
     return mtnn.grid_search(grids.mtnn, design, grids.train, inner_k=inner_k, seed=seed)
 
 
-def fit_selected(fit: Fit, schema: descriptors.FeatureSchema, grids: Grids,
-                 inner_k: int) -> pipeline.ModelBundle:
-    """Select a cell by inner CV on the fit's training rows and refit it on
-    all of them, seeded by derive_seed(fit.seed, 3); a network's batch
-    order is seeded by fit.train_seed. A one-cell grid skips inner CV and
-    refits its cell, which selection would return whatever the scores;
-    inner_k must still be at least 2. Every command fits its models
-    through here."""
-    ds.check_fold_count(inner_k)
-    design, train_rows = fit.unit, fit.train_rows
-    cells = grids.cells(fit.family, design)
-    if len(cells) == 1:
-        cell = cells[0]
-    else:
-        cell = select_cell(fit.family, _restrict(design, train_rows), grids, inner_k,
-                           fit.seed).best_cell
-    refit_seed = derive_seed(fit.seed, 3)
-    if fit.family == "st-rf":
-        model = rf.fit_forest(design.features[train_rows], design.targets[train_rows],
-                              rf.ForestConfig(seed=refit_seed, **cell))
-        return pipeline.ModelBundle(kind="forest", registry=design.registry, schema=schema,
-                                    forest=model)
-    standardizer, result = mtnn.fit_network(design, train_rows, cell, grids.train,
-                                            refit_seed, fit.train_seed)
-    return pipeline.ModelBundle(kind="mtnn", registry=design.registry, schema=schema,
-                                net=result.net, standardizer=standardizer)
+def fit_all(fits: list[Fit], schema: descriptors.FeatureSchema, grids: Grids,
+            inner_k: int) -> list[pipeline.ModelBundle]:
+    """One model per fit, in order: select a cell by inner CV on the fit's
+    training rows and refit it on all of them, seeded by
+    derive_seed(fit.seed, 3); a network's batch order is seeded by
+    fit.train_seed. A one-cell grid skips inner CV and refits its cell,
+    which selection would return whatever the scores; inner_k must still
+    be at least 2. Every command fits its models through here.
+
+    Forests are refit one by one. Network refits that differ only in their
+    seeds (the same winning cell on units of one shape) train together in
+    one mtnn.train_many stack, each standardized on its own rows as
+    mtnn.network_job does, with the bits it would get alone. The first
+    fit in order whose selection or refit fails raises its error, so a
+    failure reads as it would in a run that fits one fit at a time.
+    """
+    bundles: list = [None] * len(fits)
+    stacks: dict[tuple, list] = {}  # (net config, train config) without seeds -> fits
+    failure = None
+    for index, fit in enumerate(fits):
+        design, train_rows = fit.unit, fit.train_rows
+        try:
+            ds.check_fold_count(inner_k)
+            cells = grids.cells(fit.family, design)
+            if len(cells) == 1:
+                cell = cells[0]
+            else:
+                cell = select_cell(fit.family, _restrict(design, train_rows), grids, inner_k,
+                                   fit.seed).best_cell
+            refit_seed = derive_seed(fit.seed, 3)
+            if fit.family == "st-rf":
+                model = rf.fit_forest(design.features[train_rows], design.targets[train_rows],
+                                      rf.ForestConfig(seed=refit_seed, **cell))
+                bundles[index] = pipeline.ModelBundle(kind="forest", registry=design.registry,
+                                                      schema=schema, forest=model)
+                continue
+            standardizer, job = mtnn.network_job(design, train_rows, cell, grids.train,
+                                                 refit_seed, fit.train_seed)
+        except ToolkitError as exc:
+            failure = exc  # no later fit can fail first
+            break
+        key = (replace(job.net.config, seed=0), replace(job.config, seed=0))
+        stacks.setdefault(key, []).append((index, standardizer, job))
+
+    for members in stacks.values():
+        outcomes = mtnn.train_many([job for _, _, job in members])
+        for (index, standardizer, _), outcome in zip(members, outcomes):
+            if isinstance(outcome, ToolkitError):
+                bundles[index] = outcome
+            else:
+                bundles[index] = pipeline.ModelBundle(
+                    kind="mtnn", registry=fits[index].unit.registry, schema=schema,
+                    net=outcome.net, standardizer=standardizer)
+    for outcome in [*bundles, failure]:  # refit failures all come before `failure`
+        if isinstance(outcome, ToolkitError):
+            raise outcome
+    return bundles
 
 
 def _record_channel_metrics(report: ProtocolReport, registry: ds.PropertyRegistry,

@@ -7,9 +7,13 @@ this is the plain single-task network. Gradients are analytic
 backpropagation; training is Adam with early stopping on validation MSE.
 Everything seeded is driven by splitmix64, so runs are bit-reproducible.
 
-fit_network is the one path that fits a network (inner CV, the outer
-refit and the final model alike), and grid_search selects a cell through
-the shared inner-CV loop dataset.cv_select.
+train_many is the one training loop: it trains networks that differ only
+in their seeds in lockstep, each with the bits it would get alone, and
+train is its one-network case. network_job prepares every network fit
+(inner CV, the outer refit and the final model alike); fit_network trains
+one on its own, as grid_search does per inner fold through the shared
+inner-CV loop dataset.cv_select, and evaluation.fit_all stacks the refits
+of a protocol.
 """
 
 from __future__ import annotations
@@ -116,13 +120,15 @@ def parameter_count(config: MTNetConfig) -> int:
 def layer_views(config: MTNetConfig, vector: np.ndarray,
                 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer (fan_out, fan_in) weight and (fan_out,) bias views of a
-    flat parameter-layout vector: the parameters or their gradient."""
+    flat parameter-layout vector, the parameters or their gradient; of a
+    (U, P) stack of them, (U, fan_out, fan_in) and (U, fan_out) views."""
     weights, biases = [], []
     offset = 0
     for fan_out, fan_in in layer_shapes(config):
-        weights.append(vector[offset : offset + fan_out * fan_in].reshape(fan_out, fan_in))
+        weights.append(vector[..., offset : offset + fan_out * fan_in].reshape(
+            vector.shape[:-1] + (fan_out, fan_in)))
         offset += fan_out * fan_in
-        biases.append(vector[offset : offset + fan_out])
+        biases.append(vector[..., offset : offset + fan_out])
         offset += fan_out
     return weights, biases
 
@@ -142,11 +148,13 @@ def init_network(config: MTNetConfig) -> MTNet:
     return net
 
 
-def _layer_inputs(net: MTNet, features: np.ndarray, selector: np.ndarray | None):
-    """Forward pass keeping per-layer inputs for backprop."""
-    config = net.config
+def _rows(config: MTNetConfig, features: np.ndarray, selector: np.ndarray | None):
+    """Features (and selectors) as 2-D rows, a 1-D vector being one row,
+    checked against the network's input and selector widths."""
     if features.ndim == 1:
         features = features[None, :]
+    if selector is not None and selector.ndim == 1:
+        selector = selector[None, :]
     if features.shape[1] != config.input_dim:
         raise DimensionMismatch(
             f"feature dim {features.shape[1]} != input_dim {config.input_dim}"
@@ -157,74 +165,97 @@ def _layer_inputs(net: MTNet, features: np.ndarray, selector: np.ndarray | None)
     else:
         if selector is None:
             raise DimensionMismatch("selector required but missing")
-        if selector.ndim == 1:
-            selector = selector[None, :]
         if selector.shape[1] != config.selector_dim:
             raise DimensionMismatch(
                 f"selector dim {selector.shape[1]} != selector_dim {config.selector_dim}"
             )
         if selector.shape[0] != features.shape[0]:
             raise DimensionMismatch("feature/selector batch sizes differ")
+    return features, selector
 
+
+def _propagate(config: MTNetConfig, weights, biases, features: np.ndarray,
+               selector: np.ndarray | None):
+    """The forward pass, keeping per-layer inputs for backprop, of one
+    network ((n, d) rows, 2-D weight views) or of G stacked ones ((G, n, d)
+    rows, (G, fan_out, fan_in) weight views). np.matmul computes each
+    stacked slice with the same BLAS call as the 2-D product, so every
+    network gets the bits it would get alone."""
     inputs: list[np.ndarray] = []
     activation = features
     n_hidden = len(config.hidden_sizes)
     for i in range(n_hidden):
         layer_in = activation
         if config.selector_dim > 0 and i + 1 == config.selector_layer_index:
-            layer_in = np.concatenate([activation, selector], axis=1)
+            layer_in = np.concatenate([activation, selector], axis=-1)
         inputs.append(layer_in)
-        pre = layer_in @ net.weights[i].T + net.biases[i]
-        activation = np.maximum(pre, 0.0)
+        activation = layer_in @ weights[i].swapaxes(-1, -2)
+        activation += biases[i][..., None, :]
+        np.maximum(activation, 0.0, out=activation)
     inputs.append(activation)
-    output = activation @ net.weights[n_hidden].T + net.biases[n_hidden]
-    return inputs, output[:, 0]
+    output = activation @ weights[n_hidden].swapaxes(-1, -2)
+    output += biases[n_hidden][..., None, :]
+    return inputs, output[..., 0]
+
+
+def _sum_squares(residual: np.ndarray):
+    """residual @ residual, per network when stacked: the BLAS dot product
+    that the 1-D product calls, so the bits do not depend on stacking."""
+    return (residual[..., None, :] @ residual[..., None])[..., 0, 0]
+
+
+def _backprop(config: MTNetConfig, weights, biases, d_weights, d_biases,
+              features: np.ndarray, selector: np.ndarray | None, targets: np.ndarray):
+    """Mean-squared-error gradients plus the l2 weight penalty, written into
+    the d_weights/d_biases views; returns the loss, one per network when
+    stacked. Shapes as in _propagate."""
+    n = features.shape[-2]
+    inputs, out = _propagate(config, weights, biases, features, selector)
+    residual = out - targets
+    loss = _sum_squares(residual) / n
+
+    delta = (2.0 / n) * residual[..., None]  # gradient at the linear output
+    n_hidden = len(config.hidden_sizes)
+    for layer in range(n_hidden, -1, -1):
+        np.matmul(delta.swapaxes(-1, -2), inputs[layer], out=d_weights[layer])
+        d_biases[layer][...] = np.add.reduce(delta, axis=-2)
+        if layer == 0:
+            break
+        # relu gate: the layer input is the previous hidden activation
+        # (selector columns are gated too, then dropped, which is harmless)
+        back = (delta @ weights[layer]) * (inputs[layer] > 0.0)
+        if config.selector_dim > 0 and layer == config.selector_layer_index - 1:
+            back = back[..., : back.shape[-1] - config.selector_dim]
+        delta = back
+
+    if config.l2_penalty > 0.0:
+        for d_w, w in zip(d_weights, weights):
+            loss = loss + config.l2_penalty * np.sum(w * w, axis=(-2, -1))
+            d_w += 2.0 * config.l2_penalty * w
+    return loss
 
 
 def forward(net: MTNet, features: np.ndarray, selector: np.ndarray | None = None) -> np.ndarray:
     """Scalar predictions (standardized target space), one per row."""
-    _, out = _layer_inputs(net, features, selector)
+    features, selector = _rows(net.config, features, selector)
+    _, out = _propagate(net.config, net.weights, net.biases, features, selector)
     return out
 
 
 def gradients(net: MTNet, features: np.ndarray, selector: np.ndarray | None,
               targets: np.ndarray) -> tuple[np.ndarray, float]:
-    """Mean-squared-error gradients plus the l2 weight penalty.
+    """Mean-squared-error gradients plus the l2 weight penalty of one network.
 
     Returns (grad, loss), grad laid out like net.params. The l2 term is
     l2_penalty * sum(w^2) over weights only, so its gradient is
     2 * l2_penalty * w; biases are not penalized.
     """
-    config = net.config
-    if features.ndim == 1:
-        features = features[None, :]
-    n = features.shape[0]
-    inputs, out = _layer_inputs(net, features, selector)
-    residual = out - targets
-    loss = float(residual @ residual) / n
-
+    features, selector = _rows(net.config, features, selector)
     grad = np.empty_like(net.params)
-    d_weights, d_biases = layer_views(config, grad)
-
-    delta = (2.0 / n) * residual[:, None]  # gradient at the linear output
-    n_hidden = len(config.hidden_sizes)
-    for layer in range(n_hidden, -1, -1):
-        d_weights[layer][...] = delta.T @ inputs[layer]
-        d_biases[layer][...] = delta.sum(axis=0)
-        if layer == 0:
-            break
-        # relu gate: the layer input is the previous hidden activation
-        # (selector columns are gated too, then dropped, which is harmless)
-        back = (delta @ net.weights[layer]) * (inputs[layer] > 0.0)
-        if config.selector_dim > 0 and layer == config.selector_layer_index - 1:
-            back = back[:, : back.shape[1] - config.selector_dim]
-        delta = back
-
-    if config.l2_penalty > 0.0:
-        for d_w, w in zip(d_weights, net.weights):
-            loss += config.l2_penalty * float(np.sum(w * w))
-            d_w += 2.0 * config.l2_penalty * w
-    return grad, loss
+    d_weights, d_biases = layer_views(net.config, grad)
+    loss = _backprop(net.config, net.weights, net.biases, d_weights, d_biases,
+                     features, selector, targets)
+    return grad, float(loss)
 
 
 @dataclass
@@ -234,84 +265,242 @@ class TrainResult:
     best_epoch: int
 
 
-def mse(net: MTNet, features: np.ndarray, selector: np.ndarray | None,
-        targets: np.ndarray) -> float:
-    residual = forward(net, features, selector) - targets
-    return float(residual @ residual) / len(targets)
+@dataclass(frozen=True)
+class TrainJob:
+    """One network to train: its initial net, training rows, TrainConfig
+    and optional (features, selector, targets) validation rows."""
+
+    net: MTNet
+    features: np.ndarray
+    selector: np.ndarray | None
+    targets: np.ndarray
+    config: TrainConfig
+    val: tuple[np.ndarray, np.ndarray | None, np.ndarray] | None = None
 
 
 def train(net: MTNet, features: np.ndarray, selector: np.ndarray | None,
           targets: np.ndarray, config: TrainConfig,
           val: tuple[np.ndarray, np.ndarray | None, np.ndarray] | None = None) -> TrainResult:
-    """Adam training with optional early stopping.
+    """Adam training of one network: train_many of one job, raising its
+    NonFiniteLoss."""
+    (outcome,) = train_many([TrainJob(net, features, selector, targets, config, val)])
+    if isinstance(outcome, NonFiniteLoss):
+        raise outcome
+    return outcome
 
-    With a validation triple, training stops after `patience` epochs
-    without improvement and the parameters from the best validation epoch
-    are returned. Without one it runs max_epochs and returns the final
-    parameters. Batch order is shuffled per epoch by one splitmix64 stream
-    seeded from config.seed, so identical seeds give identical histories.
-    """
-    if len(targets) == 0:
-        raise InvalidConfig("empty training batch")
-    rng = SplitMix64(config.seed)
-    n = len(targets)
 
-    params = net.params
-    m = np.zeros_like(params)
-    v = np.zeros_like(params)
-    step = 0
-
-    best = params.copy()
-    best_val = math.inf
-    best_epoch = 0
-    stale = 0
-    history: list[dict] = []
-
-    for epoch in range(1, config.max_epochs + 1):
-        order = list(range(n))
-        rng.shuffle(order)
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            bx = features[batch]
-            bs = selector[batch] if selector is not None else None
-            by = targets[batch]
-            grad, loss = gradients(net, bx, bs, by)
-            if not math.isfinite(loss):
-                raise NonFiniteLoss(f"non-finite loss at epoch {epoch}")
-            step += 1
-            correction1 = 1.0 - ADAM_BETA1 ** step
-            correction2 = 1.0 - ADAM_BETA2 ** step
-            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
-            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad ** 2
-            params -= config.learning_rate * (m / correction1) / (
-                np.sqrt(v / correction2) + ADAM_EPSILON
-            )
-
-        train_mse = mse(net, features, selector, targets)
-        if not math.isfinite(train_mse):
-            raise NonFiniteLoss(f"non-finite training loss at epoch {epoch}")
-        entry = {"epoch": epoch, "train_mse": train_mse}
-        if val is not None:
-            val_mse = mse(net, val[0], val[1], val[2])
-            if not math.isfinite(val_mse):
-                raise NonFiniteLoss(f"non-finite validation loss at epoch {epoch}")
-            entry["val_mse"] = val_mse
-            if val_mse < best_val:
-                best_val = val_mse
-                best = params.copy()
-                best_epoch = epoch
-                stale = 0
-            else:
-                stale += 1
-            history.append(entry)
-            if stale > config.patience:
-                break
+def _runs(members, size_of) -> list[list[int]]:
+    """[lo, hi, size] per maximal run of consecutive stack positions among
+    members that share a positive size."""
+    runs: list[list[int]] = []
+    for g in members:
+        size = size_of(g)
+        if size <= 0:
+            continue
+        if runs and runs[-1][1] == g and runs[-1][2] == size:
+            runs[-1][1] = g + 1
         else:
-            history.append(entry)
+            runs.append([g, g + 1, size])
+    return runs
 
-    if val is not None:
-        return TrainResult(net=MTNet(net.config, best), history=history, best_epoch=best_epoch)
-    return TrainResult(net=net, history=history, best_epoch=config.max_epochs)
+
+def _blocks(triples, counts) -> list:
+    """Per stack position with rows, the (features, selector, targets)
+    block of its run of consecutive networks with equal row counts, and the
+    run's first position: one copy per run, a lone network's arrays viewed."""
+
+    def stacked(arrays):
+        if arrays[0] is None:
+            return None
+        return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+    found: list = [None] * len(triples)
+    for lo, hi, _ in _runs(range(len(triples)), counts.__getitem__):
+        found[lo:hi] = [(tuple(map(stacked, zip(*triples[lo:hi]))), lo)] * (hi - lo)
+    return found
+
+
+def train_many(jobs: list[TrainJob]) -> list[TrainResult | NonFiniteLoss]:
+    """Adam training of networks that differ only in their seeds, each with
+    the bits it gets alone; returns one TrainResult, or the NonFiniteLoss
+    that stopped it, per job.
+
+    With validation rows a network stops after `patience` epochs without
+    improvement and returns the parameters of its best validation epoch;
+    without, it runs max_epochs and returns its final parameters, trained
+    in place in job.net. Batch order is shuffled per epoch by one
+    splitmix64 stream per network, seeded from its config.seed, so
+    identical seeds give identical histories. A non-finite loss stops only
+    its own network.
+
+    Parameters and Adam moments are (U, P) rows sorted by training-row
+    count, largest first, and epochs run in lockstep. At every step the
+    networks whose batch has the same size are consecutive rows, so each
+    such run takes one stacked forward, backward and in-place Adam update
+    on slice views; no padding row ever enters a product. Each network
+    keeps its own Adam step count and early-stopping state.
+    """
+    if not jobs:
+        return []
+    net_config, config = jobs[0].net.config, jobs[0].config
+    for job in jobs:
+        if (replace(job.net.config, seed=0) != replace(net_config, seed=0)
+                or replace(job.config, seed=0) != replace(config, seed=0)):
+            raise InvalidConfig("train_many needs networks that differ only in their seeds")
+        if len(job.targets) == 0:
+            raise InvalidConfig("empty training batch")
+        _rows(net_config, job.features, job.selector)
+        if job.val is not None:
+            if len(job.val[2]) == 0:
+                raise InvalidConfig("empty validation batch")
+            _rows(net_config, job.val[0], job.val[1])
+
+    order = sorted(range(len(jobs)), key=lambda i: -len(jobs[i].targets))
+    stack = [jobs[i] for i in order]
+    count = [len(job.targets) for job in stack]
+    val_count = [0 if job.val is None else len(job.val[2]) for job in stack]
+    batch = config.batch_size
+    batches = [-(-n // batch) for n in count]  # steps per epoch
+
+    # rows in their own order for the epoch-end MSEs; each epoch's shuffled
+    # rows in one (U, max rows, width) block that batches are sliced from
+    training = _blocks([(job.features, job.selector, job.targets) for job in stack], count)
+    validation = _blocks([job.val or (None, None, None) for job in stack], val_count)
+    x_epoch = np.empty((len(stack), count[0], net_config.input_dim))
+    s_epoch = np.empty((len(stack), count[0], net_config.selector_dim))
+    y_epoch = np.empty((len(stack), count[0]))
+
+    params = np.stack([job.net.params for job in stack])
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    grad, temp = np.empty_like(params), np.empty_like(params)
+    weights, biases = layer_views(net_config, params)
+    d_weights, d_biases = layer_views(net_config, grad)
+    corrections = [(1.0, 1.0)]  # Adam's 1 - beta**step per step, filled as needed
+
+    rngs = [SplitMix64(job.config.seed) for job in stack]
+    histories: list[list[dict]] = [[] for _ in stack]
+    best: list[np.ndarray | None] = [None] * len(stack)  # params at best_epoch
+    best_val = [math.inf] * len(stack)
+    best_epoch = [0] * len(stack)
+    stale = [0] * len(stack)
+    failed: list[NonFiniteLoss | None] = [None] * len(stack)
+
+    slabs: dict[tuple[int, int], tuple] = {}
+
+    def slab(lo: int, hi: int) -> tuple:
+        """Weight, bias and their gradients' views of stack positions lo..hi-1."""
+        if (lo, hi) not in slabs:
+            slabs[lo, hi] = tuple([a[lo:hi] for a in arrays]
+                                  for arrays in (weights, biases, d_weights, d_biases))
+        return slabs[lo, hi]
+
+    def adam(lo: int, hi: int, epoch: int, tick: int) -> None:
+        m_, v_, g_, p_, t_ = m[lo:hi], v[lo:hi], grad[lo:hi], params[lo:hi], temp[lo:hi]
+        step = (epoch - 1) * batches[lo] + tick + 1
+        if step == (epoch - 1) * batches[hi - 1] + tick + 1:
+            correction1, correction2 = corrections[step]
+        else:
+            both = np.array([corrections[(epoch - 1) * batches[g] + tick + 1]
+                             for g in range(lo, hi)])
+            correction1, correction2 = both[:, :1], both[:, 1:]
+        m_ *= ADAM_BETA1
+        np.multiply(g_, 1 - ADAM_BETA1, out=t_)
+        m_ += t_
+        v_ *= ADAM_BETA2
+        np.square(g_, out=t_)
+        t_ *= 1 - ADAM_BETA2
+        v_ += t_
+        np.divide(v_, correction2, out=t_)
+        np.sqrt(t_, out=t_)
+        t_ += ADAM_EPSILON
+        np.divide(m_, correction1, out=g_)
+        g_ *= config.learning_rate
+        g_ /= t_
+        p_ -= g_
+
+    def mses(blocks, counts, members) -> list[float | None]:
+        """Each member's MSE on its own rows, by stack position."""
+        out: list[float | None] = [None] * len(stack)
+        for lo, hi, n in _runs(members, counts.__getitem__):
+            (xs, ss, ys), first = blocks[lo]
+            part = slice(lo - first, hi - first)
+            views = slab(lo, hi)
+            _, pred = _propagate(net_config, views[0], views[1], xs[part],
+                                 None if ss is None else ss[part])
+            out[lo:hi] = [float(value) / n for value in _sum_squares(pred - ys[part])]
+        return out
+
+    live = list(range(len(stack)))
+    for epoch in range(1, config.max_epochs + 1):
+        if not live:
+            break
+        while len(corrections) <= epoch * batches[0]:
+            step = len(corrections)
+            corrections.append((1.0 - ADAM_BETA1 ** step, 1.0 - ADAM_BETA2 ** step))
+        for g in live:
+            shuffled = list(range(count[g]))
+            rngs[g].shuffle(shuffled)
+            job, index = stack[g], np.array(shuffled)
+            # the indices are in range: "clip" only skips take's buffered check
+            job.features.take(index, axis=0, out=x_epoch[g, : count[g]], mode="clip")
+            job.targets.take(index, out=y_epoch[g, : count[g]], mode="clip")
+            if job.selector is not None:
+                job.selector.take(index, axis=0, out=s_epoch[g, : count[g]], mode="clip")
+
+        for tick in range(batches[live[0]]):
+            start = tick * batch
+            for lo, hi, size in _runs(live, lambda g: min(batch, count[g] - start)):
+                rows = slice(start, start + size)
+                loss = _backprop(net_config, *slab(lo, hi), x_epoch[lo:hi, rows],
+                                 s_epoch[lo:hi, rows] if net_config.selector_dim else None,
+                                 y_epoch[lo:hi, rows])
+                if math.isfinite(np.maximum.reduce(loss)):  # NaN propagates
+                    adam(lo, hi, epoch, tick)
+                    continue
+                for g, finite in zip(range(lo, hi), np.isfinite(loss)):
+                    if not finite:
+                        failed[g] = NonFiniteLoss(f"non-finite loss at epoch {epoch}")
+                        live.remove(g)
+                for good_lo, good_hi, _ in _runs(range(lo, hi), lambda g: failed[g] is None):
+                    adam(good_lo, good_hi, epoch, tick)
+
+        train_mse = mses(training, count, live)
+        val_mse = mses(validation, val_count, live)
+        for g in list(live):
+            if not math.isfinite(train_mse[g]):
+                failed[g] = NonFiniteLoss(f"non-finite training loss at epoch {epoch}")
+                live.remove(g)
+                continue
+            entry = {"epoch": epoch, "train_mse": train_mse[g]}
+            if stack[g].val is None:
+                histories[g].append(entry)
+                continue
+            if not math.isfinite(val_mse[g]):
+                failed[g] = NonFiniteLoss(f"non-finite validation loss at epoch {epoch}")
+                live.remove(g)
+                continue
+            entry["val_mse"] = val_mse[g]
+            histories[g].append(entry)
+            if val_mse[g] < best_val[g]:
+                best_val[g], best_epoch[g], stale[g] = val_mse[g], epoch, 0
+                best[g] = params[g].copy()
+            else:
+                stale[g] += 1
+                if stale[g] > config.patience:
+                    live.remove(g)
+
+    results: list[TrainResult | NonFiniteLoss | None] = [None] * len(jobs)
+    for g, job in enumerate(stack):
+        job.net.params[...] = params[g]
+        if failed[g] is not None:
+            results[order[g]] = failed[g]
+        elif job.val is not None:
+            results[order[g]] = TrainResult(net=MTNet(job.net.config, best[g]),
+                                            history=histories[g], best_epoch=best_epoch[g])
+        else:
+            results[order[g]] = TrainResult(net=job.net, history=histories[g],
+                                            best_epoch=config.max_epochs)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -423,16 +612,17 @@ def network_inputs(design: ds.DesignMatrix, rows: np.ndarray, standardizer: ds.S
     return x, selector, y
 
 
-def fit_network(design: ds.DesignMatrix, train_rows: np.ndarray, cell: dict,
+def network_job(design: ds.DesignMatrix, train_rows: np.ndarray, cell: dict,
                 base_train: TrainConfig, net_seed: int, train_seed: int,
-                val_rows: np.ndarray | None = None) -> tuple[ds.Standardizer, TrainResult]:
-    """Fit one network on the train rows: the single fit path of every
-    network family, for inner CV, the outer refit and the final model.
+                val_rows: np.ndarray | None = None) -> tuple[ds.Standardizer, TrainJob]:
+    """The fit of one network on the train rows, ready to train: the one
+    place that prepares a network fit of any family, for inner CV, the
+    outer refit and the final model.
 
     The standardizer is fitted on the train rows only. With val_rows the
     net stops early on their validation MSE; without, it trains
     max_epochs. net_seed seeds the initial weights, train_seed the batch
-    order. Returns the fitted standardizer and the training result.
+    order. Returns the fitted standardizer and the job.
     """
     n_channels = len(design.registry)
     standardizer = ds.Standardizer.fit(
@@ -451,5 +641,16 @@ def fit_network(design: ds.DesignMatrix, train_rows: np.ndarray, cell: dict,
     )
     train_config = replace(base_train, learning_rate=cell["learning_rate"],
                            batch_size=cell["batch_size"], seed=train_seed)
-    result = train(init_network(net_config), x_train, s_train, y_train, train_config, val=val)
-    return standardizer, result
+    job = TrainJob(init_network(net_config), x_train, s_train, y_train, train_config, val)
+    return standardizer, job
+
+
+def fit_network(design: ds.DesignMatrix, train_rows: np.ndarray, cell: dict,
+                base_train: TrainConfig, net_seed: int, train_seed: int,
+                val_rows: np.ndarray | None = None) -> tuple[ds.Standardizer, TrainResult]:
+    """network_job trained on its own: the fitted standardizer and the
+    training result."""
+    standardizer, job = network_job(design, train_rows, cell, base_train, net_seed,
+                                    train_seed, val_rows)
+    return standardizer, train(job.net, job.features, job.selector, job.targets, job.config,
+                               val=job.val)

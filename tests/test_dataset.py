@@ -39,6 +39,12 @@ class TestLoad:
         with pytest.raises(UnknownChannel):
             ds.load_records(path, ds.default_registry())
 
+    def test_unknown_channel_is_quoted_on_one_line(self, tmp_path):
+        path = write_csv(tmp_path, ['M1,CC,"det\nvelocity",exp,7.0,'])
+        with pytest.raises(UnknownChannel) as excinfo:
+            ds.load_records(path, ds.default_registry())
+        assert str(excinfo.value) == "row 1: channel 'det\\nvelocity:exp' not in registry"
+
     def test_duplicate_rejected_then_averaged(self, tmp_path):
         rows = ["M1,CC,impact_h50,exp,10,", "M1,CC,impact_h50,exp,30,"]
         path = write_csv(tmp_path, rows)
@@ -104,6 +110,18 @@ class TestReadMolecules:
         path.write_text("material_id,smiles,property,fidelity,value,density\n"
                         "M1,CC,det_velocity,exp,7.0,\n", encoding="utf-16")
         assert both_readers_fail(path) == (0, "row 0: bytes that are not UTF-8 text")
+
+    def test_byte_order_mark_is_skipped_by_both_readers(self, tmp_path):
+        text = ("material_id,smiles,property,fidelity,value,density\n"
+                "M1,CC,det_velocity,exp,7.0,1.2\n")
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbfmaterial_id")
+        assert ds.read_molecules(marked) == ds.read_molecules(plain) == [
+            ds.Molecule("M1", "CC", 1.2, 1)]
+        registry = ds.default_registry()
+        assert ds.load_records(marked, registry).records == ds.load_records(plain, registry).records
 
     def test_field_over_the_csv_size_limit_names_its_row(self, tmp_path):
         path = write_csv(tmp_path, ["M1,CC,det_velocity,exp,7.0,",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -110,10 +111,32 @@ def scalar_init_network(config):
     return SimpleNamespace(config=config, weights=weights, biases=biases)
 
 
+def per_layer_inputs(net, features, selector):
+    """The 2-D forward pass, keeping per-layer inputs."""
+    config = net.config
+    inputs = []
+    activation = features
+    n_hidden = len(config.hidden_sizes)
+    for i in range(n_hidden):
+        layer_in = activation
+        if config.selector_dim > 0 and i + 1 == config.selector_layer_index:
+            layer_in = np.concatenate([activation, selector], axis=1)
+        inputs.append(layer_in)
+        activation = np.maximum(layer_in @ net.weights[i].T + net.biases[i], 0.0)
+    inputs.append(activation)
+    output = activation @ net.weights[n_hidden].T + net.biases[n_hidden]
+    return inputs, output[:, 0]
+
+
+def per_layer_mse(net, features, selector, targets):
+    residual = per_layer_inputs(net, features, selector)[1] - targets
+    return float(residual @ residual) / len(targets)
+
+
 def per_layer_gradients(net, features, selector, targets):
     config = net.config
     n = features.shape[0]
-    inputs, out = mtnn._layer_inputs(net, features, selector)
+    inputs, out = per_layer_inputs(net, features, selector)
     residual = out - targets
     loss = float(residual @ residual) / n
     d_weights = [np.zeros_like(w) for w in net.weights]
@@ -174,11 +197,11 @@ def per_layer_train(net, features, selector, targets, config, val=None):
                 net.biases[i] -= config.learning_rate * (m_b[i] / correction1) / (
                     np.sqrt(v_b[i] / correction2) + mtnn.ADAM_EPSILON
                 )
-        entry = {"epoch": epoch, "train_mse": mtnn.mse(net, features, selector, targets)}
+        entry = {"epoch": epoch, "train_mse": per_layer_mse(net, features, selector, targets)}
         history.append(entry)
         if val is None:
             continue
-        entry["val_mse"] = mtnn.mse(net, *val)
+        entry["val_mse"] = per_layer_mse(net, *val)
         if entry["val_mse"] < best_val:
             best, best_val, best_epoch, stale = snapshot(), entry["val_mse"], epoch, 0
         else:
@@ -411,6 +434,132 @@ class TestTrain:
                                         max_epochs=50, patience=50, seed=1)
         with pytest.raises(NonFiniteLoss):
             mtnn.train(mtnn.init_network(config), x * 1e3, None, y * 1e3, train_config)
+
+
+# ---------------------------------------------------------------------------
+# train_many: each network of a stack against the per-layer oracle
+# ---------------------------------------------------------------------------
+
+# row counts per stack; at batch size 8, rows 1, 9, 17, 25, 33 and 41 end
+# an epoch on a one-row batch
+STACKS = {
+    "one": (37,),
+    "two-equal": (37, 37),
+    "five-distinct": (25, 41, 9, 17, 1),
+    "eleven": (17, 40, 40, 9, 33, 25, 40, 8, 12, 3, 17),
+}
+STACK_CONFIGS = [
+    # (selector_dim, hidden_sizes, selector_layer_index, l2_penalty)
+    (0, (8,), 0, 1e-3),
+    (3, (8,), 1, 0.0),
+    (3, (8, 6), 2, 1e-4),
+]
+
+
+def stack_rows(seed, n, sel_dim, validate):
+    """(features, selector, targets, val) of one network of a stack."""
+    rng = np.random.default_rng(seed)
+
+    def rows(count):
+        selector = np.eye(sel_dim)[rng.integers(0, sel_dim, count)] if sel_dim else None
+        return rng.normal(size=(count, 5)), selector, rng.normal(size=count)
+
+    x, s, y = rows(n)
+    return x, s, y, rows(5 + seed % 4) if validate else None
+
+
+class TestTrainMany:
+    @pytest.mark.parametrize("counts", STACKS.values(), ids=STACKS.keys())
+    @pytest.mark.parametrize("sel_dim,hidden,sel_idx,l2", STACK_CONFIGS)
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_each_network_equals_the_oracle(self, counts, sel_dim, hidden, sel_idx, l2,
+                                            validate):
+        jobs, expected = [], []
+        for i, n in enumerate(counts):
+            x, s, y, val = stack_rows(100 + i, n, sel_dim, validate)
+            net_config = mtnn.MTNetConfig(5, sel_dim, hidden, sel_idx, l2_penalty=l2, seed=i)
+            train_config = mtnn.TrainConfig(learning_rate=3e-2, batch_size=8, max_epochs=25,
+                                            patience=2, seed=50 + i)
+            jobs.append(mtnn.TrainJob(mtnn.init_network(net_config), x, s, y, train_config, val))
+            expected.append(per_layer_train(scalar_init_network(net_config), x, s, y,
+                                            train_config, val=val))
+
+        results = mtnn.train_many(jobs)
+        for result, (oracle, history, best_epoch) in zip(results, expected):
+            assert result.history == history
+            assert result.best_epoch == best_epoch
+            assert result.net.params.tobytes() == flat_params(oracle).tobytes()
+        if validate and len(counts) == 11:
+            # in stack order (most rows first), some network stopped before
+            # a network on each side of it did, leaving a hole in the runs
+            epochs = [len(results[i].history)
+                      for i in sorted(range(len(counts)), key=lambda i: -counts[i])]
+            assert any(epochs[g] < min(max(epochs[:g]), max(epochs[g + 1:]))
+                       for g in range(1, len(epochs) - 1))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_divergence_stops_only_its_own_network(self):
+        """Networks whose rows hold a 1e300 feature: their first-layer weights on
+        it start negative, so each diverges once one of them turns positive."""
+        # (rows, seed, where the 1e300 row sits, the error it stops with)
+        cases = [
+            (9, 62, "train", "non-finite training loss at epoch 4"),
+            (40, 224, None, None),
+            (25, 186, "train", "non-finite loss at epoch 7"),
+            (40, 218, "train", "non-finite loss at epoch 22"),
+            (17, 244, "train", "non-finite training loss at epoch 6"),
+            (40, 252, "val", "non-finite validation loss at epoch 11"),
+            (17, 186, None, None),
+            (9, 224, None, None),
+        ]
+
+        def job(n, seed, where):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(n, 3))
+            y = x[:, 0] * 3 + rng.normal(size=n)
+            x_val, y_val = rng.normal(size=(6, 3)), rng.normal(size=6)
+            if where == "train":
+                x[0] = (1e300, 0.0, 0.0)
+            if where == "val":
+                x_val[0] = (1e300, 0.0, 0.0)
+            net = mtnn.init_network(mtnn.MTNetConfig(3, 0, (4,), 0, seed=seed))
+            if where:
+                assert (net.weights[0][:, 0] < 0).all()
+            config = mtnn.TrainConfig(learning_rate=0.05, batch_size=8, max_epochs=30,
+                                      patience=30, seed=seed)
+            return mtnn.TrainJob(net, x, None, y, config, (x_val, None, y_val))
+
+        jobs = [job(n, seed, where) for n, seed, where, _ in cases]
+        results = mtnn.train_many(jobs)
+        # the 9-row network sits last in the stack and stops first
+        assert [str(r) if isinstance(r, NonFiniteLoss) else None for r in results] == \
+            [message for *_, message in cases]
+        for (n, seed, where, message), stacked, result in zip(cases, jobs, results):
+            solo = job(n, seed, where)
+            if message:
+                with pytest.raises(NonFiniteLoss, match=f"^{message}$"):
+                    mtnn.train(solo.net, solo.features, None, solo.targets, solo.config,
+                               val=solo.val)
+                # both stopped before the update of the step that diverged
+                assert stacked.net.params.tobytes() == solo.net.params.tobytes()
+                assert np.isfinite(stacked.net.params).all()
+                continue
+            oracle, history, best_epoch = per_layer_train(
+                scalar_init_network(solo.net.config), solo.features, None, solo.targets,
+                solo.config, val=solo.val)
+            assert result.history == history
+            assert result.best_epoch == best_epoch
+            assert result.net.params.tobytes() == flat_params(oracle).tobytes()
+
+    def test_needs_one_architecture_and_config(self):
+        x, y = np.zeros((4, 5)), np.zeros(4)
+        config = mtnn.TrainConfig(batch_size=2, max_epochs=1, patience=0)
+        nets = [mtnn.init_network(mtnn.MTNetConfig(5, 0, hidden, 0)) for hidden in ((4,), (3,))]
+        with pytest.raises(InvalidConfig, match="differ only in their seeds"):
+            mtnn.train_many([mtnn.TrainJob(net, x, None, y, config) for net in nets])
+        with pytest.raises(InvalidConfig, match="differ only in their seeds"):
+            mtnn.train_many([mtnn.TrainJob(nets[0], x, None, y, config),
+                             mtnn.TrainJob(nets[0], x, None, y, replace(config, batch_size=3))])
 
 
 def linear_design(n_materials=24, n_features=3, n_channels=2, seed=0):

@@ -10,11 +10,13 @@ branches. run_protocol and `emprops train` must reproduce them bit for bit.
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from emprops import cli, dataset as ds, evaluation, forest as rf, mtnn, pipeline
+from emprops.errors import ToolkitError
 from emprops.rng import derive_seed
 from test_cli import write_dataset, write_grid
 
@@ -224,7 +226,7 @@ def test_tune_scores_the_single_channel_network_grid(inputs, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def unit_design(inputs, family):
-    """(schema, design) of the unit fit_selected sees for the family."""
+    """(schema, design) of the unit fit_all sees for the family."""
     _, schema, design = ds.build_design(inputs["data"], SUBSET, False)
     if family != "mt-nn":
         position = design.registry.index_of(design.registry.lookup("det_velocity", "calc"))
@@ -238,8 +240,8 @@ def test_one_cell_fit_selected_equals_select_then_refit(inputs, family):
     schema, design = unit_design(inputs, family)
     train_mats, _ = ds.kfold_by_material(design.material_ids, FOLDS, 5).train_test(0)
     train_rows = design.rows_for(train_mats)
-    bundle = evaluation.fit_selected(evaluation.Fit(family, design, train_rows, ~train_rows, 9, 10),
-                                     schema, grids, INNER_FOLDS)
+    (bundle,) = evaluation.fit_all([evaluation.Fit(family, design, train_rows, ~train_rows, 9, 10)],
+                                   schema, grids, INNER_FOLDS)
     fitted = bundle.forest.trees if family == "st-rf" else [bundle.net.params]
     expected = oracle_fit_selected(family, design, train_rows, grids, INNER_FOLDS, 9, 10)
     assert [a.tobytes() for a in fitted] == [a.tobytes() for a in expected]
@@ -275,8 +277,8 @@ def test_inner_cv_runs_only_for_several_cells(inputs, monkeypatch, family, modul
     all_rows = np.ones(len(design.targets), dtype=bool)
 
     def fit(grids):
-        return evaluation.fit_selected(evaluation.Fit(family, design, all_rows, ~all_rows, 1, 2),
-                                       schema, grids, INNER_FOLDS)
+        return evaluation.fit_all([evaluation.Fit(family, design, all_rows, ~all_rows, 1, 2)],
+                                  schema, grids, INNER_FOLDS)
 
     fit(inputs["one_cell"])
     with pytest.raises(InnerCVEntered):
@@ -297,3 +299,49 @@ def test_tune_scores_a_one_cell_grid(inputs, tmp_path, capsys, family, channel):
         table = list(csv.DictReader(handle))
     assert len(table) == 1
     assert float(table[0]["mean_val_rmse"]) == winner["mean_val_rmse"]
+
+
+# ---------------------------------------------------------------------------
+# fit_all: stacked refits fail as fits fitted one at a time do
+# ---------------------------------------------------------------------------
+
+FAILURE_ORDERS = {
+    # fits in plan order -> the error code of the first that fails
+    "refit-first": (["diverging", "too-few"], "NonFiniteLoss"),
+    "selection-first": (["too-few", "diverging"], "TooFewMaterials"),
+    "good-then-refit": (["good", "diverging", "too-few"], "NonFiniteLoss"),
+    "good-then-selection": (["good", "too-few", "diverging"], "TooFewMaterials"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("name", FAILURE_ORDERS)
+def test_fit_all_raises_the_first_failure_in_plan_order(inputs, name):
+    """A network refit that diverges (a one-cell network grid with a huge
+    learning rate) and a forest whose inner CV cannot run (the one-material
+    channel on a two-cell forest grid): fit_all raises the error of the
+    first in plan order, as fitting the fits one at a time does, although
+    it trains the network only after every selection."""
+    _, schema, design = ds.build_design(inputs["data"], SUBSET, False)
+    grids = evaluation.Grids(replace(inputs["one_cell"].mtnn, learning_rate=(1e150,)),
+                             inputs["forest_grid"], inputs["base_train"])
+
+    def fit(family, channel):
+        position = design.registry.index_of(design.registry.lookup(*channel.split(":")))
+        unit = evaluation.single_channel_design(design, position)
+        rows = np.ones(len(unit.targets), dtype=bool)
+        return evaluation.Fit(family, unit, rows, ~rows, 3, 4)
+
+    kinds = {"diverging": fit("st-nn", "det_velocity:calc"),
+             "too-few": fit("st-rf", SPARSE_CHANNEL),
+             "good": fit("st-rf", "det_velocity:calc")}
+    names, code = FAILURE_ORDERS[name]
+    fits = [kinds[kind] for kind in names]
+
+    with pytest.raises(ToolkitError) as alone:
+        for one in fits:
+            evaluation.fit_all([one], schema, grids, INNER_FOLDS)
+    assert alone.value.code == code
+    with pytest.raises(ToolkitError) as together:
+        evaluation.fit_all(fits, schema, grids, INNER_FOLDS)
+    assert (together.value.code, str(together.value)) == (alone.value.code, str(alone.value))
