@@ -225,6 +225,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.density is not None and not ds.valid_density(args.density):
+        raise InvalidConfig(f"--density {args.density!r} is not a finite positive number")
     bundle = pipeline.load_model(args.model)
     predictions = pipeline.predict_matrix(bundle, args.smiles, args.density)
     print("channel,prediction")

@@ -147,7 +147,7 @@ class PropertyRegistry:
     def load(cls, path: str | Path) -> "PropertyRegistry":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or nested too deep
             raise InvalidConfig(f"registry file {path}: {exc}") from exc
         return cls.from_json(data)
 
@@ -200,6 +200,11 @@ CSV_COLUMNS = ("material_id", "smiles", "property", "fidelity", "value", "densit
 MOLECULE_COLUMNS = ("material_id", "smiles")  # density is optional
 
 
+def valid_density(density: float) -> bool:
+    """The one density rule, for CSV cells and the predict flag alike."""
+    return math.isfinite(density) and density > 0
+
+
 def parse_density(text: str | None, row: int) -> float | None:
     """A CSV density cell: None when blank, else a finite positive number;
     anything else raises ParseFailure for the 1-based data row."""
@@ -210,7 +215,7 @@ def parse_density(text: str | None, row: int) -> float | None:
         density = float(text)
     except ValueError:
         raise ParseFailure(row, f"bad density {text!r}") from None
-    if not math.isfinite(density) or density <= 0:
+    if not valid_density(density):
         raise ParseFailure(row, f"density {text!r} is not a finite positive number")
     return density
 

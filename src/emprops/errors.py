@@ -4,6 +4,8 @@ The class name doubles as the machine-readable error code the CLI prints,
 so names stay short and stable.
 """
 
+import sys
+
 
 class ToolkitError(Exception):
     """Base for all anticipated failures; the CLI maps these to exit 1."""
@@ -86,15 +88,16 @@ class InvalidConfig(ToolkitError):
 
 
 def check_number(name: str, value, integer: bool, positive: bool) -> None:
-    """A config value must be a number (an int when integer) that is
-    positive, or else non-negative; a bool is not a number here, although
-    Python's bool is an int. InvalidConfig names the value otherwise."""
+    """A config value must be a finite number (an int when integer) that
+    is positive, or else non-negative; a bool is not a number here,
+    although Python's bool is an int, nor is an int beyond the float
+    range. InvalidConfig names the value otherwise."""
     kinds = int if integer else (int, float)
     if isinstance(value, bool) or not isinstance(value, kinds) \
-            or not (value > 0 if positive else value >= 0):
+            or not (value > 0 if positive else value >= 0) or value > sys.float_info.max:
         sign = "positive" if positive else "non-negative"
-        raise InvalidConfig(f"{name} must be a {sign} {'integer' if integer else 'number'}, "
-                            f"not {value!r}")
+        kind = "integer" if integer else "finite number"
+        raise InvalidConfig(f"{name} must be a {sign} {kind}, not {value!r}")
 
 
 class DimensionMismatch(ToolkitError):

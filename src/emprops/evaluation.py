@@ -190,7 +190,7 @@ class Grids:
             with _naming("train.patience"):  # the one rule across settings
                 base = TrainConfig(**train)
             return cls(GridSpec(**network), ForestGridSpec(**forest), base)
-        except (ValueError, TypeError, InvalidConfig) as exc:  # bad JSON or value
+        except (ValueError, TypeError, RecursionError, InvalidConfig) as exc:  # bad JSON or value
             raise InvalidConfig(f"grid file {path}: {exc}") from exc
 
     def cells(self, family: str, design: ds.DesignMatrix) -> list[dict]:

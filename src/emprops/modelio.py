@@ -66,7 +66,10 @@ def read_any_container(path: str | Path, magics: tuple[bytes, ...] = _MAGICS,
     (header_len,) = struct.unpack("<Q", body[:8])
     if len(body) < 8 + header_len:
         raise CorruptFile("header extends past end of file")
-    header = json.loads(body[8 : 8 + header_len].decode("utf-8"))
+    try:
+        header = json.loads(body[8 : 8 + header_len].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or nested too deep
+        raise CorruptFile(f"model header is not JSON ({type(exc).__name__}: {exc})") from exc
     return blob[:4], header, body[8 + header_len :]
 
 

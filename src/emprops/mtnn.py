@@ -9,11 +9,13 @@ Everything seeded is driven by splitmix64, so runs are bit-reproducible.
 
 train_many is the one training loop: it trains networks that differ only
 in their seeds in lockstep, each with the bits it would get alone, and
-train is its one-network case. network_job prepares every network fit
-(inner CV, the outer refit and the final model alike); fit_network trains
-one on its own, as grid_search does per inner fold through the shared
-inner-CV loop dataset.cv_select, and evaluation.fit_all stacks the refits
-of a protocol.
+train is its one-network case. It computes a loss only where a result
+reads it: each batch's, each validating network's validation MSE per
+epoch, and one training-set MSE of the parameters a network returns.
+network_job prepares every network fit (inner CV, the outer refit and the
+final model alike); grid_search trains one per inner fold, through the
+shared inner-CV loop dataset.cv_select, and evaluation.fit_all stacks the
+refits of a protocol.
 """
 
 from __future__ import annotations
@@ -278,6 +280,14 @@ class TrainJob:
     val: tuple[np.ndarray, np.ndarray | None, np.ndarray] | None = None
 
 
+def _mse(config: MTNetConfig, params: np.ndarray, features: np.ndarray,
+         selector: np.ndarray | None, targets: np.ndarray) -> float:
+    """The MSE of one network's (P,) parameter vector on its rows."""
+    weights, biases = layer_views(config, params)
+    residual = _propagate(config, weights, biases, features, selector)[1] - targets
+    return float(residual @ residual) / len(targets)
+
+
 def train(net: MTNet, features: np.ndarray, selector: np.ndarray | None,
           targets: np.ndarray, config: TrainConfig,
           val: tuple[np.ndarray, np.ndarray | None, np.ndarray] | None = None) -> TrainResult:
@@ -304,22 +314,6 @@ def _runs(members, size_of) -> list[list[int]]:
     return runs
 
 
-def _blocks(triples, counts) -> list:
-    """Per stack position with rows, the (features, selector, targets)
-    block of its run of consecutive networks with equal row counts, and the
-    run's first position: one copy per run, a lone network's arrays viewed."""
-
-    def stacked(arrays):
-        if arrays[0] is None:
-            return None
-        return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-    found: list = [None] * len(triples)
-    for lo, hi, _ in _runs(range(len(triples)), counts.__getitem__):
-        found[lo:hi] = [(tuple(map(stacked, zip(*triples[lo:hi]))), lo)] * (hi - lo)
-    return found
-
-
 def train_many(jobs: list[TrainJob]) -> list[TrainResult | NonFiniteLoss]:
     """Adam training of networks that differ only in their seeds, each with
     the bits it gets alone; returns one TrainResult, or the NonFiniteLoss
@@ -330,8 +324,14 @@ def train_many(jobs: list[TrainJob]) -> list[TrainResult | NonFiniteLoss]:
     without, it runs max_epochs and returns its final parameters, trained
     in place in job.net. Batch order is shuffled per epoch by one
     splitmix64 stream per network, seeded from its config.seed, so
-    identical seeds give identical histories. A non-finite loss stops only
-    its own network.
+    identical seeds give identical histories: one {"epoch": e} entry per
+    epoch run, with its "val_mse" when the network validates.
+
+    A non-finite batch loss stops only its own network, before the update,
+    and so does a non-finite validation loss. Once training ends, the
+    parameters a network would return are scored once on its training
+    rows; a non-finite MSE there is NonFiniteLoss("non-finite training
+    loss at epoch N"), N the epoch returned.
 
     Parameters and Adam moments are (U, P) rows sorted by training-row
     count, largest first, and epochs run in lockstep. At every step the
@@ -358,14 +358,11 @@ def train_many(jobs: list[TrainJob]) -> list[TrainResult | NonFiniteLoss]:
     order = sorted(range(len(jobs)), key=lambda i: -len(jobs[i].targets))
     stack = [jobs[i] for i in order]
     count = [len(job.targets) for job in stack]
-    val_count = [0 if job.val is None else len(job.val[2]) for job in stack]
     batch = config.batch_size
     batches = [-(-n // batch) for n in count]  # steps per epoch
 
-    # rows in their own order for the epoch-end MSEs; each epoch's shuffled
-    # rows in one (U, max rows, width) block that batches are sliced from
-    training = _blocks([(job.features, job.selector, job.targets) for job in stack], count)
-    validation = _blocks([job.val or (None, None, None) for job in stack], val_count)
+    # each epoch's shuffled rows in one (U, max rows, width) block that
+    # batches are sliced from
     x_epoch = np.empty((len(stack), count[0], net_config.input_dim))
     s_epoch = np.empty((len(stack), count[0], net_config.selector_dim))
     y_epoch = np.empty((len(stack), count[0]))
@@ -418,18 +415,6 @@ def train_many(jobs: list[TrainJob]) -> list[TrainResult | NonFiniteLoss]:
         g_ /= t_
         p_ -= g_
 
-    def mses(blocks, counts, members) -> list[float | None]:
-        """Each member's MSE on its own rows, by stack position."""
-        out: list[float | None] = [None] * len(stack)
-        for lo, hi, n in _runs(members, counts.__getitem__):
-            (xs, ss, ys), first = blocks[lo]
-            part = slice(lo - first, hi - first)
-            views = slab(lo, hi)
-            _, pred = _propagate(net_config, views[0], views[1], xs[part],
-                                 None if ss is None else ss[part])
-            out[lo:hi] = [float(value) / n for value in _sum_squares(pred - ys[part])]
-        return out
-
     live = list(range(len(stack)))
     for epoch in range(1, config.max_epochs + 1):
         if not live:
@@ -464,25 +449,18 @@ def train_many(jobs: list[TrainJob]) -> list[TrainResult | NonFiniteLoss]:
                 for good_lo, good_hi, _ in _runs(range(lo, hi), lambda g: failed[g] is None):
                     adam(good_lo, good_hi, epoch, tick)
 
-        train_mse = mses(training, count, live)
-        val_mse = mses(validation, val_count, live)
         for g in list(live):
-            if not math.isfinite(train_mse[g]):
-                failed[g] = NonFiniteLoss(f"non-finite training loss at epoch {epoch}")
-                live.remove(g)
-                continue
-            entry = {"epoch": epoch, "train_mse": train_mse[g]}
+            entry = {"epoch": epoch}
+            histories[g].append(entry)
             if stack[g].val is None:
-                histories[g].append(entry)
                 continue
-            if not math.isfinite(val_mse[g]):
+            entry["val_mse"] = val_mse = _mse(net_config, params[g], *stack[g].val)
+            if not math.isfinite(val_mse):
                 failed[g] = NonFiniteLoss(f"non-finite validation loss at epoch {epoch}")
                 live.remove(g)
                 continue
-            entry["val_mse"] = val_mse[g]
-            histories[g].append(entry)
-            if val_mse[g] < best_val[g]:
-                best_val[g], best_epoch[g], stale[g] = val_mse[g], epoch, 0
+            if val_mse < best_val[g]:
+                best_val[g], best_epoch[g], stale[g] = val_mse, epoch, 0
                 best[g] = params[g].copy()
             else:
                 stale[g] += 1
@@ -492,14 +470,16 @@ def train_many(jobs: list[TrainJob]) -> list[TrainResult | NonFiniteLoss]:
     results: list[TrainResult | NonFiniteLoss | None] = [None] * len(jobs)
     for g, job in enumerate(stack):
         job.net.params[...] = params[g]
-        if failed[g] is not None:
-            results[order[g]] = failed[g]
-        elif job.val is not None:
-            results[order[g]] = TrainResult(net=MTNet(job.net.config, best[g]),
-                                            history=histories[g], best_epoch=best_epoch[g])
-        else:
-            results[order[g]] = TrainResult(net=job.net, history=histories[g],
-                                            best_epoch=config.max_epochs)
+        if failed[g] is None:
+            net, epoch = ((job.net, config.max_epochs) if job.val is None
+                          else (MTNet(job.net.config, best[g]), best_epoch[g]))
+            # the one pass over the training rows: what is returned scores finite
+            if math.isfinite(_mse(net_config, net.params, job.features, job.selector,
+                                  job.targets)):
+                results[order[g]] = TrainResult(net, histories[g], epoch)
+                continue
+            failed[g] = NonFiniteLoss(f"non-finite training loss at epoch {epoch}")
+        results[order[g]] = failed[g]
     return results
 
 
@@ -580,9 +560,9 @@ def grid_search(grid: GridSpec, design: ds.DesignMatrix, base_train: TrainConfig
                 inner_k: int = 5, seed: int = 0) -> ds.GridResult:
     """Exhaustive grid search scored by inner k-fold cross-validation.
 
-    Per cell and inner fold (ds.cv_select), fit_network trains on the
-    inner-train split with early stopping against the held-out split,
-    which is scored by its RMSE in standardized space averaged over
+    Per cell and inner fold (ds.cv_select), the network_job of the
+    inner-train split trains with early stopping against the held-out
+    split, which is scored by its RMSE in standardized space averaged over
     channels. Lowest mean wins; ties break toward the earliest cell.
     """
     n_channels = len(design.registry)
@@ -591,11 +571,13 @@ def grid_search(grid: GridSpec, design: ds.DesignMatrix, base_train: TrainConfig
     def score(cell_index: int, fold: int, train_rows: np.ndarray,
               val_rows: np.ndarray) -> float:
         net_seed = derive_seed(seed, cell_index + 1, fold + 1)
-        standardizer, result = fit_network(design, train_rows, cells[cell_index], base_train,
-                                           net_seed, derive_seed(net_seed, 7), val_rows)
-        x_val, s_val, y_val = network_inputs(design, val_rows, standardizer)
-        pred = forward(result.net, x_val, s_val)
-        return _channel_mean_rmse(pred, y_val, design.channel_idx[val_rows], n_channels)
+        _, job = network_job(design, train_rows, cells[cell_index], base_train, net_seed,
+                             derive_seed(net_seed, 7), val_rows)
+        result = train(job.net, job.features, job.selector, job.targets, job.config,
+                       val=job.val)
+        x_val, s_val, y_val = job.val
+        return _channel_mean_rmse(forward(result.net, x_val, s_val), y_val,
+                                  design.channel_idx[val_rows], n_channels)
 
     return ds.cv_select(cells, design, inner_k, seed, score)
 
@@ -644,13 +626,3 @@ def network_job(design: ds.DesignMatrix, train_rows: np.ndarray, cell: dict,
     job = TrainJob(init_network(net_config), x_train, s_train, y_train, train_config, val)
     return standardizer, job
 
-
-def fit_network(design: ds.DesignMatrix, train_rows: np.ndarray, cell: dict,
-                base_train: TrainConfig, net_seed: int, train_seed: int,
-                val_rows: np.ndarray | None = None) -> tuple[ds.Standardizer, TrainResult]:
-    """network_job trained on its own: the fitted standardizer and the
-    training result."""
-    standardizer, job = network_job(design, train_rows, cell, base_train, net_seed,
-                                    train_seed, val_rows)
-    return standardizer, train(job.net, job.features, job.selector, job.targets, job.config,
-                               val=job.val)

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -329,6 +330,23 @@ class TestBadDensity:
         assert capsys.readouterr().err.startswith("error ParseFailure: row 1:")
 
 
+    @pytest.mark.parametrize("takes_density", [False, True], ids=["no-density", "density"])
+    @pytest.mark.parametrize("density", [d for d in BAD_DENSITIES if d != "abc"])  # exit 2
+    def test_predict(self, tmp_path, capsys, density, takes_density):
+        model = tmp_path / "rf"
+        assert cli.main(["train", "--data", str(write_dataset(tmp_path)), "--subset", "1",
+                         "--density" if takes_density else "--no-density",
+                         "--family", "st-rf", "--channel", "det_velocity:calc",
+                         "--grid", str(write_grid(tmp_path)), "--folds", "3",
+                         "--out", str(model)]) == 0
+        capsys.readouterr()
+        code = cli.main(["predict", "--model", str(model / "model.emrf"), "--smiles", "CCO",
+                         "--density", density])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error InvalidConfig: --density ") and len(err.splitlines()) == 1
+
+
 @pytest.fixture(scope="module")
 def model_files(tmp_path_factory):
     """An EMMT and an EMRF file trained on the small dataset, by magic."""
@@ -408,6 +426,20 @@ class TestModelHeader:
         assert capsys.readouterr().err.startswith(f"error CorruptFile: malformed model header "
                                                   f"(InvalidConfig: {key} must be")
 
+    @pytest.mark.parametrize("header", [b"{not json", b'{"config": "\xff"}',
+                                        b"[" * 100000 + b"]" * 100000],
+                             ids=["not-json", "not-utf8", "nested-too-deep"])
+    def test_header_that_is_not_json_is_corrupt_file(self, tmp_path, capsys, header):
+        body = struct.pack("<Q", len(header)) + header
+        path = tmp_path / "model.emmt"
+        path.write_bytes(modelio.MAGIC_MTNN + struct.pack("<I", modelio.FORMAT_VERSION)
+                         + struct.pack("<Q", modelio._checksum(body)) + body)
+        code = cli.main(["predict", "--model", str(path), "--smiles", "CCC"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error CorruptFile: model header is not JSON")
+        assert len(err.splitlines()) == 1
+
     def test_forest_width_must_match_schema(self, tmp_path, capsys, model_files):
         path = tmp_path / "wide.emrf"
         rewrite_header(model_files[modelio.MAGIC_FOREST], path, modelio.MAGIC_FOREST,
@@ -484,6 +516,9 @@ GRID_ERRORS = {
     "n-trees-true": '{"forest": {"n_trees": [true]}}',
     "learning-rate-true": '{"mtnn": {"learning_rate": [true]}}',
     "l2-penalty-false": '{"mtnn": {"l2_penalty": [false]}}',
+    "learning-rate-infinity": '{"mtnn": {"learning_rate": [Infinity]}}',
+    "l2-penalty-infinity": '{"mtnn": {"l2_penalty": [Infinity]}}',
+    "nested-too-deep": "[" * 100000 + "]" * 100000,
     "axis-not-list": '{"mtnn": {"learning_rate": 0.01}}',
 }
 
@@ -507,6 +542,8 @@ GRID_ERROR_KEYS = {
     "n-trees-true": "forest.n_trees",
     "learning-rate-true": "mtnn.learning_rate",
     "l2-penalty-false": "mtnn.l2_penalty",
+    "learning-rate-infinity": "mtnn.learning_rate",
+    "l2-penalty-infinity": "mtnn.l2_penalty",
     "axis-not-list": "mtnn.learning_rate",
     "patience-above-max-epochs": "train.patience",
 }
@@ -553,7 +590,8 @@ class TestConfigErrors:
     @pytest.mark.parametrize("text", [
         '[{"property": "det_velocity", "unit": "km/s"}]',  # no fidelity
         "[not json",
-    ], ids=["entry-without-fidelity", "not-json"])
+        "[" * 100000 + "]" * 100000,
+    ], ids=["entry-without-fidelity", "not-json", "nested-too-deep"])
     def test_bad_registry_json(self, tmp_path, capsys, text):
         registry = tmp_path / "registry.json"
         registry.write_text(text, encoding="utf-8")

@@ -160,7 +160,8 @@ def per_layer_gradients(net, features, selector, targets):
 
 
 def per_layer_train(net, features, selector, targets, config, val=None):
-    """Returns (net, history, best_epoch) like mtnn.train."""
+    """Returns (net, history, best_epoch) like mtnn.train, or raises its
+    NonFiniteLoss when the net it returns has a non-finite training loss."""
 
     def snapshot():
         return SimpleNamespace(config=net.config, weights=[w.copy() for w in net.weights],
@@ -197,7 +198,7 @@ def per_layer_train(net, features, selector, targets, config, val=None):
                 net.biases[i] -= config.learning_rate * (m_b[i] / correction1) / (
                     np.sqrt(v_b[i] / correction2) + mtnn.ADAM_EPSILON
                 )
-        entry = {"epoch": epoch, "train_mse": per_layer_mse(net, features, selector, targets)}
+        entry = {"epoch": epoch}
         history.append(entry)
         if val is None:
             continue
@@ -209,7 +210,9 @@ def per_layer_train(net, features, selector, targets, config, val=None):
             if stale > config.patience:
                 break
     if val is None:
-        return net, history, config.max_epochs
+        best, best_epoch = net, config.max_epochs
+    if not math.isfinite(per_layer_mse(best, features, selector, targets)):
+        raise NonFiniteLoss(f"non-finite training loss at epoch {best_epoch}")
     return best, history, best_epoch
 
 
@@ -503,11 +506,11 @@ class TestTrainMany:
         it start negative, so each diverges once one of them turns positive."""
         # (rows, seed, where the 1e300 row sits, the error it stops with)
         cases = [
-            (9, 62, "train", "non-finite training loss at epoch 4"),
+            (9, 62, "train", "non-finite loss at epoch 5"),
             (40, 224, None, None),
             (25, 186, "train", "non-finite loss at epoch 7"),
             (40, 218, "train", "non-finite loss at epoch 22"),
-            (17, 244, "train", "non-finite training loss at epoch 6"),
+            (17, 244, "train", "non-finite loss at epoch 7"),
             (40, 252, "val", "non-finite validation loss at epoch 11"),
             (17, 186, None, None),
             (9, 224, None, None),
@@ -550,6 +553,52 @@ class TestTrainMany:
             assert result.history == history
             assert result.best_epoch == best_epoch
             assert result.net.params.tobytes() == flat_params(oracle).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_divergence_in_the_last_epoch_is_caught_once_training_ends(self):
+        """Every batch loss is finite, but the last epoch's updates leave a
+        1e300 training row with a non-finite loss: the network returns that
+        error instead of its parameters, or its earlier finite best
+        snapshot when it validates."""
+        # (rows, seed, where the 1e300 row sits, validates, the error it ends with)
+        cases = [
+            (9, 62, "train", False, "non-finite training loss at epoch 4"),
+            (40, 224, None, True, None),
+            (9, 62, "train", True, "non-finite training loss at epoch 4"),  # best epoch 4
+            (25, 62, "train", True, None),  # best epoch 2
+            (17, 186, None, False, None),
+        ]
+
+        def job(n, seed, where, validates):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(n, 3))
+            y = x[:, 0] * 3 + rng.normal(size=n)
+            x_val = rng.normal(size=(6, 3))
+            y_val = x_val[:, 0] * 3 + rng.normal(size=6)
+            if where == "train":
+                x[0] = (1e300, 0.0, 0.0)
+            net = mtnn.init_network(mtnn.MTNetConfig(3, 0, (4,), 0, seed=seed))
+            config = mtnn.TrainConfig(learning_rate=0.05, batch_size=8, max_epochs=4,
+                                      patience=4, seed=seed)
+            return mtnn.TrainJob(net, x, None, y, config, (x_val, None, y_val) if validates
+                                 else None)
+
+        results = mtnn.train_many([job(*case[:4]) for case in cases])
+        assert [str(r) if isinstance(r, NonFiniteLoss) else None for r in results] == \
+            [message for *_, message in cases]
+        for (n, seed, where, validates, message), result in zip(cases, results):
+            solo = job(n, seed, where, validates)
+            args = (scalar_init_network(solo.net.config), solo.features, None, solo.targets,
+                    solo.config)
+            if message:
+                with pytest.raises(NonFiniteLoss, match=f"^{message}$"):
+                    per_layer_train(*args, val=solo.val)
+                continue
+            oracle, history, best_epoch = per_layer_train(*args, val=solo.val)
+            assert result.history == history
+            assert result.best_epoch == best_epoch
+            assert result.net.params.tobytes() == flat_params(oracle).tobytes()
+        assert results[3].best_epoch == 2
 
     def test_needs_one_architecture_and_config(self):
         x, y = np.zeros((4, 5)), np.zeros(4)

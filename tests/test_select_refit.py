@@ -31,12 +31,21 @@ SPARSE_CHANNEL = "det_velocity:exp"  # one material: its test fold has no train 
 # Oracles: the earlier per-family code
 # ---------------------------------------------------------------------------
 
+def fit_network(design, train_rows, cell, base_train, net_seed, train_seed):
+    """mtnn.network_job trained on its own: the fitted standardizer and the
+    training result."""
+    standardizer, job = mtnn.network_job(design, train_rows, cell, base_train, net_seed,
+                                         train_seed)
+    return standardizer, mtnn.train(job.net, job.features, job.selector, job.targets,
+                                    job.config)
+
+
 def oracle_select_and_refit_net(design, train_rows, test_rows, grid, base_train, inner_k, seed):
     search = mtnn.grid_search(grid, evaluation._restrict(design, train_rows), base_train,
                               inner_k=inner_k, seed=seed)
     refit_seed = derive_seed(seed, 3)
-    standardizer, result = mtnn.fit_network(design, train_rows, search.best_cell, base_train,
-                                            refit_seed, derive_seed(refit_seed, 11))
+    standardizer, result = fit_network(design, train_rows, search.best_cell, base_train,
+                                       refit_seed, derive_seed(refit_seed, 11))
     x_test, s_test, _ = mtnn.network_inputs(design, test_rows, standardizer)
     pred_std = mtnn.forward(result.net, x_test, s_test)
     return standardizer.invert_targets(pred_std, design.channel_idx[test_rows])
@@ -112,8 +121,8 @@ def oracle_train(path, family, data, subset_id, channel, grid, forest_grid, base
     else:
         search = mtnn.grid_search(grid, design, base_train, inner_k=inner_k, seed=seed)
         all_rows = np.ones(len(design.targets), dtype=bool)
-        standardizer, result = mtnn.fit_network(design, all_rows, search.best_cell, base_train,
-                                                derive_seed(seed, 3), derive_seed(seed, 5))
+        standardizer, result = fit_network(design, all_rows, search.best_cell, base_train,
+                                           derive_seed(seed, 3), derive_seed(seed, 5))
         bundle = pipeline.ModelBundle(kind="mtnn", registry=design.registry, schema=schema,
                                       net=result.net, standardizer=standardizer)
     pipeline.save_model(path, bundle)
@@ -128,8 +137,8 @@ def oracle_fit_selected(family, design, train_rows, grids, inner_k, seed, train_
         config = rf.ForestConfig(seed=derive_seed(seed, 3), **search.best_cell)
         return rf.fit_forest(design.features[train_rows], design.targets[train_rows],
                              config).trees
-    _, result = mtnn.fit_network(design, train_rows, search.best_cell, grids.train,
-                                 derive_seed(seed, 3), train_seed)
+    _, result = fit_network(design, train_rows, search.best_cell, grids.train,
+                            derive_seed(seed, 3), train_seed)
     return [result.net.params]
 
 
