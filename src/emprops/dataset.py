@@ -391,6 +391,19 @@ def kfold_by_material(material_ids: list[str], k: int, seed: int) -> SplitPlan:
     return SplitPlan(seed=seed, k=k, assignment=assignment)
 
 
+def inner_folds(material_ids: list[str], inner_k: int,
+                seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """cv_select's fold plan: the (train, validation) row masks of each
+    inner fold over rows with these material ids, in fold order."""
+    plan = kfold_by_material(material_ids, inner_k, seed)
+    folds = []
+    for fold in range(inner_k):
+        train_mats, val_mats = plan.train_test(fold)
+        folds.append((np.array([m in train_mats for m in material_ids], dtype=bool),
+                      np.array([m in val_mats for m in material_ids], dtype=bool)))
+    return folds
+
+
 @dataclass
 class GridResult:
     best_cell: dict
@@ -411,16 +424,11 @@ def cv_select(cells: list[dict], design: DesignMatrix, inner_k: int, seed: int,
     """
     if not cells:
         raise InvalidConfig("empty hyperparameter grid")
-    plan = kfold_by_material(design.material_ids, inner_k, seed)
-    folds = []
-    for fold in range(inner_k):
-        train_mats, val_mats = plan.train_test(fold)
-        folds.append((fold, design.rows_for(train_mats), design.rows_for(val_mats)))
-
+    folds = inner_folds(design.material_ids, inner_k, seed)
     result = GridResult(best_cell=cells[0], best_score=math.inf, table=[])
     for cell_index, cell in enumerate(cells):
         mean_score = float(np.mean([score(cell_index, fold, train_rows, val_rows)
-                                    for fold, train_rows, val_rows in folds]))
+                                    for fold, (train_rows, val_rows) in enumerate(folds)]))
         result.table.append({**cell, "mean_val_rmse": mean_score})
         if mean_score < result.best_score:
             result.best_cell = cell
@@ -509,10 +517,17 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
         return float("nan")
     dx = x - x.mean()
     dy = y - y.mean()
-    denom = math.sqrt(float(dx @ dx) * float(dy @ dy))
+    with np.errstate(over="ignore"):
+        sxx, syy, sxy = float(dx @ dx), float(dy @ dy), float(dx @ dy)
+        overflow = not (math.isfinite(sxx * syy) and math.isfinite(sxy))
+        if overflow and np.isfinite(x).all() and np.isfinite(y).all():
+            # large values overflow the products or the denominator; r is scale-free
+            dx, dy = dx / np.abs(dx).max(), dy / np.abs(dy).max()
+            sxx, syy, sxy = float(dx @ dx), float(dy @ dy), float(dx @ dy)
+    denom = math.sqrt(sxx * syy)
     if denom == 0.0:
         return float("nan")
-    return float(dx @ dy) / denom
+    return sxy / denom
 
 
 def pearson_matrix(dataset: Dataset) -> tuple[list[str], np.ndarray, np.ndarray]:

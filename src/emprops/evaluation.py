@@ -13,8 +13,9 @@ and unit, with its rows and derived seeds; run_protocol fits every one
 that has test rows with one fit_all call, then predicts their held-out
 rows with pipeline.predict_rows and records the metrics, in plan order.
 Every family goes through the same steps: select_cell picks a cell by the
-shared inner-CV loop dataset.cv_select, and fit_all refits it: a forest
-on its own, every network, single- or multi-task, prepared by
+shared inner-CV loop dataset.cv_select, and fit_all refits it: every
+forest of the call grown in lockstep by forest.fit_forests, selection
+forests first, and every network, single- or multi-task, prepared by
 mtnn.network_job and trained in one mtnn.train_many stack with the other
 refits that won the same cell. fit_all refits a one-cell grid without
 inner CV, since selection could only return that cell; tune always runs
@@ -312,11 +313,14 @@ def single_channel_design(design: ds.DesignMatrix, channel_pos: int) -> ds.Desig
 
 
 def select_cell(family: str, design: ds.DesignMatrix, grids: Grids, inner_k: int,
-                seed: int) -> ds.GridResult:
+                seed: int, forests: list[rf.RandomForest] | None = None) -> ds.GridResult:
     """Inner-CV selection of the family's best cell on the design: the one
-    place that chooses between the forest and the network grid search."""
+    place that chooses between the forest and the network grid search.
+    forests are a forest family's selection forests when already grown
+    (see forest_grid_search)."""
     if family == "st-rf":
-        return forest_grid_search(grids.forest, design, inner_k=inner_k, seed=seed)
+        return forest_grid_search(grids.forest, design, inner_k=inner_k, seed=seed,
+                                  forests=forests)
     return mtnn.grid_search(grids.mtnn, design, grids.train, inner_k=inner_k, seed=seed)
 
 
@@ -329,14 +333,20 @@ def fit_all(fits: list[Fit], schema: descriptors.FeatureSchema, grids: Grids,
     which selection would return whatever the scores; inner_k must still
     be at least 2. Every command fits its models through here.
 
-    Forests are refit one by one. Network refits that differ only in their
-    seeds (the same winning cell on units of one shape) train together in
-    one mtnn.train_many stack, each standardized on its own rows as
-    mtnn.network_job does, with the bits it would get alone. The first
-    fit in order whose selection or refit fails raises its error, so a
-    failure reads as it would in a run that fits one fit at a time.
+    Forests grow in two rf.fit_forests calls: every selection forest of
+    every fit (cells x inner folds), whose scores pick each fit's cell by
+    cv_select's rule, then every refit. Network refits that differ only in
+    their seeds (the same winning cell on units of one shape) train
+    together in one mtnn.train_many stack, each standardized on its own
+    rows as mtnn.network_job does, with the bits it would get alone. Every
+    fit is planned, and its forest jobs checked, in order before anything
+    grows or trains, and the first fit in order whose planning, selection
+    or refit fails raises its error, so a failure reads as it would in a
+    run that fits one fit at a time.
     """
     bundles: list = [None] * len(fits)
+    selections: list[tuple[int, list[rf.ForestJob]]] = []  # forest fits that select
+    refits: dict[int, rf.ForestJob] = {}  # forest fits whose cell is known
     stacks: dict[tuple, list] = {}  # (net config, train config) without seeds -> fits
     failure = None
     for index, fit in enumerate(fits):
@@ -344,25 +354,37 @@ def fit_all(fits: list[Fit], schema: descriptors.FeatureSchema, grids: Grids,
         try:
             ds.check_fold_count(inner_k)
             cells = grids.cells(fit.family, design)
+            if fit.family == "st-rf":
+                if len(cells) == 1:
+                    refits[index] = _forest_refit(fit, cells[0])
+                else:
+                    selections.append((index, forest_selection(
+                        grids.forest, design, np.flatnonzero(train_rows), inner_k, fit.seed)))
+                continue
             if len(cells) == 1:
                 cell = cells[0]
             else:
                 cell = select_cell(fit.family, _restrict(design, train_rows), grids, inner_k,
                                    fit.seed).best_cell
-            refit_seed = derive_seed(fit.seed, 3)
-            if fit.family == "st-rf":
-                model = rf.fit_forest(design.features[train_rows], design.targets[train_rows],
-                                      rf.ForestConfig(seed=refit_seed, **cell))
-                bundles[index] = pipeline.ModelBundle(kind="forest", registry=design.registry,
-                                                      schema=schema, forest=model)
-                continue
             standardizer, job = mtnn.network_job(design, train_rows, cell, grids.train,
-                                                 refit_seed, fit.train_seed)
+                                                 derive_seed(fit.seed, 3), fit.train_seed)
         except ToolkitError as exc:
             failure = exc  # no later fit can fail first
             break
         key = (replace(job.net.config, seed=0), replace(job.config, seed=0))
         stacks.setdefault(key, []).append((index, standardizer, job))
+
+    grown = rf.fit_forests([job for _, jobs in selections for job in jobs])
+    for index, jobs in selections:
+        fit = fits[index]
+        search = select_cell(fit.family, _restrict(fit.unit, fit.train_rows), grids, inner_k,
+                             fit.seed, [next(grown) for _ in jobs])
+        # cannot fail: the refit's rows hold the rows of every selection job
+        refits[index] = _forest_refit(fit, search.best_cell)
+    order = sorted(refits)
+    for index, model in zip(order, rf.fit_forests([refits[index] for index in order])):
+        bundles[index] = pipeline.ModelBundle(kind="forest", registry=fits[index].unit.registry,
+                                              schema=schema, forest=model)
 
     for members in stacks.values():
         outcomes = mtnn.train_many([job for _, _, job in members])
@@ -377,6 +399,13 @@ def fit_all(fits: list[Fit], schema: descriptors.FeatureSchema, grids: Grids,
         if isinstance(outcome, ToolkitError):
             raise outcome
     return bundles
+
+
+def _forest_refit(fit: Fit, cell: dict) -> rf.ForestJob:
+    """The checked forest job of a fit's refit of the cell on its training rows."""
+    return rf.forest_job(fit.unit.features, fit.unit.targets,
+                         rf.ForestConfig(seed=derive_seed(fit.seed, 3), **cell),
+                         np.flatnonzero(fit.train_rows))
 
 
 def _record_channel_metrics(report: ProtocolReport, registry: ds.PropertyRegistry,
@@ -406,23 +435,36 @@ def _restrict(design: ds.DesignMatrix, rows: np.ndarray) -> ds.DesignMatrix:
     )
 
 
-def forest_grid_search(grid: ForestGridSpec, design: ds.DesignMatrix,
-                       inner_k: int = 5, seed: int = 0) -> ds.GridResult:
+def forest_selection(grid: ForestGridSpec, design: ds.DesignMatrix, rows: np.ndarray,
+                     inner_k: int, seed: int) -> list[rf.ForestJob]:
+    """The checked selection forest jobs of inner CV on the given rows of
+    the design: one per cell and inner fold, in cv_select's order, on the
+    fold's training rows of the design's arrays (referenced, not copied),
+    seeded derive_seed(seed, cell_index + 1)."""
+    folds = ds.inner_folds([design.material_ids[row] for row in rows], inner_k, seed)
+    return [rf.forest_job(design.features, design.targets,
+                          rf.ForestConfig(seed=derive_seed(seed, cell_index + 1), **cell),
+                          rows[train_rows])
+            for cell_index, cell in enumerate(grid.cells()) for train_rows, _ in folds]
+
+
+def forest_grid_search(grid: ForestGridSpec, design: ds.DesignMatrix, inner_k: int = 5,
+                       seed: int = 0,
+                       forests: list[rf.RandomForest] | None = None) -> ds.GridResult:
     """Grid search for the forest through ds.cv_select, scored by inner-CV
     RMSE in transformed target units (trees are scale-free, so no
-    standardization)."""
-    cells = grid.cells()
-    configs = [rf.ForestConfig(seed=derive_seed(seed, cell_index + 1), **cell)
-               for cell_index, cell in enumerate(cells)]
+    standardization). forests are the grown jobs of forest_selection on
+    every row of the design, in order; None grows them here."""
+    if forests is None:
+        forests = list(rf.fit_forests(forest_selection(
+            grid, design, np.arange(len(design.targets)), inner_k, seed)))
 
     def score(cell_index: int, fold: int, train_rows: np.ndarray,
               val_rows: np.ndarray) -> float:
-        model = rf.fit_forest(design.features[train_rows], design.targets[train_rows],
-                              configs[cell_index])
-        return rmse(rf.predict_forest(model, design.features[val_rows]),
-                    design.targets[val_rows])
+        return rmse(rf.predict_forest(forests[cell_index * inner_k + fold],
+                                      design.features[val_rows]), design.targets[val_rows])
 
-    return ds.cv_select(cells, design, inner_k, seed, score)
+    return ds.cv_select(grid.cells(), design, inner_k, seed, score)
 
 
 # ---------------------------------------------------------------------------

@@ -137,9 +137,15 @@ def layer_views(config: MTNetConfig, vector: np.ndarray,
 
 def init_network(config: MTNetConfig) -> MTNet:
     """Glorot-uniform weights from one block of splitmix64(seed) draws, one
-    53-bit uniform per weight in parameter order; zero biases."""
-    net = MTNet(config=config, params=np.zeros(parameter_count(config)))
-    draws = SplitMix64(config.seed).next_block(sum(w.size for w in net.weights))
+    53-bit uniform per weight in parameter order; zero biases. A network
+    too large to allocate is InvalidConfig naming its hidden sizes."""
+    try:
+        net = MTNet(config=config, params=np.zeros(parameter_count(config)))
+        draws = SplitMix64(config.seed).next_block(sum(w.size for w in net.weights))
+    except MemoryError as exc:
+        raise InvalidConfig(f"hidden_sizes {list(config.hidden_sizes)} give "
+                            f"{parameter_count(config):,} parameters, more than memory "
+                            "holds") from exc
     offset = 0
     for w in net.weights:
         fan_out, fan_in = w.shape

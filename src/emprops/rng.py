@@ -21,11 +21,11 @@ class SplitMix64:
     """splitmix64 generator (Steele, Lea, Flood 2014)."""
 
     def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
+        self.state = seed & _MASK64  # draw i of the stream mixes state + i * golden
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
+        self.state = (self.state + _GOLDEN) & _MASK64
+        z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
@@ -38,14 +38,9 @@ class SplitMix64:
         """
         z = np.arange(1, k + 1, dtype=np.uint64)
         z *= _GOLDEN_U64
-        z += np.uint64(self._state)
-        self._state = (self._state + k * _GOLDEN) & _MASK64
-        z ^= z >> _SHIFT30
-        z *= _MIX1_U64
-        z ^= z >> _SHIFT27
-        z *= _MIX2_U64
-        z ^= z >> _SHIFT31
-        return z
+        z += np.uint64(self.state)
+        self.state = (self.state + k * _GOLDEN) & _MASK64
+        return _mix(z)
 
     def next_float(self) -> float:
         """Uniform in [0, 1) with the full 53-bit mantissa."""
@@ -75,6 +70,25 @@ class SplitMix64:
             j = i + offset
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
+
+
+def next_blocks(states: np.ndarray, k: int) -> np.ndarray:
+    """The next k draws of several streams at once, as a (streams, k) uint64
+    array: row i equals next_block(k) of the stream whose state is
+    states[i]. states (uint64) advance in place."""
+    z = np.arange(1, k + 1, dtype=np.uint64) * _GOLDEN_U64 + states[:, None]
+    states += np.uint64((k * _GOLDEN) & _MASK64)
+    return _mix(z)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's output function on counters z, in place."""
+    z ^= z >> _SHIFT30
+    z *= _MIX1_U64
+    z ^= z >> _SHIFT27
+    z *= _MIX2_U64
+    z ^= z >> _SHIFT31
+    return z
 
 
 def derive_seed(seed: int, *parts: int) -> int:

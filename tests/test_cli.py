@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -91,6 +92,9 @@ class TestCorrelate:
         row = overlap_lines[6].split(",")  # det_velocity:calc row
         assert row[0] == "det_velocity:calc"
         assert row[6] == "12"
+        # recorded before pearson learned to rescale values whose products overflow
+        assert hashlib.sha256((out / "pearson_r.csv").read_bytes()).hexdigest() == \
+            "fd0deab4618b58d40fd87ad0edbd910bdec143ee0f1604d2785f0ffd1376ea2b"
 
 
 class TestTuneTrainPredictScreen:
@@ -568,6 +572,19 @@ class TestConfigErrors:
         with pytest.raises(InvalidConfig) as excinfo:
             evaluation.Grids.load(str(grid))
         assert str(excinfo.value).startswith(f"grid file {grid}: {GRID_ERROR_KEYS[case]}: ")
+
+    def test_network_too_large_to_allocate(self, tmp_path, capsys):
+        """407 TiB of parameters: the allocation fails at once, so the
+        command ends in one error line, not a MemoryError traceback."""
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"mtnn": {"hidden_sizes": [[1000000000000]]}, '
+                        '"train": {"max_epochs": 2, "patience": 1}}', encoding="utf-8")
+        code = cli.main(["train", "--data", str(write_dataset(tmp_path)), "--subset", "2",
+                         "--grid", str(grid), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("error InvalidConfig: hidden_sizes [1000000000000] give "
+                       "57,000,000,000,001 parameters, more than memory holds\n")
 
     def test_selector_layer_pairs_with_the_entries_deep_enough(self, tmp_path):
         grid = tmp_path / "grid.json"

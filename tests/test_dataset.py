@@ -308,6 +308,13 @@ class TestPearson:
     def test_hand_value(self):
         assert ds.pearson(np.array([1, 2, 3]), np.array([1, 3, 2])) == pytest.approx(0.5, abs=1e-12)
 
+    def test_values_whose_products_overflow(self):
+        assert ds.pearson([1e300, 7.0], [1.0, 2.0]) == -1.0
+        x, y = np.array([1.0, 7.0, 3.0]), np.array([3.0, 2.0, 1.0])
+        assert ds.pearson(x * 1e200, y) == pytest.approx(ds.pearson(x * 1e2, y), abs=1e-12)
+        assert ds.pearson(x * 1e100, y * 1e100) == pytest.approx(ds.pearson(x, y), abs=1e-12)
+        assert ds.pearson([1.0, 2.0], [3.0, np.inf]) != ds.pearson([1.0, 2.0], [3.0, 4.0])
+
     def test_perfect_linear_channels(self, tmp_path):
         rows = []
         for i in range(5):

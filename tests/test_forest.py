@@ -1,12 +1,20 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from emprops import cli
 from emprops import dataset as ds
-from emprops import descriptors, pipeline
+from emprops import descriptors, evaluation, pipeline
 from emprops import forest as rf
-from emprops.errors import CorruptFile, DimensionMismatch, EmptyData, InvalidConfig
+from emprops.errors import (CorruptFile, DimensionMismatch, EmptyData, InvalidConfig,
+                            TooFewMaterials, ToolkitError)
 from emprops.molgraph import parse_smiles
 from emprops.rng import SplitMix64, derive_seed
+from test_cli import write_dataset, write_grid
 from test_rng import scalar_sample_indices
 
 
@@ -106,6 +114,98 @@ def scalar_fit_forest(x, y, config):
         grow(np.arange(n), 0)
         trees.append(np.array(nodes))
     return trees
+
+
+def per_node_best_split(x, y, feature_indices, min_samples_leaf=1):
+    """The one-node split search that the lockstep grower batches, kept as
+    the reference every node must equal exactly: the node's candidate
+    columns sorted together, every candidate scored from cumulative sums
+    in one pass, the tie rule applied to the running maxima in scan order."""
+    def sse(total, total_sq, count):
+        return total_sq - total * total / count
+
+    n = len(y)
+    if n < 2:
+        return None
+    parent_sse = sse(float(y.sum()), float((y * y).sum()), n)
+    margin = 1e-12 * max(parent_sse, 1.0)
+
+    features = sorted(feature_indices)
+    columns = x[:, features]
+    order = np.argsort(columns, axis=0, kind="stable")
+    sorted_x = columns[order, np.arange(len(features))]
+    sorted_y = y[order]
+    cum = np.cumsum(sorted_y, axis=0)
+    cum_sq = np.cumsum(sorted_y * sorted_y, axis=0)
+    left_n = np.arange(1, n)[:, None]
+    left, left_sq = cum[:-1], cum_sq[:-1]
+    reduction = (parent_sse - sse(left, left_sq, left_n)
+                 - sse(cum[-1] - left, cum_sq[-1] - left_sq, n - left_n))
+    usable = (sorted_x[:-1] != sorted_x[1:]) & (reduction > margin)
+    usable[:min_samples_leaf - 1] = False
+    usable[max(n - min_samples_leaf, 0):] = False
+    scores = np.where(usable, reduction, -np.inf).ravel(order="F")
+    earlier_peak = np.concatenate(([-np.inf], np.maximum.accumulate(scores)[:-1]))
+    records = np.flatnonzero(scores > earlier_peak)
+    best = None
+    for candidate, score in zip(records.tolist(), scores[records].tolist()):
+        if best is None or score > best[1] + margin:
+            best = (candidate, score)
+    if best is None:
+        return None
+    column, i = divmod(best[0], n - 1)
+    threshold = (float(sorted_x[i, column]) + float(sorted_x[i + 1, column])) / 2.0
+    return features[column], threshold, best[1]
+
+
+def per_tree_fit_tree(x, y, config, feature_rng=None):
+    """The one-tree grower that lockstep growth replaced: an explicit
+    preorder stack, feature draws in node order, per_node_best_split at
+    every node."""
+    n_features = x.shape[1]
+    max_features = config.resolve_max_features(n_features)
+    nodes = []
+    stack = [(np.arange(len(y)), 0, -1, rf.LEFT)]
+    while stack:
+        rows, depth, parent, link = stack.pop()
+        index = len(nodes)
+        if parent >= 0:
+            nodes[parent][link] = float(index)
+        values = y[rows]
+        node = [-1.0, 0.0, float(values.sum() / len(values)), -1.0, -1.0]
+        nodes.append(node)
+        if depth >= config.max_depth or len(rows) < 2 * config.min_samples_leaf:
+            continue
+        if feature_rng is None or max_features >= n_features:
+            candidates = list(range(n_features))
+        else:
+            candidates = feature_rng.sample_indices(n_features, max_features)
+        split = per_node_best_split(x[rows], values, candidates, config.min_samples_leaf)
+        if split is None:
+            continue
+        feature, threshold, _ = split
+        mask = x[rows, feature] <= threshold
+        node[rf.FEATURE] = float(feature)
+        node[rf.THRESHOLD] = threshold
+        stack.append((rows[~mask], depth + 1, index, rf.RIGHT))
+        stack.append((rows[mask], depth + 1, index, rf.LEFT))
+    return np.array(nodes, dtype=np.float64)
+
+
+def per_tree_fit_forest(x, y, config):
+    """The trees of a forest grown one after another, each on its bootstrap
+    with per_tree_fit_tree: what fit_forests must equal for every job."""
+    n = len(y)
+    trees = []
+    for tree_index in range(config.n_trees):
+        rng = SplitMix64(derive_seed(config.seed, tree_index))
+        rows = (rng.next_block(n) % np.uint64(n)).astype(np.intp)
+        trees.append(per_tree_fit_tree(x[rows], y[rows], config, feature_rng=rng))
+    return trees
+
+
+def tree_bytes(trees):
+    return [tree.tobytes() for tree in trees]
 
 
 def scalar_predict(tree, row):
@@ -314,6 +414,234 @@ class TestForest:
             rf.ForestConfig(max_features=5).resolve_max_features(3)
         assert rf.ForestConfig().resolve_max_features(9) == 3
         assert rf.ForestConfig().resolve_max_features(10) == 4
+
+
+def mixed_jobs():
+    """Forest jobs over two shared designs: both min_samples_leaf 1 and 3,
+    several depths, drawn (k < d) and full (k = d) feature subsets, a
+    one-row bootstrap, constant targets, tied feature values, and adjacent
+    floats whose midpoint grows an empty child."""
+    rng = np.random.default_rng(404)
+    rounded = np.round(rng.normal(size=(60, 7)), 1)  # rounded, so values tie
+    rounded[:, 0] = rng.choice([-50.00000000000001, -50.0], size=60)
+    rounded_y = rng.normal(size=60)
+    small = rng.integers(0, 3, size=(25, 7)).astype(float)
+    constant_y = np.full(25, 2.5)
+    jobs = []
+    for case in range(24):
+        x, y = (rounded, rounded_y) if case % 3 else (small, constant_y)
+        rows = np.sort(rng.choice(len(y), size=int(rng.integers(1, len(y) + 1)), replace=False))
+        if case == 5:
+            rows = rows[:1]  # a bootstrap of one row
+        config = rf.ForestConfig(n_trees=int(rng.integers(1, 4)),
+                                 max_depth=[1, 2, 5, 12][case % 4],
+                                 min_samples_leaf=[1, 3][case % 2] if len(rows) >= 3 else 1,
+                                 max_features=[None, 2, x.shape[1]][case % 3], seed=case)
+        jobs.append(rf.forest_job(x, y, config, rows))
+    return jobs
+
+
+def expected_trees(job):
+    return per_tree_fit_forest(job.x[job.rows], job.y[job.rows], job.config)
+
+
+class TestFitForests:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the oracle's empty children
+    def test_mixed_jobs_equal_per_tree_oracle(self):
+        jobs = mixed_jobs()
+        forests = list(rf.fit_forests(jobs))
+        assert len(forests) == len(jobs)
+        empty_children = 0
+        for job, forest in zip(jobs, forests):
+            assert forest.config == job.config and forest.n_features == job.x.shape[1]
+            assert tree_bytes(forest.trees) == tree_bytes(expected_trees(job))
+            empty_children += sum(int(np.isnan(tree[:, rf.VALUE]).sum()) for tree in forest.trees)
+        assert empty_children > 0  # the adjacent-float case grew NaN leaves
+
+    def test_jobs_do_not_depend_on_their_company(self, monkeypatch):
+        jobs = mixed_jobs()
+        together = [tree_bytes(forest.trees) for forest in rf.fit_forests(jobs)]
+        order = np.random.default_rng(1).permutation(len(jobs)).tolist()
+        permuted = [tree_bytes(forest.trees) for forest in rf.fit_forests([jobs[i] for i in order])]
+        assert [permuted[order.index(i)] for i in range(len(jobs))] == together
+        halves = [tree_bytes(forest.trees)
+                  for part in (jobs[::2], jobs[1::2]) for forest in rf.fit_forests(part)]
+        assert halves == together[::2] + together[1::2]
+        alone = [tree_bytes(rf.fit_forest(job.x[job.rows], job.y[job.rows], job.config).trees)
+                 for job in jobs]
+        assert alone == together
+        monkeypatch.setattr(rf, "WINDOW_ROWS", 40)  # many windows, one job too big for any
+        assert [tree_bytes(forest.trees) for forest in rf.fit_forests(jobs)] == together
+        monkeypatch.setattr(rf, "BLOCK_CELLS", 1)  # one node per split-search block
+        assert [tree_bytes(forest.trees) for forest in rf.fit_forests(jobs)] == together
+
+    def test_fit_tree_advances_the_feature_stream_as_the_oracle(self):
+        rng = np.random.default_rng(9)
+        x, y = np.round(rng.normal(size=(40, 9)), 1), rng.normal(size=40)
+        config = rf.ForestConfig(max_depth=6, max_features=3)
+        got, expected = SplitMix64(17), SplitMix64(17)
+        assert rf.fit_tree(x, y, config, got).tobytes() == \
+            per_tree_fit_tree(x, y, config, expected).tobytes()
+        assert got.next_u64() == expected.next_u64()
+
+    def test_best_split_equals_per_node_oracle(self):
+        rng = np.random.default_rng(606)
+        for case in range(500):
+            n, d = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+            x = rng.integers(0, 4, size=(n, d)).astype(float) if case % 2 else rng.normal(size=(n, d))
+            y = rng.normal(size=n)
+            features = [int(f) for f in rng.permutation(d)[: int(rng.integers(1, d + 1))]]
+            leaf = int(rng.integers(1, 4))
+            assert rf.best_split(x, y, features, leaf) == per_node_best_split(x, y, features, leaf)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 6),
+           shapes=st.lists(st.tuples(st.integers(1, 40), st.integers(1, 8), st.integers(1, 4),
+                                     st.integers(0, 6), st.integers(1, 3), st.booleans()),
+                           min_size=1, max_size=6),
+           seed=st.integers(0, 2**32))
+    def test_random_shapes_equal_per_tree_oracle(self, d, shapes, seed):
+        rng = np.random.default_rng(seed)
+        jobs = []
+        for n, depth, leaf, features, trees, ties in shapes:
+            x = rng.integers(0, 3, size=(n, d)).astype(float) if ties else rng.normal(size=(n, d))
+            config = rf.ForestConfig(n_trees=trees, max_depth=depth, min_samples_leaf=min(leaf, n),
+                                     max_features=min(features, d) or None,
+                                     seed=int(rng.integers(2**63)))
+            jobs.append(rf.forest_job(x, np.round(rng.normal(size=n), 2), config))
+        with np.errstate(invalid="ignore"):  # the oracle's empty children
+            for job, forest in zip(jobs, rf.fit_forests(jobs)):
+                assert tree_bytes(forest.trees) == tree_bytes(expected_trees(job))
+
+    def test_forest_job_checks_as_fit_forest_did(self):
+        x, y = np.zeros((4, 2)), np.zeros(4)
+        with pytest.raises(EmptyData, match="empty data"):
+            rf.forest_job(x, y, rf.ForestConfig(), np.array([], dtype=int))
+        with pytest.raises(DimensionMismatch):
+            rf.forest_job(x, np.zeros(3), rf.ForestConfig())
+        with pytest.raises(EmptyData, match="min_samples_leaf"):
+            rf.forest_job(x, y, rf.ForestConfig(min_samples_leaf=3), np.array([0, 1]))
+        with pytest.raises(InvalidConfig, match="exceeds feature dim"):
+            rf.forest_job(x, y, rf.ForestConfig(max_features=3))
+
+
+SPECIAL_TARGETS = np.array([0.0, -0.0, 1e308, -1e308, np.inf, -np.inf, np.nan, 5e-324, 1.0, -1.0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow and inf - inf, as numpy warns
+def test_node_sums_have_the_bits_of_ndarray_sum():
+    """The per-node sums behind each node's value and parent SSE: numpy's
+    pairwise order, below and above its 128-value block, for a few nodes
+    and a batch, with signed zeros, overflow, infinities and NaN."""
+    rng = np.random.default_rng(77)
+    for case in range(600):
+        size = int(rng.integers(1, 400))
+        kind = case % 4
+        if kind == 0:
+            y = rng.normal(size=size) * 10.0 ** rng.integers(-5, 6, size=size)
+        elif kind == 1:
+            y = rng.choice(SPECIAL_TARGETS, size=size)
+        elif kind == 2:
+            y = rng.choice([0.0, -0.0], size=size)
+        else:
+            y = rng.choice(SPECIAL_TARGETS[:4], size=size)  # finite values that overflow
+        perm = rng.permutation(size)
+        nodes = [1, rf.BATCH_NODES][case % 2] + int(rng.integers(0, 20))  # one by one, batched
+        start = rng.integers(0, size, size=nodes)
+        end = np.minimum(size, start + rng.integers(0, 300, size=nodes))
+        total, total_sq = rf._node_sums(y, perm, start, end)
+        for node in range(nodes):
+            values = y[perm[start[node]:end[node]]]
+            assert total[node].tobytes() == values.sum().tobytes(), (case, node)
+            assert total_sq[node].tobytes() == (values * values).sum().tobytes(), (case, node)
+
+
+# SHA-256 of the forest path's outputs, recorded before forests grew in
+# lockstep; any change to how forests grow must keep these bytes.
+GOLDEN = {
+    "report.csv": "4b2195d81a903e0f1cec2974fcf0d960b84b31c14896c749e07442252da1262b",
+    "table2_log_h50.md": "143332a5d19ff34043fb964e01f05c963f2b128adcf1147960384e1971bb33f3",
+    "model.emrf": "c7540c865d3f8721150ed63e71ba78f25ce0da6fa69841d9b6e9e662f7bd29a5",
+}
+
+
+def digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture
+def two_cell_forest_grid(tmp_path):
+    grid = write_grid(tmp_path)
+    spec = json.loads(grid.read_text(encoding="utf-8"))
+    spec["forest"]["min_samples_leaf"] = [1, 2]
+    grid.write_text(json.dumps(spec), encoding="utf-8")
+    return grid
+
+
+class TestGoldenDigests:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_evaluate_st_rf(self, tmp_path, capsys, two_cell_forest_grid):
+        out = tmp_path / "ev"
+        assert cli.main(["evaluate", "--data", str(write_dataset(tmp_path)), "--subset", "2",
+                         "--no-density", "--models", "st-rf", "--seeds", "1,2", "--folds", "3",
+                         "--inner-folds", "3", "--grid", str(two_cell_forest_grid),
+                         "--out", str(out)]) == 0
+        for name in ("report.csv", "table2_log_h50.md"):
+            assert digest(out / name) == GOLDEN[name], name
+
+    def test_train_st_rf(self, tmp_path, capsys, two_cell_forest_grid):
+        out = tmp_path / "tr"
+        assert cli.main(["train", "--data", str(write_dataset(tmp_path)), "--subset", "2",
+                         "--no-density", "--family", "st-rf", "--channel", "det_velocity:calc",
+                         "--grid", str(two_cell_forest_grid), "--folds", "3", "--seed", "7",
+                         "--out", str(out)]) == 0
+        assert digest(out / "model.emrf") == GOLDEN["model.emrf"]
+
+
+class TestForestFailureOrder:
+    """fit_all checks every forest job of a fit before any forest grows, so
+    the first failing fit in plan order raises, and within one fit's
+    selection the first failing (cell, inner fold) in cv_select's order."""
+
+    @pytest.fixture
+    def units(self, tmp_path):
+        data = ds.load_records(write_dataset(tmp_path), ds.default_registry())
+        schema, design = ds.build_design(data, 2, False)[1:]
+        position = design.registry.index_of(design.registry.lookup("impact_h50", "exp"))
+        return schema, evaluation.single_channel_design(design, position)
+
+    @staticmethod
+    def fit(unit, materials):
+        rows = unit.rows_for(set(sorted(set(unit.material_ids))[:materials]))
+        return evaluation.Fit("st-rf", unit, rows, ~rows, 5, 6)
+
+    @staticmethod
+    def grids(leaf, max_features):
+        return evaluation.Grids(forest=evaluation.ForestGridSpec(
+            n_trees=(2,), max_depth=(3,), min_samples_leaf=leaf, max_features=max_features))
+
+    @pytest.mark.parametrize("leaf,max_features,error", [
+        ((1, 5), (None, 1000), InvalidConfig),  # cell 1, (1, 1000), fails first
+        ((5, 1), (None, 1000), EmptyData),      # cell 0, (5, None), fails first
+    ])
+    def test_first_failing_cell_in_cv_order(self, units, leaf, max_features, error):
+        schema, unit = units
+        with pytest.raises(error):
+            evaluation.fit_all([self.fit(unit, 6)], schema, self.grids(leaf, max_features), 3)
+
+    def test_first_failing_fit_in_plan_order(self, units):
+        schema, unit = units
+        grids = self.grids((1, 3), (None,))  # an inner split of 4 materials holds 2 or 3
+        good, tiny, too_few = self.fit(unit, 6), self.fit(unit, 4), self.fit(unit, 2)
+        assert len(evaluation.fit_all([good], schema, grids, 3)) == 1
+        codes = {}
+        for name, fits in (("tiny-first", [good, tiny, too_few]),
+                           ("too-few-first", [good, too_few, tiny])):
+            with pytest.raises(ToolkitError) as raised:
+                evaluation.fit_all(fits, schema, grids, 3)
+            codes[name] = (type(raised.value), str(raised.value))
+        assert codes == {"tiny-first": (EmptyData, "fewer samples than min_samples_leaf"),
+                         "too-few-first": (TooFewMaterials, "2 materials < 3 folds")}
 
 
 def forest_bundle(rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from emprops.rng import SplitMix64
+from emprops.rng import SplitMix64, next_blocks
 
 
 def scalar_shuffle(rng, items):
@@ -30,6 +30,18 @@ def test_next_block_equals_scalar_draws(seed, k):
     # the state continues where k scalar draws leave it
     assert [block.next_u64() for _ in range(3)] == [scalar.next_u64() for _ in range(3)]
     assert block.next_block(5).tolist() == [scalar.next_u64() for _ in range(5)]
+
+
+@pytest.mark.parametrize("k", [0, 1, 19, 100])
+def test_next_blocks_equal_each_streams_next_block(k):
+    seeds = [0, 1, 7, 2**63, 2**64 - 1]
+    states = np.array(seeds, dtype=np.uint64)
+    draws = next_blocks(states, k)
+    assert draws.shape == (len(seeds), k) and draws.dtype == np.uint64
+    for seed, row, state in zip(seeds, draws.tolist(), states.tolist()):
+        rng = SplitMix64(seed)
+        assert row == rng.next_block(k).tolist()
+        assert state == rng.state
 
 
 @pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (5, 5), (10, 3), (55, 19), (200, 67)])
