@@ -515,19 +515,26 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
         raise InvalidConfig("pearson needs equal-length vectors")
     if len(x) < 2:
         return float("nan")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    with np.errstate(over="ignore"):
-        sxx, syy, sxy = float(dx @ dx), float(dy @ dy), float(dx @ dy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sxx, syy, sxy = _moments(x, y)
+        if sxx == 0.0 or syy == 0.0:
+            return float("nan")
         overflow = not (math.isfinite(sxx * syy) and math.isfinite(sxy))
         if overflow and np.isfinite(x).all() and np.isfinite(y).all():
-            # large values overflow the products or the denominator; r is scale-free
-            dx, dy = dx / np.abs(dx).max(), dy / np.abs(dy).max()
-            sxx, syy, sxy = float(dx @ dx), float(dy @ dy), float(dx @ dy)
+            # large values overflow the means, the products or the
+            # denominator; r is scale-free
+            sxx, syy, sxy = _moments(x / np.abs(x).max(), y / np.abs(y).max())
     denom = math.sqrt(sxx * syy)
     if denom == 0.0:
         return float("nan")
     return sxy / denom
+
+
+def _moments(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Sums of squares and cross products of x and y about their means."""
+    dx = x - x.mean()
+    dy = y - y.mean()
+    return float(dx @ dx), float(dy @ dy), float(dx @ dy)
 
 
 def pearson_matrix(dataset: Dataset) -> tuple[list[str], np.ndarray, np.ndarray]:

@@ -455,16 +455,20 @@ def forest_grid_search(grid: ForestGridSpec, design: ds.DesignMatrix, inner_k: i
     RMSE in transformed target units (trees are scale-free, so no
     standardization). forests are the grown jobs of forest_selection on
     every row of the design, in order; None grows them here."""
+    cells = grid.cells()
     if forests is None:
         forests = list(rf.fit_forests(forest_selection(
             grid, design, np.arange(len(design.targets)), inner_k, seed)))
+    if len(forests) != len(cells) * inner_k:
+        raise ValueError(f"{len(forests)} selection forests for {len(cells)} cells "
+                         f"x {inner_k} inner folds")
 
     def score(cell_index: int, fold: int, train_rows: np.ndarray,
               val_rows: np.ndarray) -> float:
         return rmse(rf.predict_forest(forests[cell_index * inner_k + fold],
                                       design.features[val_rows]), design.targets[val_rows])
 
-    return ds.cv_select(grid.cells(), design, inner_k, seed, score)
+    return ds.cv_select(cells, design, inner_k, seed, score)
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,15 @@ prediction and the model file all use this layout.
 fit_forests grows every tree of many forests at once, since trees are
 independent: each keeps its own preorder stack and splitmix64 stream, and
 on each tick every tree that has work makes its next split attempt. One
-vectorized draw gives all the attempts' feature subsets, and one split
-search scores them over padded (nodes, features, rows) blocks: it sorts
-each node's candidate columns, scores every (feature, threshold)
-candidate from cumulative sums, then applies the tie rule to the running
-maxima of those scores in scan order. The padding sorts last and stays
-out of every sum a candidate reads, and each node's own sums follow
-numpy's pairwise order, so every tree has the bits it gets alone.
-fit_forest, fit_tree and best_split are the one-forest, one-tree and
-one-node cases of this path."""
+vectorized block of draws gives all the attempts' feature subsets, and
+one split search scores them over padded (nodes, features, rows) blocks:
+it sorts each node's candidate columns, scores every (feature,
+threshold) candidate from cumulative sums, then applies the tie rule to
+the running maxima of those scores in scan order. The padding sorts last
+and adds only zeros to the sums a candidate reads, and each node's mean
+and SSE come from ndarray.sum over its own rows, so every tree has the
+bits it gets alone. fit_forest, fit_tree and best_split are the
+one-forest, one-tree and one-node cases of this path."""
 
 from __future__ import annotations
 
@@ -34,14 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from emprops.errors import DimensionMismatch, EmptyData, InvalidConfig, check_number
-from emprops.rng import SplitMix64, derive_seed, next_blocks
+from emprops.rng import SplitMix64, derive_seed, next_blocks, partial_shuffle
 
 FEATURE, THRESHOLD, VALUE, LEFT, RIGHT = range(5)  # tree array columns
 WINDOW_ROWS = 1 << 13  # bootstrap rows of the trees fit_forests grows at once
 BLOCK_CELLS = 1 << 12  # (node, feature, row) cells of one padded split-search block
 PAD_ROWS = 64  # padding rows a block may hold beyond a quarter of its rows
-PAIRWISE_BLOCK = 128  # numpy sums at most this many values without recursing
-BATCH_NODES = 32  # nodes of a tick below which their sums are taken one by one
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,8 @@ class ForestJob:
 def forest_job(x: np.ndarray, y: np.ndarray, config: ForestConfig,
                rows: np.ndarray | None = None) -> ForestJob:
     """A checked job on the rows of x and y (all rows when None), so that
-    a forest fails where it is planned, not while forests grow."""
+    a forest fails where it is planned, not while forests grow. x must be
+    finite (see fit_forests); that is not checked here."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     rows = np.arange(len(y)) if rows is None else np.asarray(rows, dtype=np.intp)
@@ -129,7 +128,13 @@ def fit_forests(jobs: list[ForestJob]) -> Iterator[RandomForest]:
     bootstrap rows (a larger job fills a window alone); every tree of a
     window grows in lockstep, and its forests are yielded before the next
     window starts.
+
+    Every job must have the same number of features (DimensionMismatch
+    otherwise), and finite ones: the padding of the split search sorts
+    after every finite value, not after NaN.
     """
+    if len({job.x.shape[1] for job in jobs}) > 1:
+        raise DimensionMismatch("forests of one call must have the same number of features")
     window: list[ForestJob] = []
     rows = 0
     for job in jobs:
@@ -144,19 +149,14 @@ def fit_forests(jobs: list[ForestJob]) -> Iterator[RandomForest]:
 
 
 def _fit_window(jobs: list[ForestJob]) -> list[RandomForest]:
-    """The forests of the jobs, every tree grown in one _Lockstep. Distinct
-    (x, y) sources, which must have the same columns, are stacked once."""
+    """The forests of the jobs, every tree grown in one _Lockstep on the
+    distinct (x, y) sources of the jobs, stacked once."""
     sources: dict[tuple[int, int], int] = {}  # (id(x), id(y)) -> first row in the stack
     parts: list[ForestJob] = []
     for job in jobs:
         if (id(job.x), id(job.y)) not in sources:
             sources[(id(job.x), id(job.y))] = sum(len(part.y) for part in parts)
             parts.append(job)
-    if len(parts) == 1:
-        x, y = parts[0].x, parts[0].y
-    else:
-        x = np.concatenate([part.x for part in parts])
-        y = np.concatenate([part.y for part in parts])
 
     samples, sizes, configs, k, states = [], [], [], [], []
     for job in jobs:
@@ -169,9 +169,9 @@ def _fit_window(jobs: list[ForestJob]) -> list[RandomForest]:
         configs += [job.config] * n_trees
         k += [job.max_features] * n_trees
         states.append(seeds)
-    grower = _Lockstep(x, y, np.concatenate(samples), sizes, configs, k,
-                       np.concatenate(states))
-    del samples, x, y  # the grower holds what it needs
+    grower = _Lockstep([part.x for part in parts], [part.y for part in parts],
+                       np.concatenate(samples), sizes, configs, k, np.concatenate(states))
+    del samples  # the grower holds what it needs
     trees = grower.grow()
     forests, first = [], 0
     for job in jobs:
@@ -195,7 +195,7 @@ def fit_tree(x: np.ndarray, y: np.ndarray, config: ForestConfig,
     if feature_rng is None:
         k = n_features
     states = np.array([feature_rng.state if feature_rng else 0], dtype=np.uint64)
-    (tree,) = _Lockstep(x, y, np.arange(len(y)), [len(y)], [config], [k], states).grow()
+    (tree,) = _Lockstep([x], [y], np.arange(len(y)), [len(y)], [config], [k], states).grow()
     if feature_rng is not None:
         feature_rng.state = int(states[0])
     return tree
@@ -225,25 +225,31 @@ def best_split(x: np.ndarray, y: np.ndarray, feature_indices: list[int],
 class _Lockstep:
     """Trees growing in lockstep, each bit for bit as it grows alone.
 
-    Tree t grows on sizes[t] rows of x and y, in that order: the next
-    segment of sample, which holds every tree's rows one after another. It
-    grows by configs[t]. A split attempt considers k[t] of the d columns
-    of x: a subset drawn from the splitmix64 stream whose state is
-    states[t] (uint64, advanced in place) when k[t] is fewer, else all of
-    them.
+    The rows of x and y are the rows of the given parts, stacked, then a
+    padding row (+inf features, target 0) that no tree samples. Tree t
+    grows on sizes[t] rows: the next segment of sample, which holds every
+    tree's rows one after another. It grows by configs[t]. A split attempt
+    considers k[t] of the d columns of x: a subset drawn from the
+    splitmix64 stream whose state is states[t] (uint64, advanced in place)
+    when k[t] is fewer, else all of them.
 
     Each tree keeps its own preorder stack. A node's rows are a segment of
     perm, which a split partitions stably into its children's segments,
     left first. On each tick every tree pops nodes up to its next split
-    attempt; the nodes' sums are taken together, the attempts' feature
-    subsets are drawn in one block per width k, and their splits are found
-    by one _split_search per chunk of attempts of similar size.
+    attempt, summing each node's targets; the attempts' feature subsets
+    are drawn together, and their splits are found by one _split_search
+    per chunk of attempts of similar size.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, sample: np.ndarray, sizes: list[int],
-                 configs: list[ForestConfig], k: list[int], states: np.ndarray) -> None:
-        self.x, self.y, self.states, self.k = x, y, states, np.array(k)
-        self.perm = sample  # partitioned in place
+    def __init__(self, x_parts: list[np.ndarray], y_parts: list[np.ndarray], sample: np.ndarray,
+                 sizes: list[int], configs: list[ForestConfig], k: list[int],
+                 states: np.ndarray) -> None:
+        d = x_parts[0].shape[1]
+        self.x = np.concatenate(x_parts + [np.full((1, d), np.inf)])
+        self.y = np.concatenate(y_parts + [np.zeros(1)])
+        self.states, self.k = states, k
+        self.perm = np.append(sample, len(self.y) - 1)  # partitioned in place, padding last
+        self.pad = len(sample)  # the position of the padding row in perm
         ends = np.cumsum(sizes).tolist()
         # stack entries: (segment start, segment end, depth, parent index, link column)
         self.stacks = [[(end - size, end, 0, -1, LEFT)] for end, size in zip(ends, sizes)]
@@ -256,172 +262,112 @@ class _Lockstep:
 
     def grow(self) -> list[np.ndarray]:
         active = range(len(self.stacks))
-        while active:
-            active = self._tick(active)
+        # an empty child's value is NaN, and padding scores no split
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while active:
+                active = self._tick(active)
         offsets = np.concatenate(([0], np.cumsum(self.counts)))
         out = np.zeros((offsets[-1], 5))
         out[:, [FEATURE, LEFT, RIGHT]] = -1.0
-        while self.nodes:  # scattered tick by tick, each record freed once written
-            tree, index, parent, link, value = self.nodes.pop()
-            out[offsets[tree] + index, VALUE] = value
-            child = parent >= 0
-            out[offsets[tree[child]] + parent[child], link[child]] = index[child]
-        while self.splits:
-            tree, index, feature, threshold = self.splits.pop()
+        tree, index, parent, link, value = (np.concatenate(column) for column in zip(*self.nodes))
+        self.nodes.clear()
+        out[offsets[tree] + index, VALUE] = value
+        child = parent >= 0
+        out[offsets[tree[child]] + parent[child], link[child]] = index[child]
+        if self.splits:
+            tree, index, feature, threshold = (np.concatenate(column)
+                                               for column in zip(*self.splits))
             out[offsets[tree] + index, FEATURE] = feature
             out[offsets[tree] + index, THRESHOLD] = threshold
         return np.split(out, offsets[1:-1])
 
     def _tick(self, active) -> list[int]:
         """Pop each active tree's nodes up to its next split attempt and
-        make the attempts; the trees that made one stay active."""
-        popped, attempts = [], []  # attempts: (position in popped, depth)
+        make the attempts, by width in ascending size; the trees that made
+        one stay active."""
+        popped = []
+        attempts: dict[int, list[tuple]] = {}  # width -> [(n, tree, index, start, depth, sse)]
+        y, perm = self.y, self.perm
         for t in active:
             stack = self.stacks[t]
             while stack:
                 start, end, depth, parent, link = stack.pop()
                 index = self.counts[t]
                 self.counts[t] = index + 1
-                popped.append((t, index, start, end, parent, link))
+                values = y[perm[start:end]]
+                total = values.sum()
+                popped.append((t, index, parent, link, total / (end - start)))
                 if depth < self.max_depth[t] and end - start >= self.split_rows[t]:
-                    attempts.append((len(popped) - 1, depth))
+                    attempts.setdefault(self.k[t], []).append(
+                        (end - start, t, index, start, depth,
+                         _sse(total, (values * values).sum(), end - start)))
                     break
-        if not popped:
-            return []
-        tree, index, start, end, parent, link = (np.array(column, dtype=np.int32)
-                                                 for column in zip(*popped))
-        total, total_sq = _node_sums(self.y, self.perm, start, end)
-        with np.errstate(invalid="ignore"):  # an empty child's value is NaN
-            self.nodes.append((tree, index, parent, link.astype(np.int8),
-                               total / (end - start)))
-        if not attempts:
-            return []
-        at, depth = (np.array(column) for column in zip(*attempts))
-        tree, index, start, n = tree[at], index[at], start[at], end[at] - start[at]
-        parent_sse = _sse(total[at], total_sq[at], n)
-        width = self.k[tree]
-        for w in sorted(set(width.tolist())):  # np.unique would import numpy.ma
-            group = np.flatnonzero(width == w)
-            self._attempt(w, tree[group], index[group], start[group], n[group], depth[group],
-                          parent_sse[group])
-        return tree.tolist()
+        if popped:
+            tree, index, parent, link, value = zip(*popped)
+            self.nodes.append((np.array(tree, dtype=np.int32), np.array(index, dtype=np.int32),
+                               np.array(parent, dtype=np.int32), np.array(link, dtype=np.int8),
+                               np.array(value)))
+        for width, group in sorted(attempts.items()):
+            group.sort()
+            self._attempt(width, *(np.array(column) for column in zip(*group)))
+        return [attempt[1] for group in attempts.values() for attempt in group]
 
-    def _attempt(self, width, tree, index, start, n, depth, parent_sse) -> None:
-        """Split attempts that consider `width` features each: draw their
-        subsets, then search them in chunks of nodes in ascending size,
-        each closed before its block would exceed BLOCK_CELLS or its
-        padding PAD_ROWS and a quarter of its rows."""
-        if width < self.x.shape[1]:
-            features = self._draw_features(tree, width)
+    def _attempt(self, width, n, tree, index, start, depth, parent_sse) -> None:
+        """Split attempts that consider `width` features each, in ascending
+        size: draw their subsets, then search them in chunks, each closed
+        before its block would exceed BLOCK_CELLS or its padding PAD_ROWS
+        and a quarter of its rows."""
+        d = self.x.shape[1]
+        if width < d:
+            streams = self.states[tree]
+            offsets = next_blocks(streams, width) % np.arange(d, d - width, -1, dtype=np.uint64)
+            self.states[tree] = streams
+            features = np.array([sorted(partial_shuffle(d, row)) for row in offsets.tolist()])
         else:
             features = np.broadcast_to(np.arange(width), (len(tree), width))
-        order = np.argsort(n, kind="stable")
-        sizes = n[order].tolist()
+        sizes = n.tolist()
         first, rows = 0, 0
-        for position, size in enumerate(sizes):
+        for last, size in enumerate(sizes, 1):
             rows += size
-            following = sizes[position + 1] if position + 1 < len(sizes) else 0
-            padded = (position + 2 - first) * following
+            following = sizes[last] if last < len(sizes) else 0
+            padded = (last + 1 - first) * following
             if (not following or padded * width > BLOCK_CELLS
                     or padded - rows - following > max(PAD_ROWS, (rows + following) / 4)):
-                chunk = order[first:position + 1]
+                chunk = slice(first, last)
                 self._split(tree[chunk], index[chunk], start[chunk], n[chunk], depth[chunk],
                             features[chunk], parent_sse[chunk])
-                first, rows = position + 1, 0
-
-    def _draw_features(self, tree, width) -> np.ndarray:
-        """Each tree's next feature subset, sorted: width of the d features
-        by a partial Fisher-Yates over one block of draws, as
-        SplitMix64.sample_indices draws them."""
-        d = self.x.shape[1]
-        streams = self.states[tree]
-        offsets = next_blocks(streams, width) % np.arange(d, d - width, -1, dtype=np.uint64)
-        self.states[tree] = streams
-        # Step i swaps flat positions here[i] and there[i] of every row's
-        # pool in one gather and one scatter (a row's own swap of i with i
-        # writes one value twice).
-        here = np.arange(len(tree))[:, None] * d + np.arange(width)
-        there = here + offsets.astype(np.intp)
-        forth = np.concatenate((here, there)).T.copy()
-        back = np.concatenate((there, here)).T.copy()
-        pool = np.tile(np.arange(d, dtype=np.int32), len(tree))
-        for i in range(width):
-            pool[forth[i]] = pool[back[i]]
-        return np.sort(pool.reshape(len(tree), d)[:, :width], axis=1)
+                first, rows = last, 0
 
     def _split(self, tree, index, start, n, depth, features, parent_sse) -> None:
-        """Search one chunk of attempts over a padded block, then partition
-        each split node's segment stably and push its children."""
-        span = np.arange(n.max())
-        valid = span < n[:, None]
-        at = np.where(valid, start[:, None] + span, 0)
+        """Search one chunk of attempts, in ascending size, over a padded
+        block, then partition each node's segment stably and push the
+        children of the nodes that split."""
+        span = np.arange(n[-1])
+        at = np.where(span < n[:, None], start[:, None] + span, self.pad)  # padding past n
         rows = self.perm[at]
-        block = self.x[rows[:, None, :], features[:, :, None]]
-        block[np.broadcast_to(~valid[:, None, :], block.shape)] = np.inf
+        d = self.x.shape[1]
         found, column, threshold, _ = _split_search(
-            block, np.where(valid, self.y[rows], 0.0), n, parent_sse, self.min_leaf[tree])
-        split = np.flatnonzero(found)
-        if not split.size:
+            self.x.take(rows[:, None, :] * d + features[:, :, None]), self.y[rows], n, parent_sse,
+            self.min_leaf[tree])
+        if not found.any():
             return
-        feature, threshold = features[split, column[split]], threshold[split]
-        rows, valid, at = rows[split], valid[split], at[split]
-        goes_right = ~(self.x[rows, feature[:, None]] <= threshold[:, None])
-        side = np.where(valid, goes_right, 2).astype(np.int8)  # padding last
-        self.perm[at[valid]] = rows[np.arange(len(rows))[:, None],
-                                    np.argsort(side, axis=1, kind="stable")][valid]
-        n_left = np.count_nonzero(side == 0, axis=1)
-        tree, index, start, end = tree[split], index[split], start[split], (start + n)[split]
-        self.splits.append((tree, index, feature, threshold))
-        for t, i, s, e, left, child_depth in zip(tree.tolist(), index.tolist(), start.tolist(),
-                                                 end.tolist(), n_left.tolist(),
-                                                 (depth[split] + 1).tolist()):
-            self.stacks[t].append((s + left, e, child_depth, i, RIGHT))
-            self.stacks[t].append((s, s + left, child_depth, i, LEFT))
-
-
-def _node_sums(y: np.ndarray, perm: np.ndarray, start: np.ndarray,
-               end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum and sum of squares of each node's targets y[perm[start:end]],
-    with the bits of ndarray.sum on them, which adds pairwise."""
-    n = end - start
-    total, total_sq = np.empty(len(n)), np.empty(len(n))
-    # numpy recurses on long rows; and a few nodes are summed faster one by one
-    alone = (n > PAIRWISE_BLOCK) | (len(n) < BATCH_NODES)
-    span = np.arange(max(8, -(-int(n[~alone].max(initial=0)) // 8) * 8))
-    step = max(1, BLOCK_CELLS // len(span))
-    for first in range(0, len(n) if len(n) >= BATCH_NODES else 0, step):
-        part = slice(first, first + step)
-        at = np.minimum(start[part, None] + span, len(perm) - 1)
-        values = np.where(span < n[part, None], y[perm[at]], 0.0)
-        size = np.minimum(n[part], len(span))  # rows left alone are summed below
-        total[part] = _pairwise_sum(values, size)
-        total_sq[part] = _pairwise_sum(values * values, size)
-        # where a NaN or inf comes in, which NaN an add returns depends on
-        # the order of operands
-        alone[part] |= ~np.isfinite(values).all(axis=1)
-    for node in np.flatnonzero(alone).tolist():
-        rows = y[perm[start[node]:end[node]]]
-        total[node], total_sq[node] = rows.sum(), (rows * rows).sum()
-    return total, total_sq
-
-
-def _pairwise_sum(values: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """numpy's float64 sum of each row's first n values, for n up to
-    PAIRWISE_BLOCK: a plain loop below 8 values, else eight accumulators
-    over whole blocks of 8, combined as a tree, then a loop over the rest;
-    the reduction starts from 0.0. values (rows, a multiple of 8) is zero
-    after each row's n values. Adding those zeros in a loop changes at
-    most the sign of a zero, which the closing 0.0 + clears as numpy's does."""
-    rows = np.arange(len(n))
-    loop = np.cumsum(values[:, :8], axis=1)[:, -1]
-    blocks = values.reshape(len(n), -1, 8)
-    r = np.cumsum(blocks, axis=1)[rows, np.maximum(n // 8 - 1, 0)]
-    tree = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
-    rest = blocks[rows, np.minimum(n // 8, blocks.shape[1] - 1)]
-    rest[n // 8 >= blocks.shape[1]] = 0.0
-    for i in range(7):
-        tree += rest[:, i]
-    return 0.0 + np.where(n < 8, loop, tree)
+        feature = features[np.arange(len(n)), column]
+        # Right of an infinite threshold goes no row, so a node that does
+        # not split keeps its rows in place, as does every node when a
+        # midpoint overflows. Padding goes right only past finite
+        # thresholds; either way it stays last and writes the padding row back.
+        goes_right = self.x[rows, feature[:, None]] > threshold[:, None]
+        self.perm[at] = rows.take(np.argsort(goes_right, axis=1, kind="stable")
+                                  + (np.arange(len(n)) * len(span))[:, None])
+        n_left = np.minimum(np.count_nonzero(~goes_right, axis=1), n)
+        self.splits.append((tree, index, np.where(found, feature, -1),
+                            np.where(found, threshold, 0.0)))  # a leaf's own values
+        for t, i, s, e, left, child_depth, split in zip(
+                tree.tolist(), index.tolist(), start.tolist(), (start + n).tolist(),
+                n_left.tolist(), (depth + 1).tolist(), found.tolist()):
+            if split:
+                self.stacks[t].append((s + left, e, child_depth, i, RIGHT))
+                self.stacks[t].append((s, s + left, child_depth, i, LEFT))
 
 
 def _split_search(block: np.ndarray, targets: np.ndarray, n: np.ndarray,
@@ -437,51 +383,53 @@ def _split_search(block: np.ndarray, targets: np.ndarray, n: np.ndarray,
     noise margin, so mathematically tied splits (same partition reachable
     through different features) resolve to the lowest feature index, then
     the lowest threshold, regardless of floating-point summation order.
-    The padding sorts after every row and stays out of the sums a row's
-    candidates read, so each node gets the bits it gets alone.
+    The padding sorts after every row and adds only zeros to the sums, so
+    each node gets the bits it gets alone.
 
-    Returns (found, column, threshold, score) per node; a node has no split
-    when none reduces the SSE or every candidate violates min_leaf.
+    Returns (found, column, threshold, score) arrays, one entry per node; a
+    node has no split when none reduces the SSE or every candidate violates
+    min_leaf, and then column 0, threshold +inf and score 0.
     """
     m, width, size = block.shape
     order = np.argsort(block, axis=2, kind="stable")
-    at = np.arange(m)[:, None, None]
-    sorted_x = block[at, np.arange(width)[:, None], order]
-    sorted_y = targets[at, order]
+    sorted_y = targets.take(order + (np.arange(m) * size)[:, None, None])
+    order += (np.arange(m * width) * size).reshape(m, width, 1)
+    sorted_x = block.take(order)
     del order  # the blocks are large: free and reuse them as soon as done
     cum = np.cumsum(sorted_y, axis=2)
     sorted_y *= sorted_y
     cum_sq = np.cumsum(sorted_y, axis=2)
     del sorted_y
-    total = cum[np.arange(m), :, n - 1][:, :, None]
-    total_sq = cum_sq[np.arange(m), :, n - 1][:, :, None]
+    # the sums of all n rows: x + 0.0 is x except for -0.0, which no
+    # difference below tells from 0.0
+    total, total_sq = cum[:, :, -1:], cum_sq[:, :, -1:]
     margin = 1e-12 * np.maximum(parent_sse, 1.0)
     left_n = np.arange(1, size)
     left, left_sq = cum[:, :, :-1], cum_sq[:, :, :-1]
-    with np.errstate(divide="ignore", invalid="ignore"):  # padding past each node's rows
-        # parent_sse - _sse(left, ...) - _sse(total - left, ...), one op at a time
-        reduction = left * left
-        reduction /= left_n
-        np.subtract(left_sq, reduction, out=reduction)
-        np.subtract(parent_sse[:, None, None], reduction, out=reduction)
-        right = total - left
-        right *= right
-        right /= n[:, None, None] - left_n
-        right_sq = total_sq - left_sq
-        del cum, cum_sq, left, left_sq
-        right_sq -= right
-        reduction -= right_sq
-        del right, right_sq
-    # Position i splits off i + 1 samples on the left, n - i - 1 on the right.
+    # parent_sse - _sse(left, ...) - _sse(total - left, ...), one op at a time
+    reduction = left * left
+    reduction /= left_n
+    np.subtract(left_sq, reduction, out=reduction)
+    np.subtract(parent_sse[:, None, None], reduction, out=reduction)
+    right = total - left
+    right *= right
+    right /= n[:, None, None] - left_n
+    right_sq = total_sq - left_sq
+    del cum, cum_sq, left, left_sq
+    right_sq -= right
+    reduction -= right_sq
+    del right, right_sq
+    # Position i splits off i + 1 samples on the left, n - i - 1 on the
+    # right; no padding position is allowed.
     position = np.arange(size - 1)
+    allowed = (position >= min_leaf[:, None] - 1) & (position < (n - min_leaf)[:, None])
     usable = sorted_x[:, :, :-1] != sorted_x[:, :, 1:]
     usable &= reduction > margin[:, None, None]
-    usable &= (position >= min_leaf[:, None, None] - 1) & (position < (n - min_leaf)[:, None, None])
+    usable &= allowed[:, None, :]
     # Score of candidate c = feature position * (size - 1) + split position,
     # in the order a sequential scan meets them.
-    reduction[~usable] = -np.inf
-    scores = reduction.reshape(m, -1)
-    del usable
+    scores = np.where(usable, reduction, -np.inf).reshape(m, -1)
+    del usable, reduction
 
     # The scan's incumbent changes when a candidate beats it by more than
     # the margin. Such a candidate beats every earlier score too, so only
@@ -494,11 +442,12 @@ def _split_search(block: np.ndarray, targets: np.ndarray, n: np.ndarray,
     for r, c, score in zip(node.tolist(), candidate.tolist(), scores[node, candidate].tolist()):
         if best[r] < 0 or score > best_score[r] + margins[r]:
             best[r], best_score[r] = c, score
-    found = np.array(best) >= 0
-    column, i = np.divmod(np.array(best), size - 1)
-    rows = np.arange(m)
-    threshold = (sorted_x[rows, column, i] + sorted_x[rows, column, i + 1]) / 2.0
-    return found, column, threshold, np.array(best_score)
+    column, threshold = [0] * m, [math.inf] * m
+    for r, c in enumerate(best):
+        if c >= 0:
+            column[r], i = divmod(c, size - 1)
+            threshold[r] = (sorted_x.item(r, column[r], i) + sorted_x.item(r, column[r], i + 1)) / 2.0
+    return np.array(best) >= 0, np.array(column), np.array(threshold), np.array(best_score)
 
 
 def predict_forest(forest: RandomForest, x: np.ndarray) -> np.ndarray:

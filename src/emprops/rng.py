@@ -64,12 +64,18 @@ class SplitMix64:
         """k distinct indices from range(n), order not meaningful."""
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
-        offsets = (self.next_block(k) % np.arange(n, n - k, -1, dtype=np.uint64)).tolist()
-        pool = list(range(n))
-        for i, offset in enumerate(offsets):
-            j = i + offset
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
+        return partial_shuffle(n, (self.next_block(k)
+                                   % np.arange(n, n - k, -1, dtype=np.uint64)).tolist())
+
+
+def partial_shuffle(n: int, offsets: list[int]) -> list[int]:
+    """The first len(offsets) entries of range(n) after swapping entry i
+    with entry i + offsets[i], for each i in order: a partial Fisher-Yates."""
+    pool = list(range(n))
+    for i, offset in enumerate(offsets):
+        j = i + offset
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:len(offsets)]
 
 
 def next_blocks(states: np.ndarray, k: int) -> np.ndarray:

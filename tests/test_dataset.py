@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -314,6 +315,13 @@ class TestPearson:
         assert ds.pearson(x * 1e200, y) == pytest.approx(ds.pearson(x * 1e2, y), abs=1e-12)
         assert ds.pearson(x * 1e100, y * 1e100) == pytest.approx(ds.pearson(x, y), abs=1e-12)
         assert ds.pearson([1.0, 2.0], [3.0, np.inf]) != ds.pearson([1.0, 2.0], [3.0, 4.0])
+        assert ds.pearson(x / 7.0 * 1.7e308, y) == pytest.approx(ds.pearson(x, y), abs=1e-12)
+
+    def test_constant_channel_next_to_one_that_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(ds.pearson([2.0, 2.0, 2.0], [1e200, -3e200, 5e200]))
+            assert math.isnan(ds.pearson([1e200, -3e200, 5e200], [0.0, 0.0, 0.0]))
 
     def test_perfect_linear_channels(self, tmp_path):
         rows = []

@@ -513,6 +513,24 @@ class TestFitForests:
             for job, forest in zip(jobs, rf.fit_forests(jobs)):
                 assert tree_bytes(forest.trees) == tree_bytes(expected_trees(job))
 
+    def test_midpoint_that_overflows_sends_every_row_left(self):
+        x = np.array([[1e308], [1.5e308], [1.5e308], [1e308], [-3.0]])
+        y = np.array([0.0, 5.0, 5.0, 1.0, 2.0])
+        config = rf.ForestConfig(n_trees=3, max_depth=3, seed=4)
+        forests = list(rf.fit_forests([rf.forest_job(x, y, config),
+                                       rf.forest_job(x[::-1].copy(), y, config)]))
+        with np.errstate(invalid="ignore"):  # the oracle's empty children
+            for forest, xs in zip(forests, (x, x[::-1])):
+                assert tree_bytes(forest.trees) == tree_bytes(per_tree_fit_forest(xs, y, config))
+        assert any(np.isinf(tree[:, rf.THRESHOLD]).any() for tree in forests[0].trees)
+
+    def test_jobs_of_one_call_share_their_feature_count(self):
+        x = np.zeros((4, 2))
+        jobs = [rf.forest_job(x, np.zeros(4), rf.ForestConfig(n_trees=1)),
+                rf.forest_job(np.zeros((4, 3)), np.zeros(4), rf.ForestConfig(n_trees=1))]
+        with pytest.raises(DimensionMismatch, match="same number of features"):
+            list(rf.fit_forests(jobs))
+
     def test_forest_job_checks_as_fit_forest_did(self):
         x, y = np.zeros((4, 2)), np.zeros(4)
         with pytest.raises(EmptyData, match="empty data"):
@@ -523,37 +541,6 @@ class TestFitForests:
             rf.forest_job(x, y, rf.ForestConfig(min_samples_leaf=3), np.array([0, 1]))
         with pytest.raises(InvalidConfig, match="exceeds feature dim"):
             rf.forest_job(x, y, rf.ForestConfig(max_features=3))
-
-
-SPECIAL_TARGETS = np.array([0.0, -0.0, 1e308, -1e308, np.inf, -np.inf, np.nan, 5e-324, 1.0, -1.0])
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow and inf - inf, as numpy warns
-def test_node_sums_have_the_bits_of_ndarray_sum():
-    """The per-node sums behind each node's value and parent SSE: numpy's
-    pairwise order, below and above its 128-value block, for a few nodes
-    and a batch, with signed zeros, overflow, infinities and NaN."""
-    rng = np.random.default_rng(77)
-    for case in range(600):
-        size = int(rng.integers(1, 400))
-        kind = case % 4
-        if kind == 0:
-            y = rng.normal(size=size) * 10.0 ** rng.integers(-5, 6, size=size)
-        elif kind == 1:
-            y = rng.choice(SPECIAL_TARGETS, size=size)
-        elif kind == 2:
-            y = rng.choice([0.0, -0.0], size=size)
-        else:
-            y = rng.choice(SPECIAL_TARGETS[:4], size=size)  # finite values that overflow
-        perm = rng.permutation(size)
-        nodes = [1, rf.BATCH_NODES][case % 2] + int(rng.integers(0, 20))  # one by one, batched
-        start = rng.integers(0, size, size=nodes)
-        end = np.minimum(size, start + rng.integers(0, 300, size=nodes))
-        total, total_sq = rf._node_sums(y, perm, start, end)
-        for node in range(nodes):
-            values = y[perm[start[node]:end[node]]]
-            assert total[node].tobytes() == values.sum().tobytes(), (case, node)
-            assert total_sq[node].tobytes() == (values * values).sum().tobytes(), (case, node)
 
 
 # SHA-256 of the forest path's outputs, recorded before forests grew in
