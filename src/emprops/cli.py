@@ -26,7 +26,7 @@ import numpy as np
 import emprops
 from emprops import dataset as ds
 from emprops import descriptors, evaluation, pipeline
-from emprops.errors import InvalidConfig, MissingFile, ToolkitError
+from emprops.errors import EmptyData, InvalidConfig, MissingFile, ToolkitError
 from emprops.rng import derive_seed
 
 DEFAULT_SEEDS = "1,2,3"
@@ -135,7 +135,8 @@ def _load_design(args):
 
 def _prepare_design(args):
     """(subset id, schema, design) for --family: single-task families see
-    only --channel, which mt-nn, fitting every channel, does not take."""
+    only --channel, which mt-nn, fitting every channel, does not take, and
+    which must hold records in the subset."""
     single_task = args.family in ("st-rf", "st-nn")
     if single_task and not args.channel:
         raise InvalidConfig(f"--channel is required for family {args.family}")
@@ -146,6 +147,8 @@ def _prepare_design(args):
         prop, _, fidelity = args.channel.partition(":")
         position = subset.registry.index_of(subset.registry.lookup(prop, fidelity))
         design = evaluation.single_channel_design(design, position)
+        if len(design.targets) == 0:
+            raise EmptyData(f"channel {args.channel} has no records in subset {subset_id}")
     return subset_id, schema, design
 
 

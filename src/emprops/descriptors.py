@@ -225,8 +225,7 @@ def topology_features(g: MolGraph) -> dict[str, float]:
         polarity_terms.extend(
             [abs(ELECTRONEGATIVITY[atom.element] - ELECTRONEGATIVITY["H"])] * atom.implicit_h
         )
-    # sorted summation makes the value independent of atom numbering
-    polarity = math.fsum(sorted(polarity_terms))
+    polarity = math.fsum(polarity_terms)
     return {
         "rotatable_bonds": float(rotatable),
         "aromatic_atoms": float(aromatic_atoms),

@@ -12,14 +12,16 @@ The protocol is a list of fits: plan gives one Fit per seed, outer fold
 and unit, with its rows and derived seeds; run_protocol fits every one
 that has test rows with one fit_all call, then predicts their held-out
 rows with pipeline.predict_rows and records the metrics, in plan order.
-Every family goes through the same steps: select_cell picks a cell by the
-shared inner-CV loop dataset.cv_select, and fit_all refits it: every
-forest of the call grown in lockstep by forest.fit_forests, selection
-forests first, and every network, single- or multi-task, prepared by
-mtnn.network_job and trained in one mtnn.train_many stack with the other
-refits that won the same cell. fit_all refits a one-cell grid without
-inner CV, since selection could only return that cell; tune always runs
-select_cell, because its score table is its output.
+Every family goes through the same steps: fit_all plans each fit to its
+refit job (_refit_job, both families) or, for a forest grid of several
+cells, its forest_selection jobs, the network families selecting by
+select_cell. It then calls one engine per phase: forest.fit_forests grows
+every selection forest, dataset.cv_select picks each forest fit's cell,
+a second forest.fit_forests call grows every forest refit, and one
+mtnn.train_many call trains every network refit, grouping them itself.
+fit_all refits a one-cell grid without inner CV, since selection could
+only return that cell; tune always runs select_cell, because its score
+table is its output.
 
 Grids is everything a grid file sets (the network grid, the forest grid
 and the base training settings), passed as one value from the file to
@@ -313,14 +315,11 @@ def single_channel_design(design: ds.DesignMatrix, channel_pos: int) -> ds.Desig
 
 
 def select_cell(family: str, design: ds.DesignMatrix, grids: Grids, inner_k: int,
-                seed: int, forests: list[rf.RandomForest] | None = None) -> ds.GridResult:
+                seed: int) -> ds.GridResult:
     """Inner-CV selection of the family's best cell on the design: the one
-    place that chooses between the forest and the network grid search.
-    forests are a forest family's selection forests when already grown
-    (see forest_grid_search)."""
+    place that chooses between the forest and the network grid search."""
     if family == "st-rf":
-        return forest_grid_search(grids.forest, design, inner_k=inner_k, seed=seed,
-                                  forests=forests)
+        return forest_grid_search(grids.forest, design, inner_k=inner_k, seed=seed)
     return mtnn.grid_search(grids.mtnn, design, grids.train, inner_k=inner_k, seed=seed)
 
 
@@ -333,79 +332,68 @@ def fit_all(fits: list[Fit], schema: descriptors.FeatureSchema, grids: Grids,
     which selection would return whatever the scores; inner_k must still
     be at least 2. Every command fits its models through here.
 
-    Forests grow in two rf.fit_forests calls: every selection forest of
-    every fit (cells x inner folds), whose scores pick each fit's cell by
-    cv_select's rule, then every refit. Network refits that differ only in
-    their seeds (the same winning cell on units of one shape) train
-    together in one mtnn.train_many stack, each standardized on its own
-    rows as mtnn.network_job does, with the bits it would get alone. Every
-    fit is planned, and its forest jobs checked, in order before anything
-    grows or trains, and the first fit in order whose planning, selection
-    or refit fails raises its error, so a failure reads as it would in a
-    run that fits one fit at a time.
+    Each fit is planned in order to its refit job or, for a forest grid of
+    several cells, its forest_selection jobs; planning stops at the first
+    fit that fails. Then one engine call per phase: rf.fit_forests grows
+    every selection forest, whose scores pick each fit's cell by
+    ds.cv_select, a second rf.fit_forests call grows every forest refit,
+    and one mtnn.train_many call trains every network refit. The first
+    fit in order whose planning or refit fails raises its error, so a
+    failure reads as it would in a run that fits one fit at a time.
     """
-    bundles: list = [None] * len(fits)
-    selections: list[tuple[int, list[rf.ForestJob]]] = []  # forest fits that select
-    refits: dict[int, rf.ForestJob] = {}  # forest fits whose cell is known
-    stacks: dict[tuple, list] = {}  # (net config, train config) without seeds -> fits
-    failure = None
-    for index, fit in enumerate(fits):
-        design, train_rows = fit.unit, fit.train_rows
+    outcomes: list = []  # per fit: its selection jobs, refit job, bundle or error
+    for fit in fits:
         try:
             ds.check_fold_count(inner_k)
-            cells = grids.cells(fit.family, design)
-            if fit.family == "st-rf":
-                if len(cells) == 1:
-                    refits[index] = _forest_refit(fit, cells[0])
-                else:
-                    selections.append((index, forest_selection(
-                        grids.forest, design, np.flatnonzero(train_rows), inner_k, fit.seed)))
+            cells = grids.cells(fit.family, fit.unit)
+            if fit.family == "st-rf" and len(cells) > 1:
+                outcomes.append(forest_selection(grids.forest, fit.unit,
+                                                 np.flatnonzero(fit.train_rows), inner_k,
+                                                 fit.seed))
                 continue
-            if len(cells) == 1:
-                cell = cells[0]
-            else:
-                cell = select_cell(fit.family, _restrict(design, train_rows), grids, inner_k,
-                                   fit.seed).best_cell
-            standardizer, job = mtnn.network_job(design, train_rows, cell, grids.train,
-                                                 derive_seed(fit.seed, 3), fit.train_seed)
+            if len(cells) > 1:
+                cells = [select_cell(fit.family, _restrict(fit.unit, fit.train_rows), grids,
+                                     inner_k, fit.seed).best_cell]
+            outcomes.append(_refit_job(fit, cells[0], grids))
         except ToolkitError as exc:
-            failure = exc  # no later fit can fail first
+            outcomes.append(exc)
             break
-        key = (replace(job.net.config, seed=0), replace(job.config, seed=0))
-        stacks.setdefault(key, []).append((index, standardizer, job))
 
-    grown = rf.fit_forests([job for _, jobs in selections for job in jobs])
-    for index, jobs in selections:
-        fit = fits[index]
-        search = select_cell(fit.family, _restrict(fit.unit, fit.train_rows), grids, inner_k,
-                             fit.seed, [next(grown) for _ in jobs])
-        # cannot fail: the refit's rows hold the rows of every selection job
-        refits[index] = _forest_refit(fit, search.best_cell)
-    order = sorted(refits)
-    for index, model in zip(order, rf.fit_forests([refits[index] for index in order])):
-        bundles[index] = pipeline.ModelBundle(kind="forest", registry=fits[index].unit.registry,
-                                              schema=schema, forest=model)
+    def indices(kind) -> list[int]:
+        return [index for index, outcome in enumerate(outcomes) if isinstance(outcome, kind)]
 
-    for members in stacks.values():
-        outcomes = mtnn.train_many([job for _, _, job in members])
-        for (index, standardizer, _), outcome in zip(members, outcomes):
-            if isinstance(outcome, ToolkitError):
-                bundles[index] = outcome
-            else:
-                bundles[index] = pipeline.ModelBundle(
-                    kind="mtnn", registry=fits[index].unit.registry, schema=schema,
-                    net=outcome.net, standardizer=standardizer)
-    for outcome in [*bundles, failure]:  # refit failures all come before `failure`
+    selecting = indices(list)
+    grown = rf.fit_forests([job for index in selecting for job in outcomes[index]])
+    for index in selecting:
+        fit, train = fits[index], _restrict(fits[index].unit, fits[index].train_rows)
+        score = _forest_score([next(grown) for _ in outcomes[index]], train, inner_k)
+        cell = ds.cv_select(grids.forest.cells(), train, inner_k, fit.seed, score).best_cell
+        outcomes[index] = _refit_job(fit, cell, grids)  # cannot fail: it holds every job's rows
+    forests = indices(rf.ForestJob)
+    for index, model in zip(forests, rf.fit_forests([outcomes[index] for index in forests])):
+        outcomes[index] = pipeline.ModelBundle(kind="forest", registry=fits[index].unit.registry,
+                                               schema=schema, forest=model)
+    networks = indices(tuple)
+    for index, result in zip(networks, mtnn.train_many([outcomes[i][1] for i in networks])):
+        outcomes[index] = result if isinstance(result, ToolkitError) else pipeline.ModelBundle(
+            kind="mtnn", registry=fits[index].unit.registry, schema=schema, net=result.net,
+            standardizer=outcomes[index][0])
+    for outcome in outcomes:
         if isinstance(outcome, ToolkitError):
             raise outcome
-    return bundles
+    return outcomes
 
 
-def _forest_refit(fit: Fit, cell: dict) -> rf.ForestJob:
-    """The checked forest job of a fit's refit of the cell on its training rows."""
-    return rf.forest_job(fit.unit.features, fit.unit.targets,
-                         rf.ForestConfig(seed=derive_seed(fit.seed, 3), **cell),
-                         np.flatnonzero(fit.train_rows))
+def _refit_job(fit: Fit, cell: dict, grids: Grids):
+    """The checked job of the fit's refit of the cell on its training rows,
+    seeded derive_seed(fit.seed, 3): a forest job, or a network's
+    standardizer and train job (mtnn.network_job)."""
+    if fit.family == "st-rf":
+        return rf.forest_job(fit.unit.features, fit.unit.targets,
+                             rf.ForestConfig(seed=derive_seed(fit.seed, 3), **cell),
+                             np.flatnonzero(fit.train_rows))
+    return mtnn.network_job(fit.unit, fit.train_rows, cell, grids.train,
+                            derive_seed(fit.seed, 3), fit.train_seed)
 
 
 def _record_channel_metrics(report: ProtocolReport, registry: ds.PropertyRegistry,
@@ -449,26 +437,25 @@ def forest_selection(grid: ForestGridSpec, design: ds.DesignMatrix, rows: np.nda
 
 
 def forest_grid_search(grid: ForestGridSpec, design: ds.DesignMatrix, inner_k: int = 5,
-                       seed: int = 0,
-                       forests: list[rf.RandomForest] | None = None) -> ds.GridResult:
+                       seed: int = 0) -> ds.GridResult:
     """Grid search for the forest through ds.cv_select, scored by inner-CV
     RMSE in transformed target units (trees are scale-free, so no
-    standardization). forests are the grown jobs of forest_selection on
-    every row of the design, in order; None grows them here."""
-    cells = grid.cells()
-    if forests is None:
-        forests = list(rf.fit_forests(forest_selection(
-            grid, design, np.arange(len(design.targets)), inner_k, seed)))
-    if len(forests) != len(cells) * inner_k:
-        raise ValueError(f"{len(forests)} selection forests for {len(cells)} cells "
-                         f"x {inner_k} inner folds")
+    standardization), on forest_selection's forests over every row."""
+    forests = list(rf.fit_forests(forest_selection(grid, design, np.arange(len(design.targets)),
+                                                   inner_k, seed)))
+    return ds.cv_select(grid.cells(), design, inner_k, seed,
+                        _forest_score(forests, design, inner_k))
 
+
+def _forest_score(forests: list[rf.RandomForest], design: ds.DesignMatrix, inner_k: int):
+    """cv_select's score of forest selection on the design: the validation
+    RMSE of the grown forest_selection forest of each cell and inner fold."""
     def score(cell_index: int, fold: int, train_rows: np.ndarray,
               val_rows: np.ndarray) -> float:
         return rmse(rf.predict_forest(forests[cell_index * inner_k + fold],
                                       design.features[val_rows]), design.targets[val_rows])
 
-    return ds.cv_select(cells, design, inner_k, seed, score)
+    return score
 
 
 # ---------------------------------------------------------------------------
@@ -508,18 +495,13 @@ def report_table(reports: list[ProtocolReport]) -> dict[str, str]:
     bar_lines = ["channel,model,mean_rmse,std_rmse"]
     md_lines = ["# Model comparison", ""]
     for key, rows in summaries.items():
-        md_lines += [f"## {key}", "", "| Model | Test RMSE | Test R² |", "| --- | --- | --- |"]
         for model_id, (rmse_mean, rmse_std, n_rmse), (r2_mean, r2_std, n_r2) in rows:
             csv_lines.append(
                 f"{model_id},{key},{_fmt(rmse_mean)},{_fmt(rmse_std)},"
                 f"{_fmt(r2_mean)},{_fmt(r2_std)},{n_rmse},{n_r2}"
             )
             bar_lines.append(f"{key},{model_id},{_fmt(rmse_mean)},{_fmt(rmse_std)}")
-            md_lines.append(
-                f"| {model_id} | {format_mean_std(rmse_mean, rmse_std)} "
-                f"| {format_mean_std(r2_mean, r2_std)} |"
-            )
-        md_lines.append("")
+        md_lines += _model_table(f"## {key}", rows) + [""]
 
     improvement_lines = ["channel,best_st_model,best_st_rmse,best_mt_model,mt_rmse,percent_reduction"]
     for key, rows in summaries.items():
@@ -553,18 +535,18 @@ def report_table(reports: list[ProtocolReport]) -> dict[str, str]:
 def _log_h50_table(rows: list) -> str:
     """The (model_id, rmse, r2) summaries of experimental log(h50), ranked
     by test RMSE, NaN last."""
-    lines = [
-        "# Predictive accuracy on experimental log(h50)",
-        "",
-        "| Model | Test RMSE | Test R² |",
-        "| --- | --- | --- |",
-    ]
     ranked = sorted(rows, key=lambda row: (math.inf if math.isnan(row[1][0]) else row[1][0],
                                            row[0]))
-    for model_id, (rmse_mean, rmse_std, _), (r2_mean, r2_std, _) in ranked:
-        lines.append(f"| {model_id} | {format_mean_std(rmse_mean, rmse_std)} "
-                     f"| {format_mean_std(r2_mean, r2_std)} |")
-    return "\n".join(lines) + "\n"
+    return "\n".join(_model_table("# Predictive accuracy on experimental log(h50)",
+                                  ranked)) + "\n"
+
+
+def _model_table(heading: str, rows: list) -> list[str]:
+    """The lines of a Markdown table of (model_id, rmse, r2) summaries
+    under its heading, one row per model."""
+    return [heading, "", "| Model | Test RMSE | Test R² |", "| --- | --- | --- |"] + [
+        f"| {model_id} | {format_mean_std(*rmse_summary[:2])} "
+        f"| {format_mean_std(*r2_summary[:2])} |" for model_id, rmse_summary, r2_summary in rows]
 
 
 def correlation_tables(labels: list[str], r_matrix: np.ndarray,

@@ -296,35 +296,56 @@ def _kekulize(g: MolGraph, explicit_h: list[int | None]) -> None:
         for idx in needy
     }
 
-    matched: dict[int, int] = {}
+    # Components of needy atoms are matched independently, so the union of
+    # their first matchings is the first matching of the whole.
     double_bonds: set[int] = set()
-
-    def backtrack() -> bool:
-        unmatched = [idx for idx in sorted(needy) if idx not in matched]
-        if not unmatched:
-            return True
-        u = unmatched[0]
-        for v, bond in partner_bonds[u]:
-            if v in matched:
-                continue
-            matched[u] = v
-            matched[v] = u
-            double_bonds.add(id(bond))
-            if backtrack():
-                return True
-            del matched[u]
-            del matched[v]
-            double_bonds.discard(id(bond))
-        return False
-
-    if not backtrack():
-        raise KekulizationError("no kekule structure exists for the aromatic system")
+    unseen = set(needy)
+    while unseen:
+        component, queue = [], [unseen.pop()]
+        while queue:
+            component.append(queue.pop())
+            for v, _ in partner_bonds[component[-1]]:
+                if v in unseen:
+                    unseen.remove(v)
+                    queue.append(v)
+        matching = None if len(component) % 2 else _first_matching(sorted(component),
+                                                                    partner_bonds)
+        if matching is None:
+            raise KekulizationError("no kekule structure exists for the aromatic system")
+        double_bonds.update(id(bond) for bond in matching)
 
     for bond in g.bonds:
         if bond.order == "aromatic":
             bond.kekule_order = 2 if id(bond) in double_bonds else 1
         else:
             bond.kekule_order = ORDER_VALUE[bond.order]
+
+
+def _first_matching(atoms: list[int], partner_bonds: dict) -> list | None:
+    """The bonds of the lexicographically first perfect matching of the
+    sorted atoms, None when there is none: depth-first, the smallest
+    unmatched atom taking each free partner in turn, on an explicit stack."""
+    matched: set[int] = set()
+    frames: list[tuple[int, int]] = []  # (position of an atom, position of its partner)
+    k = p = 0  # the next atom to match and the first of its partners to try
+    while True:
+        while k < len(atoms) and atoms[k] in matched:
+            k += 1
+        if k == len(atoms):
+            return [partner_bonds[atoms[k]][p][1] for k, p in frames]
+        partners = partner_bonds[atoms[k]]
+        while p < len(partners) and partners[p][0] in matched:
+            p += 1
+        if p < len(partners):
+            matched.update((atoms[k], partners[p][0]))
+            frames.append((k, p))
+            k, p = k + 1, 0
+            continue
+        if not frames:
+            return None
+        k, p = frames.pop()
+        matched.difference_update((atoms[k], partner_bonds[atoms[k]][p][0]))
+        p += 1
 
 
 def _assign_hydrogens(g: MolGraph, explicit_h: list[int | None]) -> None:

@@ -7,15 +7,16 @@ this is the plain single-task network. Gradients are analytic
 backpropagation; training is Adam with early stopping on validation MSE.
 Everything seeded is driven by splitmix64, so runs are bit-reproducible.
 
-train_many is the one training loop: it trains networks that differ only
-in their seeds in lockstep, each with the bits it would get alone, and
-train is its one-network case. It computes a loss only where a result
-reads it: each batch's, each validating network's validation MSE per
-epoch, and one training-set MSE of the parameters a network returns.
-network_job prepares every network fit (inner CV, the outer refit and the
-final model alike); grid_search trains one per inner fold, through the
-shared inner-CV loop dataset.cv_select, and evaluation.fit_all stacks the
-refits of a protocol.
+train_many is the one training loop: it takes networks of any configs,
+stacks those that differ only in their seeds (the one place that groups
+them) and trains each stack in lockstep, every network with the bits it
+would get alone; train is its one-network case. It computes a loss only
+where a result reads it: each batch's, each validating network's
+validation MSE per epoch, and one training-set MSE of the parameters a
+network returns. network_job prepares every network fit (inner CV, the
+outer refit and the final model alike); grid_search trains one per inner
+fold, through the shared inner-CV loop dataset.cv_select, and
+evaluation.fit_all trains every refit of a protocol in one train_many call.
 """
 
 from __future__ import annotations
@@ -321,9 +322,9 @@ def _runs(members, size_of) -> list[list[int]]:
 
 
 def train_many(jobs: list[TrainJob]) -> list[TrainResult | NonFiniteLoss]:
-    """Adam training of networks that differ only in their seeds, each with
-    the bits it gets alone; returns one TrainResult, or the NonFiniteLoss
-    that stopped it, per job.
+    """Adam training of networks, each with the bits it gets alone; returns
+    one TrainResult, or the NonFiniteLoss that stopped it, per job, in job
+    order. Networks that differ only in their seeds train in one stack.
 
     With validation rows a network stops after `patience` epochs without
     improvement and returns the parameters of its best validation epoch;
@@ -338,6 +339,27 @@ def train_many(jobs: list[TrainJob]) -> list[TrainResult | NonFiniteLoss]:
     parameters a network would return are scored once on its training
     rows; a non-finite MSE there is NonFiniteLoss("non-finite training
     loss at epoch N"), N the epoch returned.
+    """
+    stacks: dict[tuple, list[int]] = {}  # (net config, train config) without seeds -> jobs
+    for index, job in enumerate(jobs):
+        if len(job.targets) == 0:
+            raise InvalidConfig("empty training batch")
+        _rows(job.net.config, job.features, job.selector)
+        if job.val is not None:
+            if len(job.val[2]) == 0:
+                raise InvalidConfig("empty validation batch")
+            _rows(job.net.config, job.val[0], job.val[1])
+        key = (replace(job.net.config, seed=0), replace(job.config, seed=0))
+        stacks.setdefault(key, []).append(index)
+    results: list[TrainResult | NonFiniteLoss | None] = [None] * len(jobs)
+    for members in stacks.values():
+        for index, result in zip(members, _train_stack([jobs[index] for index in members])):
+            results[index] = result
+    return results
+
+
+def _train_stack(jobs: list[TrainJob]) -> list[TrainResult | NonFiniteLoss]:
+    """train_many of checked jobs that differ only in their seeds.
 
     Parameters and Adam moments are (U, P) rows sorted by training-row
     count, largest first, and epochs run in lockstep. At every step the
@@ -346,21 +368,7 @@ def train_many(jobs: list[TrainJob]) -> list[TrainResult | NonFiniteLoss]:
     on slice views; no padding row ever enters a product. Each network
     keeps its own Adam step count and early-stopping state.
     """
-    if not jobs:
-        return []
     net_config, config = jobs[0].net.config, jobs[0].config
-    for job in jobs:
-        if (replace(job.net.config, seed=0) != replace(net_config, seed=0)
-                or replace(job.config, seed=0) != replace(config, seed=0)):
-            raise InvalidConfig("train_many needs networks that differ only in their seeds")
-        if len(job.targets) == 0:
-            raise InvalidConfig("empty training batch")
-        _rows(net_config, job.features, job.selector)
-        if job.val is not None:
-            if len(job.val[2]) == 0:
-                raise InvalidConfig("empty validation batch")
-            _rows(net_config, job.val[0], job.val[1])
-
     order = sorted(range(len(jobs)), key=lambda i: -len(jobs[i].targets))
     stack = [jobs[i] for i in order]
     count = [len(job.targets) for job in stack]

@@ -166,6 +166,21 @@ class TestTuneTrainPredictScreen:
         assert code == 1
         assert capsys.readouterr().err.startswith("error InvalidConfig:")
 
+    @pytest.mark.parametrize("family", ["st-rf", "st-nn"])
+    @pytest.mark.parametrize("command", ["tune", "train"])
+    def test_channel_without_records_is_one_error_line(self, tmp_path, capsys, command,
+                                                       family):
+        """A known channel that the data do not hold: st-nn's train once
+        printed numpy's warnings from standardizing no rows before its error."""
+        data = write_dataset(tmp_path)
+        grid = write_grid(tmp_path)
+        code = cli.main([command, "--data", str(data), "--family", family, "--channel",
+                         "heat_form_gas:calc", "--grid", str(grid), "--folds", "3",
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error EmptyData: channel heat_form_gas:calc has no records in subset 6\n")
+
     @pytest.mark.parametrize("command", ["tune", "train"])
     def test_mt_nn_rejects_channel(self, tmp_path, capsys, command):
         data = write_dataset(tmp_path)

@@ -196,19 +196,6 @@ class TestProtocol:
             assert a.channels[key].rmse_values == b.channels[key].rmse_values
 
 
-def test_forest_grid_search_takes_one_forest_per_cell_and_inner_fold():
-    _, design = design_of(tiny_dataset())
-    grid = evaluation.ForestGridSpec(n_trees=(2,), max_depth=(2, 3), min_samples_leaf=(1,),
-                                     max_features=(None,))
-    rows = np.arange(len(design.targets))
-    forests = list(evaluation.rf.fit_forests(
-        evaluation.forest_selection(grid, design, rows, 3, 5)))
-    grown = evaluation.forest_grid_search(grid, design, inner_k=3, seed=5, forests=forests)
-    assert grown == evaluation.forest_grid_search(grid, design, inner_k=3, seed=5)
-    with pytest.raises(ValueError, match="5 selection forests for 2 cells x 3 inner folds"):
-        evaluation.forest_grid_search(grid, design, inner_k=3, seed=5, forests=forests[:5])
-
-
 def sparse_design():
     """Two channels on nine materials and a third channel on M0 alone, so
     the third channel's unit has no training rows in M0's test fold."""

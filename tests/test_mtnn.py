@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -600,15 +599,35 @@ class TestTrainMany:
             assert result.net.params.tobytes() == flat_params(oracle).tobytes()
         assert results[3].best_epoch == 2
 
-    def test_needs_one_architecture_and_config(self):
-        x, y = np.zeros((4, 5)), np.zeros(4)
-        config = mtnn.TrainConfig(batch_size=2, max_epochs=1, patience=0)
-        nets = [mtnn.init_network(mtnn.MTNetConfig(5, 0, hidden, 0)) for hidden in ((4,), (3,))]
-        with pytest.raises(InvalidConfig, match="differ only in their seeds"):
-            mtnn.train_many([mtnn.TrainJob(net, x, None, y, config) for net in nets])
-        with pytest.raises(InvalidConfig, match="differ only in their seeds"):
-            mtnn.train_many([mtnn.TrainJob(nets[0], x, None, y, config),
-                             mtnn.TrainJob(nets[0], x, None, y, replace(config, batch_size=3))])
+    def test_groups_interleaved_configs_into_stacks(self):
+        """Jobs of two architectures and two batch sizes, interleaved: each
+        result, in job order, equals its group's trained alone and the
+        per-layer oracle."""
+        groups = [((8,), 8), ((6, 4), 8), ((8,), 5), ((6, 4), 5)]
+        cases = [(i, groups[i % len(groups)], n)
+                 for i, n in enumerate((17, 9, 25, 12, 9, 30, 17, 4, 11))]
+
+        def job(i, hidden, batch_size, n):
+            x, s, y, val = stack_rows(200 + i, n, 0, True)
+            net_config = mtnn.MTNetConfig(5, 0, hidden, 0, l2_penalty=1e-4, seed=i)
+            train_config = mtnn.TrainConfig(learning_rate=3e-2, batch_size=batch_size,
+                                            max_epochs=12, patience=2, seed=70 + i)
+            return mtnn.TrainJob(mtnn.init_network(net_config), x, s, y, train_config, val)
+
+        results = mtnn.train_many([job(i, *group, n) for i, group, n in cases])
+        for group in groups:
+            members = [(i, n) for i, g, n in cases if g == group]
+            alone = mtnn.train_many([job(i, *group, n) for i, n in members])
+            for (i, n), solo in zip(members, alone):
+                result = results[i]
+                assert result.net.params.tobytes() == solo.net.params.tobytes()
+                assert (result.history, result.best_epoch) == (solo.history, solo.best_epoch)
+                oracle_job = job(i, *group, n)
+                oracle, history, best_epoch = per_layer_train(
+                    scalar_init_network(oracle_job.net.config), oracle_job.features, None,
+                    oracle_job.targets, oracle_job.config, val=oracle_job.val)
+                assert (result.history, result.best_epoch) == (history, best_epoch)
+                assert result.net.params.tobytes() == flat_params(oracle).tobytes()
 
 
 def linear_design(n_materials=24, n_features=3, n_channels=2, seed=0):

@@ -4,18 +4,21 @@ The oracles below are the earlier implementations, kept verbatim in logic:
 ring bonds found by one bridge test (BFS) per bond; E-state from a BFS over
 a bond-list adjacency with sorted sums; the SSSR candidate sweep from every
 root over every bond of the whole graph, rejecting a bond when the two
-tree paths share more than the root; and substructure matching that
-rechecks every pattern bond after each placement. The code under test reads
+tree paths share more than the root; substructure matching that rechecks
+every pattern bond after each placement; and kekulization by one recursive
+search over every needy atom of the molecule. The code under test reads
 ring bonds off the SSSR, sweeps only the ring core with a branch test, sums
-E-state terms unsorted with math.fsum, and matches along a cached plan; the
-results must be equal, candidate lists in order and E-state values bit for
-bit. The parsed corpus is checked, and random carbon graphs built directly
+E-state terms unsorted with math.fsum, matches along a cached plan, and
+kekulizes each component of needy atoms on an explicit stack; the results
+must be equal, candidate lists in order and E-state values bit for bit.
+The parsed corpus is checked, and random carbon graphs built directly
 check the ring-core argument beyond it.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 
 import pytest
@@ -23,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emprops.descriptors import ACIDIC_PATTERNS, PATTERN_TABLE, estate_vector
+from emprops.errors import KekulizationError, ToolkitError, ValenceError
 from emprops.molgraph import (
     Atom,
     Bond,
@@ -33,11 +37,13 @@ from emprops.molgraph import (
     parse_smiles,
     rings,
 )
-from emprops.molgraph.elements import PRINCIPAL_QUANTUM, VALENCE_ELECTRONS
+from emprops.molgraph import parser
+from emprops.molgraph.elements import PRINCIPAL_QUANTUM, VALENCE_ELECTRONS, effective_valence
+from emprops.molgraph.graph import ORDER_VALUE
 from emprops.molgraph.match import _atom_ok, _bond_ok, match_atom_sets
 from emprops.molgraph.rings import _edge_mask, cyclomatic_number, sssr_atom_cycles
 
-from conftest import CORPUS
+from conftest import CORPUS, SPELLING_PAIRS
 
 RING_SYSTEMS = {
     "cubane": "C12C3C4C1C5C2C3C45",
@@ -244,6 +250,87 @@ def oracle_match_atom_sets(g, pattern) -> set[frozenset[int]]:
     return found
 
 
+def oracle_kekulize(g, explicit_h) -> None:
+    """Kekule orders from the lexicographically first perfect matching over
+    every needy aromatic atom at once, by recursive backtracking."""
+    aromatic_atoms = [a.index for a in g.atoms if a.aromatic]
+    if not aromatic_atoms:
+        for bond in g.bonds:
+            bond.kekule_order = ORDER_VALUE[bond.order]
+        return
+
+    aromatic_ring_atoms: set[int] = set()
+    for ring in g.rings:
+        if ring.aromatic:
+            aromatic_ring_atoms.update(ring.atoms)
+    for idx in aromatic_atoms:
+        if idx not in aromatic_ring_atoms:
+            raise KekulizationError(f"aromatic atom {idx} is not part of an aromatic ring")
+    for bond in g.bonds:
+        if bond.order == "aromatic" and not bond.in_ring:
+            raise KekulizationError(
+                f"aromatic bond between atoms {bond.i} and {bond.j} is not in a ring"
+            )
+
+    sigma = {
+        idx: sum(1 if bond.order == "aromatic" else ORDER_VALUE[bond.order]
+                 for _, bond in g.neighbors(idx))
+        for idx in aromatic_atoms
+    }
+
+    needy: set[int] = set()
+    for idx in aromatic_atoms:
+        atom = g.atoms[idx]
+        valence = effective_valence(atom.element, atom.formal_charge)
+        h_count = explicit_h[idx]
+        if h_count is None:
+            needs = max(0, min(1, valence - sigma[idx]))
+        else:
+            needs = valence - sigma[idx] - h_count
+            if needs < 0 or needs > 1:
+                raise ValenceError(
+                    f"aromatic atom {idx} ({atom.element}) cannot satisfy valence {valence}"
+                )
+        if needs:
+            needy.add(idx)
+
+    partner_bonds = {
+        idx: sorted(((v, bond) for v, bond in g.neighbors(idx)
+                     if bond.order == "aromatic" and v in needy), key=lambda pair: pair[0])
+        for idx in needy
+    }
+
+    matched: dict[int, int] = {}
+    double_bonds: set[int] = set()
+
+    def backtrack() -> bool:
+        unmatched = [idx for idx in sorted(needy) if idx not in matched]
+        if not unmatched:
+            return True
+        u = unmatched[0]
+        for v, bond in partner_bonds[u]:
+            if v in matched:
+                continue
+            matched[u] = v
+            matched[v] = u
+            double_bonds.add(id(bond))
+            if backtrack():
+                return True
+            del matched[u]
+            del matched[v]
+            double_bonds.discard(id(bond))
+        return False
+
+    if not backtrack():
+        raise KekulizationError("no kekule structure exists for the aromatic system")
+
+    for bond in g.bonds:
+        if bond.order == "aromatic":
+            bond.kekule_order = 2 if id(bond) in double_bonds else 1
+        else:
+            bond.kekule_order = ORDER_VALUE[bond.order]
+
+
 def _ring_pattern(name: str, atoms, orders) -> SubstructurePattern:
     """A cycle pattern: atom k bonds atom k+1 (the last atom bonds atom 0) with orders[k]."""
     n = len(atoms)
@@ -377,3 +464,57 @@ def test_biphenyl_bridge_is_demoted_and_not_in_ring():
     bridge = g.bond_between(3, 6)
     assert bridge.order == "single" and not bridge.in_ring
     assert sum(b.in_ring for b in g.bonds) == 12
+
+
+def perception(smiles: str):
+    """What parse_smiles gives: every bond's Kekule order and every atom's
+    hydrogen count, or the error's class and message."""
+    try:
+        g = parse_smiles(smiles)
+    except ToolkitError as exc:
+        return type(exc).__name__, str(exc)
+    return [b.kekule_order for b in g.bonds], [a.implicit_h for a in g.atoms]
+
+
+def assert_kekulized_as_oracle(smiles: str, monkeypatch) -> None:
+    new = perception(smiles)
+    with monkeypatch.context() as patch:
+        patch.setattr(parser, "_kekulize", oracle_kekulize)
+        assert new == perception(smiles), smiles
+
+
+AROMATIC_SYSTEMS = [
+    "c1ccc2ccccc2c1", "c1ccc2cc3ccccc3cc2c1", "c1cc2cccc3cccc1c23", "c1cccc2cccc12",
+    "c1ccccc1c1cccc1", "c1cc[nH]c1", "c1ccoc1", "[n-]1cccc1", "c1ncncn1", "c1cnc2[nH]cnc2c1",
+    "Cc1ccc(cc1[N+](=O)[O-])C", "c1ccc2c(c1)oc1ccccc12", "c1ccc2ccc3cccc4ccc1c2c34",
+    "n1nnn[nH]1", "c1cc2ccc1cc2", "c1ccccc1.c1cccc1", "c12c3c4c5c1c6c2c3c4c56",
+    "c1ccc(cc1)" * 5 + "c1cccc1", "[nH]1cccc1c1ccccc1", "c1ccc2[nH]ccc2c1", "o1cccc1c1ccco1",
+]
+
+
+@pytest.mark.parametrize("smiles", [*SMILES.values(), *(s for pair in SPELLING_PAIRS for s in pair),
+                                    *AROMATIC_SYSTEMS])
+def test_kekulization_matches_oracle(smiles, monkeypatch):
+    assert_kekulized_as_oracle(smiles, monkeypatch)
+
+
+FRAMEWORKS = ["c1ccccc1", "c1cccc1", "c1ccc2ccccc2c1", "c1ccc2cccc2c1", "c1cc2cccc3cccc1c23",
+              "c1ccc2c(c1)ccc1ccccc12", "c1ccc(cc1)", "c1ccc2cc3ccccc3cc2c1", "C"]
+
+
+@st.composite
+def aromatic_smiles(draw) -> str:
+    """Up to three aromatic frameworks, bonded or as fragments, with each
+    aromatic carbon drawn again as c, n, [nH], o or [n-]: about a sixth
+    parse, the rest end in a valence or kekulization error."""
+    joint = draw(st.sampled_from(["", "."]))
+    text = joint.join(draw(st.lists(st.sampled_from(FRAMEWORKS), min_size=1, max_size=3)))
+    atoms = st.sampled_from(["c", "c", "c", "n", "[nH]", "o", "[n-]"])
+    return re.sub("c", lambda _: draw(atoms), text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(aromatic_smiles())
+def test_kekulization_of_generated_smiles_matches_oracle(smiles):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_kekulized_as_oracle(smiles, monkeypatch)

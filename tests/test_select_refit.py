@@ -274,9 +274,19 @@ class InnerCVEntered(Exception):
     pass
 
 
-@pytest.mark.parametrize("module,name", [(evaluation, "select_cell"), (ds, "cv_select")],
-                         ids=["select_cell", "cv_select"])
-@pytest.mark.parametrize("family", evaluation.MODEL_FAMILIES)
+# (family, module, what a fit of the family calls only to select): fit_all
+# plans a forest fit's selection with forest_selection, a network's with
+# select_cell, and both score through cv_select
+INNER_CV_PROBES = [
+    ("st-rf", evaluation, "forest_selection"),
+    ("st-nn", evaluation, "select_cell"),
+    ("mt-nn", evaluation, "select_cell"),
+    *[(family, ds, "cv_select") for family in evaluation.MODEL_FAMILIES],
+]
+
+
+@pytest.mark.parametrize("family,module,name", INNER_CV_PROBES,
+                         ids=[f"{family}-{name}" for family, _, name in INNER_CV_PROBES])
 def test_inner_cv_runs_only_for_several_cells(inputs, monkeypatch, family, module, name):
     def refuse(*args, **kwargs):
         raise InnerCVEntered(name)
@@ -320,6 +330,8 @@ FAILURE_ORDERS = {
     "selection-first": (["too-few", "diverging"], "TooFewMaterials"),
     "good-then-refit": (["good", "diverging", "too-few"], "NonFiniteLoss"),
     "good-then-selection": (["good", "too-few", "diverging"], "TooFewMaterials"),
+    "forest-refit-first": (["unplannable", "diverging"], "EmptyData"),
+    "network-refit-first": (["diverging", "unplannable"], "NonFiniteLoss"),
 }
 
 
@@ -327,13 +339,19 @@ FAILURE_ORDERS = {
 @pytest.mark.parametrize("name", FAILURE_ORDERS)
 def test_fit_all_raises_the_first_failure_in_plan_order(inputs, name):
     """A network refit that diverges (a one-cell network grid with a huge
-    learning rate) and a forest whose inner CV cannot run (the one-material
-    channel on a two-cell forest grid): fit_all raises the error of the
-    first in plan order, as fitting the fits one at a time does, although
-    it trains the network only after every selection."""
+    learning rate), a forest whose inner CV cannot run (the one-material
+    channel on a two-cell forest grid) and a one-cell forest refit that
+    cannot be planned (min_samples_leaf above the one-material channel's
+    one row): fit_all raises the error of the first in plan order, as
+    fitting the fits one at a time does, although it trains the network
+    only after every forest grows."""
     _, schema, design = ds.build_design(inputs["data"], SUBSET, False)
+    names, code = FAILURE_ORDERS[name]
+    forest_grid = inputs["forest_grid"]
+    if "unplannable" in names:
+        forest_grid = replace(inputs["one_cell"].forest, min_samples_leaf=(2,))
     grids = evaluation.Grids(replace(inputs["one_cell"].mtnn, learning_rate=(1e150,)),
-                             inputs["forest_grid"], inputs["base_train"])
+                             forest_grid, inputs["base_train"])
 
     def fit(family, channel):
         position = design.registry.index_of(design.registry.lookup(*channel.split(":")))
@@ -343,8 +361,8 @@ def test_fit_all_raises_the_first_failure_in_plan_order(inputs, name):
 
     kinds = {"diverging": fit("st-nn", "det_velocity:calc"),
              "too-few": fit("st-rf", SPARSE_CHANNEL),
+             "unplannable": fit("st-rf", SPARSE_CHANNEL),
              "good": fit("st-rf", "det_velocity:calc")}
-    names, code = FAILURE_ORDERS[name]
     fits = [kinds[kind] for kind in names]
 
     with pytest.raises(ToolkitError) as alone:

@@ -1,7 +1,10 @@
+import time
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from emprops import cli
 from emprops.errors import (
     KekulizationError,
     SmilesSyntaxError,
@@ -123,6 +126,29 @@ def test_kekulization_errors():
         parse_smiles("cc")  # aromatic atoms outside any ring
     with pytest.raises(KekulizationError):
         parse_smiles("c1cccc1")  # odd all-carbon ring has no perfect matching
+
+
+def test_odd_ring_after_many_benzene_rings_fails_at_once(tmp_path, capsys):
+    """The odd ring is a component of needy atoms of its own, so it fails
+    without retrying the Kekule choices of the 30 benzene rings before it
+    (about 2**30 of them), and featurize ends in one error line."""
+    smiles = "c1ccc(cc1)" * 30 + "c1cccc1"
+    start = time.perf_counter()
+    with pytest.raises(KekulizationError, match="^no kekule structure exists"):
+        parse_smiles(smiles)
+    assert time.perf_counter() - start < 1.0
+    path = tmp_path / "mols.csv"
+    path.write_text(f"material_id,smiles\nM1,{smiles}\n", encoding="utf-8")
+    assert cli.main(["featurize", "--data", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error ParseFailure: row 1: ")
+    assert err[0].endswith(": no kekule structure exists for the aromatic system")
+
+
+def test_kekulization_of_2400_atoms_does_not_recurse():
+    g = parse_smiles("c1ccc(cc1)" * 399 + "c1ccccc1")
+    assert len(g.atoms) == 2400
+    assert sum(bond.kekule_order == 2 for bond in g.bonds) == 1200
 
 
 def test_valence_invariant_over_corpus():
