@@ -133,8 +133,9 @@ def _load_design(args):
     return (subset_id, *ds.build_design(data, subset_id, args.density))
 
 
-def _prepare_design(args):
-    """(subset id, schema, design) for --family: single-task families see
+def _prepare_fit(args):
+    """(subset id, schema, fit) of tune and train: one Fit of --family on
+    every row of its design, seeded by --seed. Single-task families see
     only --channel, which mt-nn, fitting every channel, does not take, and
     which must hold records in the subset."""
     single_task = args.family in ("st-rf", "st-nn")
@@ -149,7 +150,9 @@ def _prepare_design(args):
         design = evaluation.single_channel_design(design, position)
         if len(design.targets) == 0:
             raise EmptyData(f"channel {args.channel} has no records in subset {subset_id}")
-    return subset_id, schema, design
+    every_row = np.ones(len(design.targets), dtype=bool)
+    return subset_id, schema, evaluation.Fit(args.family, design, every_row, ~every_row,
+                                             args.seed, derive_seed(args.seed, 5))
 
 
 def cmd_tune(args) -> int:
@@ -157,9 +160,11 @@ def cmd_tune(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     grids = evaluation.Grids.load(args.grid)
-    subset_id, schema, design = _prepare_design(args)
+    subset_id, schema, fit = _prepare_fit(args)
 
-    result = evaluation.select_cell(args.family, design, grids, args.folds, args.seed)
+    (result,) = evaluation.select([fit], grids, args.folds)
+    if isinstance(result, ToolkitError):
+        raise result
     winner = {**{k: list(v) if isinstance(v, tuple) else v
                  for k, v in result.best_cell.items()},
               "mean_val_rmse": result.best_score}
@@ -190,11 +195,8 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     grids = evaluation.Grids.load(args.grid)
-    subset_id, schema, design = _prepare_design(args)
+    subset_id, schema, fit = _prepare_fit(args)
 
-    all_rows = np.ones(len(design.targets), dtype=bool)
-    fit = evaluation.Fit(args.family, design, all_rows, ~all_rows, args.seed,
-                         derive_seed(args.seed, 5))
     (bundle,) = evaluation.fit_all([fit], schema, grids, args.folds)
     model_path = out_dir / ("model.emrf" if bundle.kind == "forest" else "model.emmt")
     pipeline.save_model(model_path, bundle)

@@ -411,20 +411,20 @@ class GridResult:
     table: list[dict]  # one row per cell: cell params + mean_val_rmse
 
 
-def cv_select(cells: list[dict], design: DesignMatrix, inner_k: int, seed: int,
+def cv_select(cells: list[dict], material_ids: list[str], inner_k: int, seed: int,
               score: Callable[[int, int, np.ndarray, np.ndarray], float]) -> GridResult:
     """Inner k-fold selection over hyperparameter cells, for every model family.
 
-    Folds are material-level (kfold_by_material, k >= 2), so every fold has
-    train and validation rows. score(cell_index, fold, train_rows,
-    val_rows) returns one fold's validation RMSE, and a cell scores the
-    mean over its folds: NaN when any fold is NaN, so such a cell never
-    wins. The lowest mean wins and ties go to the earliest cell; when no
+    Folds are material-level over the rows' material ids (kfold_by_material,
+    k >= 2), so every fold has train and validation rows. score(cell_index,
+    fold, train_rows, val_rows) returns one fold's validation RMSE, and a
+    cell scores the mean over its folds: NaN when any fold is NaN, so such
+    a cell never wins. The lowest mean wins and ties go to the earliest cell; when no
     cell has a finite score, cell 0 is chosen with +inf.
     """
     if not cells:
         raise InvalidConfig("empty hyperparameter grid")
-    folds = inner_folds(design.material_ids, inner_k, seed)
+    folds = inner_folds(material_ids, inner_k, seed)
     result = GridResult(best_cell=cells[0], best_score=math.inf, table=[])
     for cell_index, cell in enumerate(cells):
         mean_score = float(np.mean([score(cell_index, fold, train_rows, val_rows)

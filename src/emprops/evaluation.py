@@ -13,15 +13,11 @@ and unit, with its rows and derived seeds; run_protocol fits every one
 that has test rows with one fit_all call, then predicts their held-out
 rows with pipeline.predict_rows and records the metrics, in plan order.
 Every family goes through the same steps: fit_all plans each fit to its
-refit job (_refit_job, both families) or, for a forest grid of several
-cells, its forest_selection jobs, the network families selecting by
-select_cell. It then calls one engine per phase: forest.fit_forests grows
-every selection forest, dataset.cv_select picks each forest fit's cell,
-a second forest.fit_forests call grows every forest refit, and one
-mtnn.train_many call trains every network refit, grouping them itself.
-fit_all refits a one-cell grid without inner CV, since selection could
-only return that cell; tune always runs select_cell, because its score
-table is its output.
+refit job or, on a grid of several cells, to select, the one inner-CV path
+of every family and of tune; one engine call per family then refits. A
+one-cell grid is refit without inner CV, since selection could only
+return that cell; tune always runs select, because its score table is
+its output.
 
 Grids is everything a grid file sets (the network grid, the forest grid
 and the base training settings), passed as one value from the file to
@@ -34,7 +30,7 @@ import itertools
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -197,7 +193,7 @@ class Grids:
             raise InvalidConfig(f"grid file {path}: {exc}") from exc
 
     def cells(self, family: str, design: ds.DesignMatrix) -> list[dict]:
-        """The cells select_cell chooses among for the family on the design."""
+        """The cells select chooses among for the family on the design."""
         if family == "st-rf":
             return self.forest.cells()
         return mtnn.design_cells(self.mtnn, design)
@@ -309,18 +305,11 @@ def run_protocol(family: str, schema: descriptors.FeatureSchema, design: ds.Desi
 
 
 def single_channel_design(design: ds.DesignMatrix, channel_pos: int) -> ds.DesignMatrix:
-    single = _restrict(design, design.channel_idx == channel_pos)
-    return replace(single, channel_idx=np.zeros_like(single.channel_idx),
-                   registry=ds.PropertyRegistry(channels=(design.registry.channels[channel_pos],)))
-
-
-def select_cell(family: str, design: ds.DesignMatrix, grids: Grids, inner_k: int,
-                seed: int) -> ds.GridResult:
-    """Inner-CV selection of the family's best cell on the design: the one
-    place that chooses between the forest and the network grid search."""
-    if family == "st-rf":
-        return forest_grid_search(grids.forest, design, inner_k=inner_k, seed=seed)
-    return mtnn.grid_search(grids.mtnn, design, grids.train, inner_k=inner_k, seed=seed)
+    rows = design.channel_idx == channel_pos
+    return ds.DesignMatrix(design.features[rows], np.zeros(np.count_nonzero(rows), dtype=np.int64),
+                           design.targets[rows],
+                           [m for m, keep in zip(design.material_ids, rows) if keep],
+                           ds.PropertyRegistry(channels=(design.registry.channels[channel_pos],)))
 
 
 def fit_all(fits: list[Fit], schema: descriptors.FeatureSchema, grids: Grids,
@@ -332,29 +321,18 @@ def fit_all(fits: list[Fit], schema: descriptors.FeatureSchema, grids: Grids,
     which selection would return whatever the scores; inner_k must still
     be at least 2. Every command fits its models through here.
 
-    Each fit is planned in order to its refit job or, for a forest grid of
-    several cells, its forest_selection jobs; planning stops at the first
-    fit that fails. Then one engine call per phase: rf.fit_forests grows
-    every selection forest, whose scores pick each fit's cell by
-    ds.cv_select, a second rf.fit_forests call grows every forest refit,
-    and one mtnn.train_many call trains every network refit. The first
-    fit in order whose planning or refit fails raises its error, so a
-    failure reads as it would in a run that fits one fit at a time.
+    Each fit is planned in order to its refit job or to one select call,
+    then to its cell's refit; planning stops at the first fit that fails.
+    rf.fit_forests grows every forest refit and mtnn.train_many trains
+    every network refit. The first fit in order that fails raises its
+    error, as it would in a run that fits one fit at a time.
     """
-    outcomes: list = []  # per fit: its selection jobs, refit job, bundle or error
+    outcomes: list = []  # per fit: itself awaiting select, its refit job, bundle or error
     for fit in fits:
         try:
             ds.check_fold_count(inner_k)
             cells = grids.cells(fit.family, fit.unit)
-            if fit.family == "st-rf" and len(cells) > 1:
-                outcomes.append(forest_selection(grids.forest, fit.unit,
-                                                 np.flatnonzero(fit.train_rows), inner_k,
-                                                 fit.seed))
-                continue
-            if len(cells) > 1:
-                cells = [select_cell(fit.family, _restrict(fit.unit, fit.train_rows), grids,
-                                     inner_k, fit.seed).best_cell]
-            outcomes.append(_refit_job(fit, cells[0], grids))
+            outcomes.append(fit if len(cells) > 1 else _refit_job(fit, cells[0], grids))
         except ToolkitError as exc:
             outcomes.append(exc)
             break
@@ -362,13 +340,12 @@ def fit_all(fits: list[Fit], schema: descriptors.FeatureSchema, grids: Grids,
     def indices(kind) -> list[int]:
         return [index for index, outcome in enumerate(outcomes) if isinstance(outcome, kind)]
 
-    selecting = indices(list)
-    grown = rf.fit_forests([job for index in selecting for job in outcomes[index]])
-    for index in selecting:
-        fit, train = fits[index], _restrict(fits[index].unit, fits[index].train_rows)
-        score = _forest_score([next(grown) for _ in outcomes[index]], train, inner_k)
-        cell = ds.cv_select(grids.forest.cells(), train, inner_k, fit.seed, score).best_cell
-        outcomes[index] = _refit_job(fit, cell, grids)  # cannot fail: it holds every job's rows
+    selecting = indices(Fit)
+    if selecting:
+        for index, result in zip(selecting, select([fits[i] for i in selecting], grids, inner_k)):
+            # the refit cannot fail: selection planned its cell on a part of its rows
+            outcomes[index] = result if isinstance(result, ToolkitError) else _refit_job(
+                fits[index], result.best_cell, grids)
     forests = indices(rf.ForestJob)
     for index, model in zip(forests, rf.fit_forests([outcomes[index] for index in forests])):
         outcomes[index] = pipeline.ModelBundle(kind="forest", registry=fits[index].unit.registry,
@@ -396,6 +373,59 @@ def _refit_job(fit: Fit, cell: dict, grids: Grids):
                             derive_seed(fit.seed, 3), fit.train_seed)
 
 
+def select(fits: list[Fit], grids: Grids, inner_k: int) -> list[ds.GridResult | ToolkitError]:
+    """Inner-CV selection of each fit's cell on its training rows: per fit,
+    its ds.GridResult or the error of its first failing (cell, inner fold)
+    in cv_select's order. Every forest of every fit grows in one
+    rf.fit_forests call and is scored by RMSE; each fit's networks train in
+    one mtnn.train_many call, so one grid's standardized rows are held at a
+    time, and are scored by RMSE in standardized space averaged over channels."""
+    plans = [_selection_jobs(fit, grids, inner_k) if fit.family == "st-rf" else None
+             for fit in fits]
+    grown = rf.fit_forests([job for plan in plans if plan for job in plan[0]])
+    results: list[ds.GridResult | ToolkitError] = []
+    for fit, plan in zip(fits, plans):
+        jobs, error = plan or _selection_jobs(fit, grids, inner_k)  # a network grid at a time
+        models = ([next(grown) for _ in jobs] if plan
+                  else mtnn.train_many([job for _, job in jobs]))
+        failure = next((model for model in models if isinstance(model, ToolkitError)), error)
+        unit, rows = fit.unit, np.flatnonzero(fit.train_rows)
+
+        def score(cell_index: int, fold: int, _, val_rows: np.ndarray) -> float:
+            model, val = models[cell_index * inner_k + fold], rows[val_rows]
+            if fit.family == "st-rf":
+                return rmse(rf.predict_forest(model, unit.features[val]), unit.targets[val])
+            x_val, s_val, y_val = jobs[cell_index * inner_k + fold][1].val
+            return mtnn._channel_mean_rmse(mtnn.forward(model.net, x_val, s_val), y_val,
+                                           unit.channel_idx[val], len(unit.registry))
+
+        results.append(failure or ds.cv_select(grids.cells(fit.family, unit),
+                                                [unit.material_ids[row] for row in rows],
+                                                inner_k, fit.seed, score))
+    return results
+
+
+def _selection_jobs(fit: Fit, grids: Grids, inner_k: int) -> tuple[list, ToolkitError | None]:
+    """select's checked jobs of the fit per cell and inner fold, up to the
+    first that fails, and its error or None. A forest is seeded
+    derive_seed(fit.seed, cell_index + 1), a network as grid_search seeds it."""
+    unit, rows, jobs = fit.unit, np.flatnonzero(fit.train_rows), []
+    try:
+        folds = ds.inner_folds([unit.material_ids[row] for row in rows], inner_k, fit.seed)
+        for cell_index, cell in enumerate(grids.cells(fit.family, unit)):
+            for fold, (train, val) in enumerate(folds):
+                if fit.family == "st-rf":
+                    config = rf.ForestConfig(seed=derive_seed(fit.seed, cell_index + 1), **cell)
+                    jobs.append(rf.forest_job(unit.features, unit.targets, config, rows[train]))
+                else:
+                    net_seed = derive_seed(fit.seed, cell_index + 1, fold + 1)
+                    jobs.append(mtnn.network_job(unit, rows[train], cell, grids.train, net_seed,
+                                                 derive_seed(net_seed, 7), rows[val]))
+    except ToolkitError as exc:
+        return jobs, exc
+    return jobs, None
+
+
 def _record_channel_metrics(report: ProtocolReport, registry: ds.PropertyRegistry,
                             pred: np.ndarray, actual: np.ndarray,
                             channel_idx: np.ndarray) -> None:
@@ -413,49 +443,16 @@ def _record_channel_metrics(report: ProtocolReport, registry: ds.PropertyRegistr
             metrics.r2_values.append(math.nan)
 
 
-def _restrict(design: ds.DesignMatrix, rows: np.ndarray) -> ds.DesignMatrix:
-    return ds.DesignMatrix(
-        features=design.features[rows],
-        channel_idx=design.channel_idx[rows],
-        targets=design.targets[rows],
-        material_ids=[m for m, keep in zip(design.material_ids, rows) if keep],
-        registry=design.registry,
-    )
-
-
-def forest_selection(grid: ForestGridSpec, design: ds.DesignMatrix, rows: np.ndarray,
-                     inner_k: int, seed: int) -> list[rf.ForestJob]:
-    """The checked selection forest jobs of inner CV on the given rows of
-    the design: one per cell and inner fold, in cv_select's order, on the
-    fold's training rows of the design's arrays (referenced, not copied),
-    seeded derive_seed(seed, cell_index + 1)."""
-    folds = ds.inner_folds([design.material_ids[row] for row in rows], inner_k, seed)
-    return [rf.forest_job(design.features, design.targets,
-                          rf.ForestConfig(seed=derive_seed(seed, cell_index + 1), **cell),
-                          rows[train_rows])
-            for cell_index, cell in enumerate(grid.cells()) for train_rows, _ in folds]
-
-
 def forest_grid_search(grid: ForestGridSpec, design: ds.DesignMatrix, inner_k: int = 5,
                        seed: int = 0) -> ds.GridResult:
-    """Grid search for the forest through ds.cv_select, scored by inner-CV
-    RMSE in transformed target units (trees are scale-free, so no
-    standardization), on forest_selection's forests over every row."""
-    forests = list(rf.fit_forests(forest_selection(grid, design, np.arange(len(design.targets)),
-                                                   inner_k, seed)))
-    return ds.cv_select(grid.cells(), design, inner_k, seed,
-                        _forest_score(forests, design, inner_k))
-
-
-def _forest_score(forests: list[rf.RandomForest], design: ds.DesignMatrix, inner_k: int):
-    """cv_select's score of forest selection on the design: the validation
-    RMSE of the grown forest_selection forest of each cell and inner fold."""
-    def score(cell_index: int, fold: int, train_rows: np.ndarray,
-              val_rows: np.ndarray) -> float:
-        return rmse(rf.predict_forest(forests[cell_index * inner_k + fold],
-                                      design.features[val_rows]), design.targets[val_rows])
-
-    return score
+    """select's forest case of one fit over every row of the design; it
+    stays only while the traced benchmark wraps it by name."""
+    every_row = np.ones(len(design.targets), dtype=bool)
+    (result,) = select([Fit("st-rf", design, every_row, ~every_row, seed, 0)],
+                       Grids(forest=grid), inner_k)
+    if isinstance(result, ToolkitError):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------

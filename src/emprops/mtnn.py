@@ -14,9 +14,9 @@ would get alone; train is its one-network case. It computes a loss only
 where a result reads it: each batch's, each validating network's
 validation MSE per epoch, and one training-set MSE of the parameters a
 network returns. network_job prepares every network fit (inner CV, the
-outer refit and the final model alike); grid_search trains one per inner
-fold, through the shared inner-CV loop dataset.cv_select, and
-evaluation.fit_all trains every refit of a protocol in one train_many call.
+outer refit and the final model alike); evaluation.select trains each
+fit's inner-CV networks in one train_many call (grid_search is its serial
+form) and evaluation.fit_all every refit of a protocol in another.
 """
 
 from __future__ import annotations
@@ -572,13 +572,9 @@ def design_cells(grid: GridSpec, design: ds.DesignMatrix) -> list[dict]:
 
 def grid_search(grid: GridSpec, design: ds.DesignMatrix, base_train: TrainConfig,
                 inner_k: int = 5, seed: int = 0) -> ds.GridResult:
-    """Exhaustive grid search scored by inner k-fold cross-validation.
-
-    Per cell and inner fold (ds.cv_select), the network_job of the
-    inner-train split trains with early stopping against the held-out
-    split, which is scored by its RMSE in standardized space averaged over
-    channels. Lowest mean wins; ties break toward the earliest cell.
-    """
+    """evaluation.select of one network fit over every row, serially: one
+    train call per cell and inner fold (ds.cv_select). It stays only
+    while the traced benchmark wraps it by name."""
     n_channels = len(design.registry)
     cells = design_cells(grid, design)
 
@@ -593,7 +589,7 @@ def grid_search(grid: GridSpec, design: ds.DesignMatrix, base_train: TrainConfig
         return _channel_mean_rmse(forward(result.net, x_val, s_val), y_val,
                                   design.channel_idx[val_rows], n_channels)
 
-    return ds.cv_select(cells, design, inner_k, seed, score)
+    return ds.cv_select(cells, design.material_ids, inner_k, seed, score)
 
 
 def network_inputs(design: ds.DesignMatrix, rows: np.ndarray, standardizer: ds.Standardizer,
@@ -618,8 +614,11 @@ def network_job(design: ds.DesignMatrix, train_rows: np.ndarray, cell: dict,
     The standardizer is fitted on the train rows only. With val_rows the
     net stops early on their validation MSE; without, it trains
     max_epochs. net_seed seeds the initial weights, train_seed the batch
-    order. Returns the fitted standardizer and the job.
+    order. Returns the fitted standardizer and the job; empty rows are InvalidConfig.
     """
+    for name, rows in (("training", train_rows), ("validation", val_rows)):
+        if rows is not None and design.targets[rows].size == 0:
+            raise InvalidConfig(f"empty {name} batch")
     n_channels = len(design.registry)
     standardizer = ds.Standardizer.fit(
         design.features[train_rows], design.targets[train_rows],

@@ -209,21 +209,11 @@ class TestKfold:
 
 class TestCvSelect:
     CELLS = [{"leaf": 1}, {"leaf": 2}, {"leaf": 3}]
-
-    @staticmethod
-    def design(n_materials=6):
-        ids = [f"M{i}" for i in range(n_materials)]
-        return ds.DesignMatrix(
-            features=np.zeros((n_materials, 1)),
-            channel_idx=np.zeros(n_materials, dtype=np.int64),
-            targets=np.arange(n_materials, dtype=np.float64),
-            material_ids=ids,
-            registry=ds.PropertyRegistry(channels=(ds.PropertyChannel("det_velocity", "calc"),)),
-        )
+    MATERIAL_IDS = [f"M{i}" for i in range(6)]
 
     def test_earliest_cell_wins_exact_tie(self):
         per_cell = [2.0, 1.0, 1.0]
-        result = ds.cv_select(self.CELLS, self.design(), 3, 5,
+        result = ds.cv_select(self.CELLS, self.MATERIAL_IDS, 3, 5,
                               lambda cell, fold, tr, va: per_cell[cell])
         assert result.best_cell is self.CELLS[1]
         assert result.best_score == 1.0
@@ -234,7 +224,7 @@ class TestCvSelect:
                 return math.nan if fold == 0 else 0.5
             return 9.0 if cell == 1 else 10.0
 
-        result = ds.cv_select(self.CELLS, self.design(), 3, 5, score)
+        result = ds.cv_select(self.CELLS, self.MATERIAL_IDS, 3, 5, score)
         assert math.isnan(result.table[0]["mean_val_rmse"])
         assert result.best_cell is self.CELLS[1]
         assert result.best_score == 9.0
@@ -242,11 +232,11 @@ class TestCvSelect:
     def test_one_inner_fold_is_rejected(self):
         calls = []
         with pytest.raises(InvalidConfig):
-            ds.cv_select(self.CELLS, self.design(), 1, 5, lambda *args: calls.append(args) or 0.0)
+            ds.cv_select(self.CELLS, self.MATERIAL_IDS, 1, 5, lambda *args: calls.append(args) or 0.0)
         assert calls == []
 
     def test_no_finite_score_falls_back_to_cell_zero(self):
-        result = ds.cv_select(self.CELLS, self.design(), 3, 5, lambda *args: math.nan)
+        result = ds.cv_select(self.CELLS, self.MATERIAL_IDS, 3, 5, lambda *args: math.nan)
         assert result.best_cell is self.CELLS[0]
         assert result.best_score == math.inf
         assert all(math.isnan(row["mean_val_rmse"]) for row in result.table)
@@ -260,7 +250,7 @@ class TestCvSelect:
             assert not (train_rows & val_rows).any()
             return float(10 - cell)
 
-        result = ds.cv_select(self.CELLS, self.design(), 3, 5, score)
+        result = ds.cv_select(self.CELLS, self.MATERIAL_IDS, 3, 5, score)
         assert result.table == [{**cell, "mean_val_rmse": 10.0 - i}
                                 for i, cell in enumerate(self.CELLS)]
         assert seen == [(cell, fold) for cell in range(3) for fold in range(3)]

@@ -3,8 +3,10 @@ replaced.
 
 The oracles below are the earlier per-family sequences, kept verbatim in
 substance: the network fold (select, refit, forward), the multi-task and
-single-task fold loops of the protocol, and `train`'s forest and network
-branches. run_protocol and `emprops train` must reproduce them bit for bit.
+single-task fold loops of the protocol, `train`'s forest and network
+branches, and serial inner CV (one forest or network per cell and inner
+fold, on a copy of the rows it selects on). run_protocol, `emprops train`
+and `emprops tune` must reproduce them bit for bit.
 """
 
 import csv
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from emprops import cli, dataset as ds, evaluation, forest as rf, mtnn, pipeline
-from emprops.errors import ToolkitError
+from emprops.errors import InvalidConfig, ToolkitError
 from emprops.rng import derive_seed
 from test_cli import write_dataset, write_grid
 
@@ -31,6 +33,39 @@ SPARSE_CHANNEL = "det_velocity:exp"  # one material: its test fold has no train 
 # Oracles: the earlier per-family code
 # ---------------------------------------------------------------------------
 
+def restrict(design, rows):
+    """A copy of the design's rows as a design of their own."""
+    return ds.DesignMatrix(
+        features=design.features[rows],
+        channel_idx=design.channel_idx[rows],
+        targets=design.targets[rows],
+        material_ids=[m for m, keep in zip(design.material_ids, rows) if keep],
+        registry=design.registry,
+    )
+
+
+def oracle_forest_grid_search(grid, design, inner_k, seed):
+    """Forest inner CV one forest at a time: per cell and inner fold, a
+    forest fitted on a copy of the inner-training rows and scored by the
+    RMSE of its predictions on the validation rows, through cv_select."""
+    cells = grid.cells()
+
+    def score(cell_index, fold, train_rows, val_rows):
+        config = rf.ForestConfig(seed=derive_seed(seed, cell_index + 1), **cells[cell_index])
+        model = rf.fit_forest(design.features[train_rows], design.targets[train_rows], config)
+        return evaluation.rmse(rf.predict_forest(model, design.features[val_rows]),
+                               design.targets[val_rows])
+
+    return ds.cv_select(cells, design.material_ids, inner_k, seed, score)
+
+
+def oracle_select_cell(family, design, grids, inner_k, seed):
+    """Serial inner CV of the family's grid on every row of the design."""
+    if family == "st-rf":
+        return oracle_forest_grid_search(grids.forest, design, inner_k, seed)
+    return mtnn.grid_search(grids.mtnn, design, grids.train, inner_k=inner_k, seed=seed)
+
+
 def fit_network(design, train_rows, cell, base_train, net_seed, train_seed):
     """mtnn.network_job trained on its own: the fitted standardizer and the
     training result."""
@@ -41,7 +76,7 @@ def fit_network(design, train_rows, cell, base_train, net_seed, train_seed):
 
 
 def oracle_select_and_refit_net(design, train_rows, test_rows, grid, base_train, inner_k, seed):
-    search = mtnn.grid_search(grid, evaluation._restrict(design, train_rows), base_train,
+    search = mtnn.grid_search(grid, restrict(design, train_rows), base_train,
                               inner_k=inner_k, seed=seed)
     refit_seed = derive_seed(seed, 3)
     standardizer, result = fit_network(design, train_rows, search.best_cell, base_train,
@@ -75,9 +110,8 @@ def oracle_st_fold(report, family, design, train_mats, test_mats, grid, forest_g
                 pred = oracle_select_and_refit_net(single, train_rows, test_rows, grid,
                                                    base_train, inner_k, channel_seed)
             else:
-                search = evaluation.forest_grid_search(
-                    forest_grid, evaluation._restrict(single, train_rows),
-                    inner_k=inner_k, seed=channel_seed)
+                search = oracle_forest_grid_search(forest_grid, restrict(single, train_rows),
+                                                   inner_k, channel_seed)
                 config = rf.ForestConfig(seed=derive_seed(channel_seed, 3), **search.best_cell)
                 model = rf.fit_forest(single.features[train_rows],
                                       single.targets[train_rows], config)
@@ -113,7 +147,7 @@ def oracle_train(path, family, data, subset_id, channel, grid, forest_grid, base
         position = subset.registry.index_of(subset.registry.lookup(prop, fidelity))
         design = evaluation.single_channel_design(design, position)
     if family == "st-rf":
-        search = evaluation.forest_grid_search(forest_grid, design, inner_k=inner_k, seed=seed)
+        search = oracle_forest_grid_search(forest_grid, design, inner_k, seed)
         config = rf.ForestConfig(seed=derive_seed(seed, 3), **search.best_cell)
         model = rf.fit_forest(design.features, design.targets, config)
         bundle = pipeline.ModelBundle(kind="forest", registry=design.registry,
@@ -131,8 +165,7 @@ def oracle_train(path, family, data, subset_id, channel, grid, forest_grid, base
 def oracle_fit_selected(family, design, train_rows, grids, inner_k, seed, train_seed):
     """fit_selected as it was before one-cell grids skipped inner CV: select,
     then refit. Returns the fitted trees or the network's parameters."""
-    search = evaluation.select_cell(family, evaluation._restrict(design, train_rows), grids,
-                                    inner_k, seed)
+    search = oracle_select_cell(family, restrict(design, train_rows), grids, inner_k, seed)
     if family == "st-rf":
         config = rf.ForestConfig(seed=derive_seed(seed, 3), **search.best_cell)
         return rf.fit_forest(design.features[train_rows], design.targets[train_rows],
@@ -214,20 +247,31 @@ def test_train_writes_the_oracle_model_file(inputs, tmp_path, capsys, family, ch
     assert (tmp_path / "cli" / name).read_bytes() == oracle_path.read_bytes()
 
 
-def test_tune_scores_the_single_channel_network_grid(inputs, tmp_path, capsys):
+@pytest.mark.parametrize("family,channel", [("st-rf", "det_pressure:calc"),
+                                            ("st-nn", "det_pressure:calc"), ("mt-nn", None)])
+def test_tune_scores_the_two_cell_grid(inputs, tmp_path, capsys, family, channel):
     argv = ["tune", "--data", str(inputs["data_path"]), "--subset", str(SUBSET),
-            "--family", "st-nn", "--channel", "det_pressure:calc",
-            "--grid", str(inputs["grid_path"]), "--folds", str(INNER_FOLDS), "--seed", "4",
-            "--out", str(tmp_path / "tune")]
+            "--family", family, "--grid", str(inputs["grid_path"]),
+            "--folds", str(INNER_FOLDS), "--seed", "4", "--out", str(tmp_path / "tune")]
+    if channel:
+        argv += ["--channel", channel]
     assert cli.main(argv) == 0
     _, _, design = ds.build_design(inputs["data"], SUBSET, False)
-    position = design.registry.index_of(design.registry.lookup("det_pressure", "calc"))
-    expected = mtnn.grid_search(inputs["grid"], evaluation.single_channel_design(design, position),
-                                inputs["base_train"], inner_k=INNER_FOLDS, seed=4)
-    winner = json.loads((tmp_path / "tune" / "winner.json").read_text(encoding="utf-8"))
-    assert winner == {**expected.best_cell, "hidden_sizes": list(expected.best_cell["hidden_sizes"]),
-                      "mean_val_rmse": expected.best_score}
+    if channel:
+        position = design.registry.index_of(design.registry.lookup(*channel.split(":")))
+        design = evaluation.single_channel_design(design, position)
+    expected = oracle_select_cell(family, design, inputs["grids"], INNER_FOLDS, 4)
+    assert len(expected.table) == 2
 
+    winner = json.loads((tmp_path / "tune" / "winner.json").read_text(encoding="utf-8"))
+    assert winner == {**{key: list(value) if isinstance(value, tuple) else value
+                         for key, value in expected.best_cell.items()},
+                      "mean_val_rmse": expected.best_score}
+    columns = list(expected.table[0])
+    lines = [",".join(columns)] + [",".join(cli._cell_text(row[column]) for column in columns)
+                                   for row in expected.table]
+    table = (tmp_path / "tune" / "grid_table.csv").read_text(encoding="utf-8")
+    assert table == "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +319,9 @@ class InnerCVEntered(Exception):
 
 
 # (family, module, what a fit of the family calls only to select): fit_all
-# plans a forest fit's selection with forest_selection, a network's with
-# select_cell, and both score through cv_select
+# selects a fit of every family with select, which scores through cv_select
 INNER_CV_PROBES = [
-    ("st-rf", evaluation, "forest_selection"),
-    ("st-nn", evaluation, "select_cell"),
-    ("mt-nn", evaluation, "select_cell"),
+    *[(family, evaluation, "select") for family in evaluation.MODEL_FAMILIES],
     *[(family, ds, "cv_select") for family in evaluation.MODEL_FAMILIES],
 ]
 
@@ -332,6 +373,9 @@ FAILURE_ORDERS = {
     "good-then-selection": (["good", "too-few", "diverging"], "TooFewMaterials"),
     "forest-refit-first": (["unplannable", "diverging"], "EmptyData"),
     "network-refit-first": (["diverging", "unplannable"], "NonFiniteLoss"),
+    "network-selection-first": (["diverging-selection", "too-few"], "NonFiniteLoss"),
+    "forest-then-network-selection": (["too-few", "diverging-selection"], "TooFewMaterials"),
+    "good-then-network-selection": (["good", "diverging-selection"], "NonFiniteLoss"),
 }
 
 
@@ -339,18 +383,20 @@ FAILURE_ORDERS = {
 @pytest.mark.parametrize("name", FAILURE_ORDERS)
 def test_fit_all_raises_the_first_failure_in_plan_order(inputs, name):
     """A network refit that diverges (a one-cell network grid with a huge
-    learning rate), a forest whose inner CV cannot run (the one-material
+    learning rate), selection networks that diverge (the same on a
+    two-cell grid), a forest whose inner CV cannot run (the one-material
     channel on a two-cell forest grid) and a one-cell forest refit that
     cannot be planned (min_samples_leaf above the one-material channel's
     one row): fit_all raises the error of the first in plan order, as
-    fitting the fits one at a time does, although it trains the network
-    only after every forest grows."""
+    fitting the fits one at a time does, although it trains the networks
+    only after every selection forest grows."""
     _, schema, design = ds.build_design(inputs["data"], SUBSET, False)
     names, code = FAILURE_ORDERS[name]
     forest_grid = inputs["forest_grid"]
     if "unplannable" in names:
         forest_grid = replace(inputs["one_cell"].forest, min_samples_leaf=(2,))
-    grids = evaluation.Grids(replace(inputs["one_cell"].mtnn, learning_rate=(1e150,)),
+    learning_rates = (1e150, 1e151) if "diverging-selection" in names else (1e150,)
+    grids = evaluation.Grids(replace(inputs["one_cell"].mtnn, learning_rate=learning_rates),
                              forest_grid, inputs["base_train"])
 
     def fit(family, channel):
@@ -360,6 +406,7 @@ def test_fit_all_raises_the_first_failure_in_plan_order(inputs, name):
         return evaluation.Fit(family, unit, rows, ~rows, 3, 4)
 
     kinds = {"diverging": fit("st-nn", "det_velocity:calc"),
+             "diverging-selection": fit("st-nn", "det_velocity:calc"),
              "too-few": fit("st-rf", SPARSE_CHANNEL),
              "unplannable": fit("st-rf", SPARSE_CHANNEL),
              "good": fit("st-rf", "det_velocity:calc")}
@@ -372,3 +419,15 @@ def test_fit_all_raises_the_first_failure_in_plan_order(inputs, name):
     with pytest.raises(ToolkitError) as together:
         evaluation.fit_all(fits, schema, grids, INNER_FOLDS)
     assert (together.value.code, str(together.value)) == (alone.value.code, str(alone.value))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family", ["st-nn", "mt-nn"])
+def test_network_fit_without_training_rows_is_one_error(inputs, family):
+    """A network fit with no training rows is refused before its rows are
+    standardized, so numpy warns of nothing."""
+    schema, design = unit_design(inputs, family)
+    no_rows = np.zeros(len(design.targets), dtype=bool)
+    with pytest.raises(InvalidConfig, match="^empty training batch$"):
+        evaluation.fit_all([evaluation.Fit(family, design, no_rows, ~no_rows, 1, 2)], schema,
+                           inputs["one_cell"], INNER_FOLDS)
