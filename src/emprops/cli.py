@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -250,9 +251,10 @@ def cmd_screen(args) -> int:
         with _naming(mol):
             predictions = pipeline.predict_matrix(bundle, graph, mol.density)
         ranked.append((mol.material_id, mol.smiles, predictions[channel.key]))
-    # descending by prediction, stable tie order by material_id
-    ranked.sort(key=lambda row: row[0])
-    ranked.sort(key=lambda row: row[2], reverse=True)
+    # descending by prediction, ties by material_id; NaN (a forest's empty
+    # leaf) breaks the float order, so NaN rows go last
+    ranked.sort(key=lambda row: (math.isnan(row[2]), 0.0 if math.isnan(row[2]) else -row[2],
+                                 row[0]))
     lines = ["material_id,smiles,predicted_" + channel.key.replace(":", "_")]
     lines += [f"{m},{s},{v:.12g}" for m, s, v in ranked]
     text = "\n".join(lines) + "\n"

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -248,40 +249,63 @@ def estate_vector(g: MolGraph) -> dict[str, float]:
     Every sum is math.fsum, which returns the exact sum correctly rounded,
     so the result does not depend on the order of the terms: values are
     bit-identical across atom numberings without sorting the terms. The
-    perturbation runs over the atoms one BFS from i reaches, i excluded,
-    which leaves out unreachable and isolated atoms.
+    perturbation runs over the atoms a breadth-first walk from i reaches,
+    i excluded, which leaves out unreachable and isolated atoms. Each walk
+    goes level by level over integer neighbour lists and fills one row of
+    distances; the terms then come from one array expression, whose
+    elementwise subtraction and division by the table of (d + 1.0) ** 2
+    round exactly as the scalar operations do.
     """
     n = len(g.atoms)
+    neighbours = [[v for v, _ in g.neighbors(i)] for i in range(n)]
     intrinsic = [0.0] * n
     for atom in g.atoms:
-        delta = g.heavy_degree(atom.index)
+        delta = len(neighbours[atom.index])
         if delta == 0:
             continue
         delta_v = VALENCE_ELECTRONS[atom.element] - atom.implicit_h
         scale = (2.0 / PRINCIPAL_QUANTUM[atom.element]) ** 2
         intrinsic[atom.index] = (scale * delta_v + 1.0) / delta
 
+    dist_rows = []  # [i][j]: bonds on a shortest i-j path, -1 when unreachable
+    for i in range(n):
+        row = [-1] * n
+        row[i] = 0
+        level, d = [i], 0
+        while level:
+            d += 1
+            nearer, level = level, []
+            for u in nearer:
+                for v in neighbours[u]:
+                    if row[v] < 0:
+                        row[v] = d
+                        level.append(v)
+        dist_rows.append(row)
+    dist = np.array(dist_rows, dtype=np.intp).reshape(n, n)
+    squares = np.array([(d + 1.0) ** 2 for d in range(n + 1)])
+    state = np.array(intrinsic)
+    reached = dist > 0
+    terms = ((state[:, None] - state[None, :]) / squares[dist])[reached].tolist()
+    ends = np.cumsum(reached.sum(axis=1)).tolist()
+
     per_element: dict[str, list[float]] = {"C": [], "N": [], "O": [], "F": [], "Cl": []}
-    for atom in g.atoms:
-        i = atom.index
-        if g.heavy_degree(i) == 0:
-            continue
-        order, _, dist = bfs(g, i)
-        own = intrinsic[i]
-        perturbation = math.fsum([(own - intrinsic[j]) / (dist[j] + 1.0) ** 2
-                                  for j in order[1:]])
-        per_element[atom.element].append(own + perturbation)
+    for atom, start, end in zip(g.atoms, [0] + ends, ends):
+        if neighbours[atom.index]:
+            per_element[atom.element].append(intrinsic[atom.index]
+                                             + math.fsum(terms[start:end]))
     return {f"estate_{element}": math.fsum(values) for element, values in per_element.items()}
 
 
-def vdw_volume(g: MolGraph) -> float:
+def vdw_volume(g: MolGraph, counts: ElementCounts | None = None) -> float:
     """Atomic and bond contribution van der Waals volume in cubic angstroms.
 
     V = sum(atom contributions) - 5.92 * N_bonds - 14.7 * R_aromatic
     - 3.8 * R_nonaromatic, counting implicit hydrogens as atoms and their
-    bonds, with ring counts from the SSSR.
+    bonds, with ring counts from the SSSR. counts is g's molecular formula,
+    computed here unless the caller has it.
     """
-    counts = molecular_formula(g)
+    if counts is None:
+        counts = molecular_formula(g)
     n_bonds = len(g.bonds) + counts.n_H
     volume = (
         counts.n_C * VDW_ATOM_VOLUME["C"]
@@ -363,15 +387,15 @@ def fit_bond_vocabulary(corpus: list[MolGraph]) -> list[BondKey]:
     return sorted(keys)
 
 
-def sum_over_bonds(g: MolGraph, vocabulary: list[BondKey]) -> list[float]:
-    """Counts aligned to the fitted vocabulary.
+def sum_over_bonds(g: MolGraph, index: dict[BondKey, int]) -> list[float]:
+    """Counts aligned to the fitted vocabulary, given as the position of
+    each of its keys (FeatureSchema.bond_index).
 
     A bond type outside the vocabulary raises UnknownBondType: silent
     drops would hide train/serve schema skew.
     """
     counts = _bond_keys(g)
-    index = {key: pos for pos, key in enumerate(vocabulary)}
-    out = [0.0] * len(vocabulary)
+    out = [0.0] * len(index)
     for key, count in counts.items():
         if key not in index:
             raise UnknownBondType(f"bond type {key} not in fitted vocabulary")
@@ -429,6 +453,11 @@ class FeatureSchema:
     def __len__(self) -> int:
         return len(FIXED_BLOCK_NAMES) + len(self.bond_vocabulary) + (1 if self.include_density else 0)
 
+    @cached_property
+    def bond_index(self) -> dict[BondKey, int]:
+        """The position of each vocabulary key, built once per schema."""
+        return {key: pos for pos, key in enumerate(self.bond_vocabulary)}
+
     def manifest(self) -> dict:
         """JSON-ready description for exact reuse at predict time."""
         return {
@@ -468,7 +497,7 @@ def _fixed_block(g: MolGraph) -> list[float]:
         **ring_count_features(g),
         **topology_features(g),
         **estate_vector(g),
-        "vdw_volume": vdw_volume(g),
+        "vdw_volume": vdw_volume(g, counts),
         **acid_base_counts(g),
     }
     return [float(values[name]) for name in FIXED_BLOCK_NAMES]
@@ -477,7 +506,7 @@ def _fixed_block(g: MolGraph) -> list[float]:
 def featurize(g: MolGraph, schema: FeatureSchema, density: float | None = None) -> np.ndarray:
     """The float64 model input vector of a single-fragment molecule, laid
     out as schema.names."""
-    if len(g.fragments()) > 1:
+    if g.atoms and len(bfs(g, 0)[0]) < len(g.atoms):
         raise MultiFragment("composite/multi-fragment inputs cannot be featurized")
     if schema.include_density and density is None:
         raise MissingDensity("schema includes density but none was provided")
@@ -485,7 +514,7 @@ def featurize(g: MolGraph, schema: FeatureSchema, density: float | None = None) 
         raise MissingDensity("schema does not include density but one was provided")
 
     values = _fixed_block(g)
-    values += sum_over_bonds(g, list(schema.bond_vocabulary))
+    values += sum_over_bonds(g, schema.bond_index)
     if schema.include_density:
         values.append(float(density))
     array = np.asarray(values, dtype=np.float64)

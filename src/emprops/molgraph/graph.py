@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 BOND_ORDERS = ("single", "double", "triple", "aromatic")
 ORDER_VALUE = {"single": 1, "double": 2, "triple": 3}
@@ -48,8 +49,10 @@ class Ring:
 class MolGraph:
     """Perceived molecular graph.
 
-    The neighbour list is built once, when the graph is made: neighbors(i)
-    holds the (neighbour atom, bond) pairs of atom i in bond-index order.
+    The neighbour list and the bond index are built once, when the graph
+    is made: neighbors(i) holds the (neighbour atom, bond) pairs of atom i
+    in bond-index order, and bond_index (read-only) maps each (low, high)
+    atom pair to the index of the first bond joining them.
     Every perception step reads that list, and ring perception depends on
     its order: BFS parents, hence SSSR candidate cycles and the order of
     `rings`, follow it. Bond orders may change after construction, but the
@@ -63,16 +66,29 @@ class MolGraph:
     bonds: list[Bond]
     rings: list[Ring] = field(default_factory=list)
     _neighbors: list[list[tuple[int, Bond]]] = field(init=False, repr=False, compare=False)
+    bond_index: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._neighbors = [[] for _ in self.atoms]
-        for bond in self.bonds:
-            self._neighbors[bond.i].append((bond.j, bond))
-            self._neighbors[bond.j].append((bond.i, bond))
+        self.bond_index = {}
+        for idx, bond in enumerate(self.bonds):
+            i, j = bond.i, bond.j
+            self._neighbors[i].append((j, bond))
+            self._neighbors[j].append((i, bond))
+            self.bond_index.setdefault((i, j) if i < j else (j, i), idx)
 
     def neighbors(self, idx: int) -> list[tuple[int, Bond]]:
         """(neighbor atom index, bond) pairs for one atom; do not modify."""
         return self._neighbors[idx]
+
+    @cached_property
+    def atoms_by_element(self) -> dict[str, list[int]]:
+        """Atom indices per element, in index order, built on first use; do
+        not modify."""
+        by_element: dict[str, list[int]] = {}
+        for idx, atom in enumerate(self.atoms):
+            by_element.setdefault(atom.element, []).append(idx)
+        return by_element
 
     def heavy_degree(self, idx: int) -> int:
         return len(self._neighbors[idx])
@@ -90,10 +106,9 @@ class MolGraph:
         return out
 
     def bond_between(self, i: int, j: int) -> Bond | None:
-        for nbr, bond in self._neighbors[i]:
-            if nbr == j:
-                return bond
-        return None
+        """The lowest-index bond joining atoms i and j, or None."""
+        idx = self.bond_index.get((i, j) if i < j else (j, i))
+        return None if idx is None else self.bonds[idx]
 
 
 @dataclass(frozen=True)
@@ -126,25 +141,22 @@ def molecular_formula(g: MolGraph) -> ElementCounts:
     )
 
 
-def bfs(g: MolGraph, root: int) -> tuple[list[int], list[int], list[int]]:
+def bfs(g: MolGraph, root: int) -> tuple[list[int], list[int]]:
     """Breadth-first search over the heavy-atom graph from root.
 
-    Returns (order, parent, dist): the atoms reached, root first, in visit
-    order; the BFS-tree parent of each atom (-1 for the root and unreachable
-    atoms); and its distance (-1 when unreachable). Neighbours are visited in
-    neighbour-list order, so order and parents are deterministic. The order
-    list is the queue itself: iterating it while appending visits each
-    reached atom once.
+    Returns (order, parent): the atoms reached, root first, in visit order;
+    and the BFS-tree parent of each atom (-1 for the root and unreachable
+    atoms). Neighbours are visited in neighbour-list order, so order and
+    parents are deterministic. The order list is the queue itself:
+    iterating it while appending visits each reached atom once.
     """
     parent = [-1] * len(g.atoms)
-    dist = [-1] * len(g.atoms)
-    dist[root] = 0
+    parent[root] = root  # marks the root reached until the walk ends
     order = [root]
     for u in order:
-        d = dist[u] + 1
         for v, _ in g._neighbors[u]:
-            if dist[v] < 0:
-                dist[v] = d
+            if parent[v] < 0:
                 parent[v] = u
                 order.append(v)
-    return order, parent, dist
+    parent[root] = -1
+    return order, parent

@@ -63,7 +63,7 @@ def _candidate_cycles(g: MolGraph) -> list[tuple[int, ...]]:
     for root in range(len(g.atoms)):
         if not in_core[root]:
             continue
-        order, parent, _ = bfs(g, root)
+        order, parent = bfs(g, root)
         branch = [-1] * len(g.atoms)  # unreached atoms share -1: their bonds fail the test
         for v in order[1:]:
             p = parent[v]
@@ -102,14 +102,13 @@ def sssr_atom_cycles(g: MolGraph) -> list[tuple[int, ...]]:
     target = cyclomatic_number(g)
     if target == 0:
         return []
-    bond_index = {bond.key(): i for i, bond in enumerate(g.bonds)}
     candidates = _candidate_cycles(g)
     candidates.sort(key=lambda c: (len(c), tuple(sorted(c)), c))
 
     basis: dict[int, int] = {}  # leading bit -> reduced mask
     chosen: list[tuple[int, ...]] = []
     for cycle in candidates:
-        mask = _edge_mask(cycle, bond_index)
+        mask = _edge_mask(cycle, g.bond_index)
         m = mask
         while m:
             high = m.bit_length() - 1

@@ -158,15 +158,16 @@ def init_network(config: MTNetConfig) -> MTNet:
 
 
 def _rows(config: MTNetConfig, features: np.ndarray, selector: np.ndarray | None):
-    """Features (and selectors) as 2-D rows, a 1-D vector being one row,
-    checked against the network's input and selector widths."""
+    """Features (and selectors) as (n, d) rows or (G, n, d) groups of rows,
+    a 1-D vector being one row, checked against the network's input and
+    selector widths."""
     if features.ndim == 1:
         features = features[None, :]
     if selector is not None and selector.ndim == 1:
         selector = selector[None, :]
-    if features.shape[1] != config.input_dim:
+    if features.shape[-1] != config.input_dim:
         raise DimensionMismatch(
-            f"feature dim {features.shape[1]} != input_dim {config.input_dim}"
+            f"feature dim {features.shape[-1]} != input_dim {config.input_dim}"
         )
     if config.selector_dim == 0:
         if selector is not None:
@@ -174,11 +175,11 @@ def _rows(config: MTNetConfig, features: np.ndarray, selector: np.ndarray | None
     else:
         if selector is None:
             raise DimensionMismatch("selector required but missing")
-        if selector.shape[1] != config.selector_dim:
+        if selector.shape[-1] != config.selector_dim:
             raise DimensionMismatch(
-                f"selector dim {selector.shape[1]} != selector_dim {config.selector_dim}"
+                f"selector dim {selector.shape[-1]} != selector_dim {config.selector_dim}"
             )
-        if selector.shape[0] != features.shape[0]:
+        if selector.shape[:-1] != features.shape[:-1]:
             raise DimensionMismatch("feature/selector batch sizes differ")
     return features, selector
 
@@ -186,10 +187,11 @@ def _rows(config: MTNetConfig, features: np.ndarray, selector: np.ndarray | None
 def _propagate(config: MTNetConfig, weights, biases, features: np.ndarray,
                selector: np.ndarray | None):
     """The forward pass, keeping per-layer inputs for backprop, of one
-    network ((n, d) rows, 2-D weight views) or of G stacked ones ((G, n, d)
-    rows, (G, fan_out, fan_in) weight views). np.matmul computes each
-    stacked slice with the same BLAS call as the 2-D product, so every
-    network gets the bits it would get alone."""
+    network ((n, d) rows, or (G, n, d) groups of rows, with 2-D weight
+    views) or of G stacked ones ((G, n, d) rows, (G, fan_out, fan_in)
+    weight views). np.matmul computes each stacked slice with the same BLAS
+    call as the 2-D product, so every network, and every group of rows,
+    gets the bits it would get alone."""
     inputs: list[np.ndarray] = []
     activation = features
     n_hidden = len(config.hidden_sizes)
@@ -245,7 +247,10 @@ def _backprop(config: MTNetConfig, weights, biases, d_weights, d_biases,
 
 
 def forward(net: MTNet, features: np.ndarray, selector: np.ndarray | None = None) -> np.ndarray:
-    """Scalar predictions (standardized target space), one per row."""
+    """Scalar predictions (standardized target space), one per row: (n,)
+    for (n, d) rows, (G, n) for G groups of rows stacked as (G, n, d) with
+    (G, n, selector_dim) selectors. Each group gets the bits of its own
+    (n, d) call (see _propagate), so one call serves many small ones."""
     features, selector = _rows(net.config, features, selector)
     _, out = _propagate(net.config, net.weights, net.biases, features, selector)
     return out

@@ -113,7 +113,13 @@ def features_for(bundle: ModelBundle, graph: MolGraph, density: float | None) ->
 def predict_rows(bundle: ModelBundle, features: np.ndarray, channel_idx: np.ndarray,
                  ) -> np.ndarray:
     """Predictions for feature rows in transformed-target units, row i for
-    channel channel_idx[i]; a forest models one channel and ignores it."""
+    channel channel_idx[i]; a forest models one channel and ignores it.
+
+    A network also takes G groups of rows stacked as (G, n, d), with (G, n)
+    channels, in one forward; each group gets the bits of its own (n, d)
+    call. How many rows share a group still matters: BLAS picks its kernel
+    by matrix size, so a row's last bits depend on the n of its group.
+    """
     if bundle.kind == "forest":
         return rf.predict_forest(bundle.forest, features)
     selector_dim = bundle.net.config.selector_dim
@@ -126,15 +132,19 @@ def predict_matrix(bundle: ModelBundle, smiles_or_graph: str | MolGraph,
                    density: float | None = None) -> dict[str, float]:
     """Predictions for every registry channel, in original channel units.
 
-    One single-row predict_rows call per channel (one batched call over
-    the channels would change the last bits of most predictions), then
-    the channel transform is inverted (10^x for log channels), so
-    log-channel outputs are strictly positive.
+    A network runs once, on one one-row group per channel (so every channel
+    has the bits of its own one-row call); a forest, which models one
+    channel, is predicted once and serves them all. Then the channel
+    transform is inverted (10^x for log channels), so log-channel outputs
+    are strictly positive.
     """
     graph = smiles_or_graph if isinstance(smiles_or_graph, MolGraph) else parse_smiles(smiles_or_graph)
-    features = features_for(bundle, graph, density)[None, :]
-    out: dict[str, float] = {}
-    for idx, channel in enumerate(bundle.registry):
-        value = predict_rows(bundle, features, np.array([idx]))[0]
-        out[channel.key] = channel.invert_transform(float(value))
-    return out
+    row = features_for(bundle, graph, density)[None, :]
+    n_channels = len(bundle.registry)
+    if bundle.kind == "forest":
+        values = np.repeat(predict_rows(bundle, row, None), n_channels)
+    else:
+        values = predict_rows(bundle, np.broadcast_to(row, (n_channels,) + row.shape),
+                              np.arange(n_channels)[:, None])[:, 0]
+    return {channel.key: channel.invert_transform(float(value))
+            for channel, value in zip(bundle.registry, values)}

@@ -231,6 +231,36 @@ class TestTuneTrainPredictScreen:
         x2 = next(i for i, l in enumerate(lines) if l.startswith("X2"))
         assert x1 < x2  # identical predictions tie-break by material_id
 
+    def test_screen_ranks_nan_predictions_last(self, tmp_path, capsys):
+        # A forest whose empty-child leaves predict NaN, by hydrogen count:
+        # C (4 H) 3.0, CC (6) NaN, CCC (8) 1.0, CCCC and up NaN.
+        from emprops import forest as rf, pipeline
+        from emprops.molgraph import parse_smiles
+
+        h = descriptors.FIXED_BLOCK_NAMES.index("hydrogen_count")
+        nan = float("nan")
+        tree = np.array([[h, 7.0, 0.0, 1, 4], [h, 5.0, 0.0, 2, 3], [-1, 0.0, 3.0, -1, -1],
+                         [-1, 0.0, nan, -1, -1], [h, 9.0, 0.0, 5, 6], [-1, 0.0, 1.0, -1, -1],
+                         [-1, 0.0, nan, -1, -1]])
+        candidates = [("X5", "CCC"), ("X1", "CC"), ("X3", "C"), ("X2", "CCCC"),
+                      ("X4", "CCC"), ("X0", "C"), ("X6", "CCCCC")]
+        schema = descriptors.fit_schema([parse_smiles(s) for _, s in candidates], False)
+        forest = rf.RandomForest(config=rf.ForestConfig(n_trees=1), trees=[tree],
+                                 n_features=len(schema))
+        registry = ds.PropertyRegistry(channels=(ds.PropertyChannel("det_velocity", "calc"),))
+        model = tmp_path / "model.emrf"
+        pipeline.save_model(model, pipeline.ModelBundle(kind="forest", registry=registry,
+                                                        schema=schema, forest=forest))
+        data = tmp_path / "candidates.csv"
+        data.write_text("material_id,smiles,density\n"
+                        + "".join(f"{m},{s},\n" for m, s in candidates), encoding="utf-8")
+        assert cli.main(["screen", "--model", str(model), "--data", str(data),
+                         "--by", "det_velocity:calc"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(m, v) for m, _, v in rows] == [
+            ("X0", "3"), ("X3", "3"), ("X4", "1"), ("X5", "1"),
+            ("X1", "nan"), ("X2", "nan"), ("X6", "nan")]
+
 
 class TestEvaluate:
     def test_no_density_subset_2_runs(self, tmp_path, capsys):

@@ -90,12 +90,12 @@ class TestBondVocabulary:
         assert d.fit_bond_vocabulary(corpus) == d.fit_bond_vocabulary(corpus)
 
     def test_sum_over_bonds_counts(self):
-        assert d.sum_over_bonds(parse_smiles("O=C=O"), [("C", "O", "double")]) == [2.0]
-        assert d.sum_over_bonds(parse_smiles("C"), [("C", "H", "single")]) == [4.0]
+        assert d.sum_over_bonds(parse_smiles("O=C=O"), {("C", "O", "double"): 0}) == [2.0]
+        assert d.sum_over_bonds(parse_smiles("C"), {("C", "H", "single"): 0}) == [4.0]
 
     def test_unknown_bond_type(self):
         with pytest.raises(UnknownBondType):
-            d.sum_over_bonds(parse_smiles("c1ccccc1"), [("C", "H", "single")])
+            d.sum_over_bonds(parse_smiles("c1ccccc1"), {("C", "H", "single"): 0})
 
 
 class TestFunctionalGroups:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from emprops import dataset as ds
-from emprops import modelio, mtnn, pipeline
+from emprops import descriptors, forest as rf, modelio, mtnn, pipeline
 from emprops.errors import (
     CorruptFile,
     DimensionMismatch,
@@ -13,8 +13,10 @@ from emprops.errors import (
     NonFiniteLoss,
     VersionMismatch,
 )
+from emprops.molgraph import parse_smiles
 from emprops.rng import SplitMix64
 
+from conftest import CORPUS
 from test_rng import scalar_shuffle
 
 
@@ -334,6 +336,22 @@ class TestForward:
         for other in outputs[1:]:
             assert np.array_equal(outputs[0], other)
 
+    @pytest.mark.parametrize("hidden,sel_idx", [((16,), 1), ((64, 32), 1), ((64, 32), 2),
+                                                ((128, 64), 2), ((32, 32, 32), 3)])
+    @pytest.mark.parametrize("n", [1, 3, 37])
+    @pytest.mark.parametrize("sel_dim", [0, 11])
+    def test_groups_equal_separate_calls(self, hidden, sel_idx, n, sel_dim):
+        config = mtnn.MTNetConfig(40, sel_dim, hidden, sel_idx, seed=n)
+        net = mtnn.init_network(config)
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(4, n, 40)) * np.array([1e-3, 1.0, 1e3, 1.0])[:, None, None]
+        s = np.eye(sel_dim)[rng.integers(0, sel_dim, (4, n))] if sel_dim else None
+        out = mtnn.forward(net, x, s)
+        assert out.shape == (4, n)
+        for g in range(4):
+            alone = mtnn.forward(net, x[g], s[g] if sel_dim else None)
+            assert out[g].tobytes() == alone.tobytes()
+
     def test_dimension_mismatch(self):
         config = mtnn.MTNetConfig(3, 2, (4,), 1, seed=0)
         net = mtnn.init_network(config)
@@ -341,6 +359,8 @@ class TestForward:
             mtnn.forward(net, np.zeros((1, 5)), np.zeros((1, 2)))
         with pytest.raises(DimensionMismatch):
             mtnn.forward(net, np.zeros((1, 3)))  # missing selector
+        with pytest.raises(DimensionMismatch, match="batch sizes"):
+            mtnn.forward(net, np.zeros((2, 1, 3)), np.zeros((1, 2, 2)))  # groups differ
 
 
 class TestGradients:
@@ -702,9 +722,6 @@ class TestPersistence:
             ds.PropertyChannel("det_velocity", "calc"),
             ds.PropertyChannel("impact_h50", "exp", transform="log10"),
         ))
-        from emprops import descriptors
-        from emprops.molgraph import parse_smiles
-
         graphs = [parse_smiles(s) for s in ("CC", "CCO", "C[N+](=O)[O-]")]
         schema = descriptors.fit_schema(graphs, include_density=False)
         config = mtnn.MTNetConfig(len(schema), 2, (6, 4), 2, l2_penalty=1e-4, seed=seed)
@@ -822,9 +839,6 @@ class TestPersistence:
 
     def test_predict_matrix_matches_manual_loop(self):
         bundle = self.make_bundle()
-        from emprops.molgraph import parse_smiles
-        from emprops import descriptors
-
         graph = parse_smiles("CCO")
         features = descriptors.featurize(graph, bundle.schema)
         x = bundle.standardizer.apply_features(features[None, :])
@@ -834,6 +848,57 @@ class TestPersistence:
             selector[0, idx] = 1.0
             raw = mtnn.forward(bundle.net, x, selector)[0]
             value = bundle.standardizer.invert_targets(np.array([raw]), np.array([idx]))[0]
-            assert predictions[channel.key] == pytest.approx(
-                channel.invert_transform(float(value)), abs=1e-12
-            )
+            assert predictions[channel.key].hex() == channel.invert_transform(float(value)).hex()
+
+
+def per_channel_predict_matrix(bundle, graph):
+    """predict_matrix as one single-row predict_rows call per channel, the
+    way it ran before one stacked forward served every channel: the oracle."""
+    features = pipeline.features_for(bundle, graph, None)[None, :]
+    return {channel.key: channel.invert_transform(
+                float(pipeline.predict_rows(bundle, features, np.array([idx]))[0]))
+            for idx, channel in enumerate(bundle.registry)}
+
+
+def screening_bundle(kind, hidden_sizes=(16,), selector_layer_index=1, seed=0):
+    """A bundle with random parameters over the corpus schema: an MT-NN on
+    the eleven default channels, an ST-NN or a forest on one."""
+    rng = np.random.default_rng(seed)
+    schema = descriptors.fit_schema([parse_smiles(s) for s in CORPUS.values()],
+                                    include_density=False)
+    features = np.array([descriptors.featurize(parse_smiles(s), schema)
+                         for s in CORPUS.values()])
+    registry = ds.default_registry() if kind == "mtnn" else ds.PropertyRegistry(
+        channels=(ds.PropertyChannel("det_velocity", "calc"),))
+    n_channels = len(registry)
+    targets = rng.normal(size=len(features)) * 10.0
+    if kind == "forest":
+        forest = rf.fit_forest(features, targets, rf.ForestConfig(n_trees=5, seed=seed))
+        return pipeline.ModelBundle(kind="forest", registry=registry, schema=schema,
+                                    forest=forest)
+    config = mtnn.MTNetConfig(len(schema), n_channels if n_channels > 1 else 0, hidden_sizes,
+                              selector_layer_index, seed=seed)
+    net = mtnn.init_network(config)
+    net.params += rng.normal(size=net.params.shape) * 0.1
+    std = ds.Standardizer.fit(features, targets, rng.integers(0, n_channels, len(features)),
+                              n_channels)
+    return pipeline.ModelBundle(kind="mtnn", registry=registry, schema=schema, net=net,
+                                standardizer=std)
+
+
+SCREENING_BUNDLES = [("mtnn", hidden, index) for hidden in ((16,), (64, 32), (128, 64))
+                     for index in range(1, len(hidden) + 1)] + [("st-nn", (64, 32), 1),
+                                                                ("forest", None, None)]
+
+
+@pytest.mark.parametrize("kind,hidden_sizes,selector_layer_index", SCREENING_BUNDLES,
+                         ids=[f"{k}-{h}-{i}" for k, h, i in SCREENING_BUNDLES])
+def test_predict_matrix_equals_per_channel_oracle(kind, hidden_sizes, selector_layer_index):
+    bundle = screening_bundle(kind, hidden_sizes, selector_layer_index)
+    if kind == "st-nn":
+        assert bundle.net.config.selector_dim == 0
+    for smiles in CORPUS.values():
+        graph = parse_smiles(smiles)
+        new, old = pipeline.predict_matrix(bundle, graph), per_channel_predict_matrix(bundle, graph)
+        assert list(new) == list(old)
+        assert [v.hex() for v in new.values()] == [v.hex() for v in old.values()], smiles

@@ -11,8 +11,10 @@ ring bonds off the SSSR, sweeps only the ring core with a branch test, sums
 E-state terms unsorted with math.fsum, matches along a cached plan, and
 kekulizes each component of needy atoms on an explicit stack; the results
 must be equal, candidate lists in order and E-state values bit for bit.
-The parsed corpus is checked, and random carbon graphs built directly
-check the ring-core argument beyond it.
+The parsed corpus is checked; random carbon graphs built directly check
+the ring-core argument beyond it, and random heteroatom graphs (charges, H
+counts, aromatic flags, bond orders) check matching from each pattern's
+most constrained atom and the level-by-level E-state walk.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from emprops.molgraph import (
 )
 from emprops.molgraph import parser
 from emprops.molgraph.elements import PRINCIPAL_QUANTUM, VALENCE_ELECTRONS, effective_valence
-from emprops.molgraph.graph import ORDER_VALUE
+from emprops.molgraph.graph import BOND_ORDERS, ORDER_VALUE
 from emprops.molgraph.match import _atom_ok, _bond_ok, match_atom_sets
 from emprops.molgraph.rings import _edge_mask, cyclomatic_number, sssr_atom_cycles
 
@@ -352,6 +354,17 @@ CLOSURE_PATTERNS = {
         bonds=(PatternBond(0, 1, "double"), PatternBond(0, 2), PatternBond(0, 3),
                PatternBond(2, 3)),
     ),
+    # the matcher starts from the charged nitrogen, a ring atom other than atom 0
+    "charged_nitrogen_four_cycle": _ring_pattern(
+        "charged_nitrogen_four_cycle", [CARBON, ANY, PatternAtom(element="N", charge=1), ANY],
+        [None] * 4),
+    # the matcher starts from the hydroxyl oxygen, off the ring
+    "hydroxyl_on_three_cycle": SubstructurePattern(
+        name="hydroxyl_on_three_cycle",
+        atoms=(ANY, ANY, ANY, PatternAtom(element="O", h_count=1)),
+        bonds=(PatternBond(0, 1), PatternBond(1, 2), PatternBond(2, 0),
+               PatternBond(0, 3, "single")),
+    ),
 }
 PATTERNS = {**PATTERN_TABLE, **ACIDIC_PATTERNS, **CLOSURE_PATTERNS}
 
@@ -409,13 +422,19 @@ def test_closure_patterns_match_where_expected():
                                    ("three_cycle_double_closure", "cyclopropane", "C1CC1"),
                                    ("three_cycle_double_closure", "cyclopropene", "C1=CC1"),
                                    ("aromatic_six_cycle", "naphthalene", "c1ccc2ccccc2c1"),
-                                   ("carbonyl_in_ring", "cyclopropanone", "O=C1CC1")]}
+                                   ("carbonyl_in_ring", "cyclopropanone", "O=C1CC1"),
+                                   ("charged_nitrogen_four_cycle", "azetidinium", "C1C[NH2+]C1"),
+                                   ("charged_nitrogen_four_cycle", "azetidine", "C1CNC1"),
+                                   ("hydroxyl_on_three_cycle", "cyclopropanol", "OC1CC1")]}
     assert counts == {("three_carbon_cycle", "cyclopropane"): 1,
                       ("three_carbon_cycle", "propane"): 0,
                       ("three_cycle_double_closure", "cyclopropane"): 0,
                       ("three_cycle_double_closure", "cyclopropene"): 1,
                       ("aromatic_six_cycle", "naphthalene"): 2,
-                      ("carbonyl_in_ring", "cyclopropanone"): 1}
+                      ("carbonyl_in_ring", "cyclopropanone"): 1,
+                      ("charged_nitrogen_four_cycle", "azetidinium"): 1,
+                      ("charged_nitrogen_four_cycle", "azetidine"): 0,
+                      ("hydroxyl_on_three_cycle", "cyclopropanol"): 1}
 
 
 @st.composite
@@ -449,6 +468,50 @@ def test_random_carbon_graphs_match_oracles(g):
     assert cycles == oracle_sssr(g)
     ring_edges = {(min(a, b), max(a, b)) for c in cycles for a, b in zip(c, c[1:] + c[:1])}
     assert ring_edges == oracle_ring_bonds(g)
+    new, old = estate_vector(g), oracle_estate(g)
+    assert all(new[k].hex() == old[k].hex() for k in old)
+
+
+# Groups hung on heteroatom graphs: (element, charge, H count) per atom, the
+# first bonded singly to the anchor, and (i, j, order) bonds within the group.
+HUNG_GROUPS = (
+    ((("N", 1, 0), ("O", 0, 0), ("O", -1, 0)), ((0, 1, "double"), (0, 2, "single"))),  # nitro
+    ((("N", 0, 0), ("N", 1, 0), ("N", -1, 0)), ((0, 1, "double"), (1, 2, "double"))),  # azide
+    ((("C", 0, 0), ("O", 0, 0), ("O", 0, 1)), ((0, 1, "double"), (0, 2, "single"))),  # carboxyl
+    ((("N", 1, 0), ("O", -1, 0)), ((0, 1, "single"),)),  # N-oxide
+    ((("N", 0, 2),), ()),  # primary amine
+)
+
+
+@st.composite
+def heteroatom_graphs(draw) -> MolGraph:
+    """carbon_graphs' shapes with random elements, charges, H counts,
+    aromatic flags and bond orders, up to four functional groups hung on and
+    perhaps an isolated atom, so that the patterns match in some graphs and
+    the E-state walk meets unreachable atoms."""
+    shape = draw(carbon_graphs())
+    atoms = [Atom(draw(st.sampled_from(("C", "C", "N", "O", "F", "Cl"))),
+                  formal_charge=draw(st.sampled_from((-1, 0, 0, 1))),
+                  aromatic=draw(st.booleans()), implicit_h=draw(st.integers(0, 3)), index=i)
+             for i in range(len(shape.atoms))]
+    bonds = [Bond(b.i, b.j, draw(st.sampled_from(BOND_ORDERS))) for b in shape.bonds]
+    for _ in range(draw(st.integers(0, 4))):
+        group_atoms, group_bonds = draw(st.sampled_from(HUNG_GROUPS))
+        anchor, n = draw(st.integers(0, len(atoms) - 1)), len(atoms)
+        atoms += [Atom(e, charge, implicit_h=h, index=n + k)
+                  for k, (e, charge, h) in enumerate(group_atoms)]
+        bonds += [Bond(anchor, n, "single")]
+        bonds += [Bond(n + i, n + j, order) for i, j, order in group_bonds]
+    if draw(st.booleans()):
+        atoms.append(Atom(draw(st.sampled_from(("C", "N", "O"))), index=len(atoms)))
+    return MolGraph(atoms=atoms, bonds=bonds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(heteroatom_graphs())
+def test_random_heteroatom_graphs_match_oracles(g):
+    for name, pattern in PATTERNS.items():
+        assert match_atom_sets(g, pattern) == oracle_match_atom_sets(g, pattern), name
     new, old = estate_vector(g), oracle_estate(g)
     assert all(new[k].hex() == old[k].hex() for k in old)
 
