@@ -135,25 +135,27 @@ def _load_design(args):
 
 
 def _prepare_fit(args):
-    """(subset id, schema, fit) of tune and train: one Fit of --family on
-    every row of its design, seeded by --seed. Single-task families see
-    only --channel, which mt-nn, fitting every channel, does not take, and
-    which must hold records in the subset."""
+    """(subset id, schema, design, fit) of tune and train: one Fit of
+    --family on every row of its channels of the design, seeded by --seed.
+    Single-task families fit only --channel, which mt-nn, fitting every
+    channel, does not take, and which must hold records in the subset."""
     single_task = args.family in ("st-rf", "st-nn")
     if single_task and not args.channel:
         raise InvalidConfig(f"--channel is required for family {args.family}")
     if not single_task and args.channel:
         raise InvalidConfig(f"--channel applies to st-rf and st-nn only, not {args.family}")
     subset_id, subset, schema, design = _load_design(args)
+    channels = range(len(design.registry))
     if single_task:
         prop, _, fidelity = args.channel.partition(":")
         position = subset.registry.index_of(subset.registry.lookup(prop, fidelity))
-        design = evaluation.single_channel_design(design, position)
-        if len(design.targets) == 0:
-            raise EmptyData(f"channel {args.channel} has no records in subset {subset_id}")
-    every_row = np.ones(len(design.targets), dtype=bool)
-    return subset_id, schema, evaluation.Fit(args.family, design, every_row, ~every_row,
-                                             args.seed, derive_seed(args.seed, 5))
+        channels = range(position, position + 1)
+    rows = design.channel_rows(channels)
+    if single_task and not rows.any():
+        raise EmptyData(f"channel {args.channel} has no records in subset {subset_id}")
+    return subset_id, schema, design, evaluation.Fit(args.family, channels, rows,
+                                                     np.zeros_like(rows), args.seed,
+                                                     derive_seed(args.seed, 5))
 
 
 def cmd_tune(args) -> int:
@@ -161,9 +163,9 @@ def cmd_tune(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     grids = evaluation.Grids.load(args.grid)
-    subset_id, schema, fit = _prepare_fit(args)
+    subset_id, schema, design, fit = _prepare_fit(args)
 
-    (result,) = evaluation.select([fit], grids, args.folds)
+    (result,) = evaluation.select(design, [fit], grids, args.folds)
     if isinstance(result, ToolkitError):
         raise result
     winner = {**{k: list(v) if isinstance(v, tuple) else v
@@ -196,9 +198,9 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     grids = evaluation.Grids.load(args.grid)
-    subset_id, schema, fit = _prepare_fit(args)
+    subset_id, schema, design, fit = _prepare_fit(args)
 
-    (bundle,) = evaluation.fit_all([fit], schema, grids, args.folds)
+    (bundle,) = evaluation.fit_all(design, [fit], schema, grids, args.folds)
     model_path = out_dir / ("model.emrf" if bundle.kind == "forest" else "model.emmt")
     pipeline.save_model(model_path, bundle)
     _write_manifest(out_dir, args, started, {"schema": schema.manifest()})

@@ -13,7 +13,6 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -393,8 +392,9 @@ def kfold_by_material(material_ids: list[str], k: int, seed: int) -> SplitPlan:
 
 def inner_folds(material_ids: list[str], inner_k: int,
                 seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """cv_select's fold plan: the (train, validation) row masks of each
-    inner fold over rows with these material ids, in fold order."""
+    """The (train, validation) row masks of each inner fold over rows with
+    these material ids, in fold order: material-level (kfold_by_material,
+    inner_k >= 2), so every fold has train and validation rows."""
     plan = kfold_by_material(material_ids, inner_k, seed)
     folds = []
     for fold in range(inner_k):
@@ -411,24 +411,19 @@ class GridResult:
     table: list[dict]  # one row per cell: cell params + mean_val_rmse
 
 
-def cv_select(cells: list[dict], material_ids: list[str], inner_k: int, seed: int,
-              score: Callable[[int, int, np.ndarray, np.ndarray], float]) -> GridResult:
+def cv_select(cells: list[dict], scores) -> GridResult:
     """Inner k-fold selection over hyperparameter cells, for every model family.
 
-    Folds are material-level over the rows' material ids (kfold_by_material,
-    k >= 2), so every fold has train and validation rows. score(cell_index,
-    fold, train_rows, val_rows) returns one fold's validation RMSE, and a
-    cell scores the mean over its folds: NaN when any fold is NaN, so such
-    a cell never wins. The lowest mean wins and ties go to the earliest cell; when no
-    cell has a finite score, cell 0 is chosen with +inf.
+    scores[cell_index] holds the cell's validation RMSE on each inner fold
+    (inner_folds), and a cell scores their mean: NaN when any fold is NaN,
+    so such a cell never wins. The lowest mean wins and ties go to the
+    earliest cell; when no cell has a finite score, cell 0 is chosen with +inf.
     """
     if not cells:
         raise InvalidConfig("empty hyperparameter grid")
-    folds = inner_folds(material_ids, inner_k, seed)
     result = GridResult(best_cell=cells[0], best_score=math.inf, table=[])
-    for cell_index, cell in enumerate(cells):
-        mean_score = float(np.mean([score(cell_index, fold, train_rows, val_rows)
-                                    for fold, (train_rows, val_rows) in enumerate(folds)]))
+    for cell, fold_scores in zip(cells, scores, strict=True):
+        mean_score = float(np.mean(fold_scores))
         result.table.append({**cell, "mean_val_rmse": mean_score})
         if mean_score < result.best_score:
             result.best_cell = cell
@@ -627,6 +622,10 @@ class DesignMatrix:
 
     def rows_for(self, materials: set[str]) -> np.ndarray:
         return np.array([m in materials for m in self.material_ids], dtype=bool)
+
+    def channel_rows(self, channels: range) -> np.ndarray:
+        """The mask of the rows whose channel is in the range."""
+        return (self.channel_idx >= channels.start) & (self.channel_idx < channels.stop)
 
 
 def build_design(dataset: Dataset, subset_id: int,

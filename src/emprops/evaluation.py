@@ -8,10 +8,11 @@ units after undoing standardization, except that log-transformed channels
 (drop height h50) are reported in log units. Aggregation is mean and
 sample standard deviation over the k x n_seeds fold values.
 
-The protocol is a list of fits: plan gives one Fit per seed, outer fold
-and unit, with its rows and derived seeds; run_protocol fits every one
-that has test rows with one fit_all call, then predicts their held-out
-rows with pipeline.predict_rows and records the metrics, in plan order.
+The protocol is a list of fits of one design: plan gives one Fit per
+seed, outer fold and unit, naming its channels, rows and derived seeds;
+run_protocol fits every one that has test rows with one fit_all call,
+then predicts their held-out rows with pipeline.predict_rows and records
+the metrics, in plan order.
 Every family goes through the same steps: fit_all plans each fit to its
 refit job or, on a grid of several cells, to select, the one inner-CV path
 of every family and of tune; one engine call per family then refits. A
@@ -192,11 +193,11 @@ class Grids:
         except (ValueError, TypeError, RecursionError, InvalidConfig) as exc:  # bad JSON or value
             raise InvalidConfig(f"grid file {path}: {exc}") from exc
 
-    def cells(self, family: str, design: ds.DesignMatrix) -> list[dict]:
-        """The cells select chooses among for the family on the design."""
+    def cells(self, family: str, channels: range) -> list[dict]:
+        """The cells select chooses among for the family on the channels."""
         if family == "st-rf":
             return self.forest.cells()
-        return mtnn.design_cells(self.mtnn, design)
+        return mtnn.design_cells(self.mtnn, channels)
 
 
 @contextmanager
@@ -245,12 +246,13 @@ def model_identifier(family: str, subset_id: int) -> str:
 
 @dataclass(frozen=True)
 class Fit:
-    """One model fit: the family, the unit design the model sees, its
-    training and held-out rows, the selection seed (the refit takes
-    derive_seed(seed, 3)) and a network's batch-order seed."""
+    """One model fit of a design: the family, the channels it models, its
+    training and held-out rows of the design (masks, of those channels
+    only), the selection seed (the refit takes derive_seed(seed, 3)) and a
+    network's batch-order seed."""
 
     family: str
-    unit: ds.DesignMatrix
+    channels: range
     train_rows: np.ndarray
     test_rows: np.ndarray
     seed: int
@@ -259,26 +261,35 @@ class Fit:
 
 def plan(family: str, design: ds.DesignMatrix, seeds, k: int) -> list[Fit]:
     """One Fit per seed, outer fold and unit, in that order; the one place
-    that derives the protocol's seeds. A unit is the whole design for
-    mt-nn and one channel's records for st-rf and st-nn. A unit without
-    training rows in a fold gets no test rows either, so it records NaN."""
+    that derives the protocol's seeds. A unit is every channel for mt-nn
+    and one channel for st-rf and st-nn, with the fold's rows of those
+    channels. A unit without training rows in a fold gets no test rows
+    either, so it records NaN."""
     if family not in MODEL_FAMILIES:
         raise InvalidConfig(f"unknown model family {family!r}")
-    units = [design] if family == "mt-nn" else [
-        single_channel_design(design, pos) for pos in range(len(design.registry))]
+    n_channels = len(design.registry)
+    units = [range(n_channels)] if family == "mt-nn" else [
+        range(pos, pos + 1) for pos in range(n_channels)]
+    masks = [design.channel_rows(channels) for channels in units]
     fits = []
     for seed in seeds:
         folds = ds.kfold_by_material(design.material_ids, k, seed)
         for fold in range(k):
             train_mats, test_mats = folds.train_test(fold)
+            fold_train, fold_test = design.rows_for(train_mats), design.rows_for(test_mats)
             fold_seed = derive_seed(seed, fold)
-            for pos, unit in enumerate(units):
+            for pos, (channels, mask) in enumerate(zip(units, masks)):
                 unit_seed = fold_seed if family == "mt-nn" else derive_seed(fold_seed, pos + 17)
-                train_rows = unit.rows_for(train_mats)
-                test_rows = unit.rows_for(test_mats) & np.any(train_rows)
-                fits.append(Fit(family, unit, train_rows, test_rows, unit_seed,
+                train_rows = fold_train & mask
+                test_rows = fold_test & mask & np.any(train_rows)
+                fits.append(Fit(family, channels, train_rows, test_rows, unit_seed,
                                 derive_seed(derive_seed(unit_seed, 3), 11)))
     return fits
+
+
+def _registry(design: ds.DesignMatrix, channels: range) -> ds.PropertyRegistry:
+    """The registry of a model of the design's channels in the range."""
+    return ds.PropertyRegistry(channels=design.registry.channels[channels.start:channels.stop])
 
 
 def run_protocol(family: str, schema: descriptors.FeatureSchema, design: ds.DesignMatrix,
@@ -291,31 +302,23 @@ def run_protocol(family: str, schema: descriptors.FeatureSchema, design: ds.Desi
     without test rows records NaN."""
     report = ProtocolReport(model_id=model_identifier(family, subset_id))
     fits = plan(family, design, seeds, k)
-    bundles = iter(fit_all([fit for fit in fits if np.any(fit.test_rows)], schema, grids,
-                           inner_k))
+    bundles = iter(fit_all(design, [fit for fit in fits if np.any(fit.test_rows)], schema,
+                           grids, inner_k))
     for fit in fits:
-        unit, test_rows = fit.unit, fit.test_rows
+        test_rows = fit.test_rows
+        channel_idx = design.channel_idx[test_rows] - fit.channels.start
         pred = np.empty(0)
         if np.any(test_rows):
-            pred = pipeline.predict_rows(next(bundles), unit.features[test_rows],
-                                         unit.channel_idx[test_rows])
-        _record_channel_metrics(report, unit.registry, pred, unit.targets[test_rows],
-                                unit.channel_idx[test_rows])
+            pred = pipeline.predict_rows(next(bundles), design.features[test_rows], channel_idx)
+        _record_channel_metrics(report, _registry(design, fit.channels), pred,
+                                design.targets[test_rows], channel_idx)
     return report
 
 
-def single_channel_design(design: ds.DesignMatrix, channel_pos: int) -> ds.DesignMatrix:
-    rows = design.channel_idx == channel_pos
-    return ds.DesignMatrix(design.features[rows], np.zeros(np.count_nonzero(rows), dtype=np.int64),
-                           design.targets[rows],
-                           [m for m, keep in zip(design.material_ids, rows) if keep],
-                           ds.PropertyRegistry(channels=(design.registry.channels[channel_pos],)))
-
-
-def fit_all(fits: list[Fit], schema: descriptors.FeatureSchema, grids: Grids,
-            inner_k: int) -> list[pipeline.ModelBundle]:
+def fit_all(design: ds.DesignMatrix, fits: list[Fit], schema: descriptors.FeatureSchema,
+            grids: Grids, inner_k: int) -> list[pipeline.ModelBundle]:
     """One model per fit, in order: select a cell by inner CV on the fit's
-    training rows and refit it on all of them, seeded by
+    training rows of the design and refit it on all of them, seeded by
     derive_seed(fit.seed, 3); a network's batch order is seeded by
     fit.train_seed. A one-cell grid skips inner CV and refits its cell,
     which selection would return whatever the scores; inner_k must still
@@ -331,8 +334,8 @@ def fit_all(fits: list[Fit], schema: descriptors.FeatureSchema, grids: Grids,
     for fit in fits:
         try:
             ds.check_fold_count(inner_k)
-            cells = grids.cells(fit.family, fit.unit)
-            outcomes.append(fit if len(cells) > 1 else _refit_job(fit, cells[0], grids))
+            cells = grids.cells(fit.family, fit.channels)
+            outcomes.append(fit if len(cells) > 1 else _refit_job(design, fit, cells[0], grids))
         except ToolkitError as exc:
             outcomes.append(exc)
             break
@@ -342,88 +345,99 @@ def fit_all(fits: list[Fit], schema: descriptors.FeatureSchema, grids: Grids,
 
     selecting = indices(Fit)
     if selecting:
-        for index, result in zip(selecting, select([fits[i] for i in selecting], grids, inner_k)):
+        for index, result in zip(selecting, select(design, [fits[i] for i in selecting], grids,
+                                                   inner_k)):
             # the refit cannot fail: selection planned its cell on a part of its rows
             outcomes[index] = result if isinstance(result, ToolkitError) else _refit_job(
-                fits[index], result.best_cell, grids)
+                design, fits[index], result.best_cell, grids)
     forests = indices(rf.ForestJob)
-    for index, model in zip(forests, rf.fit_forests([outcomes[index] for index in forests])):
-        outcomes[index] = pipeline.ModelBundle(kind="forest", registry=fits[index].unit.registry,
-                                               schema=schema, forest=model)
+    for index, model in zip(forests, rf.fit_forests(design.features, design.targets,
+                                                    [outcomes[index] for index in forests])):
+        outcomes[index] = pipeline.ModelBundle(
+            kind="forest", registry=_registry(design, fits[index].channels), schema=schema,
+            forest=model)
     networks = indices(tuple)
     for index, result in zip(networks, mtnn.train_many([outcomes[i][1] for i in networks])):
         outcomes[index] = result if isinstance(result, ToolkitError) else pipeline.ModelBundle(
-            kind="mtnn", registry=fits[index].unit.registry, schema=schema, net=result.net,
-            standardizer=outcomes[index][0])
+            kind="mtnn", registry=_registry(design, fits[index].channels), schema=schema,
+            net=result.net, standardizer=outcomes[index][0])
     for outcome in outcomes:
         if isinstance(outcome, ToolkitError):
             raise outcome
     return outcomes
 
 
-def _refit_job(fit: Fit, cell: dict, grids: Grids):
+def _refit_job(design: ds.DesignMatrix, fit: Fit, cell: dict, grids: Grids):
     """The checked job of the fit's refit of the cell on its training rows,
     seeded derive_seed(fit.seed, 3): a forest job, or a network's
     standardizer and train job (mtnn.network_job)."""
     if fit.family == "st-rf":
-        return rf.forest_job(fit.unit.features, fit.unit.targets,
+        return rf.forest_job(design.features, design.targets,
                              rf.ForestConfig(seed=derive_seed(fit.seed, 3), **cell),
                              np.flatnonzero(fit.train_rows))
-    return mtnn.network_job(fit.unit, fit.train_rows, cell, grids.train,
+    return mtnn.network_job(design, fit.channels, fit.train_rows, cell, grids.train,
                             derive_seed(fit.seed, 3), fit.train_seed)
 
 
-def select(fits: list[Fit], grids: Grids, inner_k: int) -> list[ds.GridResult | ToolkitError]:
+def select(design: ds.DesignMatrix, fits: list[Fit], grids: Grids,
+           inner_k: int) -> list[ds.GridResult | ToolkitError]:
     """Inner-CV selection of each fit's cell on its training rows: per fit,
     its ds.GridResult or the error of its first failing (cell, inner fold)
     in cv_select's order. Every forest of every fit grows in one
     rf.fit_forests call and is scored by RMSE; each fit's networks train in
     one mtnn.train_many call, so one grid's standardized rows are held at a
     time, and are scored by RMSE in standardized space averaged over channels."""
-    plans = [_selection_jobs(fit, grids, inner_k) if fit.family == "st-rf" else None
+    plans = [_selection_jobs(design, fit, grids, inner_k) if fit.family == "st-rf" else None
              for fit in fits]
-    grown = rf.fit_forests([job for plan in plans if plan for job in plan[0]])
+    grown = rf.fit_forests(design.features, design.targets,
+                           [job for plan in plans if plan for job in plan[1]])
     results: list[ds.GridResult | ToolkitError] = []
     for fit, plan in zip(fits, plans):
-        jobs, error = plan or _selection_jobs(fit, grids, inner_k)  # a network grid at a time
+        folds, jobs, error = plan or _selection_jobs(design, fit, grids, inner_k)  # a grid at a time
         models = ([next(grown) for _ in jobs] if plan
                   else mtnn.train_many([job for _, job in jobs]))
         failure = next((model for model in models if isinstance(model, ToolkitError)), error)
-        unit, rows = fit.unit, np.flatnonzero(fit.train_rows)
+        if failure is not None:
+            results.append(failure)
+            continue
 
-        def score(cell_index: int, fold: int, _, val_rows: np.ndarray) -> float:
-            model, val = models[cell_index * inner_k + fold], rows[val_rows]
+        def score(model, job, val: np.ndarray) -> float:
             if fit.family == "st-rf":
-                return rmse(rf.predict_forest(model, unit.features[val]), unit.targets[val])
-            x_val, s_val, y_val = jobs[cell_index * inner_k + fold][1].val
+                return rmse(rf.predict_forest(model, design.features[val]), design.targets[val])
+            x_val, s_val, y_val = job[1].val
             return mtnn._channel_mean_rmse(mtnn.forward(model.net, x_val, s_val), y_val,
-                                           unit.channel_idx[val], len(unit.registry))
+                                           design.channel_idx[val] - fit.channels.start,
+                                           len(fit.channels))
 
-        results.append(failure or ds.cv_select(grids.cells(fit.family, unit),
-                                                [unit.material_ids[row] for row in rows],
-                                                inner_k, fit.seed, score))
+        scores = [score(model, job, val) for model, job, (_, val)
+                  in zip(models, jobs, itertools.cycle(folds))]
+        results.append(ds.cv_select(grids.cells(fit.family, fit.channels),
+                                    [scores[i:i + inner_k] for i in range(0, len(scores), inner_k)]))
     return results
 
 
-def _selection_jobs(fit: Fit, grids: Grids, inner_k: int) -> tuple[list, ToolkitError | None]:
-    """select's checked jobs of the fit per cell and inner fold, up to the
-    first that fails, and its error or None. A forest is seeded
-    derive_seed(fit.seed, cell_index + 1), a network as grid_search seeds it."""
-    unit, rows, jobs = fit.unit, np.flatnonzero(fit.train_rows), []
+def _selection_jobs(design: ds.DesignMatrix, fit: Fit, grids: Grids, inner_k: int,
+                    ) -> tuple[list, list, ToolkitError | None]:
+    """select's plan of the fit: its inner folds' (train, validation) rows,
+    its checked jobs per cell and inner fold up to the first that fails,
+    and its error or None. A forest is seeded derive_seed(fit.seed,
+    cell_index + 1), a network as grid_search seeds it."""
+    rows, folds, jobs = np.flatnonzero(fit.train_rows), [], []
     try:
-        folds = ds.inner_folds([unit.material_ids[row] for row in rows], inner_k, fit.seed)
-        for cell_index, cell in enumerate(grids.cells(fit.family, unit)):
+        folds = [(rows[train], rows[val]) for train, val in ds.inner_folds(
+            [design.material_ids[row] for row in rows], inner_k, fit.seed)]
+        for cell_index, cell in enumerate(grids.cells(fit.family, fit.channels)):
             for fold, (train, val) in enumerate(folds):
                 if fit.family == "st-rf":
                     config = rf.ForestConfig(seed=derive_seed(fit.seed, cell_index + 1), **cell)
-                    jobs.append(rf.forest_job(unit.features, unit.targets, config, rows[train]))
+                    jobs.append(rf.forest_job(design.features, design.targets, config, train))
                 else:
                     net_seed = derive_seed(fit.seed, cell_index + 1, fold + 1)
-                    jobs.append(mtnn.network_job(unit, rows[train], cell, grids.train, net_seed,
-                                                 derive_seed(net_seed, 7), rows[val]))
+                    jobs.append(mtnn.network_job(design, fit.channels, train, cell, grids.train,
+                                                 net_seed, derive_seed(net_seed, 7), val))
     except ToolkitError as exc:
-        return jobs, exc
-    return jobs, None
+        return folds, jobs, exc
+    return folds, jobs, None
 
 
 def _record_channel_metrics(report: ProtocolReport, registry: ds.PropertyRegistry,
@@ -448,8 +462,8 @@ def forest_grid_search(grid: ForestGridSpec, design: ds.DesignMatrix, inner_k: i
     """select's forest case of one fit over every row of the design; it
     stays only while the traced benchmark wraps it by name."""
     every_row = np.ones(len(design.targets), dtype=bool)
-    (result,) = select([Fit("st-rf", design, every_row, ~every_row, seed, 0)],
-                       Grids(forest=grid), inner_k)
+    (result,) = select(design, [Fit("st-rf", range(len(design.registry)), every_row, ~every_row,
+                                    seed, 0)], Grids(forest=grid), inner_k)
     if isinstance(result, ToolkitError):
         raise result
     return result

@@ -12,18 +12,19 @@ left, right]`` in preorder, root first. Leaves have feature and links -1;
 a split node sends x left when ``x[feature] <= threshold``. Fitting,
 prediction and the model file all use this layout.
 
-fit_forests grows every tree of many forests at once, since trees are
-independent: each keeps its own preorder stack and splitmix64 stream, and
-on each tick every tree that has work makes its next split attempt. One
-vectorized block of draws gives all the attempts' feature subsets, and
-one split search scores them over padded (nodes, features, rows) blocks:
-it sorts each node's candidate columns, scores every (feature,
-threshold) candidate from cumulative sums, then applies the tie rule to
-the running maxima of those scores in scan order. The padding sorts last
-and adds only zeros to the sums a candidate reads, and each node's mean
-and SSE come from ndarray.sum over its own rows, so every tree has the
-bits it gets alone. fit_forest, fit_tree and best_split are the
-one-forest, one-tree and one-node cases of this path."""
+fit_forests grows every tree of many forests on rows of one (x, y) at
+once, since trees are independent: each keeps its own preorder stack and
+splitmix64 stream, and on each tick every tree that has work makes its
+next split attempt. One vectorized block of draws gives all the
+attempts' feature subsets, and one split search scores them over padded
+(nodes, features, rows) blocks: it sorts each node's candidate columns,
+scores every (feature, threshold) candidate from cumulative sums, then
+applies the tie rule to the running maxima of those scores in scan
+order. The padding sorts last and adds only zeros to the sums a
+candidate reads, and each node's mean and SSE come from ndarray.sum over
+its own rows, so every tree has the bits it gets alone. fit_forest,
+fit_tree and best_split are the one-forest, one-tree and one-node cases
+of this path."""
 
 from __future__ import annotations
 
@@ -85,10 +86,8 @@ def _sse(total, total_sq, count):
 @dataclass(frozen=True)
 class ForestJob:
     """One forest to fit: config on the given rows (indices, in order) of
-    x and y, which are referenced, not copied. forest_job builds it."""
+    the x and y that fit_forests grows it on. forest_job builds it."""
 
-    x: np.ndarray
-    y: np.ndarray
     rows: np.ndarray
     config: ForestConfig
     max_features: int  # config.max_features resolved on x's columns
@@ -99,8 +98,6 @@ def forest_job(x: np.ndarray, y: np.ndarray, config: ForestConfig,
     """A checked job on the rows of x and y (all rows when None), so that
     a forest fails where it is planned, not while forests grow. x must be
     finite (see fit_forests); that is not checked here."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     rows = np.arange(len(y)) if rows is None else np.asarray(rows, dtype=np.intp)
     if len(rows) == 0 or x.shape[0] == 0:
         raise EmptyData("cannot fit a forest on empty data")
@@ -108,74 +105,62 @@ def forest_job(x: np.ndarray, y: np.ndarray, config: ForestConfig,
         raise DimensionMismatch(f"{x.shape[0]} feature rows vs {len(y)} targets")
     if len(rows) < config.min_samples_leaf:
         raise EmptyData("fewer samples than min_samples_leaf")
-    return ForestJob(x, y, rows, config, config.resolve_max_features(x.shape[1]))
+    return ForestJob(rows, config, config.resolve_max_features(x.shape[1]))
 
 
 def fit_forest(x: np.ndarray, y: np.ndarray, config: ForestConfig) -> RandomForest:
     """n_trees trees, each on a with-replacement bootstrap of size n drawn
     from splitmix64(seed xor tree index), with per-split feature subsets:
     the one-job case of fit_forests."""
-    return next(fit_forests([forest_job(x, y, config)]))
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    return next(fit_forests(x, y, [forest_job(x, y, config)]))
 
 
-def fit_forests(jobs: list[ForestJob]) -> Iterator[RandomForest]:
-    """The forests of the jobs, in order, each bit for bit the forest its
-    job gets alone. Tree t of a job draws a with-replacement bootstrap of
-    its n rows, then its split attempts' feature subsets, from
-    splitmix64(derive_seed(seed, t)).
+def fit_forests(x: np.ndarray, y: np.ndarray, jobs: list[ForestJob]) -> Iterator[RandomForest]:
+    """The forests of the jobs on the rows of x (float64, finite: the
+    padding of the split search sorts after every finite value, not after
+    NaN) and y, in order, each bit for bit the forest its job gets alone.
+    Tree t of a job draws a with-replacement bootstrap of its n rows, then
+    its split attempts' feature subsets, from splitmix64(derive_seed(seed, t)).
 
     Jobs go through in windows of whole jobs holding at most WINDOW_ROWS
     bootstrap rows (a larger job fills a window alone); every tree of a
     window grows in lockstep, and its forests are yielded before the next
     window starts.
-
-    Every job must have the same number of features (DimensionMismatch
-    otherwise), and finite ones: the padding of the split search sorts
-    after every finite value, not after NaN.
     """
-    if len({job.x.shape[1] for job in jobs}) > 1:
-        raise DimensionMismatch("forests of one call must have the same number of features")
     window: list[ForestJob] = []
     rows = 0
     for job in jobs:
         size = len(job.rows) * job.config.n_trees
         if window and rows + size > WINDOW_ROWS:
-            yield from _fit_window(window)
+            yield from _fit_window(x, y, window)
             window, rows = [], 0
         window.append(job)
         rows += size
     if window:
-        yield from _fit_window(window)
+        yield from _fit_window(x, y, window)
 
 
-def _fit_window(jobs: list[ForestJob]) -> list[RandomForest]:
-    """The forests of the jobs, every tree grown in one _Lockstep on the
-    distinct (x, y) sources of the jobs, stacked once."""
-    sources: dict[tuple[int, int], int] = {}  # (id(x), id(y)) -> first row in the stack
-    parts: list[ForestJob] = []
-    for job in jobs:
-        if (id(job.x), id(job.y)) not in sources:
-            sources[(id(job.x), id(job.y))] = sum(len(part.y) for part in parts)
-            parts.append(job)
-
+def _fit_window(x: np.ndarray, y: np.ndarray, jobs: list[ForestJob]) -> list[RandomForest]:
+    """The forests of the jobs, every tree grown in one _Lockstep on x and y."""
     samples, sizes, configs, k, states = [], [], [], [], []
     for job in jobs:
         n, n_trees = len(job.rows), job.config.n_trees
         seeds = np.array([derive_seed(job.config.seed, t) for t in range(n_trees)],
                          dtype=np.uint64)
         picks = (next_blocks(seeds, n) % np.uint64(n)).astype(np.intp)  # advances seeds
-        samples.append((sources[(id(job.x), id(job.y))] + job.rows[picks]).ravel())
+        samples.append(job.rows[picks].ravel())
         sizes += [n] * n_trees
         configs += [job.config] * n_trees
         k += [job.max_features] * n_trees
         states.append(seeds)
-    grower = _Lockstep([part.x for part in parts], [part.y for part in parts],
-                       np.concatenate(samples), sizes, configs, k, np.concatenate(states))
+    grower = _Lockstep(x, y, np.concatenate(samples), sizes, configs, k, np.concatenate(states))
     del samples  # the grower holds what it needs
     trees = grower.grow()
     forests, first = [], 0
     for job in jobs:
-        forests.append(RandomForest(config=job.config, n_features=job.x.shape[1],
+        forests.append(RandomForest(config=job.config, n_features=x.shape[1],
                                     trees=trees[first:first + job.config.n_trees]))
         first += job.config.n_trees
     return forests
@@ -195,7 +180,7 @@ def fit_tree(x: np.ndarray, y: np.ndarray, config: ForestConfig,
     if feature_rng is None:
         k = n_features
     states = np.array([feature_rng.state if feature_rng else 0], dtype=np.uint64)
-    (tree,) = _Lockstep([x], [y], np.arange(len(y)), [len(y)], [config], [k], states).grow()
+    (tree,) = _Lockstep(x, y, np.arange(len(y)), [len(y)], [config], [k], states).grow()
     if feature_rng is not None:
         feature_rng.state = int(states[0])
     return tree
@@ -225,13 +210,13 @@ def best_split(x: np.ndarray, y: np.ndarray, feature_indices: list[int],
 class _Lockstep:
     """Trees growing in lockstep, each bit for bit as it grows alone.
 
-    The rows of x and y are the rows of the given parts, stacked, then a
-    padding row (+inf features, target 0) that no tree samples. Tree t
-    grows on sizes[t] rows: the next segment of sample, which holds every
-    tree's rows one after another. It grows by configs[t]. A split attempt
-    considers k[t] of the d columns of x: a subset drawn from the
-    splitmix64 stream whose state is states[t] (uint64, advanced in place)
-    when k[t] is fewer, else all of them.
+    The rows of x and y are the given rows, then a padding row (+inf
+    features, target 0) that no tree samples. Tree t grows on sizes[t]
+    rows: the next segment of sample, which holds every tree's rows one
+    after another. It grows by configs[t]. A split attempt considers k[t]
+    of the d columns of x: a subset drawn from the splitmix64 stream whose
+    state is states[t] (uint64, advanced in place) when k[t] is fewer,
+    else all of them.
 
     Each tree keeps its own preorder stack. A node's rows are a segment of
     perm, which a split partitions stably into its children's segments,
@@ -241,12 +226,10 @@ class _Lockstep:
     per chunk of attempts of similar size.
     """
 
-    def __init__(self, x_parts: list[np.ndarray], y_parts: list[np.ndarray], sample: np.ndarray,
-                 sizes: list[int], configs: list[ForestConfig], k: list[int],
-                 states: np.ndarray) -> None:
-        d = x_parts[0].shape[1]
-        self.x = np.concatenate(x_parts + [np.full((1, d), np.inf)])
-        self.y = np.concatenate(y_parts + [np.zeros(1)])
+    def __init__(self, x: np.ndarray, y: np.ndarray, sample: np.ndarray, sizes: list[int],
+                 configs: list[ForestConfig], k: list[int], states: np.ndarray) -> None:
+        self.x = np.concatenate([x, np.full((1, x.shape[1]), np.inf)])
+        self.y = np.append(y, 0.0)
         self.states, self.k = states, k
         self.perm = np.append(sample, len(self.y) - 1)  # partitioned in place, padding last
         self.pad = len(sample)  # the position of the padding row in perm

@@ -568,72 +568,73 @@ def _channel_mean_rmse(pred: np.ndarray, actual: np.ndarray, channel_idx: np.nda
     return float(np.mean(scores)) if scores else math.nan
 
 
-def design_cells(grid: GridSpec, design: ds.DesignMatrix) -> list[dict]:
-    """The grid's cells for a network on the design: selector-fed for
-    several channels, plain (selector_dim 0) for one."""
-    n_channels = len(design.registry)
-    return grid.cells(n_channels if n_channels > 1 else 0)
+def design_cells(grid: GridSpec, channels: range) -> list[dict]:
+    """The grid's cells for a network on the design's channels in the
+    range: selector-fed for several channels, plain (selector_dim 0) for one."""
+    return grid.cells(len(channels) if len(channels) > 1 else 0)
 
 
 def grid_search(grid: GridSpec, design: ds.DesignMatrix, base_train: TrainConfig,
                 inner_k: int = 5, seed: int = 0) -> ds.GridResult:
-    """evaluation.select of one network fit over every row, serially: one
-    train call per cell and inner fold (ds.cv_select). It stays only
-    while the traced benchmark wraps it by name."""
-    n_channels = len(design.registry)
-    cells = design_cells(grid, design)
+    """evaluation.select of one network fit over every row and channel,
+    serially: one train call per cell and inner fold, reduced by
+    ds.cv_select. It stays only while the traced benchmark wraps it by name."""
+    channels = range(len(design.registry))
+    cells = design_cells(grid, channels)
+    folds = ds.inner_folds(design.material_ids, inner_k, seed)
+    scores = []
+    for cell_index, cell in enumerate(cells):
+        scores.append([])
+        for fold, (train_rows, val_rows) in enumerate(folds):
+            net_seed = derive_seed(seed, cell_index + 1, fold + 1)
+            _, job = network_job(design, channels, train_rows, cell, base_train, net_seed,
+                                 derive_seed(net_seed, 7), val_rows)
+            result = train(job.net, job.features, job.selector, job.targets, job.config,
+                           val=job.val)
+            x_val, s_val, y_val = job.val
+            scores[-1].append(_channel_mean_rmse(forward(result.net, x_val, s_val), y_val,
+                                                 design.channel_idx[val_rows], len(channels)))
+    return ds.cv_select(cells, scores)
 
-    def score(cell_index: int, fold: int, train_rows: np.ndarray,
-              val_rows: np.ndarray) -> float:
-        net_seed = derive_seed(seed, cell_index + 1, fold + 1)
-        _, job = network_job(design, train_rows, cells[cell_index], base_train, net_seed,
-                             derive_seed(net_seed, 7), val_rows)
-        result = train(job.net, job.features, job.selector, job.targets, job.config,
-                       val=job.val)
-        x_val, s_val, y_val = job.val
-        return _channel_mean_rmse(forward(result.net, x_val, s_val), y_val,
-                                  design.channel_idx[val_rows], n_channels)
 
-    return ds.cv_select(cells, design.material_ids, inner_k, seed, score)
-
-
-def network_inputs(design: ds.DesignMatrix, rows: np.ndarray, standardizer: ds.Standardizer,
+def network_inputs(design: ds.DesignMatrix, channels: range, rows: np.ndarray,
+                   standardizer: ds.Standardizer,
                    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Standardized features, one-hot selectors (None for a single channel)
-    and standardized targets of the given design rows."""
-    n_channels = len(design.registry)
-    channel_idx = design.channel_idx[rows]
+    """Standardized features, one-hot selectors over the channels (None for
+    one) and standardized targets of the given design rows of the channels."""
+    channel_idx = design.channel_idx[rows] - channels.start
     x = standardizer.apply_features(design.features[rows])
     y = standardizer.apply_targets(design.targets[rows], channel_idx)
-    selector = np.eye(n_channels)[channel_idx] if n_channels > 1 else None
+    selector = np.eye(len(channels))[channel_idx] if len(channels) > 1 else None
     return x, selector, y
 
 
-def network_job(design: ds.DesignMatrix, train_rows: np.ndarray, cell: dict,
+def network_job(design: ds.DesignMatrix, channels: range, train_rows: np.ndarray, cell: dict,
                 base_train: TrainConfig, net_seed: int, train_seed: int,
                 val_rows: np.ndarray | None = None) -> tuple[ds.Standardizer, TrainJob]:
-    """The fit of one network on the train rows, ready to train: the one
-    place that prepares a network fit of any family, for inner CV, the
-    outer refit and the final model.
+    """The fit of one network of the design's channels in the range on its
+    train rows, ready to train: the one place that prepares a network fit
+    of any family, for inner CV, the outer refit and the final model.
 
-    The standardizer is fitted on the train rows only. With val_rows the
-    net stops early on their validation MSE; without, it trains
-    max_epochs. net_seed seeds the initial weights, train_seed the batch
-    order. Returns the fitted standardizer and the job; empty rows are InvalidConfig.
+    A row's channel counts from the range's start, and a selector is fed
+    only for several channels. The standardizer is fitted on the train
+    rows only. With val_rows the net stops early on their validation MSE;
+    without, it trains max_epochs. net_seed seeds the initial weights,
+    train_seed the batch order. Returns the fitted standardizer and the
+    job; empty rows are InvalidConfig.
     """
     for name, rows in (("training", train_rows), ("validation", val_rows)):
         if rows is not None and design.targets[rows].size == 0:
             raise InvalidConfig(f"empty {name} batch")
-    n_channels = len(design.registry)
     standardizer = ds.Standardizer.fit(
         design.features[train_rows], design.targets[train_rows],
-        design.channel_idx[train_rows], n_channels,
+        design.channel_idx[train_rows] - channels.start, len(channels),
     )
-    x_train, s_train, y_train = network_inputs(design, train_rows, standardizer)
-    val = None if val_rows is None else network_inputs(design, val_rows, standardizer)
+    x_train, s_train, y_train = network_inputs(design, channels, train_rows, standardizer)
+    val = None if val_rows is None else network_inputs(design, channels, val_rows, standardizer)
     net_config = MTNetConfig(
         input_dim=design.features.shape[1],
-        selector_dim=n_channels if n_channels > 1 else 0,
+        selector_dim=len(channels) if len(channels) > 1 else 0,
         hidden_sizes=cell["hidden_sizes"],
         selector_layer_index=cell["selector_layer_index"],
         l2_penalty=cell["l2_penalty"],
@@ -643,4 +644,3 @@ def network_job(design: ds.DesignMatrix, train_rows: np.ndarray, cell: dict,
                            batch_size=cell["batch_size"], seed=train_seed)
     job = TrainJob(init_network(net_config), x_train, s_train, y_train, train_config, val)
     return standardizer, job
-

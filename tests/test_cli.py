@@ -152,10 +152,11 @@ class TestTuneTrainPredictScreen:
                                         include_density=False)
         design = ds.assemble(subset, schema)
         position = subset.registry.index_of(subset.registry.lookup("det_velocity", "calc"))
-        from test_select_refit import oracle_forest_grid_search  # it imports this module
+        # test_select_refit imports this module
+        from test_select_refit import oracle_forest_grid_search, single_channel_design
         expected = oracle_forest_grid_search(
             evaluation.Grids.load(str(grid_path)).forest,
-            evaluation.single_channel_design(design, position), 3, 7)
+            single_channel_design(design, position), 3, 7)
         assert winner == {**expected.best_cell, "mean_val_rmse": expected.best_score}
 
     @pytest.mark.parametrize("family", ["st-rf", "st-nn"])

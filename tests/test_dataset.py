@@ -212,50 +212,40 @@ class TestCvSelect:
     MATERIAL_IDS = [f"M{i}" for i in range(6)]
 
     def test_earliest_cell_wins_exact_tie(self):
-        per_cell = [2.0, 1.0, 1.0]
-        result = ds.cv_select(self.CELLS, self.MATERIAL_IDS, 3, 5,
-                              lambda cell, fold, tr, va: per_cell[cell])
+        result = ds.cv_select(self.CELLS, [[2.0] * 3, [1.0] * 3, [1.0] * 3])
         assert result.best_cell is self.CELLS[1]
         assert result.best_score == 1.0
 
     def test_nan_fold_makes_cell_nan_and_never_wins(self):
-        def score(cell, fold, train_rows, val_rows):
-            if cell == 0:
-                return math.nan if fold == 0 else 0.5
-            return 9.0 if cell == 1 else 10.0
-
-        result = ds.cv_select(self.CELLS, self.MATERIAL_IDS, 3, 5, score)
+        result = ds.cv_select(self.CELLS, [[math.nan, 0.5, 0.5], [9.0] * 3, [10.0] * 3])
         assert math.isnan(result.table[0]["mean_val_rmse"])
         assert result.best_cell is self.CELLS[1]
         assert result.best_score == 9.0
 
     def test_one_inner_fold_is_rejected(self):
-        calls = []
-        with pytest.raises(InvalidConfig):
-            ds.cv_select(self.CELLS, self.MATERIAL_IDS, 1, 5, lambda *args: calls.append(args) or 0.0)
-        assert calls == []
+        with pytest.raises(InvalidConfig, match="at least 2 folds"):
+            ds.inner_folds(self.MATERIAL_IDS, 1, 5)
 
     def test_no_finite_score_falls_back_to_cell_zero(self):
-        result = ds.cv_select(self.CELLS, self.MATERIAL_IDS, 3, 5, lambda *args: math.nan)
+        result = ds.cv_select(self.CELLS, [[math.nan] * 3] * 3)
         assert result.best_cell is self.CELLS[0]
         assert result.best_score == math.inf
         assert all(math.isnan(row["mean_val_rmse"]) for row in result.table)
 
     def test_table_one_row_per_cell_in_order(self):
-        seen = []
-
-        def score(cell, fold, train_rows, val_rows):
-            seen.append((cell, fold))
-            assert train_rows.any() and val_rows.any()
-            assert not (train_rows & val_rows).any()
-            return float(10 - cell)
-
-        result = ds.cv_select(self.CELLS, self.MATERIAL_IDS, 3, 5, score)
+        result = ds.cv_select(self.CELLS, [[float(10 - cell)] * 3 for cell in range(3)])
         assert result.table == [{**cell, "mean_val_rmse": 10.0 - i}
                                 for i, cell in enumerate(self.CELLS)]
-        assert seen == [(cell, fold) for cell in range(3) for fold in range(3)]
         assert result.best_cell is self.CELLS[2]
         assert result.best_score == 8.0
+
+    def test_inner_folds_split_every_material_once(self):
+        folds = ds.inner_folds(self.MATERIAL_IDS, 3, 5)
+        assert len(folds) == 3
+        for train_rows, val_rows in folds:
+            assert train_rows.any() and val_rows.any()
+            assert (train_rows ^ val_rows).all()
+        assert sum(val_rows for _, val_rows in folds).tolist() == [1] * len(self.MATERIAL_IDS)
 
 
 class TestStandardizer:

@@ -216,9 +216,11 @@ class TestPlan:
 
     @pytest.mark.parametrize("family", evaluation.MODEL_FAMILIES)
     def test_order_seeds_and_rows(self, family):
+        """Each fit's rows are the design's rows of its channels in its
+        fold: training rows in the fold's training materials, test rows
+        in its test materials, or none when the unit has no training rows."""
         design, seeds, k = sparse_design(), (4, 7), 3
-        units = [design] if family == "mt-nn" else [
-            evaluation.single_channel_design(design, pos) for pos in range(3)]
+        units = [range(3)] if family == "mt-nn" else [range(pos, pos + 1) for pos in range(3)]
         fits = evaluation.plan(family, design, seeds, k)
         assert len(fits) == len(seeds) * k * len(units)
         blanked = 0
@@ -227,20 +229,21 @@ class TestPlan:
             unit_seed = derive_seed(seed, fold)
             if family != "mt-nn":
                 unit_seed = derive_seed(unit_seed, pos + 17)
-            assert (fit.family, fit.seed) == (family, unit_seed)
+            assert (fit.family, fit.seed, fit.channels) == (family, unit_seed, units[pos])
             assert fit.train_seed == derive_seed(derive_seed(unit_seed, 3), 11)
-            assert fit.unit.registry == units[pos].registry
-            assert fit.unit.material_ids == units[pos].material_ids
 
             train_mats, test_mats = ds.kfold_by_material(design.material_ids, k,
                                                          seed).train_test(fold)
-            mats = np.array(fit.unit.material_ids)
-            assert set(mats[fit.train_rows]) == set(mats) & train_mats
-            assert not set(mats[fit.train_rows]) & set(mats[fit.test_rows])
+
+            def rows_in(mats):
+                return [m in mats and c in units[pos]
+                        for m, c in zip(design.material_ids, design.channel_idx)]
+
+            assert fit.train_rows.tolist() == rows_in(train_mats)
             if np.any(fit.train_rows):
-                assert set(mats[fit.test_rows]) == set(mats) & test_mats
+                assert fit.test_rows.tolist() == rows_in(test_mats)
             else:  # nothing to fit, so nothing to score: the fit records NaN
-                assert not np.any(fit.test_rows)
+                assert fit.test_rows.tolist() == [False] * len(design.targets)
                 blanked += 1
         assert blanked == (0 if family == "mt-nn" else len(seeds))
 

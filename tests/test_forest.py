@@ -417,8 +417,9 @@ class TestForest:
 
 
 def mixed_jobs():
-    """Forest jobs over two shared designs: both min_samples_leaf 1 and 3,
-    several depths, drawn (k < d) and full (k = d) feature subsets, a
+    """(x, y, jobs): forest jobs on the rows of one source that stacks two
+    designs, each job on rows of one of them: both min_samples_leaf 1 and
+    3, several depths, drawn (k < d) and full (k = d) feature subsets, a
     one-row bootstrap, constant targets, tied feature values, and adjacent
     floats whose midpoint grows an empty child."""
     rng = np.random.default_rng(404)
@@ -427,53 +428,56 @@ def mixed_jobs():
     rounded_y = rng.normal(size=60)
     small = rng.integers(0, 3, size=(25, 7)).astype(float)
     constant_y = np.full(25, 2.5)
+    x, y = np.concatenate([rounded, small]), np.concatenate([rounded_y, constant_y])
     jobs = []
     for case in range(24):
-        x, y = (rounded, rounded_y) if case % 3 else (small, constant_y)
-        rows = np.sort(rng.choice(len(y), size=int(rng.integers(1, len(y) + 1)), replace=False))
+        first, part = (0, rounded_y) if case % 3 else (len(rounded_y), constant_y)
+        rows = np.sort(rng.choice(len(part), size=int(rng.integers(1, len(part) + 1)),
+                                  replace=False))
         if case == 5:
             rows = rows[:1]  # a bootstrap of one row
         config = rf.ForestConfig(n_trees=int(rng.integers(1, 4)),
                                  max_depth=[1, 2, 5, 12][case % 4],
                                  min_samples_leaf=[1, 3][case % 2] if len(rows) >= 3 else 1,
                                  max_features=[None, 2, x.shape[1]][case % 3], seed=case)
-        jobs.append(rf.forest_job(x, y, config, rows))
-    return jobs
+        jobs.append(rf.forest_job(x, y, config, first + rows))
+    return x, y, jobs
 
 
-def expected_trees(job):
-    return per_tree_fit_forest(job.x[job.rows], job.y[job.rows], job.config)
+def expected_trees(x, y, job):
+    return per_tree_fit_forest(x[job.rows], y[job.rows], job.config)
 
 
 class TestFitForests:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the oracle's empty children
     def test_mixed_jobs_equal_per_tree_oracle(self):
-        jobs = mixed_jobs()
-        forests = list(rf.fit_forests(jobs))
+        x, y, jobs = mixed_jobs()
+        forests = list(rf.fit_forests(x, y, jobs))
         assert len(forests) == len(jobs)
         empty_children = 0
         for job, forest in zip(jobs, forests):
-            assert forest.config == job.config and forest.n_features == job.x.shape[1]
-            assert tree_bytes(forest.trees) == tree_bytes(expected_trees(job))
+            assert forest.config == job.config and forest.n_features == x.shape[1]
+            assert tree_bytes(forest.trees) == tree_bytes(expected_trees(x, y, job))
             empty_children += sum(int(np.isnan(tree[:, rf.VALUE]).sum()) for tree in forest.trees)
         assert empty_children > 0  # the adjacent-float case grew NaN leaves
 
     def test_jobs_do_not_depend_on_their_company(self, monkeypatch):
-        jobs = mixed_jobs()
-        together = [tree_bytes(forest.trees) for forest in rf.fit_forests(jobs)]
+        x, y, jobs = mixed_jobs()
+        together = [tree_bytes(forest.trees) for forest in rf.fit_forests(x, y, jobs)]
         order = np.random.default_rng(1).permutation(len(jobs)).tolist()
-        permuted = [tree_bytes(forest.trees) for forest in rf.fit_forests([jobs[i] for i in order])]
+        permuted = [tree_bytes(forest.trees)
+                    for forest in rf.fit_forests(x, y, [jobs[i] for i in order])]
         assert [permuted[order.index(i)] for i in range(len(jobs))] == together
         halves = [tree_bytes(forest.trees)
-                  for part in (jobs[::2], jobs[1::2]) for forest in rf.fit_forests(part)]
+                  for part in (jobs[::2], jobs[1::2]) for forest in rf.fit_forests(x, y, part)]
         assert halves == together[::2] + together[1::2]
-        alone = [tree_bytes(rf.fit_forest(job.x[job.rows], job.y[job.rows], job.config).trees)
+        alone = [tree_bytes(rf.fit_forest(x[job.rows], y[job.rows], job.config).trees)
                  for job in jobs]
         assert alone == together
         monkeypatch.setattr(rf, "WINDOW_ROWS", 40)  # many windows, one job too big for any
-        assert [tree_bytes(forest.trees) for forest in rf.fit_forests(jobs)] == together
+        assert [tree_bytes(forest.trees) for forest in rf.fit_forests(x, y, jobs)] == together
         monkeypatch.setattr(rf, "BLOCK_CELLS", 1)  # one node per split-search block
-        assert [tree_bytes(forest.trees) for forest in rf.fit_forests(jobs)] == together
+        assert [tree_bytes(forest.trees) for forest in rf.fit_forests(x, y, jobs)] == together
 
     def test_fit_tree_advances_the_feature_stream_as_the_oracle(self):
         rng = np.random.default_rng(9)
@@ -502,34 +506,34 @@ class TestFitForests:
            seed=st.integers(0, 2**32))
     def test_random_shapes_equal_per_tree_oracle(self, d, shapes, seed):
         rng = np.random.default_rng(seed)
-        jobs = []
+        parts, configs = [], []  # one source: each job's rows are a part of it
         for n, depth, leaf, features, trees, ties in shapes:
             x = rng.integers(0, 3, size=(n, d)).astype(float) if ties else rng.normal(size=(n, d))
-            config = rf.ForestConfig(n_trees=trees, max_depth=depth, min_samples_leaf=min(leaf, n),
-                                     max_features=min(features, d) or None,
-                                     seed=int(rng.integers(2**63)))
-            jobs.append(rf.forest_job(x, np.round(rng.normal(size=n), 2), config))
+            configs.append(rf.ForestConfig(n_trees=trees, max_depth=depth,
+                                           min_samples_leaf=min(leaf, n),
+                                           max_features=min(features, d) or None,
+                                           seed=int(rng.integers(2**63))))
+            parts.append((x, np.round(rng.normal(size=n), 2)))
+        x, y = (np.concatenate(column) for column in zip(*parts))
+        ends = np.cumsum([len(part_y) for _, part_y in parts])
+        jobs = [rf.forest_job(x, y, config, np.arange(end - len(part_y), end))
+                for config, (_, part_y), end in zip(configs, parts, ends)]
         with np.errstate(invalid="ignore"):  # the oracle's empty children
-            for job, forest in zip(jobs, rf.fit_forests(jobs)):
-                assert tree_bytes(forest.trees) == tree_bytes(expected_trees(job))
+            for job, forest in zip(jobs, rf.fit_forests(x, y, jobs)):
+                assert tree_bytes(forest.trees) == tree_bytes(expected_trees(x, y, job))
 
     def test_midpoint_that_overflows_sends_every_row_left(self):
         x = np.array([[1e308], [1.5e308], [1.5e308], [1e308], [-3.0]])
         y = np.array([0.0, 5.0, 5.0, 1.0, 2.0])
         config = rf.ForestConfig(n_trees=3, max_depth=3, seed=4)
-        forests = list(rf.fit_forests([rf.forest_job(x, y, config),
-                                       rf.forest_job(x[::-1].copy(), y, config)]))
+        both_x, both_y = np.concatenate([x, x[::-1]]), np.concatenate([y, y])
+        forests = list(rf.fit_forests(both_x, both_y, [
+            rf.forest_job(both_x, both_y, config, np.arange(5)),
+            rf.forest_job(both_x, both_y, config, np.arange(5, 10))]))
         with np.errstate(invalid="ignore"):  # the oracle's empty children
             for forest, xs in zip(forests, (x, x[::-1])):
                 assert tree_bytes(forest.trees) == tree_bytes(per_tree_fit_forest(xs, y, config))
         assert any(np.isinf(tree[:, rf.THRESHOLD]).any() for tree in forests[0].trees)
-
-    def test_jobs_of_one_call_share_their_feature_count(self):
-        x = np.zeros((4, 2))
-        jobs = [rf.forest_job(x, np.zeros(4), rf.ForestConfig(n_trees=1)),
-                rf.forest_job(np.zeros((4, 3)), np.zeros(4), rf.ForestConfig(n_trees=1))]
-        with pytest.raises(DimensionMismatch, match="same number of features"):
-            list(rf.fit_forests(jobs))
 
     def test_forest_job_checks_as_fit_forest_did(self):
         x, y = np.zeros((4, 2)), np.zeros(4)
@@ -592,15 +596,19 @@ class TestForestFailureOrder:
 
     @pytest.fixture
     def units(self, tmp_path):
+        """(schema, design, channels): the experimental h50 channel of the design."""
         data = ds.load_records(write_dataset(tmp_path), ds.default_registry())
         schema, design = ds.build_design(data, 2, False)[1:]
         position = design.registry.index_of(design.registry.lookup("impact_h50", "exp"))
-        return schema, evaluation.single_channel_design(design, position)
+        return schema, design, range(position, position + 1)
 
     @staticmethod
-    def fit(unit, materials):
-        rows = unit.rows_for(set(sorted(set(unit.material_ids))[:materials]))
-        return evaluation.Fit("st-rf", unit, rows, ~rows, 5, 6)
+    def fit(design, channels, materials):
+        """A fit of the channels' rows of their first materials."""
+        in_channel = design.channel_rows(channels)
+        mats = sorted({m for m, keep in zip(design.material_ids, in_channel) if keep})
+        rows = design.rows_for(set(mats[:materials])) & in_channel
+        return evaluation.Fit("st-rf", channels, rows, np.zeros_like(rows), 5, 6)
 
     @staticmethod
     def grids(leaf, max_features):
@@ -612,20 +620,21 @@ class TestForestFailureOrder:
         ((5, 1), (None, 1000), EmptyData),      # cell 0, (5, None), fails first
     ])
     def test_first_failing_cell_in_cv_order(self, units, leaf, max_features, error):
-        schema, unit = units
+        schema, design, channels = units
         with pytest.raises(error):
-            evaluation.fit_all([self.fit(unit, 6)], schema, self.grids(leaf, max_features), 3)
+            evaluation.fit_all(design, [self.fit(design, channels, 6)], schema,
+                               self.grids(leaf, max_features), 3)
 
     def test_first_failing_fit_in_plan_order(self, units):
-        schema, unit = units
+        schema, design, channels = units
         grids = self.grids((1, 3), (None,))  # an inner split of 4 materials holds 2 or 3
-        good, tiny, too_few = self.fit(unit, 6), self.fit(unit, 4), self.fit(unit, 2)
-        assert len(evaluation.fit_all([good], schema, grids, 3)) == 1
+        good, tiny, too_few = (self.fit(design, channels, materials) for materials in (6, 4, 2))
+        assert len(evaluation.fit_all(design, [good], schema, grids, 3)) == 1
         codes = {}
         for name, fits in (("tiny-first", [good, tiny, too_few]),
                            ("too-few-first", [good, too_few, tiny])):
             with pytest.raises(ToolkitError) as raised:
-                evaluation.fit_all(fits, schema, grids, 3)
+                evaluation.fit_all(design, fits, schema, grids, 3)
             codes[name] = (type(raised.value), str(raised.value))
         assert codes == {"tiny-first": (EmptyData, "fewer samples than min_samples_leaf"),
                          "too-few-first": (TooFewMaterials, "2 materials < 3 folds")}

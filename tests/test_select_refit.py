@@ -44,6 +44,30 @@ def restrict(design, rows):
     )
 
 
+def single_channel_design(design, channel_pos):
+    """A copy of the design's rows of one channel as a one-channel design:
+    the unit a single-task model was once fitted on."""
+    rows = design.channel_idx == channel_pos
+    return ds.DesignMatrix(design.features[rows], np.zeros(np.count_nonzero(rows), dtype=np.int64),
+                           design.targets[rows],
+                           [m for m, keep in zip(design.material_ids, rows) if keep],
+                           ds.PropertyRegistry(channels=(design.registry.channels[channel_pos],)))
+
+
+def every_channel(design):
+    return range(len(design.registry))
+
+
+def cv_table(cells, material_ids, inner_k, seed, score):
+    """The cells x inner folds score table that cv_select reduces:
+    score(cell_index, fold, train_rows, val_rows) on each fold of
+    ds.inner_folds, cell by cell."""
+    folds = ds.inner_folds(material_ids, inner_k, seed)
+    return [[score(cell_index, fold, train_rows, val_rows)
+             for fold, (train_rows, val_rows) in enumerate(folds)]
+            for cell_index in range(len(cells))]
+
+
 def oracle_forest_grid_search(grid, design, inner_k, seed):
     """Forest inner CV one forest at a time: per cell and inner fold, a
     forest fitted on a copy of the inner-training rows and scored by the
@@ -56,7 +80,7 @@ def oracle_forest_grid_search(grid, design, inner_k, seed):
         return evaluation.rmse(rf.predict_forest(model, design.features[val_rows]),
                                design.targets[val_rows])
 
-    return ds.cv_select(cells, design.material_ids, inner_k, seed, score)
+    return ds.cv_select(cells, cv_table(cells, design.material_ids, inner_k, seed, score))
 
 
 def oracle_select_cell(family, design, grids, inner_k, seed):
@@ -69,8 +93,8 @@ def oracle_select_cell(family, design, grids, inner_k, seed):
 def fit_network(design, train_rows, cell, base_train, net_seed, train_seed):
     """mtnn.network_job trained on its own: the fitted standardizer and the
     training result."""
-    standardizer, job = mtnn.network_job(design, train_rows, cell, base_train, net_seed,
-                                         train_seed)
+    standardizer, job = mtnn.network_job(design, every_channel(design), train_rows, cell,
+                                         base_train, net_seed, train_seed)
     return standardizer, mtnn.train(job.net, job.features, job.selector, job.targets,
                                     job.config)
 
@@ -81,7 +105,8 @@ def oracle_select_and_refit_net(design, train_rows, test_rows, grid, base_train,
     refit_seed = derive_seed(seed, 3)
     standardizer, result = fit_network(design, train_rows, search.best_cell, base_train,
                                        refit_seed, derive_seed(refit_seed, 11))
-    x_test, s_test, _ = mtnn.network_inputs(design, test_rows, standardizer)
+    x_test, s_test, _ = mtnn.network_inputs(design, every_channel(design), test_rows,
+                                            standardizer)
     pred_std = mtnn.forward(result.net, x_test, s_test)
     return standardizer.invert_targets(pred_std, design.channel_idx[test_rows])
 
@@ -98,7 +123,7 @@ def oracle_mtnn_fold(report, design, train_mats, test_mats, grid, base_train, in
 def oracle_st_fold(report, family, design, train_mats, test_mats, grid, forest_grid,
                    base_train, inner_k, seed):
     for pos in range(len(design.registry)):
-        single = evaluation.single_channel_design(design, pos)
+        single = single_channel_design(design, pos)
         train_rows = single.rows_for(train_mats)
         test_rows = single.rows_for(test_mats)
         if not np.any(train_rows):
@@ -145,7 +170,7 @@ def oracle_train(path, family, data, subset_id, channel, grid, forest_grid, base
     if channel:
         prop, _, fidelity = channel.partition(":")
         position = subset.registry.index_of(subset.registry.lookup(prop, fidelity))
-        design = evaluation.single_channel_design(design, position)
+        design = single_channel_design(design, position)
     if family == "st-rf":
         search = oracle_forest_grid_search(forest_grid, design, inner_k, seed)
         config = rf.ForestConfig(seed=derive_seed(seed, 3), **search.best_cell)
@@ -229,6 +254,35 @@ def test_run_protocol_equals_per_family_oracle(inputs, family):
     assert all(math.isfinite(v) for v in report.channels["det_velocity:calc"].rmse_values)
 
 
+@pytest.mark.parametrize("family", ["st-rf", "st-nn"])
+def test_single_task_protocol_copies_no_design_rows(inputs, monkeypatch, family):
+    """Every single-task fit of a protocol, in selection and refit alike,
+    reaches its engine with the design's own feature and target arrays,
+    not a copy of its channel's rows."""
+    _, schema, design = ds.build_design(inputs["data"], SUBSET, False)
+    reached = []
+    if family == "st-rf":
+        fit_forests = rf.fit_forests
+
+        def spy(x, y, jobs):
+            reached.append((x, y))
+            return fit_forests(x, y, jobs)
+
+        monkeypatch.setattr(rf, "fit_forests", spy)
+    else:
+        network_job = mtnn.network_job
+
+        def spy(source, *args, **kwargs):
+            reached.append((source.features, source.targets))
+            return network_job(source, *args, **kwargs)
+
+        monkeypatch.setattr(mtnn, "network_job", spy)
+    evaluation.run_protocol(family, schema, design, SUBSET, seeds=SEEDS[:1], k=FOLDS,
+                            grids=inputs["grids"], inner_k=INNER_FOLDS)
+    assert len(reached) >= 2  # the selection and the refits
+    assert all(x is design.features and y is design.targets for x, y in reached)
+
+
 @pytest.mark.parametrize("family,channel,name", [
     ("st-rf", "det_velocity:calc", "model.emrf"),
     ("mt-nn", None, "model.emmt"),
@@ -259,7 +313,7 @@ def test_tune_scores_the_two_cell_grid(inputs, tmp_path, capsys, family, channel
     _, _, design = ds.build_design(inputs["data"], SUBSET, False)
     if channel:
         position = design.registry.index_of(design.registry.lookup(*channel.split(":")))
-        design = evaluation.single_channel_design(design, position)
+        design = single_channel_design(design, position)
     expected = oracle_select_cell(family, design, inputs["grids"], INNER_FOLDS, 4)
     assert len(expected.table) == 2
 
@@ -279,24 +333,29 @@ def test_tune_scores_the_two_cell_grid(inputs, tmp_path, capsys, family, channel
 # ---------------------------------------------------------------------------
 
 def unit_design(inputs, family):
-    """(schema, design) of the unit fit_all sees for the family."""
+    """(schema, design, channels, unit): the design fit_all fits, the
+    channels a fit of the family models, and the oracles' copy of their
+    rows (the design itself for mt-nn)."""
     _, schema, design = ds.build_design(inputs["data"], SUBSET, False)
-    if family != "mt-nn":
-        position = design.registry.index_of(design.registry.lookup("det_velocity", "calc"))
-        design = evaluation.single_channel_design(design, position)
-    return schema, design
+    if family == "mt-nn":
+        return schema, design, every_channel(design), design
+    position = design.registry.index_of(design.registry.lookup("det_velocity", "calc"))
+    return (schema, design, range(position, position + 1),
+            single_channel_design(design, position))
 
 
 @pytest.mark.parametrize("family", evaluation.MODEL_FAMILIES)
 def test_one_cell_fit_selected_equals_select_then_refit(inputs, family):
     grids = inputs["one_cell"]
-    schema, design = unit_design(inputs, family)
-    train_mats, _ = ds.kfold_by_material(design.material_ids, FOLDS, 5).train_test(0)
-    train_rows = design.rows_for(train_mats)
-    (bundle,) = evaluation.fit_all([evaluation.Fit(family, design, train_rows, ~train_rows, 9, 10)],
-                                   schema, grids, INNER_FOLDS)
+    schema, design, channels, unit = unit_design(inputs, family)
+    train_mats, _ = ds.kfold_by_material(unit.material_ids, FOLDS, 5).train_test(0)
+    train_rows = design.rows_for(train_mats) & design.channel_rows(channels)
+    (bundle,) = evaluation.fit_all(
+        design, [evaluation.Fit(family, channels, train_rows, np.zeros_like(train_rows), 9, 10)],
+        schema, grids, INNER_FOLDS)
     fitted = bundle.forest.trees if family == "st-rf" else [bundle.net.params]
-    expected = oracle_fit_selected(family, design, train_rows, grids, INNER_FOLDS, 9, 10)
+    expected = oracle_fit_selected(family, unit, unit.rows_for(train_mats), grids, INNER_FOLDS,
+                                   9, 10)
     assert [a.tobytes() for a in fitted] == [a.tobytes() for a in expected]
 
 
@@ -333,12 +392,13 @@ def test_inner_cv_runs_only_for_several_cells(inputs, monkeypatch, family, modul
         raise InnerCVEntered(name)
 
     monkeypatch.setattr(module, name, refuse)
-    schema, design = unit_design(inputs, family)
-    all_rows = np.ones(len(design.targets), dtype=bool)
+    schema, design, channels, _ = unit_design(inputs, family)
+    rows = design.channel_rows(channels)
 
     def fit(grids):
-        return evaluation.fit_all([evaluation.Fit(family, design, all_rows, ~all_rows, 1, 2)],
-                                  schema, grids, INNER_FOLDS)
+        return evaluation.fit_all(
+            design, [evaluation.Fit(family, channels, rows, np.zeros_like(rows), 1, 2)], schema,
+            grids, INNER_FOLDS)
 
     fit(inputs["one_cell"])
     with pytest.raises(InnerCVEntered):
@@ -401,9 +461,9 @@ def test_fit_all_raises_the_first_failure_in_plan_order(inputs, name):
 
     def fit(family, channel):
         position = design.registry.index_of(design.registry.lookup(*channel.split(":")))
-        unit = evaluation.single_channel_design(design, position)
-        rows = np.ones(len(unit.targets), dtype=bool)
-        return evaluation.Fit(family, unit, rows, ~rows, 3, 4)
+        rows = design.channel_rows(range(position, position + 1))
+        return evaluation.Fit(family, range(position, position + 1), rows, np.zeros_like(rows),
+                              3, 4)
 
     kinds = {"diverging": fit("st-nn", "det_velocity:calc"),
              "diverging-selection": fit("st-nn", "det_velocity:calc"),
@@ -414,10 +474,10 @@ def test_fit_all_raises_the_first_failure_in_plan_order(inputs, name):
 
     with pytest.raises(ToolkitError) as alone:
         for one in fits:
-            evaluation.fit_all([one], schema, grids, INNER_FOLDS)
+            evaluation.fit_all(design, [one], schema, grids, INNER_FOLDS)
     assert alone.value.code == code
     with pytest.raises(ToolkitError) as together:
-        evaluation.fit_all(fits, schema, grids, INNER_FOLDS)
+        evaluation.fit_all(design, fits, schema, grids, INNER_FOLDS)
     assert (together.value.code, str(together.value)) == (alone.value.code, str(alone.value))
 
 
@@ -426,8 +486,8 @@ def test_fit_all_raises_the_first_failure_in_plan_order(inputs, name):
 def test_network_fit_without_training_rows_is_one_error(inputs, family):
     """A network fit with no training rows is refused before its rows are
     standardized, so numpy warns of nothing."""
-    schema, design = unit_design(inputs, family)
+    schema, design, channels, _ = unit_design(inputs, family)
     no_rows = np.zeros(len(design.targets), dtype=bool)
     with pytest.raises(InvalidConfig, match="^empty training batch$"):
-        evaluation.fit_all([evaluation.Fit(family, design, no_rows, ~no_rows, 1, 2)], schema,
-                           inputs["one_cell"], INNER_FOLDS)
+        evaluation.fit_all(design, [evaluation.Fit(family, channels, no_rows, no_rows, 1, 2)],
+                           schema, inputs["one_cell"], INNER_FOLDS)
