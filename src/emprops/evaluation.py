@@ -389,8 +389,8 @@ def select(design: ds.DesignMatrix, fits: list[Fit], grids: Grids,
     time, and are scored by RMSE in standardized space averaged over channels."""
     plans = [_selection_jobs(design, fit, grids, inner_k) if fit.family == "st-rf" else None
              for fit in fits]
-    grown = rf.fit_forests(design.features, design.targets,
-                           [job for plan in plans if plan for job in plan[1]])
+    grown = iter(rf.fit_forests(design.features, design.targets,
+                                [job for plan in plans if plan for job in plan[1]]))
     results: list[ds.GridResult | ToolkitError] = []
     for fit, plan in zip(fits, plans):
         folds, jobs, error = plan or _selection_jobs(design, fit, grids, inner_k)  # a grid at a time

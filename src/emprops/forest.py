@@ -22,18 +22,20 @@ scores every (feature, threshold) candidate from cumulative sums, then
 applies the tie rule to the running maxima of those scores in scan
 order. The padding sorts last and adds only zeros to the sums a
 candidate reads, and each node's mean and SSE come from ndarray.sum over
-its own rows, so every tree has the bits it gets alone. fit_forest,
+its own rows, so every tree has the bits it gets alone. For the same
+reason fit_forests splits its forests across the CPUs this process may
+use (workers.run), each process growing its part so. fit_forest,
 fit_tree and best_split are the one-forest, one-tree and one-node cases
 of this path."""
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from emprops import workers
 from emprops.errors import DimensionMismatch, EmptyData, InvalidConfig, check_number
 from emprops.rng import SplitMix64, derive_seed, next_blocks, partial_shuffle
 
@@ -114,36 +116,54 @@ def fit_forest(x: np.ndarray, y: np.ndarray, config: ForestConfig) -> RandomFore
     the one-job case of fit_forests."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    return next(fit_forests(x, y, [forest_job(x, y, config)]))
+    (forest,) = fit_forests(x, y, [forest_job(x, y, config)])
+    return forest
 
 
-def fit_forests(x: np.ndarray, y: np.ndarray, jobs: list[ForestJob]) -> Iterator[RandomForest]:
+def fit_forests(x: np.ndarray, y: np.ndarray, jobs: list[ForestJob]) -> list[RandomForest]:
     """The forests of the jobs on the rows of x (float64, finite: the
     padding of the split search sorts after every finite value, not after
     NaN) and y, in order, each bit for bit the forest its job gets alone.
     Tree t of a job draws a with-replacement bootstrap of its n rows, then
     its split attempts' feature subsets, from splitmix64(derive_seed(seed, t)).
 
-    Jobs go through in windows of whole jobs holding at most WINDOW_ROWS
-    bootstrap rows (a larger job fills a window alone); every tree of a
-    window grows in lockstep, and its forests are yielded before the next
-    window starts.
+    workers.run splits the jobs across the CPUs this process may use. Each
+    process pads x and y once and grows its part in windows of whole jobs
+    holding at most WINDOW_ROWS bootstrap rows (a larger job fills a
+    window alone); every tree of a window grows in lockstep.
     """
+    return workers.run(lambda part: _fit_part(x, y, part), jobs)
+
+
+def _fit_part(x: np.ndarray, y: np.ndarray, jobs: list[ForestJob]) -> list[RandomForest]:
+    """fit_forests of a part of the jobs, in this process."""
+    if not jobs:
+        return []
+    x, y = _pad(x, y)
+    forests: list[RandomForest] = []
     window: list[ForestJob] = []
     rows = 0
     for job in jobs:
         size = len(job.rows) * job.config.n_trees
         if window and rows + size > WINDOW_ROWS:
-            yield from _fit_window(x, y, window)
+            forests += _fit_window(x, y, window)
             window, rows = [], 0
         window.append(job)
         rows += size
     if window:
-        yield from _fit_window(x, y, window)
+        forests += _fit_window(x, y, window)
+    return forests
+
+
+def _pad(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x and y with the padding row of the split search appended: +inf
+    features, target 0."""
+    return np.concatenate([x, np.full((1, x.shape[1]), np.inf)]), np.append(y, 0.0)
 
 
 def _fit_window(x: np.ndarray, y: np.ndarray, jobs: list[ForestJob]) -> list[RandomForest]:
-    """The forests of the jobs, every tree grown in one _Lockstep on x and y."""
+    """The forests of the jobs, every tree grown in one _Lockstep on x and
+    y padded by _pad."""
     samples, sizes, configs, k, states = [], [], [], [], []
     for job in jobs:
         n, n_trees = len(job.rows), job.config.n_trees
@@ -180,7 +200,7 @@ def fit_tree(x: np.ndarray, y: np.ndarray, config: ForestConfig,
     if feature_rng is None:
         k = n_features
     states = np.array([feature_rng.state if feature_rng else 0], dtype=np.uint64)
-    (tree,) = _Lockstep(x, y, np.arange(len(y)), [len(y)], [config], [k], states).grow()
+    (tree,) = _Lockstep(*_pad(x, y), np.arange(len(y)), [len(y)], [config], [k], states).grow()
     if feature_rng is not None:
         feature_rng.state = int(states[0])
     return tree
@@ -210,13 +230,12 @@ def best_split(x: np.ndarray, y: np.ndarray, feature_indices: list[int],
 class _Lockstep:
     """Trees growing in lockstep, each bit for bit as it grows alone.
 
-    The rows of x and y are the given rows, then a padding row (+inf
-    features, target 0) that no tree samples. Tree t grows on sizes[t]
-    rows: the next segment of sample, which holds every tree's rows one
-    after another. It grows by configs[t]. A split attempt considers k[t]
-    of the d columns of x: a subset drawn from the splitmix64 stream whose
-    state is states[t] (uint64, advanced in place) when k[t] is fewer,
-    else all of them.
+    The last row of x and y is the padding row of _pad, which no tree
+    samples. Tree t grows on sizes[t] rows: the next segment of sample,
+    which holds every tree's rows one after another. It grows by
+    configs[t]. A split attempt considers k[t] of the d columns of x: a
+    subset drawn from the splitmix64 stream whose state is states[t]
+    (uint64, advanced in place) when k[t] is fewer, else all of them.
 
     Each tree keeps its own preorder stack. A node's rows are a segment of
     perm, which a split partitions stably into its children's segments,
@@ -228,8 +247,7 @@ class _Lockstep:
 
     def __init__(self, x: np.ndarray, y: np.ndarray, sample: np.ndarray, sizes: list[int],
                  configs: list[ForestConfig], k: list[int], states: np.ndarray) -> None:
-        self.x = np.concatenate([x, np.full((1, x.shape[1]), np.inf)])
-        self.y = np.append(y, 0.0)
+        self.x, self.y = x, y
         self.states, self.k = states, k
         self.perm = np.append(sample, len(self.y) - 1)  # partitioned in place, padding last
         self.pad = len(sample)  # the position of the padding row in perm

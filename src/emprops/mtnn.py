@@ -8,9 +8,10 @@ backpropagation; training is Adam with early stopping on validation MSE.
 Everything seeded is driven by splitmix64, so runs are bit-reproducible.
 
 train_many is the one training loop: it takes networks of any configs,
-stacks those that differ only in their seeds (the one place that groups
-them) and trains each stack in lockstep, every network with the bits it
-would get alone; train is its one-network case. It computes a loss only
+splits them across the CPUs this process may use, stacks those of a part
+that differ only in their seeds (the one place that groups them) and
+trains each stack in lockstep, every network with the bits it would get
+alone; train is its one-network case. It computes a loss only
 where a result reads it: each batch's, each validating network's
 validation MSE per epoch, and one training-set MSE of the parameters a
 network returns. network_job prepares every network fit (inner CV, the
@@ -28,6 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from emprops import dataset as ds
+from emprops import workers
 from emprops.errors import DimensionMismatch, InvalidConfig, NonFiniteLoss, check_number
 from emprops.rng import SplitMix64, derive_seed
 
@@ -101,6 +103,9 @@ class MTNet:
 
     def __post_init__(self) -> None:
         self.weights, self.biases = layer_views(self.config, self.params)
+
+    def __reduce__(self):
+        return MTNet, (self.config, self.params)  # views are rebuilt, not copied
 
 
 def layer_shapes(config: MTNetConfig) -> list[tuple[int, int]]:
@@ -329,24 +334,27 @@ def _runs(members, size_of) -> list[list[int]]:
 def train_many(jobs: list[TrainJob]) -> list[TrainResult | NonFiniteLoss]:
     """Adam training of networks, each with the bits it gets alone; returns
     one TrainResult, or the NonFiniteLoss that stopped it, per job, in job
-    order. Networks that differ only in their seeds train in one stack.
+    order. The checked jobs are split across the CPUs this process may use
+    (workers.run), and in each process the networks of its part that differ
+    only in their seeds train in one stack.
 
     With validation rows a network stops after `patience` epochs without
     improvement and returns the parameters of its best validation epoch;
-    without, it runs max_epochs and returns its final parameters, trained
-    in place in job.net. Batch order is shuffled per epoch by one
-    splitmix64 stream per network, seeded from its config.seed, so
-    identical seeds give identical histories: one {"epoch": e} entry per
-    epoch run, with its "val_mse" when the network validates.
+    without, it runs max_epochs and returns job.net. Batch order is
+    shuffled per epoch by one splitmix64 stream per network, seeded from
+    its config.seed, so identical seeds give identical histories: one
+    {"epoch": e} entry per epoch run, with its "val_mse" when the network
+    validates.
 
     A non-finite batch loss stops only its own network, before the update,
-    and so does a non-finite validation loss. Once training ends, the
+    and so does a non-finite validation loss. Every job.net ends with the
+    final parameters of its training, stopped or not, also when a forked
+    part trained it. Once training ends, the
     parameters a network would return are scored once on its training
     rows; a non-finite MSE there is NonFiniteLoss("non-finite training
     loss at epoch N"), N the epoch returned.
     """
-    stacks: dict[tuple, list[int]] = {}  # (net config, train config) without seeds -> jobs
-    for index, job in enumerate(jobs):
+    for job in jobs:
         if len(job.targets) == 0:
             raise InvalidConfig("empty training batch")
         _rows(job.net.config, job.features, job.selector)
@@ -354,13 +362,27 @@ def train_many(jobs: list[TrainJob]) -> list[TrainResult | NonFiniteLoss]:
             if len(job.val[2]) == 0:
                 raise InvalidConfig("empty validation batch")
             _rows(job.net.config, job.val[0], job.val[1])
+    results = []
+    for job, (params, result) in zip(jobs, workers.run(_train_part, jobs)):
+        job.net.params[...] = params  # a forked part trained a copy
+        if isinstance(result, TrainResult) and job.val is None:
+            result.net = job.net
+        results.append(result)
+    return results
+
+
+def _train_part(jobs: list[TrainJob]) -> list[tuple[np.ndarray, TrainResult | NonFiniteLoss]]:
+    """train_many of a part of the checked jobs, in this process: per job,
+    the final parameters of its net and its outcome."""
+    stacks: dict[tuple, list[int]] = {}  # (net config, train config) without seeds -> jobs
+    for index, job in enumerate(jobs):
         key = (replace(job.net.config, seed=0), replace(job.config, seed=0))
         stacks.setdefault(key, []).append(index)
     results: list[TrainResult | NonFiniteLoss | None] = [None] * len(jobs)
     for members in stacks.values():
         for index, result in zip(members, _train_stack([jobs[index] for index in members])):
             results[index] = result
-    return results
+    return [(job.net.params, result) for job, result in zip(jobs, results)]
 
 
 def _train_stack(jobs: list[TrainJob]) -> list[TrainResult | NonFiniteLoss]:

@@ -7,6 +7,8 @@ versus charge-separated nitro form) for representation-invariance checks.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from emprops.molgraph import parse_smiles
@@ -64,3 +66,15 @@ SPELLING_PAIRS = [
 @pytest.fixture(scope="session")
 def corpus_graphs():
     return {name: parse_smiles(smiles) for name, smiles in CORPUS.items()}
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fail a test that leaves a child process running or unreaped (the
+    engines fork workers and must reap every one)."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process {'running' if pid == 0 else pid} unreaped")
