@@ -12,6 +12,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -90,8 +91,7 @@ class PropertyRegistry:
     channels: tuple[PropertyChannel, ...]
 
     def __post_init__(self) -> None:
-        keys = [channel.key for channel in self.channels]
-        if len(set(keys)) != len(keys):
+        if len(self.positions) != len(self.channels):
             raise InvalidConfig("duplicate (property, fidelity) channel in registry")
 
     def __len__(self) -> int:
@@ -100,17 +100,22 @@ class PropertyRegistry:
     def __iter__(self):
         return iter(self.channels)
 
+    @cached_property
+    def positions(self) -> dict[tuple[str, str], int]:
+        """The position of each (property, fidelity), built once per registry."""
+        return {(c.property, c.fidelity): pos for pos, c in enumerate(self.channels)}
+
     def index_of(self, channel: PropertyChannel) -> int:
-        for i, existing in enumerate(self.channels):
-            if existing.key == channel.key:
-                return i
-        raise UnknownChannel(f"channel {channel.key!r} not in registry")
+        position = self.positions.get((channel.property, channel.fidelity))
+        if position is None:
+            raise UnknownChannel(f"channel {channel.key!r} not in registry")
+        return position
 
     def lookup(self, prop: str, fidelity: str) -> PropertyChannel:
-        for channel in self.channels:
-            if channel.property == prop and channel.fidelity == fidelity:
-                return channel
-        raise UnknownChannel(f"channel {prop + ':' + fidelity!r} not in registry")
+        position = self.positions.get((prop, fidelity))
+        if position is None:
+            raise UnknownChannel(f"channel {prop + ':' + fidelity!r} not in registry")
+        return self.channels[position]
 
     def to_json(self) -> list[dict]:
         return [

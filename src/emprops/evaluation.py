@@ -384,33 +384,42 @@ def select(design: ds.DesignMatrix, fits: list[Fit], grids: Grids,
     """Inner-CV selection of each fit's cell on its training rows: per fit,
     its ds.GridResult or the error of its first failing (cell, inner fold)
     in cv_select's order. Every forest of every fit grows in one
-    rf.fit_forests call and is scored by RMSE; each fit's networks train in
-    one mtnn.train_many call, so one grid's standardized rows are held at a
-    time, and are scored by RMSE in standardized space averaged over channels."""
+    rf.fit_forests call, and those of the fits whose plans hold are scored
+    by RMSE on their validation rows of the design in one
+    rf.predict_forests call. Each fit's networks train in one
+    mtnn.train_many call, so one grid's standardized rows are held at a
+    time, and are scored by RMSE in standardized space averaged over
+    channels."""
     plans = [_selection_jobs(design, fit, grids, inner_k) if fit.family == "st-rf" else None
              for fit in fits]
     grown = iter(rf.fit_forests(design.features, design.targets,
                                 [job for plan in plans if plan for job in plan[1]]))
+    forests = [[next(grown) for _ in plan[1]] if plan else None for plan in plans]
+    scored = [(model, val) for plan, models in zip(plans, forests) if plan and plan[2] is None
+              for model, (_, val) in zip(models, itertools.cycle(plan[0]))]
+    predictions = rf.predict_forests([model for model, _ in scored], design.features,
+                                     [val for _, val in scored])
+    forest_scores = iter([rmse(pred, design.targets[val])
+                          for pred, (_, val) in zip(predictions, scored)])
     results: list[ds.GridResult | ToolkitError] = []
-    for fit, plan in zip(fits, plans):
+    for fit, plan, models in zip(fits, plans, forests):
         folds, jobs, error = plan or _selection_jobs(design, fit, grids, inner_k)  # a grid at a time
-        models = ([next(grown) for _ in jobs] if plan
-                  else mtnn.train_many([job for _, job in jobs]))
+        if models is None:
+            models = mtnn.train_many([job for _, job in jobs])
         failure = next((model for model in models if isinstance(model, ToolkitError)), error)
         if failure is not None:
             results.append(failure)
             continue
 
-        def score(model, job, val: np.ndarray) -> float:
-            if fit.family == "st-rf":
-                return rmse(rf.predict_forest(model, design.features[val]), design.targets[val])
-            x_val, s_val, y_val = job[1].val
+        def network_score(model, job: mtnn.TrainJob, val: np.ndarray) -> float:
+            x_val, s_val, y_val = job.val
             return mtnn._channel_mean_rmse(mtnn.forward(model.net, x_val, s_val), y_val,
                                            design.channel_idx[val] - fit.channels.start,
                                            len(fit.channels))
 
-        scores = [score(model, job, val) for model, job, (_, val)
-                  in zip(models, jobs, itertools.cycle(folds))]
+        scores = ([next(forest_scores) for _ in models] if plan else
+                  [network_score(model, job, val) for model, (_, job), (_, val)
+                   in zip(models, jobs, itertools.cycle(folds))])
         results.append(ds.cv_select(grids.cells(fit.family, fit.channels),
                                     [scores[i:i + inner_k] for i in range(0, len(scores), inner_k)]))
     return results

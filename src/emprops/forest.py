@@ -26,10 +26,14 @@ its own rows, so every tree has the bits it gets alone. For the same
 reason fit_forests splits its forests across the CPUs this process may
 use (workers.run), each process growing its part so. fit_forest,
 fit_tree and best_split are the one-forest, one-tree and one-node cases
-of this path."""
+of this path.
+
+predict_forests walks every (tree, row) pair of many forests down
+together, one level per step; predict_forest is its one-forest case."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -141,18 +145,21 @@ def _fit_part(x: np.ndarray, y: np.ndarray, jobs: list[ForestJob]) -> list[Rando
         return []
     x, y = _pad(x, y)
     forests: list[RandomForest] = []
-    window: list[ForestJob] = []
-    rows = 0
-    for job in jobs:
-        size = len(job.rows) * job.config.n_trees
-        if window and rows + size > WINDOW_ROWS:
-            forests += _fit_window(x, y, window)
-            window, rows = [], 0
-        window.append(job)
-        rows += size
-    if window:
-        forests += _fit_window(x, y, window)
+    for window in _windows([len(job.rows) * job.config.n_trees for job in jobs]):
+        forests += _fit_window(x, y, jobs[window])
     return forests
+
+
+def _windows(sizes: list[int]) -> list[slice]:
+    """Consecutive runs of the items whose sizes are given, each holding at
+    most WINDOW_ROWS in total; an item larger than that forms a run alone."""
+    windows, first, total = [], 0, 0
+    for item, size in enumerate(sizes):
+        if item > first and total + size > WINDOW_ROWS:
+            windows.append(slice(first, item))
+            first, total = item, 0
+        total += size
+    return windows + [slice(first, len(sizes))] if sizes else windows
 
 
 def _pad(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -452,32 +459,95 @@ def _split_search(block: np.ndarray, targets: np.ndarray, n: np.ndarray,
 
 
 def predict_forest(forest: RandomForest, x: np.ndarray) -> np.ndarray:
-    """Unweighted mean of per-tree predictions; accepts one row or a matrix."""
+    """Unweighted mean of per-tree predictions; accepts one row or a matrix.
+    The one-forest case of predict_forests, on every row of x."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    if x.shape[1] != forest.n_features:
-        raise DimensionMismatch(
-            f"feature dim {x.shape[1]} != fitted dim {forest.n_features}"
-        )
-    out = np.zeros(x.shape[0])
-    for tree in forest.trees:
-        out += _predict_tree(tree, x)
-    out /= len(forest.trees)
+    (out,) = predict_forests([forest], x, [np.arange(len(x))])
     return out[0] if single else out
 
 
-def _predict_tree(tree: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Walk every row down one tree, one level per step."""
-    feature = tree[:, FEATURE].astype(np.intp)
-    children = tree[:, LEFT:].astype(np.intp)
-    node = np.zeros(len(x), dtype=np.intp)
-    active = np.arange(len(x))
+def predict_forests(forests: list[RandomForest], x: np.ndarray,
+                    rows: list[np.ndarray]) -> list[np.ndarray]:
+    """For each forest, the unweighted mean of its trees' predictions on its
+    rows (indices) of the matrix x: its trees' leaf values added in tree
+    order into zeros, then divided by the tree count, so a -0.0 mean reads
+    +0.0 and a NaN leaf (an empty child) gives NaN.
+
+    Every (tree, row) pair of a window of whole forests holding at most
+    WINDOW_ROWS pairs (a larger forest fills a window alone) walks down at
+    once, one level per step, so a call costs about as many numpy steps
+    per window as its deepest tree has levels, whatever the tree count.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    for forest in forests:
+        if x.shape[1] != forest.n_features:
+            raise DimensionMismatch(
+                f"feature dim {x.shape[1]} != fitted dim {forest.n_features}"
+            )
+    rows = [np.asarray(indices, dtype=np.intp) for indices in rows]
+    out: list[np.ndarray] = []
+    for window in _windows([len(indices) * len(forest.trees)
+                            for forest, indices in zip(forests, rows)]):
+        out += _predict_window(x, forests[window], rows[window])
+    return out
+
+
+def _predict_window(x: np.ndarray, forests: list[RandomForest],
+                    rows: list[np.ndarray]) -> list[np.ndarray]:
+    """predict_forests of one window, in one _walk. Its columns are the
+    forests' rows, forests in descending tree count, so the forests with
+    a t-th tree own a prefix of the columns: tree slot t pairs each of
+    those columns with its forest's t-th tree, and adding the slots in
+    turn adds each column's trees in order."""
+    order = sorted(range(len(forests)), key=lambda f: -len(forests[f].trees))
+    n_trees = [len(forests[f].trees) for f in order]
+    widths = [len(rows[f]) for f in order]
+    trees = [tree for f in order for tree in forests[f].trees]
+    nodes = np.concatenate(trees)
+    starts = np.cumsum([0] + [len(tree) for tree in trees])  # of each tree in the nodes
+    nodes[:, LEFT:] += np.repeat(starts[:-1], np.diff(starts))[:, None]  # links into the nodes
+    column_trees = np.repeat(n_trees, widths)  # descending
+    prefixes = np.searchsorted(-column_trees, -np.arange(n_trees[0])).tolist()
+    slot = np.repeat(np.arange(n_trees[0]), prefixes)  # of each (tree, row) pair
+    column = np.arange(len(slot)) - np.repeat(np.cumsum([0] + prefixes[:-1]), prefixes)
+    node = starts[np.repeat(np.cumsum([0] + n_trees[:-1]), widths)[column] + slot]  # its root
+    column_rows = np.concatenate([rows[f] for f in order])
+    row = column_rows[column]
+    del slot, column  # a window's pairs are many: hold only what the walk needs
+    leaves = _walk(x, nodes, node, row)
+    total, at = np.zeros(len(column_rows)), 0
+    for p in prefixes:
+        total[:p] += leaves[at:at + p]
+        at += p
+    total /= column_trees
+    out: list = [None] * len(forests)
+    for f, end, width in zip(order, itertools.accumulate(widths), widths):
+        out[f] = total[end - width:end]
+    return out
+
+
+def _walk(x: np.ndarray, nodes: np.ndarray, node: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The leaf values that the pairs (node[i], x row row[i]) reach, walking
+    down from node[i] (advanced in place), all pairs one level per step.
+    The links of nodes are row indices into nodes."""
+    columns = tuple(nodes[:, column] for column in (FEATURE, THRESHOLD, LEFT, RIGHT))
+    active = np.arange(len(node))
     while active.size:
-        at = node[active]
-        inner = feature[at] >= 0
-        active, at = active[inner], at[inner]
-        goes_left = x[active, feature[at]] <= tree[at, THRESHOLD]
-        node[active] = np.where(goes_left, children[at, 0], children[at, 1])
-    return tree[node, VALUE]
+        active = _descend(x, columns, node, row, active)
+    return nodes[node, VALUE]
+
+
+def _descend(x, columns, node, row, active) -> np.ndarray:
+    """One level of _walk: move each active pair at a split node to its
+    child, and return the pairs that moved."""
+    feature, threshold, left, right = columns
+    at = node[active]
+    split_feature = feature[at]
+    inner = split_feature >= 0
+    active, at = active[inner], at[inner]
+    goes_left = x[row[active], split_feature[inner].astype(np.intp)] <= threshold[at]
+    node[active] = np.where(goes_left, left[at], right[at])  # float links hold whole numbers
+    return active

@@ -46,8 +46,9 @@ def save_model(path: str | Path, bundle: ModelBundle) -> None:
 
 def load_model(path: str | Path) -> ModelBundle:
     """Read a model file. A header field that is missing or does not decode,
-    a model whose input width is not its schema's, or a standardizer whose
-    lengths are not the network's, is CorruptFile."""
+    a model whose input width is not its schema's, a standardizer whose
+    lengths are not the network's, or a forest whose tree count is not its
+    config's n_trees, is CorruptFile."""
     magic, header, payload = modelio.read_any_container(path)
     try:
         return _decode(magic, header, payload)
@@ -72,10 +73,14 @@ def _decode(magic: bytes, header: dict, payload: bytes) -> ModelBundle:
         width = config.input_dim
     else:
         width = header["n_features"]
+        config = rf.ForestConfig(**config)
+        if len(header["tree_sizes"]) != config.n_trees:
+            raise CorruptFile(f"forest file holds {len(header['tree_sizes'])} trees, "
+                              f"its config {config.n_trees}")
         trees = modelio.split_payload(payload, [(size, 5) for size in header["tree_sizes"]])
         for tree in trees:
             _check_tree(tree, width)
-        forest = rf.RandomForest(config=rf.ForestConfig(**config), trees=trees, n_features=width)
+        forest = rf.RandomForest(config=config, trees=trees, n_features=width)
         bundle = ModelBundle(kind="forest", registry=registry, schema=schema, forest=forest)
     if width != len(schema):
         raise CorruptFile(f"model takes {width} features, its schema gives {len(schema)}")

@@ -491,6 +491,19 @@ class TestModelHeader:
         assert err.startswith("error CorruptFile: model header is not JSON")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("keep", [0, -1], ids=["no-trees", "one-tree-short"])
+    def test_forest_tree_count_must_match_config(self, tmp_path, capsys, model_files, keep):
+        source = model_files[modelio.MAGIC_FOREST]
+        header, payload = modelio.read_container(source, modelio.MAGIC_FOREST)
+        trees = modelio.split_payload(payload, [(size, 5) for size in header["tree_sizes"]])
+        header["tree_sizes"] = header["tree_sizes"][:keep]
+        path = tmp_path / "short.emrf"
+        modelio.write_container(path, modelio.MAGIC_FOREST, header, trees[:keep])
+        code = cli.main(["predict", "--model", str(path), "--smiles", "CC[N+](=O)[O-]"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error CorruptFile: forest file holds") and len(err.splitlines()) == 1
+
     def test_forest_width_must_match_schema(self, tmp_path, capsys, model_files):
         path = tmp_path / "wide.emrf"
         rewrite_header(model_files[modelio.MAGIC_FOREST], path, modelio.MAGIC_FOREST,

@@ -209,12 +209,39 @@ def tree_bytes(trees):
 
 
 def scalar_predict(tree, row):
-    """One row down one tree, node by node: the walk predict_forest vectorizes."""
+    """One row down one tree, node by node: the walk predict_tree vectorizes."""
     node = 0
     while tree[node, rf.FEATURE] >= 0:
         goes_left = row[int(tree[node, rf.FEATURE])] <= tree[node, rf.THRESHOLD]
         node = int(tree[node, rf.LEFT] if goes_left else tree[node, rf.RIGHT])
     return tree[node, rf.VALUE]
+
+
+def predict_tree(tree, x):
+    """Every row of x down one tree, one level per step: the walk that
+    predict_forests runs over the trees of many forests at once."""
+    feature = tree[:, rf.FEATURE].astype(np.intp)
+    children = tree[:, rf.LEFT:].astype(np.intp)
+    node = np.zeros(len(x), dtype=np.intp)
+    active = np.arange(len(x))
+    while active.size:
+        at = node[active]
+        inner = feature[at] >= 0
+        active, at = active[inner], at[inner]
+        goes_left = x[active, feature[at]] <= tree[at, rf.THRESHOLD]
+        node[active] = np.where(goes_left, children[at, 0], children[at, 1])
+    return tree[node, rf.VALUE]
+
+
+def per_tree_predict(forest, x):
+    """The forest's mean on the rows of x, one tree at a time: each tree's
+    predict_tree added in tree order into zeros, then divided by the tree
+    count. What predict_forests must equal for every forest."""
+    out = np.zeros(x.shape[0])
+    for tree in forest.trees:
+        out += predict_tree(tree, x)
+    out /= len(forest.trees)
+    return out
 
 
 def root(tree):
@@ -414,6 +441,130 @@ class TestForest:
             rf.ForestConfig(max_features=5).resolve_max_features(3)
         assert rf.ForestConfig().resolve_max_features(9) == 3
         assert rf.ForestConfig().resolve_max_features(10) == 4
+
+
+def random_tree(rng, n_features, max_depth):
+    """A random tree array: splits on random features at rounded thresholds
+    (so rows tie with them), and leaves whose values are normal draws, NaN
+    (an empty child) or -0.0."""
+    nodes = []
+
+    def grow(depth):
+        index = len(nodes)
+        nodes.append([-1.0, 0.0, 0.0, -1.0, -1.0])
+        if depth < max_depth and rng.random() < 0.75:
+            nodes[index][:2] = [float(rng.integers(n_features)), round(rng.normal(), 1)]
+            nodes[index][rf.LEFT] = grow(depth + 1)
+            nodes[index][rf.RIGHT] = grow(depth + 1)
+        else:
+            nodes[index][rf.VALUE] = [rng.normal(), np.nan, -0.0][int(rng.integers(3))]
+        return index
+
+    grow(0)
+    return np.array(nodes)
+
+
+def tree_depth(tree, node=0):
+    if tree[node, rf.FEATURE] < 0:
+        return 0
+    return 1 + max(tree_depth(tree, int(tree[node, rf.LEFT])),
+                   tree_depth(tree, int(tree[node, rf.RIGHT])))
+
+
+def random_forests(rng, n_features, count):
+    """Forests of 1 to 12 random trees up to depth 6, and one whose every
+    leaf is -0.0 (its mean is +0.0, as zeros plus -0.0 is)."""
+    forests = [rf.RandomForest(rf.ForestConfig(n_trees=n), n_features=n_features,
+                               trees=[random_tree(rng, n_features, int(rng.integers(0, 7)))
+                                      for _ in range(n)])
+               for n in rng.integers(1, 13, size=count).tolist()]
+    negative_zero = np.array([[-1.0, 0.0, -0.0, -1.0, -1.0]])
+    forests.append(rf.RandomForest(rf.ForestConfig(n_trees=3), n_features=n_features,
+                                   trees=[negative_zero] * 3))
+    return forests
+
+
+class TestPredictForests:
+    def inputs(self, seed=3):
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.normal(size=(30, 4)), 1)
+        x[0, :] = np.nan  # NaN never compares <=, so it goes right
+        forests = random_forests(rng, 4, 9)
+        shared = rng.choice(len(x), size=7)
+        rows = [rng.choice(len(x), size=int(rng.integers(0, 25))) for _ in forests]
+        rows[0], rows[1], rows[2], rows[3] = np.zeros(0, dtype=np.intp), np.array([4]), shared, shared
+        return x, forests, rows
+
+    def check(self, x, forests, rows):
+        got = rf.predict_forests(forests, x, rows)
+        assert len(got) == len(forests)
+        for forest, indices, values in zip(forests, rows, got):
+            expected = per_tree_predict(forest, x[indices])
+            assert values.tobytes() == expected.tobytes()
+            scalar = np.zeros(len(indices))
+            for tree in forest.trees:
+                scalar += [scalar_predict(tree, x[i]) for i in indices]
+            scalar /= len(forest.trees)
+            assert values.tobytes() == scalar.tobytes()
+        return got
+
+    def test_equals_per_tree_and_scalar_oracles(self):
+        x, forests, rows = self.inputs()
+        got = self.check(x, forests, rows)
+        assert np.isnan(np.concatenate(got)).any()  # NaN leaves reached
+        assert len(got[0]) == 0 and len(got[1]) == 1
+        assert got[-1].size and not np.signbit(got[-1]).any()  # the -0.0 leaves mean +0.0
+
+    @pytest.mark.parametrize("window", [1, 7, 40, 200])
+    def test_windows_straddled_by_row_sets(self, monkeypatch, window):
+        x, forests, rows = self.inputs(seed=window)
+        whole = rf.predict_forests(forests, x, rows)
+        monkeypatch.setattr(rf, "WINDOW_ROWS", window)  # forests larger than one fill one alone
+        walks = []
+        walk = rf._walk
+        monkeypatch.setattr(rf, "_walk", lambda *args: walks.append(1) or walk(*args))
+        got = self.check(x, forests, rows)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in whole]
+        assert len(walks) > 1
+
+    def test_one_walk_takes_the_deepest_tree_levels(self, monkeypatch):
+        """Every (tree, row) pair of a window walks down together, so a walk
+        takes one step per level of its deepest tree, and one more to find
+        that every pair is at a leaf, whatever the tree count."""
+        rng = np.random.default_rng(11)
+        x = np.round(rng.normal(size=(30, 4)), 1)
+        forests = random_forests(rng, 4, 6)
+        forests.append(rf.RandomForest(rf.ForestConfig(n_trees=100), n_features=4,
+                                       trees=[random_tree(rng, 4, 6) for _ in range(100)]))
+        walks = []  # the steps of each walk
+        walk, descend = rf._walk, rf._descend
+
+        def counted_walk(*args):
+            walks.append(0)
+            return walk(*args)
+
+        def counted_descend(*args):
+            walks[-1] += 1
+            return descend(*args)
+
+        monkeypatch.setattr(rf, "_walk", counted_walk)
+        monkeypatch.setattr(rf, "_descend", counted_descend)
+        rf.predict_forests(forests, x, [np.arange(len(x))] * len(forests))
+        deepest = max(tree_depth(tree) for forest in forests for tree in forest.trees)
+        assert len(walks) == 1 and walks[0] <= deepest + 1
+        walks.clear()
+        rf.predict_forest(forests[-1], x[5])
+        assert len(walks) == 1 and walks[0] <= max(map(tree_depth, forests[-1].trees)) + 1
+
+    def test_wrong_width_is_dimension_mismatch(self):
+        x, forests, rows = self.inputs()
+        narrow = rf.RandomForest(rf.ForestConfig(n_trees=1), n_features=3,
+                                 trees=[random_tree(np.random.default_rng(0), 3, 2)])
+        with pytest.raises(DimensionMismatch, match="^feature dim 4 != fitted dim 3$"):
+            rf.predict_forests(forests + [narrow], x, rows + [np.arange(2)])
+
+    def test_no_forests(self):
+        assert rf.predict_forests([], np.zeros((3, 2)), []) == []
 
 
 def mixed_jobs():

@@ -20,7 +20,7 @@ import pytest
 from emprops import cli, dataset as ds, evaluation, forest as rf, mtnn, pipeline
 from emprops.errors import InvalidConfig, ToolkitError
 from emprops.rng import derive_seed
-from test_cli import write_dataset, write_grid
+from test_cli import MOLS, write_dataset, write_grid
 
 SUBSET = 1
 SEEDS = (1, 2)
@@ -326,6 +326,52 @@ def test_tune_scores_the_two_cell_grid(inputs, tmp_path, capsys, family, channel
                                    for row in expected.table]
     table = (tmp_path / "tune" / "grid_table.csv").read_text(encoding="utf-8")
     assert table == "\n".join(lines) + "\n"
+
+
+def test_select_scores_each_forest_fit_as_serial_inner_cv(inputs, monkeypatch):
+    """select scores the forests of several fits, with different
+    validation sizes, in one predict_forests call. Fits whose plans fail
+    between them, one before any forest is planned (the one-material
+    channel) and one after its first cell's forests are (min_samples_leaf 5
+    above the inner-training rows of six materials), shift no other fit's scores:
+    every other fit's score table and GridResult are serial inner CV's, bit
+    for bit."""
+    _, _, design = ds.build_design(inputs["data"], SUBSET, False)
+    grid = replace(inputs["forest_grid"], min_samples_leaf=(1, 5))
+
+    def fit(channel, seed, materials=None):
+        position = design.registry.index_of(design.registry.lookup(*channel.split(":")))
+        rows = design.channel_rows(range(position, position + 1))
+        if materials is not None:
+            rows &= design.rows_for(materials)
+        return evaluation.Fit("st-rf", range(position, position + 1), rows, np.zeros_like(rows),
+                              seed, 0)
+
+    fits = [fit("det_velocity:calc", 3), fit("det_velocity:calc", 4, {m for m, *_ in MOLS[:6]}),
+            fit(SPARSE_CHANNEL, 5), fit("det_pressure:calc", 6, {m for m, *_ in MOLS[:9]})]
+    tables = []
+    cv_select = ds.cv_select
+    monkeypatch.setattr(ds, "cv_select", lambda cells, scores: tables.append(scores)
+                        or cv_select(cells, scores))
+    results = evaluation.select(design, fits, evaluation.Grids(forest=grid), INNER_FOLDS)
+
+    assert [getattr(result, "code", None) for result in results] == [
+        None, "EmptyData", "TooFewMaterials", None]
+    for one, result in zip(fits, results):
+        if isinstance(result, ToolkitError):
+            with pytest.raises(ToolkitError) as serial:
+                oracle_forest_grid_search(grid, restrict(design, one.train_rows), INNER_FOLDS,
+                                          one.seed)
+            assert (serial.value.code, str(serial.value)) == (result.code, str(result))
+            continue
+        got = tables.pop(0)
+        expected = oracle_forest_grid_search(grid, restrict(design, one.train_rows), INNER_FOLDS,
+                                             one.seed)
+        assert [bits(row) for row in tables.pop()] == [bits(row) for row in got]
+        assert repr(result) == repr(expected)
+    assert {np.count_nonzero(val) for one in fits[::3] for _, val in ds.inner_folds(
+        [m for m, keep in zip(design.material_ids, one.train_rows) if keep], INNER_FOLDS,
+        one.seed)} == {3, 4}  # the validation sizes differ
 
 
 # ---------------------------------------------------------------------------
