@@ -251,10 +251,9 @@ def estate_vector(g: MolGraph) -> dict[str, float]:
     bit-identical across atom numberings without sorting the terms. The
     perturbation runs over the atoms a breadth-first walk from i reaches,
     i excluded, which leaves out unreachable and isolated atoms. Each walk
-    goes level by level over integer neighbour lists and fills one row of
-    distances; the terms then come from one array expression, whose
-    elementwise subtraction and division by the table of (d + 1.0) ** 2
-    round exactly as the scalar operations do.
+    is a plain-Python queue over integer neighbour lists that records how
+    many bonds out it reaches each atom j; the terms are then the scalar
+    float operations of the formula, with (d + 1.0) ** 2 from one table.
     """
     n = len(g.atoms)
     neighbours = [[v for v, _ in g.neighbors(i)] for i in range(n)]
@@ -267,32 +266,24 @@ def estate_vector(g: MolGraph) -> dict[str, float]:
         scale = (2.0 / PRINCIPAL_QUANTUM[atom.element]) ** 2
         intrinsic[atom.index] = (scale * delta_v + 1.0) / delta
 
-    dist_rows = []  # [i][j]: bonds on a shortest i-j path, -1 when unreachable
-    for i in range(n):
-        row = [-1] * n
-        row[i] = 0
-        level, d = [i], 0
-        while level:
-            d += 1
-            nearer, level = level, []
-            for u in nearer:
-                for v in neighbours[u]:
-                    if row[v] < 0:
-                        row[v] = d
-                        level.append(v)
-        dist_rows.append(row)
-    dist = np.array(dist_rows, dtype=np.intp).reshape(n, n)
-    squares = np.array([(d + 1.0) ** 2 for d in range(n + 1)])
-    state = np.array(intrinsic)
-    reached = dist > 0
-    terms = ((state[:, None] - state[None, :]) / squares[dist])[reached].tolist()
-    ends = np.cumsum(reached.sum(axis=1)).tolist()
-
+    squares = [(d + 1.0) ** 2 for d in range(n)]
     per_element: dict[str, list[float]] = {"C": [], "N": [], "O": [], "F": [], "Cl": []}
-    for atom, start, end in zip(g.atoms, [0] + ends, ends):
-        if neighbours[atom.index]:
-            per_element[atom.element].append(intrinsic[atom.index]
-                                             + math.fsum(terms[start:end]))
+    for atom in g.atoms:
+        i = atom.index
+        if not neighbours[i]:
+            continue
+        dist = [-1] * n  # bonds on a shortest i-j path, -1 until reached
+        dist[i] = 0
+        order = [i]  # the walk's queue: reached atoms in visit order
+        for u in order:
+            d = dist[u] + 1
+            for v in neighbours[u]:
+                if dist[v] < 0:
+                    dist[v] = d
+                    order.append(v)
+        state = intrinsic[i]
+        terms = [(state - intrinsic[j]) / squares[dist[j]] for j in order[1:]]
+        per_element[atom.element].append(state + math.fsum(terms))
     return {f"estate_{element}": math.fsum(values) for element, values in per_element.items()}
 
 
@@ -368,13 +359,13 @@ def acid_base_counts(g: MolGraph) -> dict[str, int]:
 def _bond_keys(g: MolGraph) -> dict[BondKey, int]:
     counts: dict[BondKey, int] = {}
     for bond in g.bonds:
-        pair = sorted((g.atoms[bond.i].element, g.atoms[bond.j].element))
-        key = (pair[0], pair[1], bond.order)
+        a, b = g.atoms[bond.i].element, g.atoms[bond.j].element
+        key = (a, b, bond.order) if a <= b else (b, a, bond.order)
         counts[key] = counts.get(key, 0) + 1
     for atom in g.atoms:
         if atom.implicit_h:
-            pair = sorted((atom.element, "H"))
-            key = (pair[0], pair[1], "single")
+            a = atom.element
+            key = (a, "H", "single") if a <= "H" else ("H", a, "single")
             counts[key] = counts.get(key, 0) + atom.implicit_h
     return counts
 

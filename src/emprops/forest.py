@@ -29,7 +29,11 @@ fit_tree and best_split are the one-forest, one-tree and one-node cases
 of this path.
 
 predict_forests walks every (tree, row) pair of many forests down
-together, one level per step; predict_forest is its one-forest case."""
+together, one level per step, so a matrix costs about as many numpy steps
+as its deepest tree has levels. predict_forest is its one-forest case,
+except for a single row: screening predicts one candidate per call, and
+one row walks each tree node by node in Python, trees x depth steps that
+each cost far less than a numpy call."""
 
 from __future__ import annotations
 
@@ -459,14 +463,32 @@ def _split_search(block: np.ndarray, targets: np.ndarray, n: np.ndarray,
 
 
 def predict_forest(forest: RandomForest, x: np.ndarray) -> np.ndarray:
-    """Unweighted mean of per-tree predictions; accepts one row or a matrix.
-    The one-forest case of predict_forests, on every row of x."""
+    """Unweighted mean of per-tree predictions, with the bits of
+    predict_forests: a scalar for one row x of shape (d,), else one value
+    per row of the matrix x. A matrix is the one-forest case of
+    predict_forests; a single row, (d,) or (1, d), walks each tree node by
+    node, adding the leaf values in tree order into 0.0 and dividing by the
+    tree count, the same float64 operations in the same order."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    (out,) = predict_forests([forest], x, [np.arange(len(x))])
-    return out[0] if single else out
+    if x.shape[:-1] not in ((), (1,)):
+        (out,) = predict_forests([forest], x, [np.arange(len(x))])
+        return out
+    _check_width(forest, x.shape[-1])
+    row = x.ravel().tolist()
+    total = 0.0
+    for tree in forest.trees:
+        node = 0
+        while (feature := tree.item(node, FEATURE)) >= 0:
+            goes_left = row[int(feature)] <= tree.item(node, THRESHOLD)  # False for NaN
+            node = int(tree.item(node, LEFT if goes_left else RIGHT))
+        total += tree.item(node, VALUE)
+    mean = np.float64(total / len(forest.trees))
+    return mean if x.ndim == 1 else np.array([mean])
+
+
+def _check_width(forest: RandomForest, width: int) -> None:
+    if width != forest.n_features:
+        raise DimensionMismatch(f"feature dim {width} != fitted dim {forest.n_features}")
 
 
 def predict_forests(forests: list[RandomForest], x: np.ndarray,
@@ -483,10 +505,7 @@ def predict_forests(forests: list[RandomForest], x: np.ndarray,
     """
     x = np.asarray(x, dtype=np.float64)
     for forest in forests:
-        if x.shape[1] != forest.n_features:
-            raise DimensionMismatch(
-                f"feature dim {x.shape[1]} != fitted dim {forest.n_features}"
-            )
+        _check_width(forest, x.shape[1])
     rows = [np.asarray(indices, dtype=np.intp) for indices in rows]
     out: list[np.ndarray] = []
     for window in _windows([len(indices) * len(forest.trees)

@@ -10,20 +10,24 @@ repeatedly removing atoms of degree <= 1 (Vismara 1997 restricts the
 relevant cycles to the 2-connected parts). A pruned atom lies on no cycle,
 so a root outside the core, or a bond with a pruned end, never closes a
 candidate: every tree path from such a root runs through the one core atom
-its pendant tree hangs from, and a pendant bond is a tree edge. Roots and
-bonds keep their order and the BFS still runs over the whole graph, so the
-candidate list is that of the full sweep, order included.
+its pendant tree hangs from, and a pendant bond is a tree edge. The BFS
+from each core root runs over the core alone: a pendant tree lies on no
+shortest path between core atoms and enqueues no core atom, so the whole
+graph's BFS reaches the core atoms in the same order and from the same
+parents. Roots and bonds keep their order, so the candidate list is that
+of the full sweep, order included.
 
-For each root, every atom is labelled with its branch: the child of the
-root that its tree path descends from. The tree paths from two atoms meet
-below the root exactly when the atoms share a branch, so a bond (x, y)
-closes a candidate exactly when x and y lie on different branches and
-neither is the root (a bond at the root is a tree edge). Paths are walked
-only for bonds that pass this test.
+For each root, every core atom the BFS reaches is labelled with its
+branch: the child of the root that its tree path descends from. The tree
+paths from two atoms meet below the root exactly when the atoms share a
+branch, so a bond (x, y) closes a candidate exactly when x and y lie on
+different branches and neither is the root (a bond at the root is a tree
+edge). Paths are walked only for bonds that pass this test.
 
-The shortest paths are BFS-tree paths over the graph's neighbour list, so
-the candidate order, and with it the choice among equally small rings and
-their order, follows the neighbour-list (bond-index) order.
+The shortest paths are BFS-tree paths over the graph's neighbour list
+with the pruned atoms left out, so the candidate order, and with it the
+choice among equally small rings and their order, follows the
+neighbour-list (bond-index) order.
 
 A bond lies on some cycle exactly when some SSSR ring contains it: every
 cycle is a GF(2) sum of basis cycles, so an edge that no basis cycle holds
@@ -33,7 +37,7 @@ these rings instead of searching for bridges separately.
 
 from __future__ import annotations
 
-from emprops.molgraph.graph import MolGraph, Ring, bfs
+from emprops.molgraph.graph import MolGraph, Ring
 
 
 def _ring_core(g: MolGraph) -> list[bool]:
@@ -52,22 +56,43 @@ def _ring_core(g: MolGraph) -> list[bool]:
     return in_core
 
 
+def _core_walk(neighbours: list[list[int]], root: int) -> tuple[list[int], list[int]]:
+    """graph.bfs from root over the core's neighbour lists: the BFS-tree
+    parent and the branch of each atom it reaches, -1 for the root and for
+    every atom it does not reach."""
+    parent = [-1] * len(neighbours)
+    branch = [-1] * len(neighbours)
+    parent[root] = root  # marks the root reached until the walk ends
+    order = [root]
+    for v in neighbours[root]:  # the root's children head their own branches
+        if parent[v] < 0:
+            parent[v] = root
+            branch[v] = v
+            order.append(v)
+    for u in order:  # the queue: the root finds no atom left to reach
+        for v in neighbours[u]:
+            if parent[v] < 0:
+                parent[v] = u
+                branch[v] = branch[u]
+                order.append(v)
+    parent[root] = -1
+    return parent, branch
+
+
 def _candidate_cycles(g: MolGraph) -> list[tuple[int, ...]]:
     """Candidate rings: for every core root r and core bond (x, y), the cycle
     formed by the tree paths r->x, r->y plus the bond, when those paths only
     share r."""
     in_core = _ring_core(g)
     bonds = [(b.i, b.j) for b in g.bonds if in_core[b.i] and in_core[b.j]]
+    core_neighbours = [[v for v, _ in g.neighbors(u) if in_core[v]] if in_core[u] else []
+                       for u in range(len(g.atoms))]
     seen: set[frozenset[int]] = set()
     cycles: list[tuple[int, ...]] = []
     for root in range(len(g.atoms)):
         if not in_core[root]:
             continue
-        order, parent = bfs(g, root)
-        branch = [-1] * len(g.atoms)  # unreached atoms share -1: their bonds fail the test
-        for v in order[1:]:
-            p = parent[v]
-            branch[v] = v if p == root else branch[p]
+        parent, branch = _core_walk(core_neighbours, root)  # unreached atoms share branch -1
         for x, y in bonds:
             if branch[x] == branch[y] or root in (x, y):
                 continue

@@ -553,8 +553,9 @@ class TestPredictForests:
         deepest = max(tree_depth(tree) for forest in forests for tree in forest.trees)
         assert len(walks) == 1 and walks[0] <= deepest + 1
         walks.clear()
-        rf.predict_forest(forests[-1], x[5])
-        assert len(walks) == 1 and walks[0] <= max(map(tree_depth, forests[-1].trees)) + 1
+        got = rf.predict_forest(forests[-1], x[5])
+        assert walks == []  # one row walks each tree in Python
+        assert got.tobytes() == per_tree_predict(forests[-1], x[5:6])[0].tobytes()
 
     def test_wrong_width_is_dimension_mismatch(self):
         x, forests, rows = self.inputs()
@@ -565,6 +566,85 @@ class TestPredictForests:
 
     def test_no_forests(self):
         assert rf.predict_forests([], np.zeros((3, 2)), []) == []
+
+
+def infinite_threshold_tree():
+    """A root that sends every row but NaN left: x[1] <= +inf."""
+    return np.array([[1.0, np.inf, 0.0, 1.0, 2.0],
+                     [-1.0, 0.0, 0.25, -1.0, -1.0],
+                     [-1.0, 0.0, -3.5, -1.0, -1.0]])
+
+
+class TestPredictOneRow:
+    """A single row, (d,) or (1, d), walks each tree in Python with the bits
+    of the level walk and of the scalar oracle."""
+
+    def inputs(self, seed=5):
+        rng = np.random.default_rng(seed)
+        forests = random_forests(rng, 4, 24)  # 1 to 12 trees, and all -0.0 leaves
+        forests.append(rf.RandomForest(rf.ForestConfig(n_trees=100), n_features=4,
+                                       trees=[random_tree(rng, 4, 8) for _ in range(100)]))
+        forests.append(rf.RandomForest(
+            rf.ForestConfig(n_trees=3), n_features=4,
+            trees=[random_tree(rng, 4, 3), infinite_threshold_tree(), random_tree(rng, 4, 3)]))
+        x = np.round(rng.normal(size=(40, 4)), 1)
+        x[0, :] = np.nan
+        x[1, :] = np.inf
+        x[2, :] = -np.inf
+        x[3, 1::2] = [np.nan, np.inf]
+        x[4, ::2] = [-np.inf, np.nan]
+        return forests, x
+
+    def test_equals_scalar_and_per_tree_oracles(self):
+        forests, x = self.inputs()
+        assert {len(forest.trees) for forest in forests} >= {1, 12, 100}
+        values = []
+        for forest in forests:
+            for row in x:
+                scalar = 0.0
+                for tree in forest.trees:
+                    scalar += scalar_predict(tree, row)
+                scalar /= len(forest.trees)
+                expected = per_tree_predict(forest, row[None])
+                assert expected.tobytes() == np.float64(scalar).tobytes()
+                flat, matrix = rf.predict_forest(forest, row), rf.predict_forest(forest, row[None])
+                assert np.ndim(flat) == 0 and matrix.shape == (1,)
+                assert flat.tobytes() == matrix.tobytes() == expected.tobytes()
+                values.append(flat)
+        assert np.isnan(values).any()  # NaN leaves reached
+        negative_zero = [rf.predict_forest(forests[-3], row) for row in x]
+        assert all(v == 0.0 and not np.signbit(v) for v in negative_zero)
+        lone = rf.RandomForest(rf.ForestConfig(n_trees=1), n_features=4,
+                               trees=[infinite_threshold_tree()])
+        # NaN goes right, +inf and -inf go left
+        assert [rf.predict_forest(lone, x[i]) for i in (0, 1, 2)] == [-3.5, 0.25, 0.25]
+
+    def test_matrix_rows_take_the_level_walk(self, monkeypatch):
+        forests, x = self.inputs()
+        walks = []
+        walk = rf._walk
+        monkeypatch.setattr(rf, "_walk", lambda *args: walks.append(1) or walk(*args))
+        for forest in forests:
+            got = rf.predict_forest(forest, x[:2])
+            assert got.tobytes() == per_tree_predict(forest, x[:2]).tobytes()
+            rf.predict_forest(forest, x[5])
+        assert len(walks) == len(forests)
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (5,), (1, 5)])
+    def test_wrong_width_is_dimension_mismatch(self, shape):
+        forests, _ = self.inputs()
+        with pytest.raises(DimensionMismatch, match=f"^feature dim {shape[-1]} != fitted dim 4$"):
+            rf.predict_forest(forests[0], np.zeros(shape))
+
+    def test_forest_bundle_screens_without_a_level_walk(self, monkeypatch):
+        bundle, _ = forest_bundle(np.random.default_rng(3))
+        walks = []
+        walk = rf._walk
+        monkeypatch.setattr(rf, "_walk", lambda *args: walks.append(1) or walk(*args))
+        values = pipeline.predict_matrix(bundle, "C[N+](=O)[O-]")
+        row = pipeline.features_for(bundle, parse_smiles("C[N+](=O)[O-]"), None)
+        assert walks == []
+        assert values == {"det_velocity:calc": per_tree_predict(bundle.forest, row[None])[0]}
 
 
 def mixed_jobs():

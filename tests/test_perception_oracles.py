@@ -14,7 +14,7 @@ must be equal, candidate lists in order and E-state values bit for bit.
 The parsed corpus is checked; random carbon graphs built directly check
 the ring-core argument beyond it, and random heteroatom graphs (charges, H
 counts, aromatic flags, bond orders) check matching from each pattern's
-most constrained atom and the level-by-level E-state walk.
+most constrained atom and the per-atom E-state walk.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from emprops.molgraph import (
 )
 from emprops.molgraph import parser
 from emprops.molgraph.elements import PRINCIPAL_QUANTUM, VALENCE_ELECTRONS, effective_valence
-from emprops.molgraph.graph import BOND_ORDERS, ORDER_VALUE
+from emprops.molgraph.graph import BOND_ORDERS, ORDER_VALUE, bfs
 from emprops.molgraph.match import _atom_ok, _bond_ok, match_atom_sets
 from emprops.molgraph.rings import _edge_mask, cyclomatic_number, sssr_atom_cycles
 
@@ -397,13 +397,19 @@ def test_candidate_sweep_runs_from_ring_core_roots_only(smiles, monkeypatch):
     core = oracle_core(g)
     assert {i for i, kept in enumerate(rings._ring_core(g)) if kept} == core
     roots = []
-    real_bfs = rings.bfs
+    real_walk = rings._core_walk
 
-    def counting_bfs(graph, root):
+    def counting_walk(neighbours, root):
         roots.append(root)
-        return real_bfs(graph, root)
+        parent, branch = real_walk(neighbours, root)
+        # it stays in the core, where its parents are the whole-graph BFS's
+        whole = bfs(g, root)[1]
+        reached = {v for v, p in enumerate(parent) if p >= 0}
+        assert reached == {v for v in core if whole[v] >= 0}
+        assert all(parent[v] == whole[v] for v in reached)
+        return parent, branch
 
-    monkeypatch.setattr(rings, "bfs", counting_bfs)
+    monkeypatch.setattr(rings, "_core_walk", counting_walk)
     rings._candidate_cycles(g)
     assert roots == sorted(core)
 
