@@ -8,10 +8,13 @@ Public surface:
 - :mod:`emprops.descriptors` -- descriptor suite, feature schema, featurize.
 - :mod:`emprops.dataset` -- property channels, CSV ingestion, splits,
   standardization, correlation analysis.
-- :mod:`emprops.mtnn` -- selector-vector multi-task dense network (the
-  single-task network is the selector-free special case).
-- :mod:`emprops.forest` -- single-task random forest regressor.
-- :mod:`emprops.evaluation` -- metrics, cross-validation protocol, reports.
+- :mod:`emprops.mtnn` -- the network engine: the selector-vector multi-task
+  dense network (the single-task network is the selector-free special
+  case) and its training.
+- :mod:`emprops.forest` -- the forest engine: single-task random forest
+  regressor.
+- :mod:`emprops.evaluation` -- the grids, the fit jobs, selection by inner
+  CV, the cross-validation protocol, metrics and reports.
 - :mod:`emprops.cli` -- command line entry point.
 """
 

@@ -30,7 +30,7 @@ from emprops.molgraph.elements import (
     VDW_BOND_CORRECTION,
     VDW_NONAROMATIC_RING_CORRECTION,
 )
-from emprops.molgraph.graph import ElementCounts, MolGraph, bfs, molecular_formula
+from emprops.molgraph.graph import ElementCounts, MolGraph, molecular_formula
 from emprops.molgraph.match import PatternAtom, PatternBond, SubstructurePattern, match_pattern
 
 BondKey = tuple[str, str, str]  # (element_a, element_b, order), elements sorted
@@ -497,7 +497,7 @@ def _fixed_block(g: MolGraph) -> list[float]:
 def featurize(g: MolGraph, schema: FeatureSchema, density: float | None = None) -> np.ndarray:
     """The float64 model input vector of a single-fragment molecule, laid
     out as schema.names."""
-    if g.atoms and len(bfs(g, 0)[0]) < len(g.atoms):
+    if g.fragment_count > 1:
         raise MultiFragment("composite/multi-fragment inputs cannot be featurized")
     if schema.include_density and density is None:
         raise MissingDensity("schema includes density but none was provided")

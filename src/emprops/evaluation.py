@@ -22,7 +22,9 @@ its output.
 
 Grids is everything a grid file sets (the network grid, the forest grid
 and the base training settings), passed as one value from the file to
-the fit; Grids.load is the one reader of the grid-file format.
+the fit; Grids.load is the one reader of the grid-file format. The
+engines (mtnn, forest) know no grids, folds or designs: their jobs are
+planned here, every network's by network_job.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import itertools
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +41,7 @@ import numpy as np
 from emprops import dataset as ds
 from emprops import descriptors, forest as rf, mtnn, pipeline
 from emprops.errors import ConstantTargets, InvalidConfig, LengthMismatch, ToolkitError
-from emprops.mtnn import GridSpec, MTNetConfig, TrainConfig
+from emprops.mtnn import MTNetConfig, TrainConfig, TrainJob, init_network
 from emprops.rng import derive_seed
 
 DEFAULT_SEEDS = (1, 2, 3)
@@ -106,6 +108,55 @@ class ProtocolReport:
 # ---------------------------------------------------------------------------
 # Hyperparameter grids and the grid file
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Enumerable axes; cells are the Cartesian product in declaration order.
+
+    selector_layer_index accepts integers or the tokens "last" /
+    "second_to_last", which resolve against each hidden_sizes value; an
+    integer pairs only with the hidden_sizes values deep enough for it
+    (Grids rejects one that fits none). Cells that resolve
+    identically are deduplicated, keeping the earliest.
+    """
+
+    hidden_sizes: tuple[tuple[int, ...], ...] = ((32,),)
+    selector_layer_index: tuple = ("last", "second_to_last")
+    learning_rate: tuple[float, ...] = (1e-3,)
+    batch_size: tuple[int, ...] = (32,)
+    l2_penalty: tuple[float, ...] = (0.0,)
+
+    def cells(self, selector_dim: int) -> list[dict]:
+        out: list[dict] = []
+        seen = set()
+        for hidden, sel_raw, lr, batch, l2 in itertools.product(
+            self.hidden_sizes, self.selector_layer_index, self.learning_rate,
+            self.batch_size, self.l2_penalty,
+        ):
+            hidden = tuple(hidden)
+            if selector_dim == 0:
+                sel_index = 0
+            elif sel_raw == "last":
+                sel_index = len(hidden)
+            elif sel_raw == "second_to_last":
+                sel_index = max(1, len(hidden) - 1)
+            else:
+                sel_index = sel_raw
+                if not 1 <= sel_index <= len(hidden):
+                    continue
+            cell = {
+                "hidden_sizes": hidden,
+                "selector_layer_index": sel_index,
+                "learning_rate": lr,
+                "batch_size": batch,
+                "l2_penalty": l2,
+            }
+            key = tuple(sorted(cell.items()))
+            if key not in seen:
+                seen.add(key)
+                out.append(cell)
+        return out
+
 
 @dataclass(frozen=True)
 class ForestGridSpec:
@@ -194,10 +245,12 @@ class Grids:
             raise InvalidConfig(f"grid file {path}: {exc}") from exc
 
     def cells(self, family: str, channels: range) -> list[dict]:
-        """The cells select chooses among for the family on the channels."""
+        """The cells select chooses among for the family on the design's
+        channels in the range: a network's are selector-fed for several
+        channels, plain (selector_dim 0) for one."""
         if family == "st-rf":
             return self.forest.cells()
-        return mtnn.design_cells(self.mtnn, channels)
+        return self.mtnn.cells(len(channels) if len(channels) > 1 else 0)
 
 
 @contextmanager
@@ -370,54 +423,51 @@ def fit_all(design: ds.DesignMatrix, fits: list[Fit], schema: descriptors.Featur
 def _refit_job(design: ds.DesignMatrix, fit: Fit, cell: dict, grids: Grids):
     """The checked job of the fit's refit of the cell on its training rows,
     seeded derive_seed(fit.seed, 3): a forest job, or a network's
-    standardizer and train job (mtnn.network_job)."""
+    standardizer and train job (network_job)."""
     if fit.family == "st-rf":
         return rf.forest_job(design.features, design.targets,
                              rf.ForestConfig(seed=derive_seed(fit.seed, 3), **cell),
                              np.flatnonzero(fit.train_rows))
-    return mtnn.network_job(design, fit.channels, fit.train_rows, cell, grids.train,
-                            derive_seed(fit.seed, 3), fit.train_seed)
+    return network_job(design, fit.channels, fit.train_rows, cell, grids.train,
+                       derive_seed(fit.seed, 3), fit.train_seed)
 
 
 def select(design: ds.DesignMatrix, fits: list[Fit], grids: Grids,
            inner_k: int) -> list[ds.GridResult | ToolkitError]:
     """Inner-CV selection of each fit's cell on its training rows: per fit,
     its ds.GridResult or the error of its first failing (cell, inner fold)
-    in cv_select's order. Every forest of every fit grows in one
-    rf.fit_forests call, and those of the fits whose plans hold are scored
-    by RMSE on their validation rows of the design in one
-    rf.predict_forests call. Each fit's networks train in one
-    mtnn.train_many call, so one grid's standardized rows are held at a
-    time, and are scored by RMSE in standardized space averaged over
-    channels."""
+    in cv_select's order. The forests of every fit whose plan holds grow in
+    one rf.fit_forests call and are scored by RMSE on their validation rows
+    of the design in one rf.predict_forests call; a fit whose plan fails
+    grows none, since a forest job cannot fail once planned. Each fit's
+    networks train in one mtnn.train_many call, so one grid's standardized
+    rows are held at a time, and are scored by RMSE in standardized space
+    averaged over channels."""
     plans = [_selection_jobs(design, fit, grids, inner_k) if fit.family == "st-rf" else None
              for fit in fits]
-    grown = iter(rf.fit_forests(design.features, design.targets,
-                                [job for plan in plans if plan for job in plan[1]]))
-    forests = [[next(grown) for _ in plan[1]] if plan else None for plan in plans]
-    scored = [(model, val) for plan, models in zip(plans, forests) if plan and plan[2] is None
-              for model, (_, val) in zip(models, itertools.cycle(plan[0]))]
-    predictions = rf.predict_forests([model for model, _ in scored], design.features,
-                                     [val for _, val in scored])
-    forest_scores = iter([rmse(pred, design.targets[val])
-                          for pred, (_, val) in zip(predictions, scored)])
+    held = [plan for plan in plans if plan and plan[2] is None]
+    vals = [val for folds, jobs, _ in held for _, (_, val) in zip(jobs, itertools.cycle(folds))]
+    forests = rf.fit_forests(design.features, design.targets,
+                             [job for plan in held for job in plan[1]])
+    forest_scores = iter([rmse(pred, design.targets[val]) for pred, val
+                          in zip(rf.predict_forests(forests, design.features, vals), vals)])
     results: list[ds.GridResult | ToolkitError] = []
-    for fit, plan, models in zip(fits, plans, forests):
+    for fit, plan in zip(fits, plans):
         folds, jobs, error = plan or _selection_jobs(design, fit, grids, inner_k)  # a grid at a time
-        if models is None:
+        if plan is None:
             models = mtnn.train_many([job for _, job in jobs])
-        failure = next((model for model in models if isinstance(model, ToolkitError)), error)
-        if failure is not None:
-            results.append(failure)
+            error = next((model for model in models if isinstance(model, ToolkitError)), error)
+        if error is not None:
+            results.append(error)
             continue
 
-        def network_score(model, job: mtnn.TrainJob, val: np.ndarray) -> float:
+        def network_score(model, job: TrainJob, val: np.ndarray) -> float:
             x_val, s_val, y_val = job.val
-            return mtnn._channel_mean_rmse(mtnn.forward(model.net, x_val, s_val), y_val,
-                                           design.channel_idx[val] - fit.channels.start,
-                                           len(fit.channels))
+            return _channel_mean_rmse(mtnn.forward(model.net, x_val, s_val), y_val,
+                                      design.channel_idx[val] - fit.channels.start,
+                                      len(fit.channels))
 
-        scores = ([next(forest_scores) for _ in models] if plan else
+        scores = ([next(forest_scores) for _ in jobs] if plan else
                   [network_score(model, job, val) for model, (_, job), (_, val)
                    in zip(models, jobs, itertools.cycle(folds))])
         results.append(ds.cv_select(grids.cells(fit.family, fit.channels),
@@ -430,7 +480,8 @@ def _selection_jobs(design: ds.DesignMatrix, fit: Fit, grids: Grids, inner_k: in
     """select's plan of the fit: its inner folds' (train, validation) rows,
     its checked jobs per cell and inner fold up to the first that fails,
     and its error or None. A forest is seeded derive_seed(fit.seed,
-    cell_index + 1), a network as grid_search seeds it."""
+    cell_index + 1), a network derive_seed(fit.seed, cell_index + 1,
+    fold + 1) and its batch order derive_seed(that seed, 7)."""
     rows, folds, jobs = np.flatnonzero(fit.train_rows), [], []
     try:
         folds = [(rows[train], rows[val]) for train, val in ds.inner_folds(
@@ -442,11 +493,73 @@ def _selection_jobs(design: ds.DesignMatrix, fit: Fit, grids: Grids, inner_k: in
                     jobs.append(rf.forest_job(design.features, design.targets, config, train))
                 else:
                     net_seed = derive_seed(fit.seed, cell_index + 1, fold + 1)
-                    jobs.append(mtnn.network_job(design, fit.channels, train, cell, grids.train,
-                                                 net_seed, derive_seed(net_seed, 7), val))
+                    jobs.append(network_job(design, fit.channels, train, cell, grids.train,
+                                            net_seed, derive_seed(net_seed, 7), val))
     except ToolkitError as exc:
         return folds, jobs, exc
     return folds, jobs, None
+
+
+def network_inputs(design: ds.DesignMatrix, channels: range, rows: np.ndarray,
+                   standardizer: ds.Standardizer,
+                   ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Standardized features, one-hot selectors over the channels (None for
+    one) and standardized targets of the given design rows of the channels."""
+    channel_idx = design.channel_idx[rows] - channels.start
+    x = standardizer.apply_features(design.features[rows])
+    y = standardizer.apply_targets(design.targets[rows], channel_idx)
+    selector = np.eye(len(channels))[channel_idx] if len(channels) > 1 else None
+    return x, selector, y
+
+
+def network_job(design: ds.DesignMatrix, channels: range, train_rows: np.ndarray, cell: dict,
+                base_train: TrainConfig, net_seed: int, train_seed: int,
+                val_rows: np.ndarray | None = None) -> tuple[ds.Standardizer, TrainJob]:
+    """The fit of one network of the design's channels in the range on its
+    train rows, ready to train: the one place that prepares a network fit
+    of any family, for inner CV, the outer refit and the final model.
+
+    A row's channel counts from the range's start, and a selector is fed
+    only for several channels. The standardizer is fitted on the train
+    rows only. With val_rows the net stops early on their validation MSE;
+    without, it trains max_epochs. net_seed seeds the initial weights,
+    train_seed the batch order. Returns the fitted standardizer and the
+    job; empty rows are InvalidConfig.
+    """
+    for name, rows in (("training", train_rows), ("validation", val_rows)):
+        if rows is not None and design.targets[rows].size == 0:
+            raise InvalidConfig(f"empty {name} batch")
+    standardizer = ds.Standardizer.fit(
+        design.features[train_rows], design.targets[train_rows],
+        design.channel_idx[train_rows] - channels.start, len(channels),
+    )
+    x_train, s_train, y_train = network_inputs(design, channels, train_rows, standardizer)
+    val = None if val_rows is None else network_inputs(design, channels, val_rows, standardizer)
+    net_config = MTNetConfig(
+        input_dim=design.features.shape[1],
+        selector_dim=len(channels) if len(channels) > 1 else 0,
+        hidden_sizes=cell["hidden_sizes"],
+        selector_layer_index=cell["selector_layer_index"],
+        l2_penalty=cell["l2_penalty"],
+        seed=net_seed,
+    )
+    train_config = replace(base_train, learning_rate=cell["learning_rate"],
+                           batch_size=cell["batch_size"], seed=train_seed)
+    job = TrainJob(init_network(net_config), x_train, s_train, y_train, train_config, val)
+    return standardizer, job
+
+
+def _channel_mean_rmse(pred: np.ndarray, actual: np.ndarray, channel_idx: np.ndarray,
+                       n_channels: int) -> float:
+    """Per-channel RMSE averaged over the channels present."""
+    scores = []
+    for c in range(n_channels):
+        mask = channel_idx == c
+        if not np.any(mask):
+            continue
+        residual = pred[mask] - actual[mask]
+        scores.append(math.sqrt(float(residual @ residual) / int(mask.sum())))
+    return float(np.mean(scores)) if scores else math.nan
 
 
 def _record_channel_metrics(report: ProtocolReport, registry: ds.PropertyRegistry,
@@ -466,16 +579,25 @@ def _record_channel_metrics(report: ProtocolReport, registry: ds.PropertyRegistr
             metrics.r2_values.append(math.nan)
 
 
-def forest_grid_search(grid: ForestGridSpec, design: ds.DesignMatrix, inner_k: int = 5,
-                       seed: int = 0) -> ds.GridResult:
-    """select's forest case of one fit over every row of the design; it
-    stays only while the traced benchmark wraps it by name."""
+def select_every_row(family: str, design: ds.DesignMatrix, grids: Grids, inner_k: int,
+                     seed: int) -> ds.GridResult:
+    """select of one fit of the family over every row and channel of the
+    design, seeded seed, raising its error: forest_grid_search and
+    mtnn.grid_search. A network fit of every channel is an mt-nn fit;
+    select treats one of a single channel as st-nn."""
     every_row = np.ones(len(design.targets), dtype=bool)
-    (result,) = select(design, [Fit("st-rf", range(len(design.registry)), every_row, ~every_row,
-                                    seed, 0)], Grids(forest=grid), inner_k)
+    (result,) = select(design, [Fit(family, range(len(design.registry)), every_row, ~every_row,
+                                    seed, 0)], grids, inner_k)
     if isinstance(result, ToolkitError):
         raise result
     return result
+
+
+def forest_grid_search(grid: ForestGridSpec, design: ds.DesignMatrix, inner_k: int = 5,
+                       seed: int = 0) -> ds.GridResult:
+    """select_every_row of one forest fit; it stays only while the traced
+    benchmark wraps it by name."""
+    return select_every_row("st-rf", design, Grids(forest=grid), inner_k, seed)
 
 
 # ---------------------------------------------------------------------------

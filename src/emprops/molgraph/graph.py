@@ -93,17 +93,17 @@ class MolGraph:
     def heavy_degree(self, idx: int) -> int:
         return len(self._neighbors[idx])
 
-    def fragments(self) -> list[list[int]]:
-        """Connected components as sorted atom-index lists."""
+    @cached_property
+    def fragment_count(self) -> int:
+        """The number of connected components, counted on first use."""
         seen = [False] * len(self.atoms)
-        out: list[list[int]] = []
+        count = 0
         for start in range(len(self.atoms)):
             if not seen[start]:
-                comp = sorted(bfs(self, start)[0])
-                for i in comp:
+                count += 1
+                for i in bfs(self, start)[0]:
                     seen[i] = True
-                out.append(comp)
-        return out
+        return count
 
     def bond_between(self, i: int, j: int) -> Bond | None:
         """The lowest-index bond joining atoms i and j, or None."""

@@ -472,8 +472,7 @@ def to_smiles(g: MolGraph) -> str:
         return "".join(parts)
 
     pieces = []
-    for fragment in g.fragments():
-        root = fragment[0]
+    for root in range(len(g.atoms)):  # a fragment's lowest atom starts it
         if root not in visited:
             explore(root)
             pieces.append(emit(root))

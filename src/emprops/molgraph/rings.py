@@ -119,7 +119,7 @@ def _edge_mask(cycle: tuple[int, ...], bond_index: dict[tuple[int, int], int]) -
 
 
 def cyclomatic_number(g: MolGraph) -> int:
-    return len(g.bonds) - len(g.atoms) + len(g.fragments())
+    return len(g.bonds) - len(g.atoms) + g.fragment_count
 
 
 def sssr_atom_cycles(g: MolGraph) -> list[tuple[int, ...]]:

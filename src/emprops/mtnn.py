@@ -14,24 +14,25 @@ trains each stack in lockstep, every network with the bits it would get
 alone; train is its one-network case. It computes a loss only
 where a result reads it: each batch's, each validating network's
 validation MSE per epoch, and one training-set MSE of the parameters a
-network returns. network_job prepares every network fit (inner CV, the
-outer refit and the final model alike); evaluation.select trains each
-fit's inner-CV networks in one train_many call (grid_search is its serial
-form) and evaluation.fit_all every refit of a protocol in another.
+network returns.
+
+This module is the network engine only, as forest is the forest engine:
+it knows configs, parameters and training jobs, not designs, grids or
+folds. evaluation holds the grid (GridSpec), prepares every network fit
+(network_job) and selects cells by inner CV (select); grid_search is
+select of one network fit.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from emprops import dataset as ds
 from emprops import workers
 from emprops.errors import DimensionMismatch, InvalidConfig, NonFiniteLoss, check_number
-from emprops.rng import SplitMix64, derive_seed
+from emprops.rng import SplitMix64
 
 
 @dataclass(frozen=True)
@@ -524,145 +525,16 @@ def _train_stack(jobs: list[TrainJob]) -> list[TrainResult | NonFiniteLoss]:
     return results
 
 
-# ---------------------------------------------------------------------------
-# Grid search
-# ---------------------------------------------------------------------------
+def grid_search(grid, design, base_train: TrainConfig, inner_k: int = 5, seed: int = 0):
+    """evaluation.select of one network fit over every row and channel of
+    the design (a dataset.DesignMatrix) on the grid (an
+    evaluation.GridSpec), as evaluation.forest_grid_search is of one forest
+    fit: its dataset.GridResult, or its error raised. It stays only while
+    the traced benchmark wraps it by name."""
+    # imported here, not at the top: evaluation imports this module, and the
+    # network engine itself loads none of the protocol (dataset, molgraph)
+    from emprops import evaluation
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Enumerable axes; cells are the Cartesian product in declaration order.
-
-    selector_layer_index accepts integers or the tokens "last" /
-    "second_to_last", which resolve against each hidden_sizes value; an
-    integer pairs only with the hidden_sizes values deep enough for it
-    (evaluation.Grids rejects one that fits none). Cells that resolve
-    identically are deduplicated, keeping the earliest.
-    """
-
-    hidden_sizes: tuple[tuple[int, ...], ...] = ((32,),)
-    selector_layer_index: tuple = ("last", "second_to_last")
-    learning_rate: tuple[float, ...] = (1e-3,)
-    batch_size: tuple[int, ...] = (32,)
-    l2_penalty: tuple[float, ...] = (0.0,)
-
-    def cells(self, selector_dim: int) -> list[dict]:
-        out: list[dict] = []
-        seen = set()
-        for hidden, sel_raw, lr, batch, l2 in itertools.product(
-            self.hidden_sizes, self.selector_layer_index, self.learning_rate,
-            self.batch_size, self.l2_penalty,
-        ):
-            hidden = tuple(hidden)
-            if selector_dim == 0:
-                sel_index = 0
-            elif sel_raw == "last":
-                sel_index = len(hidden)
-            elif sel_raw == "second_to_last":
-                sel_index = max(1, len(hidden) - 1)
-            else:
-                sel_index = sel_raw
-                if not 1 <= sel_index <= len(hidden):
-                    continue
-            cell = {
-                "hidden_sizes": hidden,
-                "selector_layer_index": sel_index,
-                "learning_rate": lr,
-                "batch_size": batch,
-                "l2_penalty": l2,
-            }
-            key = tuple(sorted(cell.items()))
-            if key not in seen:
-                seen.add(key)
-                out.append(cell)
-        return out
-
-
-def _channel_mean_rmse(pred: np.ndarray, actual: np.ndarray, channel_idx: np.ndarray,
-                       n_channels: int) -> float:
-    """Per-channel RMSE averaged over the channels present."""
-    scores = []
-    for c in range(n_channels):
-        mask = channel_idx == c
-        if not np.any(mask):
-            continue
-        residual = pred[mask] - actual[mask]
-        scores.append(math.sqrt(float(residual @ residual) / int(mask.sum())))
-    return float(np.mean(scores)) if scores else math.nan
-
-
-def design_cells(grid: GridSpec, channels: range) -> list[dict]:
-    """The grid's cells for a network on the design's channels in the
-    range: selector-fed for several channels, plain (selector_dim 0) for one."""
-    return grid.cells(len(channels) if len(channels) > 1 else 0)
-
-
-def grid_search(grid: GridSpec, design: ds.DesignMatrix, base_train: TrainConfig,
-                inner_k: int = 5, seed: int = 0) -> ds.GridResult:
-    """evaluation.select of one network fit over every row and channel,
-    serially: one train call per cell and inner fold, reduced by
-    ds.cv_select. It stays only while the traced benchmark wraps it by name."""
-    channels = range(len(design.registry))
-    cells = design_cells(grid, channels)
-    folds = ds.inner_folds(design.material_ids, inner_k, seed)
-    scores = []
-    for cell_index, cell in enumerate(cells):
-        scores.append([])
-        for fold, (train_rows, val_rows) in enumerate(folds):
-            net_seed = derive_seed(seed, cell_index + 1, fold + 1)
-            _, job = network_job(design, channels, train_rows, cell, base_train, net_seed,
-                                 derive_seed(net_seed, 7), val_rows)
-            result = train(job.net, job.features, job.selector, job.targets, job.config,
-                           val=job.val)
-            x_val, s_val, y_val = job.val
-            scores[-1].append(_channel_mean_rmse(forward(result.net, x_val, s_val), y_val,
-                                                 design.channel_idx[val_rows], len(channels)))
-    return ds.cv_select(cells, scores)
-
-
-def network_inputs(design: ds.DesignMatrix, channels: range, rows: np.ndarray,
-                   standardizer: ds.Standardizer,
-                   ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Standardized features, one-hot selectors over the channels (None for
-    one) and standardized targets of the given design rows of the channels."""
-    channel_idx = design.channel_idx[rows] - channels.start
-    x = standardizer.apply_features(design.features[rows])
-    y = standardizer.apply_targets(design.targets[rows], channel_idx)
-    selector = np.eye(len(channels))[channel_idx] if len(channels) > 1 else None
-    return x, selector, y
-
-
-def network_job(design: ds.DesignMatrix, channels: range, train_rows: np.ndarray, cell: dict,
-                base_train: TrainConfig, net_seed: int, train_seed: int,
-                val_rows: np.ndarray | None = None) -> tuple[ds.Standardizer, TrainJob]:
-    """The fit of one network of the design's channels in the range on its
-    train rows, ready to train: the one place that prepares a network fit
-    of any family, for inner CV, the outer refit and the final model.
-
-    A row's channel counts from the range's start, and a selector is fed
-    only for several channels. The standardizer is fitted on the train
-    rows only. With val_rows the net stops early on their validation MSE;
-    without, it trains max_epochs. net_seed seeds the initial weights,
-    train_seed the batch order. Returns the fitted standardizer and the
-    job; empty rows are InvalidConfig.
-    """
-    for name, rows in (("training", train_rows), ("validation", val_rows)):
-        if rows is not None and design.targets[rows].size == 0:
-            raise InvalidConfig(f"empty {name} batch")
-    standardizer = ds.Standardizer.fit(
-        design.features[train_rows], design.targets[train_rows],
-        design.channel_idx[train_rows] - channels.start, len(channels),
-    )
-    x_train, s_train, y_train = network_inputs(design, channels, train_rows, standardizer)
-    val = None if val_rows is None else network_inputs(design, channels, val_rows, standardizer)
-    net_config = MTNetConfig(
-        input_dim=design.features.shape[1],
-        selector_dim=len(channels) if len(channels) > 1 else 0,
-        hidden_sizes=cell["hidden_sizes"],
-        selector_layer_index=cell["selector_layer_index"],
-        l2_penalty=cell["l2_penalty"],
-        seed=net_seed,
-    )
-    train_config = replace(base_train, learning_rate=cell["learning_rate"],
-                           batch_size=cell["batch_size"], seed=train_seed)
-    job = TrainJob(init_network(net_config), x_train, s_train, y_train, train_config, val)
-    return standardizer, job
+    return evaluation.select_every_row("mt-nn", design,
+                                       evaluation.Grids(mtnn=grid, train=base_train), inner_k,
+                                       seed)

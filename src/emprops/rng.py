@@ -11,7 +11,7 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-# splitmix64 constants as numpy scalars, for next_block.
+# splitmix64 constants as numpy scalars, for _draws.
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 _MIX1_U64, _MIX2_U64 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _SHIFT27, _SHIFT30, _SHIFT31 = np.uint64(27), np.uint64(30), np.uint64(31)
@@ -32,15 +32,12 @@ class SplitMix64:
 
     def next_block(self, k: int) -> np.ndarray:
         """The next k draws as one uint64 array, equal to k next_u64 calls.
-
-        splitmix64 is counter-based: draw i mixes state + i * golden, so the
-        whole block is computed at once in wrapping uint64 array arithmetic.
-        """
-        z = np.arange(1, k + 1, dtype=np.uint64)
-        z *= _GOLDEN_U64
-        z += np.uint64(self.state)
+        The state stays a Python int: next_blocks of a one-element array
+        takes more numpy calls, and training shuffles once per network and
+        epoch."""
+        draws = _draws(np.uint64(self.state), k)
         self.state = (self.state + k * _GOLDEN) & _MASK64
-        return _mix(z)
+        return draws
 
     def next_float(self) -> float:
         """Uniform in [0, 1) with the full 53-bit mantissa."""
@@ -82,13 +79,18 @@ def next_blocks(states: np.ndarray, k: int) -> np.ndarray:
     """The next k draws of several streams at once, as a (streams, k) uint64
     array: row i equals next_block(k) of the stream whose state is
     states[i]. states (uint64) advance in place."""
-    z = np.arange(1, k + 1, dtype=np.uint64) * _GOLDEN_U64 + states[:, None]
+    draws = _draws(states[:, None], k)
     states += np.uint64((k * _GOLDEN) & _MASK64)
-    return _mix(z)
+    return draws
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64's output function on counters z, in place."""
+def _draws(start, k: int) -> np.ndarray:
+    """Draws 1..k of the splitmix64 streams at start, a uint64 scalar (a
+    (k,) array) or a column of them (one row per stream): the one block
+    generator of next_block and next_blocks. splitmix64 is counter-based:
+    draw i mixes start + i * golden, so a block is computed at once in
+    wrapping uint64 array arithmetic."""
+    z = np.arange(1, k + 1, dtype=np.uint64) * _GOLDEN_U64 + start
     z ^= z >> _SHIFT30
     z *= _MIX1_U64
     z ^= z >> _SHIFT27

@@ -182,8 +182,8 @@ def test_criterion_07_overfit_sanity():
 
     # noiseless 3-channel linear dataset over 60 materials
     data, targets = _linear_multitask_dataset()
-    grid = mtnn.GridSpec(hidden_sizes=((64,),), selector_layer_index=("last",),
-                         learning_rate=(1e-2,), batch_size=(64,), l2_penalty=(0.0,))
+    grid = evaluation.GridSpec(hidden_sizes=((64,),), selector_layer_index=("last",),
+                               learning_rate=(1e-2,), batch_size=(64,), l2_penalty=(0.0,))
     base = mtnn.TrainConfig(max_epochs=2000, patience=250)
     _, schema, design = ds.build_design(data, 6, False)
     protocol = evaluation.run_protocol("mt-nn", schema, design, 6, seeds=(1, 2, 3), k=5,

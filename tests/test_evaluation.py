@@ -146,8 +146,8 @@ def design_of(data):
     return schema, design
 
 
-FAST_GRID = mtnn.GridSpec(hidden_sizes=((8,),), selector_layer_index=("last",),
-                          learning_rate=(1e-2,), batch_size=(16,), l2_penalty=(0.0,))
+FAST_GRID = evaluation.GridSpec(hidden_sizes=((8,),), selector_layer_index=("last",),
+                                learning_rate=(1e-2,), batch_size=(16,), l2_penalty=(0.0,))
 FAST_TRAIN = mtnn.TrainConfig(max_epochs=30, patience=10)
 FAST_FOREST = evaluation.ForestGridSpec(n_trees=(10,), max_depth=(4,),
                                         min_samples_leaf=(1,), max_features=(None,))

@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from emprops import dataset as ds
-from emprops import descriptors, forest as rf, modelio, mtnn, pipeline
+from emprops import descriptors, evaluation, forest as rf, modelio, mtnn, pipeline
 from emprops.errors import (
     CorruptFile,
     DimensionMismatch,
@@ -675,8 +679,8 @@ def linear_design(n_materials=24, n_features=3, n_channels=2, seed=0):
 class TestGridSearch:
     def test_single_cell(self):
         design = linear_design()
-        grid = mtnn.GridSpec(hidden_sizes=((8,),), selector_layer_index=("last",),
-                             learning_rate=(1e-2,), batch_size=(16,), l2_penalty=(0.0,))
+        grid = evaluation.GridSpec(hidden_sizes=((8,),), selector_layer_index=("last",),
+                                   learning_rate=(1e-2,), batch_size=(16,), l2_penalty=(0.0,))
         base = mtnn.TrainConfig(max_epochs=40, patience=10)
         result = mtnn.grid_search(grid, design, base, inner_k=3, seed=2)
         assert result.best_cell["hidden_sizes"] == (8,)
@@ -684,9 +688,9 @@ class TestGridSearch:
 
     def test_crippling_l2_loses(self):
         design = linear_design()
-        grid = mtnn.GridSpec(hidden_sizes=((8,),), selector_layer_index=("last",),
-                             learning_rate=(1e-2,), batch_size=(16,),
-                             l2_penalty=(0.0, 1e6))
+        grid = evaluation.GridSpec(hidden_sizes=((8,),), selector_layer_index=("last",),
+                                   learning_rate=(1e-2,), batch_size=(16,),
+                                   l2_penalty=(0.0, 1e6))
         base = mtnn.TrainConfig(max_epochs=40, patience=10)
         result = mtnn.grid_search(grid, design, base, inner_k=3, seed=2)
         assert result.best_cell["l2_penalty"] == 0.0
@@ -695,8 +699,8 @@ class TestGridSearch:
 
     def test_deterministic_winner(self):
         design = linear_design()
-        grid = mtnn.GridSpec(hidden_sizes=((4,), (8,)), selector_layer_index=("last",),
-                             learning_rate=(1e-2,), batch_size=(16,), l2_penalty=(0.0,))
+        grid = evaluation.GridSpec(hidden_sizes=((4,), (8,)), selector_layer_index=("last",),
+                                   learning_rate=(1e-2,), batch_size=(16,), l2_penalty=(0.0,))
         base = mtnn.TrainConfig(max_epochs=25, patience=10)
         a = mtnn.grid_search(grid, design, base, inner_k=3, seed=4)
         b = mtnn.grid_search(grid, design, base, inner_k=3, seed=4)
@@ -704,14 +708,14 @@ class TestGridSearch:
         assert a.table == b.table
 
     def test_selector_token_resolution(self):
-        grid = mtnn.GridSpec(hidden_sizes=((8, 4),),
-                             selector_layer_index=("last", "second_to_last"))
+        grid = evaluation.GridSpec(hidden_sizes=((8, 4),),
+                                   selector_layer_index=("last", "second_to_last"))
         cells = grid.cells(selector_dim=3)
         indices = [c["selector_layer_index"] for c in cells]
         assert indices == [2, 1]
         # for a single hidden layer the two tokens collapse to one cell
-        grid1 = mtnn.GridSpec(hidden_sizes=((8,),),
-                              selector_layer_index=("last", "second_to_last"))
+        grid1 = evaluation.GridSpec(hidden_sizes=((8,),),
+                                    selector_layer_index=("last", "second_to_last"))
         assert len(grid1.cells(selector_dim=3)) == 1
 
 
@@ -902,3 +906,20 @@ def test_predict_matrix_equals_per_channel_oracle(kind, hidden_sizes, selector_l
         new, old = pipeline.predict_matrix(bundle, graph), per_channel_predict_matrix(bundle, graph)
         assert list(new) == list(old)
         assert [v.hex() for v in new.values()] == [v.hex() for v in old.values()], smiles
+
+
+@pytest.mark.parametrize("engine", ["emprops.mtnn", "emprops.forest"])
+def test_engine_loads_no_protocol_module(engine):
+    """Each engine loads only errors, rng and workers of emprops: not the
+    dataset, the protocol (evaluation) or the molecule graph. A fresh
+    interpreter, so that no other test's imports count."""
+    src = str(Path(mtnn.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (f"import sys, {engine}\n"
+            "print(*sorted(name for name in sys.modules if name.startswith('emprops')))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert set(result.stdout.split()) == {"emprops", "emprops.errors", "emprops.rng",
+                                          "emprops.workers", engine}

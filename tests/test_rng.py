@@ -20,12 +20,13 @@ def scalar_sample_indices(rng, n, k):
     return pool[:k]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+# 2**64 - 2: a state just below 2**64, so the first counter wraps
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 2, 2**64 - 1])
 @pytest.mark.parametrize("k", [0, 1, 2, 17, 1000])
 def test_next_block_equals_scalar_draws(seed, k):
     block, scalar = SplitMix64(seed), SplitMix64(seed)
     draws = block.next_block(k)
-    assert draws.dtype == np.uint64
+    assert draws.shape == (k,) and draws.dtype == np.uint64
     assert draws.tolist() == [scalar.next_u64() for _ in range(k)]
     # the state continues where k scalar draws leave it
     assert [block.next_u64() for _ in range(3)] == [scalar.next_u64() for _ in range(3)]
@@ -34,7 +35,7 @@ def test_next_block_equals_scalar_draws(seed, k):
 
 @pytest.mark.parametrize("k", [0, 1, 19, 100])
 def test_next_blocks_equal_each_streams_next_block(k):
-    seeds = [0, 1, 7, 2**63, 2**64 - 1]
+    seeds = [0, 1, 7, 2**63, 2**64 - 2, 2**64 - 1]
     states = np.array(seeds, dtype=np.uint64)
     draws = next_blocks(states, k)
     assert draws.shape == (len(seeds), k) and draws.dtype == np.uint64
@@ -42,6 +43,7 @@ def test_next_blocks_equal_each_streams_next_block(k):
         rng = SplitMix64(seed)
         assert row == rng.next_block(k).tolist()
         assert state == rng.state
+        assert type(rng.state) is int
 
 
 @pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (5, 5), (10, 3), (55, 19), (200, 67)])

@@ -83,30 +83,51 @@ def oracle_forest_grid_search(grid, design, inner_k, seed):
     return ds.cv_select(cells, cv_table(cells, design.material_ids, inner_k, seed, score))
 
 
+def oracle_network_grid_search(grid, design, base_train, inner_k, seed):
+    """Network inner CV one network at a time over every channel of the
+    design: per cell and inner fold, a network trained alone (mtnn.train)
+    and scored by its RMSE in standardized space on the validation rows,
+    averaged over channels, through cv_select."""
+    channels = every_channel(design)
+    cells = grid.cells(len(channels) if len(channels) > 1 else 0)
+
+    def score(cell_index, fold, train_rows, val_rows):
+        net_seed = derive_seed(seed, cell_index + 1, fold + 1)
+        _, job = evaluation.network_job(design, channels, train_rows, cells[cell_index],
+                                        base_train, net_seed, derive_seed(net_seed, 7), val_rows)
+        result = mtnn.train(job.net, job.features, job.selector, job.targets, job.config,
+                            val=job.val)
+        x_val, s_val, y_val = job.val
+        return evaluation._channel_mean_rmse(mtnn.forward(result.net, x_val, s_val), y_val,
+                                             design.channel_idx[val_rows], len(channels))
+
+    return ds.cv_select(cells, cv_table(cells, design.material_ids, inner_k, seed, score))
+
+
 def oracle_select_cell(family, design, grids, inner_k, seed):
     """Serial inner CV of the family's grid on every row of the design."""
     if family == "st-rf":
         return oracle_forest_grid_search(grids.forest, design, inner_k, seed)
-    return mtnn.grid_search(grids.mtnn, design, grids.train, inner_k=inner_k, seed=seed)
+    return oracle_network_grid_search(grids.mtnn, design, grids.train, inner_k, seed)
 
 
 def fit_network(design, train_rows, cell, base_train, net_seed, train_seed):
-    """mtnn.network_job trained on its own: the fitted standardizer and the
-    training result."""
-    standardizer, job = mtnn.network_job(design, every_channel(design), train_rows, cell,
-                                         base_train, net_seed, train_seed)
+    """evaluation.network_job trained on its own: the fitted standardizer
+    and the training result."""
+    standardizer, job = evaluation.network_job(design, every_channel(design), train_rows, cell,
+                                               base_train, net_seed, train_seed)
     return standardizer, mtnn.train(job.net, job.features, job.selector, job.targets,
                                     job.config)
 
 
 def oracle_select_and_refit_net(design, train_rows, test_rows, grid, base_train, inner_k, seed):
-    search = mtnn.grid_search(grid, restrict(design, train_rows), base_train,
-                              inner_k=inner_k, seed=seed)
+    search = oracle_network_grid_search(grid, restrict(design, train_rows), base_train, inner_k,
+                                        seed)
     refit_seed = derive_seed(seed, 3)
     standardizer, result = fit_network(design, train_rows, search.best_cell, base_train,
                                        refit_seed, derive_seed(refit_seed, 11))
-    x_test, s_test, _ = mtnn.network_inputs(design, every_channel(design), test_rows,
-                                            standardizer)
+    x_test, s_test, _ = evaluation.network_inputs(design, every_channel(design), test_rows,
+                                                  standardizer)
     pred_std = mtnn.forward(result.net, x_test, s_test)
     return standardizer.invert_targets(pred_std, design.channel_idx[test_rows])
 
@@ -178,7 +199,7 @@ def oracle_train(path, family, data, subset_id, channel, grid, forest_grid, base
         bundle = pipeline.ModelBundle(kind="forest", registry=design.registry,
                                       schema=schema, forest=model)
     else:
-        search = mtnn.grid_search(grid, design, base_train, inner_k=inner_k, seed=seed)
+        search = oracle_network_grid_search(grid, design, base_train, inner_k, seed)
         all_rows = np.ones(len(design.targets), dtype=bool)
         standardizer, result = fit_network(design, all_rows, search.best_cell, base_train,
                                            derive_seed(seed, 3), derive_seed(seed, 5))
@@ -270,13 +291,13 @@ def test_single_task_protocol_copies_no_design_rows(inputs, monkeypatch, family)
 
         monkeypatch.setattr(rf, "fit_forests", spy)
     else:
-        network_job = mtnn.network_job
+        network_job = evaluation.network_job
 
         def spy(source, *args, **kwargs):
             reached.append((source.features, source.targets))
             return network_job(source, *args, **kwargs)
 
-        monkeypatch.setattr(mtnn, "network_job", spy)
+        monkeypatch.setattr(evaluation, "network_job", spy)
     evaluation.run_protocol(family, schema, design, SUBSET, seeds=SEEDS[:1], k=FOLDS,
                             grids=inputs["grids"], inner_k=INNER_FOLDS)
     assert len(reached) >= 2  # the selection and the refits
@@ -335,7 +356,8 @@ def test_select_scores_each_forest_fit_as_serial_inner_cv(inputs, monkeypatch):
     channel) and one after its first cell's forests are (min_samples_leaf 5
     above the inner-training rows of six materials), shift no other fit's scores:
     every other fit's score table and GridResult are serial inner CV's, bit
-    for bit."""
+    for bit. Only the fits whose plans hold have forests grown: one
+    fit_forests call gets their cells x inner folds jobs, in order."""
     _, _, design = ds.build_design(inputs["data"], SUBSET, False)
     grid = replace(inputs["forest_grid"], min_samples_leaf=(1, 5))
 
@@ -349,11 +371,22 @@ def test_select_scores_each_forest_fit_as_serial_inner_cv(inputs, monkeypatch):
 
     fits = [fit("det_velocity:calc", 3), fit("det_velocity:calc", 4, {m for m, *_ in MOLS[:6]}),
             fit(SPARSE_CHANNEL, 5), fit("det_pressure:calc", 6, {m for m, *_ in MOLS[:9]})]
-    tables = []
-    cv_select = ds.cv_select
+    tables, grown = [], []
+    cv_select, fit_forests = ds.cv_select, rf.fit_forests
     monkeypatch.setattr(ds, "cv_select", lambda cells, scores: tables.append(scores)
                         or cv_select(cells, scores))
-    results = evaluation.select(design, fits, evaluation.Grids(forest=grid), INNER_FOLDS)
+    monkeypatch.setattr(rf, "fit_forests", lambda x, y, jobs: grown.append(jobs)
+                        or fit_forests(x, y, jobs))
+    grids = evaluation.Grids(forest=grid)
+    results = evaluation.select(design, fits, grids, INNER_FOLDS)
+
+    def job_keys(jobs):
+        return [(job.config, job.rows.tolist()) for job in jobs]
+
+    planned = [evaluation._selection_jobs(design, one, grids, INNER_FOLDS)[1]
+               for one in fits[::3]]
+    assert [len(jobs) for jobs in planned] == [len(grid.cells()) * INNER_FOLDS] * 2
+    assert [job_keys(jobs) for jobs in grown] == [job_keys(planned[0] + planned[1])]
 
     assert [getattr(result, "code", None) for result in results] == [
         None, "EmptyData", "TooFewMaterials", None]
@@ -372,6 +405,63 @@ def test_select_scores_each_forest_fit_as_serial_inner_cv(inputs, monkeypatch):
     assert {np.count_nonzero(val) for one in fits[::3] for _, val in ds.inner_folds(
         [m for m, keep in zip(design.material_ids, one.train_rows) if keep], INNER_FOLDS,
         one.seed)} == {3, 4}  # the validation sizes differ
+
+
+# grids of several network cells: depth x selector token x penalty, and
+# learning rate x batch size
+NETWORK_GRIDS = {
+    "depths": dict(hidden_sizes=((8,), (8, 4)), selector_layer_index=("last", "second_to_last"),
+                   learning_rate=(0.01,), batch_size=(16,), l2_penalty=(0.0, 1e-4)),
+    "rates": dict(hidden_sizes=((8,),), selector_layer_index=("last",),
+                  learning_rate=(0.01, 0.03), batch_size=(8, 16), l2_penalty=(0.0,)),
+}
+
+
+def network_unit(inputs, channel):
+    """The design of every channel (None), or a copy of one channel's rows."""
+    _, _, design = ds.build_design(inputs["data"], SUBSET, False)
+    if channel is None:
+        return design
+    return single_channel_design(design, design.registry.index_of(
+        design.registry.lookup(*channel.split(":"))))
+
+
+def table_bits(result):
+    return [{**row, "mean_val_rmse": float(row["mean_val_rmse"]).hex()} for row in result.table]
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+@pytest.mark.parametrize("channel", [None, "det_velocity:calc"])
+@pytest.mark.parametrize("grid_name", NETWORK_GRIDS)
+def test_network_grid_search_equals_serial_search(inputs, grid_name, channel, seed):
+    """mtnn.grid_search, select of one network fit, is the serial network
+    search bit for bit, over several channels and over one."""
+    design = network_unit(inputs, channel)
+    grid = evaluation.GridSpec(**NETWORK_GRIDS[grid_name])
+    result = mtnn.grid_search(grid, design, inputs["base_train"], INNER_FOLDS, seed)
+    expected = oracle_network_grid_search(grid, design, inputs["base_train"], INNER_FOLDS, seed)
+    assert len(expected.table) > 2
+    assert table_bits(result) == table_bits(expected)
+    assert result.best_cell == expected.best_cell
+    assert float(result.best_score).hex() == float(expected.best_score).hex()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("channel", [None, "det_velocity:calc"])
+@pytest.mark.parametrize("case", ["diverging", "too-few"])
+def test_network_grid_search_fails_as_serial_search(inputs, case, channel):
+    """A cell that diverges (l2_penalty 1e308) and a design of fewer
+    materials than inner folds raise the serial search's error."""
+    design = network_unit(inputs, channel)
+    grid = evaluation.GridSpec(**{**NETWORK_GRIDS["depths"], "l2_penalty": (0.0, 1e308)})
+    if case == "too-few":
+        design = restrict(design, design.rows_for(set(design.material_ids[:INNER_FOLDS - 1])))
+    with pytest.raises(ToolkitError) as serial:
+        oracle_network_grid_search(grid, design, inputs["base_train"], INNER_FOLDS, 3)
+    with pytest.raises(ToolkitError) as shim:
+        mtnn.grid_search(grid, design, inputs["base_train"], INNER_FOLDS, 3)
+    assert serial.value.code == {"diverging": "NonFiniteLoss", "too-few": "TooFewMaterials"}[case]
+    assert (type(shim.value), str(shim.value)) == (type(serial.value), str(serial.value))
 
 
 # ---------------------------------------------------------------------------

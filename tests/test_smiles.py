@@ -83,7 +83,7 @@ def test_stereo_markers_ignored():
 
 def test_multi_fragment_parses():
     g = parse_smiles("C.C")
-    assert len(g.fragments()) == 2
+    assert g.fragment_count == 2
     assert formula_tuple(g) == (2, 8, 0, 0, 0, 0)
 
 
