@@ -37,6 +37,9 @@ BondKey = tuple[str, str, str]  # (element_a, element_b, order), elements sorted
 
 RING_SIZES = (3, 4, 5, 6, 7, 8)
 
+_ESTATE_SCALE = {element: (2.0 / n) ** 2 for element, n in PRINCIPAL_QUANTUM.items()}
+_H_POLARITY = {element: abs(en - ELECTRONEGATIVITY["H"]) for element, en in ELECTRONEGATIVITY.items()}
+
 # ---------------------------------------------------------------------------
 # Functional group pattern table (version 1).
 #
@@ -178,14 +181,17 @@ def functional_group_counts(g: MolGraph) -> dict[str, int]:
     return {name: match_pattern(g, PATTERN_TABLE[name]) for name in FUNCTIONAL_GROUPS}
 
 
+_RING_SIZE_NAMES = {size: f"ring_size_{size}" for size in RING_SIZES}
+
+
 def ring_count_features(g: MolGraph) -> dict[str, int]:
-    out = {f"ring_size_{size}": 0 for size in RING_SIZES}
+    out = dict.fromkeys(_RING_SIZE_NAMES.values(), 0)
     out["rings_aromatic"] = 0
     out["rings_aliphatic"] = 0
     out["rings_hetero"] = 0
     for ring in g.rings:
-        if ring.size in RING_SIZES:
-            out[f"ring_size_{ring.size}"] += 1
+        if ring.size in _RING_SIZE_NAMES:
+            out[_RING_SIZE_NAMES[ring.size]] += 1
         if ring.aromatic:
             out["rings_aromatic"] += 1
         else:
@@ -202,38 +208,35 @@ def topology_features(g: MolGraph) -> dict[str, float]:
     heavy degree >= 2. The polarity sum adds |delta electronegativity| over
     all bonds, including each atom's implicit X-H bonds.
     """
+    atoms, neighbours = g.atoms, g.adjacency
     rotatable = 0
     aromatic_bonds = 0
     polarity_terms: list[float] = []
     for bond in g.bonds:
-        ei = g.atoms[bond.i].element
-        ej = g.atoms[bond.j].element
-        polarity_terms.append(abs(ELECTRONEGATIVITY[ei] - ELECTRONEGATIVITY[ej]))
+        i, j = bond.i, bond.j
+        polarity_terms.append(abs(ELECTRONEGATIVITY[atoms[i].element]
+                                  - ELECTRONEGATIVITY[atoms[j].element]))
         if bond.order == "aromatic":
             aromatic_bonds += 1
-        elif (
-            bond.order == "single"
-            and not bond.in_ring
-            and g.heavy_degree(bond.i) >= 2
-            and g.heavy_degree(bond.j) >= 2
-        ):
+        elif (bond.order == "single" and not bond.in_ring
+              and len(neighbours[i]) >= 2 and len(neighbours[j]) >= 2):
             rotatable += 1
 
-    aromatic_atoms = sum(1 for atom in g.atoms if atom.aromatic)
-    donors = sum(1 for atom in g.atoms if atom.element in ("N", "O") and atom.implicit_h >= 1)
-    acceptors = sum(1 for atom in g.atoms if atom.element in ("N", "O"))
-    for atom in g.atoms:
-        polarity_terms.extend(
-            [abs(ELECTRONEGATIVITY[atom.element] - ELECTRONEGATIVITY["H"])] * atom.implicit_h
-        )
-    polarity = math.fsum(polarity_terms)
+    aromatic_atoms = donors = acceptors = 0
+    for atom in atoms:
+        aromatic_atoms += atom.aromatic
+        if atom.element in ("N", "O"):
+            acceptors += 1
+            donors += atom.implicit_h >= 1
+        if atom.implicit_h:
+            polarity_terms += [_H_POLARITY[atom.element]] * atom.implicit_h
     return {
         "rotatable_bonds": float(rotatable),
         "aromatic_atoms": float(aromatic_atoms),
         "aromatic_bonds": float(aromatic_bonds),
         "hbond_donors": float(donors),
         "hbond_acceptors": float(acceptors),
-        "bond_polarity_sum": polarity,
+        "bond_polarity_sum": math.fsum(polarity_terms),
     }
 
 
@@ -250,40 +253,60 @@ def estate_vector(g: MolGraph) -> dict[str, float]:
     so the result does not depend on the order of the terms: values are
     bit-identical across atom numberings without sorting the terms. The
     perturbation runs over the atoms a breadth-first walk from i reaches,
-    i excluded, which leaves out unreachable and isolated atoms. Each walk
-    is a plain-Python queue over integer neighbour lists that records how
-    many bonds out it reaches each atom j; the terms are then the scalar
-    float operations of the formula, with (d + 1.0) ** 2 from one table.
-    """
-    n = len(g.atoms)
-    neighbours = [[v for v, _ in g.neighbors(i)] for i in range(n)]
-    intrinsic = [0.0] * n
-    for atom in g.atoms:
-        delta = len(neighbours[atom.index])
-        if delta == 0:
-            continue
-        delta_v = VALENCE_ELECTRONS[atom.element] - atom.implicit_h
-        scale = (2.0 / PRINCIPAL_QUANTUM[atom.element]) ** 2
-        intrinsic[atom.index] = (scale * delta_v + 1.0) / delta
+    which leaves out unreachable and isolated atoms; i itself adds the term
+    (I_i - I_i) / 1 = +0.0, which leaves an exact sum unchanged (and fsum
+    returns +0.0 for a zero sum). Each walk is a plain-Python queue over
+    integer neighbour lists that records how many bonds out it reaches each
+    atom j; the terms are the scalar float operations of the formula, with
+    (d + 1.0) ** 2 from one table.
 
-    squares = [(d + 1.0) ** 2 for d in range(n)]
+    Only atoms that are not pendant are walked. A pendant atom p (one
+    neighbour, its hub q, which has other neighbours) lies on no shortest
+    path between two other atoms, so d(p, j) = d(q, j) + 1 for every
+    j != p: p's terms read q's walk through the table shifted by one bond,
+    and p's own entry in that walk gives the term (I_p - I_p) / 9 = +0.0.
+    These are the very subtractions and divisions of p's own walk, so the
+    floats are unchanged. Two pendants of one hub with the same intrinsic
+    state (the two oxygens of a nitro group) have the same terms, so their
+    S is computed once.
+    """
+    atoms = g.atoms
+    neighbours = g.adjacency
+    intrinsic = [0.0] * len(atoms)
+    for atom, row in zip(atoms, neighbours):
+        if row:
+            element = atom.element
+            delta_v = VALENCE_ELECTRONS[element] - atom.implicit_h
+            intrinsic[atom.index] = (_ESTATE_SCALE[element] * delta_v + 1.0) / len(row)
+
+    squares = [(d + 1.0) ** 2 for d in range(len(atoms) + 1)]
+    shifted = squares[1:]  # shifted[d] = (d + 2.0) ** 2: one bond further out
     per_element: dict[str, list[float]] = {"C": [], "N": [], "O": [], "F": [], "Cl": []}
-    for atom in g.atoms:
-        i = atom.index
-        if not neighbours[i]:
-            continue
-        dist = [-1] * n  # bonds on a shortest i-j path, -1 until reached
-        dist[i] = 0
-        order = [i]  # the walk's queue: reached atoms in visit order
+    for q, row in enumerate(neighbours):
+        if not row or (len(row) == 1 and len(neighbours[row[0]]) > 1):
+            continue  # isolated, or pendant: its hub's walk serves it
+        dist = [-1] * len(atoms)  # bonds on a shortest q-j path, -1 until reached
+        dist[q] = 0
+        order = [q]  # the walk's queue: reached atoms in visit order
         for u in order:
             d = dist[u] + 1
             for v in neighbours[u]:
                 if dist[v] < 0:
                     dist[v] = d
                     order.append(v)
-        state = intrinsic[i]
-        terms = [(state - intrinsic[j]) / squares[dist[j]] for j in order[1:]]
-        per_element[atom.element].append(state + math.fsum(terms))
+        state = intrinsic[q]
+        per_element[atoms[q].element].append(
+            state + math.fsum([(state - intrinsic[j]) / squares[dist[j]] for j in order]))
+        if len(row) == 1:
+            continue  # a two-atom fragment: its other atom is walked too
+        pendant_states: dict[float, float] = {}
+        for p in row:
+            if len(neighbours[p]) == 1:
+                state = intrinsic[p]
+                if state not in pendant_states:
+                    pendant_states[state] = state + math.fsum(
+                        [(state - intrinsic[j]) / shifted[dist[j]] for j in order])
+                per_element[atoms[p].element].append(pendant_states[state])
     return {f"estate_{element}": math.fsum(values) for element, values in per_element.items()}
 
 
@@ -327,21 +350,22 @@ def acid_base_counts(g: MolGraph) -> dict[str, int]:
     """
     acidic = sum(match_pattern(g, pattern) for pattern in ACIDIC_PATTERNS.values())
 
+    atoms, neighbours = g.atoms, g._neighbors
     basic = 0
-    for atom in g.atoms:
-        if atom.element != "N" or atom.formal_charge != 0 or atom.aromatic:
+    for idx in g.atoms_by_element.get("N", ()):
+        atom = atoms[idx]
+        if atom.formal_charge != 0 or atom.aromatic:
             continue
-        neighbors = g.neighbors(atom.index)
-        if any(bond.order != "single" for _, bond in neighbors):
+        if any(bond.order != "single" for _, bond in neighbours[idx]):
             continue
         carbons = 0
         excluded = False
-        for nbr, _ in neighbors:
-            other = g.atoms[nbr]
+        for nbr, _ in neighbours[idx]:
+            other = atoms[nbr]
             if other.element == "C":
                 carbons += 1
-                for nbr2, bond2 in g.neighbors(nbr):
-                    if bond2.order == "double" and g.atoms[nbr2].element == "O":
+                for nbr2, bond2 in neighbours[nbr]:
+                    if bond2.order == "double" and atoms[nbr2].element == "O":
                         excluded = True  # amide nitrogen
             elif other.element == "N" and other.formal_charge == 1:
                 excluded = True  # nitramine nitrogen
@@ -357,12 +381,13 @@ def acid_base_counts(g: MolGraph) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 def _bond_keys(g: MolGraph) -> dict[BondKey, int]:
+    atoms = g.atoms
     counts: dict[BondKey, int] = {}
     for bond in g.bonds:
-        a, b = g.atoms[bond.i].element, g.atoms[bond.j].element
+        a, b = atoms[bond.i].element, atoms[bond.j].element
         key = (a, b, bond.order) if a <= b else (b, a, bond.order)
         counts[key] = counts.get(key, 0) + 1
-    for atom in g.atoms:
+    for atom in atoms:
         if atom.implicit_h:
             a = atom.element
             key = (a, "H", "single") if a <= "H" else ("H", a, "single")
@@ -478,20 +503,18 @@ def fit_schema(corpus: list[MolGraph], include_density: bool) -> FeatureSchema:
     )
 
 
-def _fixed_block(g: MolGraph) -> list[float]:
+def _fixed_block(g: MolGraph) -> list[float | int]:
+    """The fixed block in FIXED_BLOCK_NAMES order: each helper's values, in
+    the order its dict lists them."""
     counts = molecular_formula(g)
-    values = {
-        "oxygen_balance_100": oxygen_balance(counts),
-        "gas_product_ratio": gas_product_ratio(counts),
-        **atom_count_features(counts),
-        **{f"fg_{name}": count for name, count in functional_group_counts(g).items()},
-        **ring_count_features(g),
-        **topology_features(g),
-        **estate_vector(g),
-        "vdw_volume": vdw_volume(g, counts),
-        **acid_base_counts(g),
-    }
-    return [float(values[name]) for name in FIXED_BLOCK_NAMES]
+    return [oxygen_balance(counts), gas_product_ratio(counts),
+            *atom_count_features(counts).values(),
+            *functional_group_counts(g).values(),
+            *ring_count_features(g).values(),
+            *topology_features(g).values(),
+            *estate_vector(g).values(),
+            vdw_volume(g, counts),
+            *acid_base_counts(g).values()]
 
 
 def featurize(g: MolGraph, schema: FeatureSchema, density: float | None = None) -> np.ndarray:
@@ -509,7 +532,7 @@ def featurize(g: MolGraph, schema: FeatureSchema, density: float | None = None) 
     if schema.include_density:
         values.append(float(density))
     array = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(array)):
+    if not np.isfinite(array).all():
         bad = [schema.names[i] for i in np.where(~np.isfinite(array))[0]]
         raise ZeroDenominator(f"non-finite descriptor values: {bad}")
     return array

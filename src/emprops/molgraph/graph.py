@@ -69,17 +69,23 @@ class MolGraph:
     bond_index: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._neighbors = [[] for _ in self.atoms]
-        self.bond_index = {}
+        self._neighbors = neighbors = [[] for _ in self.atoms]
+        self.bond_index = bond_index = {}
         for idx, bond in enumerate(self.bonds):
             i, j = bond.i, bond.j
-            self._neighbors[i].append((j, bond))
-            self._neighbors[j].append((i, bond))
-            self.bond_index.setdefault((i, j) if i < j else (j, i), idx)
+            neighbors[i].append((j, bond))
+            neighbors[j].append((i, bond))
+            bond_index.setdefault((i, j) if i < j else (j, i), idx)
 
     def neighbors(self, idx: int) -> list[tuple[int, Bond]]:
         """(neighbor atom index, bond) pairs for one atom; do not modify."""
         return self._neighbors[idx]
+
+    @cached_property
+    def adjacency(self) -> list[list[int]]:
+        """adjacency[i]: the neighbour atoms of atom i, in neighbour-list
+        order, built on first use; do not modify."""
+        return [[v for v, _ in row] for row in self._neighbors]
 
     @cached_property
     def atoms_by_element(self) -> dict[str, list[int]]:
@@ -127,17 +133,14 @@ class ElementCounts:
 
 def molecular_formula(g: MolGraph) -> ElementCounts:
     """Element counts including implicit hydrogens."""
-    counts = {"C": 0, "H": 0, "N": 0, "O": 0, "Cl": 0, "F": 0}
-    for atom in g.atoms:
-        counts[atom.element] += 1
-        counts["H"] += atom.implicit_h
+    by_element = g.atoms_by_element
     return ElementCounts(
-        n_C=counts["C"],
-        n_H=counts["H"],
-        n_N=counts["N"],
-        n_O=counts["O"],
-        n_Cl=counts["Cl"],
-        n_F=counts["F"],
+        n_C=len(by_element.get("C", ())),
+        n_H=sum(atom.implicit_h for atom in g.atoms),
+        n_N=len(by_element.get("N", ())),
+        n_O=len(by_element.get("O", ())),
+        n_Cl=len(by_element.get("Cl", ())),
+        n_F=len(by_element.get("F", ())),
     )
 
 

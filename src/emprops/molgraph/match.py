@@ -80,10 +80,10 @@ def _atom_ok(g: MolGraph, idx: int, patom: PatternAtom) -> bool:
         return False
     if patom.h_count is not None and atom.implicit_h != patom.h_count:
         return False
-    if patom.heavy_degree is not None and g.heavy_degree(idx) != patom.heavy_degree:
+    if patom.heavy_degree is not None and len(g._neighbors[idx]) != patom.heavy_degree:
         return False
     for element, order in patom.forbidden:
-        for nbr, bond in g.neighbors(idx):
+        for nbr, bond in g._neighbors[idx]:
             if g.atoms[nbr].element == element and (order is None or bond.order == order):
                 return False
     return True
@@ -147,31 +147,48 @@ def match_pattern(g: MolGraph, pattern: SubstructurePattern) -> int:
 
 
 def match_atom_sets(g: MolGraph, pattern: SubstructurePattern) -> set[frozenset[int]]:
-    """Distinct matched atom-index sets for a pattern."""
-    plan = pattern.plan
-    found: set[frozenset[int]] = set()
-    assignment: list[int] = []  # molecule atom of each placed step
+    """Distinct matched atom-index sets for a pattern.
 
-    def place(midx: int, step: int) -> None:
-        assignment.append(midx)
-        if step + 1 == len(plan):
-            found.add(frozenset(assignment))
-        else:
-            patom, anchor, anchor_bond, closures = plan[step + 1]
-            for nbr, bond in g.neighbors(assignment[anchor]):
+    Backtracking on an explicit stack: assignment[k] is the molecule atom
+    of step k, and stack[k] iterates the (neighbour, bond) candidates for
+    step k + 1 around that step's anchor atom.
+    """
+    plan = pattern.plan
+    root = plan[0][0]
+    if root.element is None:
+        seeds = range(len(g.atoms))
+    else:
+        seeds = g.atoms_by_element.get(root.element)
+        if seeds is None:  # no atom can seed the root
+            return set()
+    found: set[frozenset[int]] = set()
+    neighbours = g._neighbors
+    last = len(plan) - 1
+    for seed in seeds:
+        if not _atom_ok(g, seed, root):
+            continue
+        if not last:
+            found.add(frozenset((seed,)))
+            continue
+        assignment = [seed]
+        stack = [iter(neighbours[seed])]  # step 1 is anchored at step 0
+        while stack:
+            step = len(assignment)
+            patom, _, anchor_bond, closures = plan[step]
+            for nbr, bond in stack[-1]:
                 if nbr in assignment or not _bond_ok(bond, anchor_bond) \
                         or not _atom_ok(g, nbr, patom):
                     continue
                 if closures and not all(
                         _closure_ok(g, assignment[earlier], nbr, pb) for earlier, pb in closures):
                     continue
-                place(nbr, step + 1)
-        assignment.pop()
-
-    root = plan[0][0]
-    seeds = (range(len(g.atoms)) if root.element is None
-             else g.atoms_by_element.get(root.element, ()))
-    for midx in seeds:
-        if _atom_ok(g, midx, root):
-            place(midx, 0)
+                if step == last:
+                    found.add(frozenset((*assignment, nbr)))
+                    continue
+                assignment.append(nbr)
+                stack.append(iter(neighbours[assignment[plan[step + 1][1]]]))
+                break
+            else:  # step's candidates are used up: take back the step before it
+                stack.pop()
+                assignment.pop()
     return found

@@ -15,6 +15,7 @@ matching, and fills implicit hydrogens from charge-adjusted valences.
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 from emprops.errors import (
     KekulizationError,
@@ -29,10 +30,24 @@ from emprops.molgraph.rings import sssr_rings
 _BOND_SYMBOLS = {"-": "single", "=": "double", "#": "triple", ":": "aromatic",
                  "/": "single", "\\": "single"}
 
+# Organic-subset atom tokens: (element, aromatic); "C" may start "Cl".
+_ORGANIC = {"C": ("C", False), "N": ("N", False), "O": ("O", False), "F": ("F", False),
+            "c": ("C", True), "n": ("N", True), "o": ("O", True)}
+
+# Ring-closure and isotope digits are ASCII only, like every SMILES token.
+_DIGITS = frozenset("0123456789")
+
 _BRACKET_RE = re.compile(
     r"^(?P<sym>Cl|[CNOF]|[cno])(?P<stereo>@{1,2})?(?P<h>H\d*)?"
-    r"(?P<charge>\+\+|--|[+-]\d+|[+-])?$"
+    r"(?P<charge>\+\+|--|[+-]\d+|[+-])?$",
+    re.ASCII,
 )
+
+# Bond orders as sigma-bond counts; also each bond's kekule order until the
+# matching makes some aromatic bonds double.
+_SIGMA_ORDER = {**ORDER_VALUE, "aromatic": 1}
+
+_CHARGE_SIGNS = {"+": 1, "-": -1, "++": 2, "--": -2}
 
 _ELEMENT_ATTEMPT_RE = re.compile(r"[A-Z][a-z]?|[a-z]")
 
@@ -42,7 +57,7 @@ def _parse_bracket(body: str, pos: int) -> tuple[str, bool, int, int]:
 
     Returns (element, aromatic, explicit_h, charge).
     """
-    if body and body[0].isdigit():
+    if body[:1] in _DIGITS:
         raise SmilesSyntaxError(f"isotope specifications are not supported at position {pos}")
     m = _BRACKET_RE.match(body)
     if m is None:
@@ -50,155 +65,135 @@ def _parse_bracket(body: str, pos: int) -> tuple[str, bool, int, int]:
         if attempt and attempt.group(0) not in HEAVY_ELEMENTS and attempt.group(0) not in AROMATIC_TOKENS:
             raise UnsupportedElement(f"element {attempt.group(0)!r} at position {pos} is outside CHNOClF")
         raise SmilesSyntaxError(f"malformed bracket atom {'[' + body + ']'!r} at position {pos}")
-    sym = m.group("sym")
-    aromatic = sym in AROMATIC_TOKENS
-    element = AROMATIC_TOKENS.get(sym, sym)
-    h_part = m.group("h")
+    sym, _, h_part, charge_part = m.groups()
     if h_part is None:
         h_count = 0
-    elif h_part == "H":
-        h_count = 1
     else:
-        h_count = int(h_part[1:])
-    charge_part = m.group("charge")
+        h_count = int(h_part[1:]) if len(h_part) > 1 else 1
     if charge_part is None:
         charge = 0
-    elif charge_part in ("+", "-"):
-        charge = 1 if charge_part == "+" else -1
-    elif charge_part in ("++", "--"):
-        charge = 2 if charge_part == "++" else -2
     else:
-        charge = int(charge_part)
-    return element, aromatic, h_count, charge
+        charge = _CHARGE_SIGNS.get(charge_part) or int(charge_part)
+    return AROMATIC_TOKENS.get(sym, sym), sym in AROMATIC_TOKENS, h_count, charge
 
 
-class _Builder:
-    """Accumulates atoms/bonds while walking the SMILES text."""
+class _Built(NamedTuple):
+    """What the tokenizer builds from the text."""
 
-    def __init__(self) -> None:
-        self.atoms: list[Atom] = []
-        self.explicit_h: list[int | None] = []  # None until perception for organic atoms
-        self.bonds: list[Bond] = []
-        self.default_aromatic: list[int] = []  # bonds aromatic by omission, not ':'
-        self._pairs: set[tuple[int, int]] = set()
-
-    def add_atom(self, element: str, aromatic: bool, charge: int, explicit_h: int | None) -> int:
-        idx = len(self.atoms)
-        self.atoms.append(Atom(element=element, formal_charge=charge, aromatic=aromatic, index=idx))
-        self.explicit_h.append(explicit_h)
-        return idx
-
-    def add_bond(self, i: int, j: int, symbol: str | None, pos: int) -> None:
-        if i == j:
-            raise SmilesSyntaxError(f"bond from atom to itself at position {pos}")
-        key = (i, j) if i < j else (j, i)
-        if key in self._pairs:
-            raise SmilesSyntaxError(f"duplicate bond between atoms {key[0]} and {key[1]}")
-        ai, aj = self.atoms[i], self.atoms[j]
-        if symbol is None:
-            order = "aromatic" if (ai.aromatic and aj.aromatic) else "single"
-            if order == "aromatic":
-                # demoted to single later if it turns out not to be in a ring
-                # (e.g. the biphenyl bridge)
-                self.default_aromatic.append(len(self.bonds))
-        else:
-            order = _BOND_SYMBOLS[symbol]
-        if order == "aromatic" and not (ai.aromatic and aj.aromatic):
-            raise SmilesSyntaxError(
-                f"aromatic bond between non-aromatic atoms {i} and {j}"
-            )
-        self._pairs.add(key)
-        self.bonds.append(Bond(i=i, j=j, order=order))
+    atoms: list[Atom]
+    bonds: list[Bond]
+    explicit_h: list[int | None]  # None until perception for organic atoms
+    default_aromatic: list[int]  # bonds aromatic by omission, not ':'
 
 
-def _tokenize_and_build(text: str) -> _Builder:
-    builder = _Builder()
+def _tokenize_and_build(text: str) -> _Built:
+    """Walk the SMILES text once, building atoms and bonds in text order.
+
+    A chain bond always joins the new atom to an earlier one, so only a
+    ring closure can repeat a bond or close on its own atom. A repeat is
+    one of the closing atom's or the opening atom's chain bonds (each
+    atom's chain bond goes to chain_parent) or an earlier closure.
+    """
+    atoms: list[Atom] = []
+    bonds: list[Bond] = []
+    explicit_h: list[int | None] = []
+    default_aromatic: list[int] = []
+    chain_parent: list[int | None] = []
+    closed: set[tuple[int, int]] = set()
     prev: int | None = None
     pending: str | None = None
     branch_stack: list[int] = []
     ring_open: dict[int, tuple[int, str | None]] = {}
 
-    def attach(idx: int, pos: int) -> None:
-        nonlocal prev, pending
-        if prev is not None:
-            builder.add_bond(prev, idx, pending, pos)
-        prev = idx
-        pending = None
-
     i = 0
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch == "[":
+        if ch in _ORGANIC:
+            if ch == "C" and text[i + 1 : i + 2] == "l":
+                element, aromatic = "Cl", False
+                i += 2
+            else:
+                element, aromatic = _ORGANIC[ch]
+                i += 1
+            charge, h_count = 0, None
+        elif ch == "[":
             end = text.find("]", i)
             if end < 0:
                 raise SmilesSyntaxError(f"unterminated bracket atom at position {i}")
             element, aromatic, h_count, charge = _parse_bracket(text[i + 1 : end], i)
-            attach(builder.add_atom(element, aromatic, charge, h_count), i)
             i = end + 1
-        elif text.startswith("Cl", i):
-            attach(builder.add_atom("Cl", False, 0, None), i)
-            i += 2
-        elif ch in "CNOF":
-            attach(builder.add_atom(ch, False, 0, None), i)
-            i += 1
-        elif ch in "cno":
-            attach(builder.add_atom(AROMATIC_TOKENS[ch], True, 0, None), i)
-            i += 1
-        elif ch in _BOND_SYMBOLS:
-            if pending is not None:
-                raise SmilesSyntaxError(f"two bond symbols in a row at position {i}")
-            pending = ch
-            i += 1
-        elif ch.isdigit() or ch == "%":
-            if ch == "%":
-                if i + 2 >= n or not text[i + 1 : i + 3].isdigit():
-                    raise SmilesSyntaxError(f"%% ring closure needs two digits at position {i}")
-                number = int(text[i + 1 : i + 3])
-                i += 3
-            else:
-                number = int(ch)
+        else:
+            if ch in _BOND_SYMBOLS:
+                if pending is not None:
+                    raise SmilesSyntaxError(f"two bond symbols in a row at position {i}")
+                pending = ch
                 i += 1
-            if prev is None:
-                raise SmilesSyntaxError("ring closure before any atom")
-            if number in ring_open:
+            elif ch == "(":
+                if prev is None:
+                    raise SmilesSyntaxError(f"branch before any atom at position {i}")
+                if pending is not None:
+                    raise SmilesSyntaxError(f"bond symbol before branch open at position {i}")
+                branch_stack.append(prev)
+                i += 1
+            elif ch == ")":
+                if not branch_stack:
+                    raise SmilesSyntaxError(f"unbalanced ')' at position {i}")
+                if pending is not None:
+                    raise SmilesSyntaxError(f"dangling bond before ')' at position {i}")
+                prev = branch_stack.pop()
+                i += 1
+            elif ch in _DIGITS or ch == "%":
+                if ch == "%":
+                    if i + 2 >= n or text[i + 1] not in _DIGITS or text[i + 2] not in _DIGITS:
+                        raise SmilesSyntaxError(f"%% ring closure needs two digits at position {i}")
+                    number = int(text[i + 1 : i + 3])
+                    i += 3
+                else:
+                    number = int(ch)
+                    i += 1
+                if prev is None:
+                    raise SmilesSyntaxError("ring closure before any atom")
+                if number not in ring_open:
+                    ring_open[number] = (prev, pending)
+                    pending = None
+                    continue
                 other, other_sym = ring_open.pop(number)
                 if pending is not None and other_sym is not None and pending != other_sym:
                     raise SmilesSyntaxError(f"conflicting bond symbols on ring closure {number}")
-                builder.add_bond(prev, other, pending or other_sym, i)
+                if prev == other:
+                    raise SmilesSyntaxError(f"bond from atom to itself at position {i}")
+                key = (prev, other) if prev < other else (other, prev)
+                if chain_parent[prev] == other or chain_parent[other] == prev or key in closed:
+                    raise SmilesSyntaxError(f"duplicate bond between atoms {key[0]} and {key[1]}")
+                closed.add(key)
+                _add_bond(atoms, bonds, default_aromatic, prev, other, pending or other_sym)
                 pending = None
+            elif ch == ".":
+                if pending is not None or branch_stack:
+                    raise SmilesSyntaxError(f"misplaced fragment separator at position {i}")
+                prev = None
+                i += 1
+            elif ch == "@":
+                # stereo centers outside brackets cannot occur; treat as noise
+                raise SmilesSyntaxError(f"unexpected '@' at position {i}")
             else:
-                ring_open[number] = (prev, pending)
-                pending = None
-        elif ch == "(":
-            if prev is None:
-                raise SmilesSyntaxError(f"branch before any atom at position {i}")
-            if pending is not None:
-                raise SmilesSyntaxError(f"bond symbol before branch open at position {i}")
-            branch_stack.append(prev)
-            i += 1
-        elif ch == ")":
-            if not branch_stack:
-                raise SmilesSyntaxError(f"unbalanced ')' at position {i}")
-            if pending is not None:
-                raise SmilesSyntaxError(f"dangling bond before ')' at position {i}")
-            prev = branch_stack.pop()
-            i += 1
-        elif ch == ".":
-            if pending is not None or branch_stack:
-                raise SmilesSyntaxError(f"misplaced fragment separator at position {i}")
-            prev = None
-            i += 1
-        elif ch == "@":
-            # stereo centers outside brackets cannot occur; treat as noise
-            raise SmilesSyntaxError(f"unexpected '@' at position {i}")
-        else:
-            attempt = _ELEMENT_ATTEMPT_RE.match(text, i)
-            if attempt:
-                raise UnsupportedElement(
-                    f"element {attempt.group(0)!r} at position {i} is outside CHNOClF"
-                )
-            raise SmilesSyntaxError(f"unexpected character {ch!r} at position {i}")
+                attempt = _ELEMENT_ATTEMPT_RE.match(text, i)
+                if attempt:
+                    raise UnsupportedElement(
+                        f"element {attempt.group(0)!r} at position {i} is outside CHNOClF"
+                    )
+                raise SmilesSyntaxError(f"unexpected character {ch!r} at position {i}")
+            continue
+
+        idx = len(atoms)
+        atoms.append(Atom(element, charge, aromatic, 0, idx))
+        explicit_h.append(h_count)
+        chain_parent.append(prev)
+        if prev is not None:
+            _add_bond(atoms, bonds, default_aromatic, prev, idx, pending)
+        prev = idx
+        pending = None  # a bond symbol with no atom before it is dropped
 
     if branch_stack:
         raise SmilesSyntaxError("unbalanced '(' in input")
@@ -206,9 +201,28 @@ def _tokenize_and_build(text: str) -> _Builder:
         raise SmilesSyntaxError(f"dangling ring closure(s): {sorted(ring_open)}")
     if pending is not None:
         raise SmilesSyntaxError("trailing bond symbol")
-    if not builder.atoms:
+    if not atoms:
         raise SmilesSyntaxError("empty SMILES")
-    return builder
+    return _Built(atoms, bonds, explicit_h, default_aromatic)
+
+
+def _add_bond(atoms: list[Atom], bonds: list[Bond], default_aromatic: list[int],
+              i: int, j: int, symbol: str | None) -> None:
+    """Append the bond i-j written with symbol (None when omitted)."""
+    both_aromatic = atoms[i].aromatic and atoms[j].aromatic
+    if symbol is None:
+        if both_aromatic:
+            # demoted to single later if it turns out not to be in a ring
+            # (e.g. the biphenyl bridge)
+            default_aromatic.append(len(bonds))
+            order = "aromatic"
+        else:
+            order = "single"
+    else:
+        order = _BOND_SYMBOLS[symbol]
+        if order == "aromatic" and not both_aromatic:
+            raise SmilesSyntaxError(f"aromatic bond between non-aromatic atoms {i} and {j}")
+    bonds.append(Bond(i, j, order))
 
 
 def _normalize_nitro(g: MolGraph) -> None:
@@ -248,10 +262,10 @@ def _kekulize(g: MolGraph, explicit_h: list[int | None]) -> None:
     need none. The lexicographically first perfect matching over needy
     atoms is selected, so hydrogen counts are deterministic.
     """
+    for bond in g.bonds:
+        bond.kekule_order = _SIGMA_ORDER[bond.order]  # aromatic bonds single until matched
     aromatic_atoms = [a.index for a in g.atoms if a.aromatic]
     if not aromatic_atoms:
-        for bond in g.bonds:
-            bond.kekule_order = ORDER_VALUE[bond.order]
         return
 
     aromatic_ring_atoms: set[int] = set()
@@ -261,17 +275,14 @@ def _kekulize(g: MolGraph, explicit_h: list[int | None]) -> None:
     for idx in aromatic_atoms:
         if idx not in aromatic_ring_atoms:
             raise KekulizationError(f"aromatic atom {idx} is not part of an aromatic ring")
+    sigma = [0] * len(g.atoms)
     for bond in g.bonds:
         if bond.order == "aromatic" and not bond.in_ring:
             raise KekulizationError(
                 f"aromatic bond between atoms {bond.i} and {bond.j} is not in a ring"
             )
-
-    sigma = {
-        idx: sum(1 if bond.order == "aromatic" else ORDER_VALUE[bond.order]
-                 for _, bond in g.neighbors(idx))
-        for idx in aromatic_atoms
-    }
+        sigma[bond.i] += bond.kekule_order
+        sigma[bond.j] += bond.kekule_order
 
     needy: set[int] = set()
     for idx in aromatic_atoms:
@@ -289,16 +300,16 @@ def _kekulize(g: MolGraph, explicit_h: list[int | None]) -> None:
         if needs:
             needy.add(idx)
 
-    # Adjacency over in-ring aromatic bonds between two needy atoms.
+    # Adjacency over in-ring aromatic bonds between two needy atoms, by
+    # partner index (an atom's partners are distinct, so no bonds compare).
     partner_bonds = {
-        idx: sorted(((v, bond) for v, bond in g.neighbors(idx)
-                     if bond.order == "aromatic" and v in needy), key=lambda pair: pair[0])
+        idx: sorted([(v, bond) for v, bond in g.neighbors(idx)
+                     if bond.order == "aromatic" and v in needy])
         for idx in needy
     }
 
     # Components of needy atoms are matched independently, so the union of
     # their first matchings is the first matching of the whole.
-    double_bonds: set[int] = set()
     unseen = set(needy)
     while unseen:
         component, queue = [], [unseen.pop()]
@@ -312,13 +323,8 @@ def _kekulize(g: MolGraph, explicit_h: list[int | None]) -> None:
                                                                     partner_bonds)
         if matching is None:
             raise KekulizationError("no kekule structure exists for the aromatic system")
-        double_bonds.update(id(bond) for bond in matching)
-
-    for bond in g.bonds:
-        if bond.order == "aromatic":
-            bond.kekule_order = 2 if id(bond) in double_bonds else 1
-        else:
-            bond.kekule_order = ORDER_VALUE[bond.order]
+        for bond in matching:
+            bond.kekule_order = 2
 
 
 def _first_matching(atoms: list[int], partner_bonds: dict) -> list | None:
@@ -349,10 +355,12 @@ def _first_matching(atoms: list[int], partner_bonds: dict) -> list | None:
 
 
 def _assign_hydrogens(g: MolGraph, explicit_h: list[int | None]) -> None:
-    for idx, atom in enumerate(g.atoms):
-        order_sum = sum(bond.kekule_order for _, bond in g.neighbors(idx))
+    order_sums = [0] * len(g.atoms)
+    for bond in g.bonds:
+        order_sums[bond.i] += bond.kekule_order
+        order_sums[bond.j] += bond.kekule_order
+    for idx, (atom, order_sum, h_count) in enumerate(zip(g.atoms, order_sums, explicit_h)):
         valence = effective_valence(atom.element, atom.formal_charge)
-        h_count = explicit_h[idx]
         if h_count is None:
             implicit = valence - order_sum
             if implicit < 0:
@@ -378,8 +386,8 @@ def parse_smiles(text: str) -> MolGraph:
     """
     if not text:
         raise SmilesSyntaxError("empty SMILES")
-    builder = _tokenize_and_build(text)
-    g = MolGraph(atoms=builder.atoms, bonds=builder.bonds)
+    built = _tokenize_and_build(text)
+    g = MolGraph(atoms=built.atoms, bonds=built.bonds)
     _normalize_nitro(g)
 
     # The SSSR edges are exactly the bonds that lie on a cycle (see rings).
@@ -389,13 +397,13 @@ def parse_smiles(text: str) -> MolGraph:
     for ring in g.rings:
         for a, b in zip(ring.atoms, ring.atoms[1:] + ring.atoms[:1]):
             g.bond_between(a, b).in_ring = True
-    for idx in builder.default_aromatic:
+    for idx in built.default_aromatic:
         bond = g.bonds[idx]
         if not bond.in_ring:
             bond.order = "single"
 
-    _kekulize(g, builder.explicit_h)
-    _assign_hydrogens(g, builder.explicit_h)
+    _kekulize(g, built.explicit_h)
+    _assign_hydrogens(g, built.explicit_h)
     return g
 
 

@@ -29,6 +29,12 @@ with the pruned atoms left out, so the candidate order, and with it the
 choice among equally small rings and their order, follows the
 neighbour-list (bond-index) order.
 
+A graph whose cyclomatic number is 1 holds exactly one cycle, so every
+candidate is that cycle and deduplication by atom set keeps only the
+sweep's first one: the sorted candidate list has one entry, and the greedy
+takes it. The sweep therefore stops at its first candidate, which gives the
+same tuple, in the same rotation and direction, as the full sweep.
+
 A bond lies on some cycle exactly when some SSSR ring contains it: every
 cycle is a GF(2) sum of basis cycles, so an edge that no basis cycle holds
 lies on no cycle. The parser therefore sets Bond.in_ring from the edges of
@@ -42,13 +48,13 @@ from emprops.molgraph.graph import MolGraph, Ring
 
 def _ring_core(g: MolGraph) -> list[bool]:
     """in_core[i]: atom i survives repeated pruning of atoms of degree <= 1."""
-    degree = [g.heavy_degree(i) for i in range(len(g.atoms))]
-    in_core = [True] * len(g.atoms)
+    neighbours = g.adjacency
+    degree = [len(row) for row in neighbours]
+    in_core = [True] * len(degree)
     leaves = [i for i, d in enumerate(degree) if d <= 1]
-    while leaves:
-        u = leaves.pop()
+    for u in leaves:  # grows while iterated; the 2-core does not depend on the order
         in_core[u] = False
-        for v, _ in g.neighbors(u):
+        for v in neighbours[u]:
             if in_core[v]:
                 degree[v] -= 1
                 if degree[v] == 1:
@@ -79,14 +85,14 @@ def _core_walk(neighbours: list[list[int]], root: int) -> tuple[list[int], list[
     return parent, branch
 
 
-def _candidate_cycles(g: MolGraph) -> list[tuple[int, ...]]:
+def _candidate_cycles(g: MolGraph, first_only: bool = False) -> list[tuple[int, ...]]:
     """Candidate rings: for every core root r and core bond (x, y), the cycle
     formed by the tree paths r->x, r->y plus the bond, when those paths only
-    share r."""
+    share r. With first_only, the sweep stops at its first candidate."""
     in_core = _ring_core(g)
     bonds = [(b.i, b.j) for b in g.bonds if in_core[b.i] and in_core[b.j]]
-    core_neighbours = [[v for v, _ in g.neighbors(u) if in_core[v]] if in_core[u] else []
-                       for u in range(len(g.atoms))]
+    core_neighbours = [[v for v in row if in_core[v]] if kept else []
+                       for row, kept in zip(g.adjacency, in_core)]
     seen: set[frozenset[int]] = set()
     cycles: list[tuple[int, ...]] = []
     for root in range(len(g.atoms)):
@@ -94,7 +100,7 @@ def _candidate_cycles(g: MolGraph) -> list[tuple[int, ...]]:
             continue
         parent, branch = _core_walk(core_neighbours, root)  # unreached atoms share branch -1
         for x, y in bonds:
-            if branch[x] == branch[y] or root in (x, y):
+            if branch[x] == branch[y] or x == root or y == root:
                 continue
             cycle = [x]
             while cycle[-1] != root:
@@ -107,6 +113,8 @@ def _candidate_cycles(g: MolGraph) -> list[tuple[int, ...]]:
             if key not in seen:
                 seen.add(key)
                 cycles.append(tuple(cycle))
+                if first_only:
+                    return cycles
     return cycles
 
 
@@ -127,6 +135,8 @@ def sssr_atom_cycles(g: MolGraph) -> list[tuple[int, ...]]:
     target = cyclomatic_number(g)
     if target == 0:
         return []
+    if target == 1:  # one cycle: the sweep's first candidate (see the module docstring)
+        return _candidate_cycles(g, first_only=True)
     candidates = _candidate_cycles(g)
     candidates.sort(key=lambda c: (len(c), tuple(sorted(c)), c))
 

@@ -386,6 +386,9 @@ def _train_part(jobs: list[TrainJob]) -> list[tuple[np.ndarray, TrainResult | No
     return [(job.net.params, result) for job, result in zip(jobs, results)]
 
 
+# A diverging network overflows to inf and NaN; the finiteness checks turn
+# that into NonFiniteLoss, so numpy's own warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def _train_stack(jobs: list[TrainJob]) -> list[TrainResult | NonFiniteLoss]:
     """train_many of checked jobs that differ only in their seeds.
 

@@ -124,12 +124,17 @@ def predict_rows(bundle: ModelBundle, features: np.ndarray, channel_idx: np.ndar
     channels, in one forward; each group gets the bits of its own (n, d)
     call. How many rows share a group still matters: BLAS picks its kernel
     by matrix size, so a row's last bits depend on the n of its group.
+    (n, d) rows with (G, n) channels serve every group: they are
+    standardized once, then broadcast, which gives the same bits because
+    standardizing is elementwise.
     """
     if bundle.kind == "forest":
         return rf.predict_forest(bundle.forest, features)
     selector_dim = bundle.net.config.selector_dim
     selector = np.eye(selector_dim)[channel_idx] if selector_dim else None
     x = bundle.standardizer.apply_features(features)
+    if channel_idx.ndim == 2 and x.ndim == 2:
+        x = np.broadcast_to(x, channel_idx.shape + x.shape[1:])
     return bundle.standardizer.invert_targets(mtnn.forward(bundle.net, x, selector), channel_idx)
 
 
@@ -149,7 +154,6 @@ def predict_matrix(bundle: ModelBundle, smiles_or_graph: str | MolGraph,
     if bundle.kind == "forest":
         values = np.repeat(predict_rows(bundle, row, None), n_channels)
     else:
-        values = predict_rows(bundle, np.broadcast_to(row, (n_channels,) + row.shape),
-                              np.arange(n_channels)[:, None])[:, 0]
+        values = predict_rows(bundle, row, np.arange(n_channels)[:, None])[:, 0]
     return {channel.key: channel.invert_transform(float(value))
             for channel, value in zip(bundle.registry, values)}

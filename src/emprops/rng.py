@@ -39,10 +39,6 @@ class SplitMix64:
         self.state = (self.state + k * _GOLDEN) & _MASK64
         return draws
 
-    def next_float(self) -> float:
-        """Uniform in [0, 1) with the full 53-bit mantissa."""
-        return (self.next_u64() >> 11) * 2.0 ** -53
-
     def next_below(self, n: int) -> int:
         """Uniform integer in [0, n); plain modulo, kept for portability."""
         if n <= 0:

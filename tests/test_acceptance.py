@@ -264,15 +264,20 @@ EVAL_MOLS = [
 ]
 
 
+def _next_float(rng: SplitMix64) -> float:
+    """Uniform in [0, 1) with the full 53-bit mantissa."""
+    return (rng.next_u64() >> 11) * 2.0 ** -53
+
+
 def _write_eval_dataset(tmp_path, dense=False):
     registry = ds.default_registry()
     lines = ["material_id,smiles,property,fidelity,value,density"]
     rng = SplitMix64(31415)
     for i, (mid, smi, dens) in enumerate(EVAL_MOLS):
         for channel in registry:
-            if not dense and rng.next_float() < 0.25 and channel.property != "det_velocity":
+            if not dense and _next_float(rng) < 0.25 and channel.property != "det_velocity":
                 continue
-            value = 1.0 + 20.0 * rng.next_float()
+            value = 1.0 + 20.0 * _next_float(rng)
             lines.append(f"{mid},{smi},{channel.property},{channel.fidelity},{value},{dens}")
     path = tmp_path / ("dense.csv" if dense else "sparse_eval.csv")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

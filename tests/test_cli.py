@@ -80,6 +80,15 @@ class TestFeaturize:
         assert code == 1
         assert capsys.readouterr().err.startswith("error ParseFailure: row 3: SMILES 'C1CC'")
 
+    def test_non_ascii_digit_is_one_error_line(self, tmp_path, capsys):
+        data = tmp_path / "mols.csv"
+        data.write_text("material_id,smiles\nX1,C\u00b2\n", encoding="utf-8")
+        code = cli.main(["featurize", "--data", str(data), "--out", str(tmp_path / "f")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error ParseFailure: row 1: SMILES 'C\u00b2': unexpected character '\u00b2' "
+            "at position 1\n")
+
 
 class TestCorrelate:
     def test_matrices(self, tmp_path, capsys):

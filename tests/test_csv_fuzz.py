@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from emprops import cli
 
 SMILES_PIECES = ["C", "N", "O", "c1ccccc1", "[NH4+]", "[O-]", "[N+](=O)[O-]", "(", ")", "[",
-                 "]", "+", "-", "=", "#", "1", "2", "%", "%12", ".", "\x00", '"', ","]
+                 "]", "+", "-", "=", "#", "1", "2", "%", "%12", ".", "\x00", '"', ",",
+                 "\u00b2"]
 DENSITIES = ["", "1.8", "-1", "nan", "x"]
 NOT_UTF8 = [b"\xe9", b"\xff\xfe", b"\x80", b"\xc3"]
 

@@ -102,6 +102,11 @@ def _kink_clearance(net, features, selector):
 # namespaces holding one weight and one bias array per layer.
 # ---------------------------------------------------------------------------
 
+def _next_float(rng: SplitMix64) -> float:
+    """Uniform in [0, 1) with the full 53-bit mantissa."""
+    return (rng.next_u64() >> 11) * 2.0 ** -53
+
+
 def scalar_init_network(config):
     rng = SplitMix64(config.seed)
     weights, biases = [], []
@@ -110,7 +115,7 @@ def scalar_init_network(config):
         w = np.empty((fan_out, fan_in), dtype=np.float64)
         flat = w.reshape(-1)
         for i in range(flat.size):
-            flat[i] = (2.0 * rng.next_float() - 1.0) * limit
+            flat[i] = (2.0 * _next_float(rng) - 1.0) * limit
         weights.append(w)
         biases.append(np.zeros(fan_out, dtype=np.float64))
     return SimpleNamespace(config=config, weights=weights, biases=biases)
@@ -452,7 +457,6 @@ class TestTrain:
             assert val_curve[-1] >= val_curve[-2]
         assert result.best_epoch == len(val_curve) - 1
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_raises(self):
         x, y = self.toy()
         config = mtnn.MTNetConfig(1, 0, (8,), 0, seed=3)

@@ -5,12 +5,17 @@ ring bonds found by one bridge test (BFS) per bond; E-state from a BFS over
 a bond-list adjacency with sorted sums; the SSSR candidate sweep from every
 root over every bond of the whole graph, rejecting a bond when the two
 tree paths share more than the root; substructure matching that rechecks
-every pattern bond after each placement; and kekulization by one recursive
-search over every needy atom of the molecule. The code under test reads
-ring bonds off the SSSR, sweeps only the ring core with a branch test, sums
-E-state terms unsorted with math.fsum, matches along a cached plan, and
-kekulizes each component of needy atoms on an explicit stack; the results
-must be equal, candidate lists in order and E-state values bit for bit.
+every pattern bond after each placement; kekulization by one recursive
+search over every needy atom of the molecule; and the tokenizer that added
+each atom and bond through a builder object, checking every bond against a
+set of all bonds so far. The code under test reads ring bonds off the SSSR,
+sweeps only the ring core with a branch test, sums E-state terms unsorted
+with math.fsum from the walks of atoms that are not pendant, matches along
+a cached plan on an explicit stack, kekulizes each component of needy
+atoms on an explicit stack, and tokenizes in one loop that checks only
+ring closures for repeated bonds; the results must be equal, candidate
+lists in order, E-state values bit for bit, and errors in type and
+message.
 The parsed corpus is checked; random carbon graphs built directly check
 the ring-core argument beyond it, and random heteroatom graphs (charges, H
 counts, aromatic flags, bond orders) check matching from each pattern's
@@ -28,7 +33,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emprops.descriptors import ACIDIC_PATTERNS, PATTERN_TABLE, estate_vector
-from emprops.errors import KekulizationError, ToolkitError, ValenceError
+from emprops.errors import (
+    KekulizationError,
+    SmilesSyntaxError,
+    ToolkitError,
+    UnsupportedElement,
+    ValenceError,
+)
 from emprops.molgraph import (
     Atom,
     Bond,
@@ -58,7 +69,28 @@ RING_SYSTEMS = {
     "biphenyl": "c1ccc(cc1)-c1ccccc1",
 }
 
-SMILES = {**CORPUS, **RING_SYSTEMS}
+# Pendant-heavy molecules: the E-state reads a pendant atom's terms off its
+# hub's walk, and two pendants of one hub with one intrinsic state share S.
+PENDANT_HEAVY = {
+    "neopentane": "C(C)(C)(C)C",
+    "tetranitromethane": "C([N+](=O)[O-])([N+](=O)[O-])([N+](=O)[O-])[N+](=O)[O-]",
+    "hexanitroethane": "C([N+](=O)[O-])([N+](=O)[O-])([N+](=O)[O-])"
+                       "C([N+](=O)[O-])([N+](=O)[O-])[N+](=O)[O-]",
+    "dinitramide": "[O-][N+](=O)[N-][N+](=O)[O-]",
+    "trifluoronitromethane": "FC(F)(F)[N+](=O)[O-]",
+    "nitrate_ester_chain": "OCCO[N+](=O)[O-]",
+    "two_atoms_charged": "[NH3+][O-]",
+}
+
+UNICYCLIC = {f"ring_{size}": "C1" + "C" * (size - 1) + "1" for size in range(3, 9)} | {
+    "cyclopropanone": "O=C1CC1",
+    "furazan_chain": "CCc1nonc1CC",
+    "nitrobenzene": "c1ccccc1[N+](=O)[O-]",
+    "cyclooctatetraene": "C1=CC=CC=CC=C1",
+    "two_fragments": "C1CC1.CCO",
+}
+
+SMILES = {**CORPUS, **RING_SYSTEMS, **PENDANT_HEAVY, **UNICYCLIC}
 
 
 def _bond_adjacency(g) -> list[list[tuple[int, int]]]:
@@ -252,6 +284,119 @@ def oracle_match_atom_sets(g, pattern) -> set[frozenset[int]]:
     return found
 
 
+def oracle_tokenize(text: str):
+    """The builder-based tokenizer: (atoms, bonds, explicit H counts,
+    default-aromatic bond indices), with ASCII digits."""
+    atoms, bonds, explicit_h, default_aromatic, pairs = [], [], [], [], set()
+    prev = pending = None
+    branch_stack, ring_open = [], {}
+
+    def add_bond(i, j, symbol, pos):
+        if i == j:
+            raise SmilesSyntaxError(f"bond from atom to itself at position {pos}")
+        key = (i, j) if i < j else (j, i)
+        if key in pairs:
+            raise SmilesSyntaxError(f"duplicate bond between atoms {key[0]} and {key[1]}")
+        both = atoms[i].aromatic and atoms[j].aromatic
+        if symbol is None:
+            order = "aromatic" if both else "single"
+            if order == "aromatic":
+                default_aromatic.append(len(bonds))
+        else:
+            order = parser._BOND_SYMBOLS[symbol]
+        if order == "aromatic" and not both:
+            raise SmilesSyntaxError(f"aromatic bond between non-aromatic atoms {i} and {j}")
+        pairs.add(key)
+        bonds.append(Bond(i=i, j=j, order=order))
+
+    def attach(element, aromatic, charge, h_count, pos):
+        nonlocal prev, pending
+        atoms.append(Atom(element=element, formal_charge=charge, aromatic=aromatic,
+                          index=len(atoms)))
+        explicit_h.append(h_count)
+        if prev is not None:
+            add_bond(prev, len(atoms) - 1, pending, pos)
+        prev, pending = len(atoms) - 1, None
+
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "[":
+            end = text.find("]", i)
+            if end < 0:
+                raise SmilesSyntaxError(f"unterminated bracket atom at position {i}")
+            element, aromatic, h_count, charge = parser._parse_bracket(text[i + 1:end], i)
+            attach(element, aromatic, charge, h_count, i)
+            i = end + 1
+        elif text.startswith("Cl", i):
+            attach("Cl", False, 0, None, i)
+            i += 2
+        elif ch in "CNOF":
+            attach(ch, False, 0, None, i)
+            i += 1
+        elif ch in "cno":
+            attach(ch.upper(), True, 0, None, i)
+            i += 1
+        elif ch in parser._BOND_SYMBOLS:
+            if pending is not None:
+                raise SmilesSyntaxError(f"two bond symbols in a row at position {i}")
+            pending = ch
+            i += 1
+        elif ch in "0123456789" or ch == "%":
+            if ch == "%":
+                if i + 2 >= n or not all(c in "0123456789" for c in text[i + 1:i + 3]):
+                    raise SmilesSyntaxError(f"%% ring closure needs two digits at position {i}")
+                number, i = int(text[i + 1:i + 3]), i + 3
+            else:
+                number, i = int(ch), i + 1
+            if prev is None:
+                raise SmilesSyntaxError("ring closure before any atom")
+            if number in ring_open:
+                other, other_sym = ring_open.pop(number)
+                if pending is not None and other_sym is not None and pending != other_sym:
+                    raise SmilesSyntaxError(f"conflicting bond symbols on ring closure {number}")
+                add_bond(prev, other, pending or other_sym, i)
+            else:
+                ring_open[number] = (prev, pending)
+            pending = None
+        elif ch == "(":
+            if prev is None:
+                raise SmilesSyntaxError(f"branch before any atom at position {i}")
+            if pending is not None:
+                raise SmilesSyntaxError(f"bond symbol before branch open at position {i}")
+            branch_stack.append(prev)
+            i += 1
+        elif ch == ")":
+            if not branch_stack:
+                raise SmilesSyntaxError(f"unbalanced ')' at position {i}")
+            if pending is not None:
+                raise SmilesSyntaxError(f"dangling bond before ')' at position {i}")
+            prev = branch_stack.pop()
+            i += 1
+        elif ch == ".":
+            if pending is not None or branch_stack:
+                raise SmilesSyntaxError(f"misplaced fragment separator at position {i}")
+            prev = None
+            i += 1
+        elif ch == "@":
+            raise SmilesSyntaxError(f"unexpected '@' at position {i}")
+        else:
+            attempt = parser._ELEMENT_ATTEMPT_RE.match(text, i)
+            if attempt:
+                raise UnsupportedElement(
+                    f"element {attempt.group(0)!r} at position {i} is outside CHNOClF")
+            raise SmilesSyntaxError(f"unexpected character {ch!r} at position {i}")
+    if branch_stack:
+        raise SmilesSyntaxError("unbalanced '(' in input")
+    if ring_open:
+        raise SmilesSyntaxError(f"dangling ring closure(s): {sorted(ring_open)}")
+    if pending is not None:
+        raise SmilesSyntaxError("trailing bond symbol")
+    if not atoms:
+        raise SmilesSyntaxError("empty SMILES")
+    return atoms, bonds, explicit_h, default_aromatic
+
+
 def oracle_kekulize(g, explicit_h) -> None:
     """Kekule orders from the lexicographically first perfect matching over
     every needy aromatic atom at once, by recursive backtracking."""
@@ -391,6 +536,14 @@ def test_sssr_cycles_and_order_match(smiles):
     assert [ring.atoms for ring in g.rings] == oracle_sssr(g)
 
 
+@pytest.mark.parametrize("smiles", UNICYCLIC.values(), ids=UNICYCLIC)
+def test_one_cycle_stops_at_the_full_sweeps_ring(smiles):
+    g = parse_smiles(smiles)
+    assert cyclomatic_number(g) == 1
+    assert rings._candidate_cycles(g, first_only=True) == rings._candidate_cycles(g)
+    assert [ring.atoms for ring in g.rings] == oracle_sssr(g)
+
+
 @pytest.mark.parametrize("smiles", SMILES.values(), ids=SMILES)
 def test_candidate_sweep_runs_from_ring_core_roots_only(smiles, monkeypatch):
     g = parse_smiles(smiles)
@@ -470,6 +623,8 @@ def carbon_graphs(draw) -> MolGraph:
 @given(carbon_graphs())
 def test_random_carbon_graphs_match_oracles(g):
     assert rings._candidate_cycles(g) == oracle_candidate_cycles(g)
+    if cyclomatic_number(g) == 1:  # the sweep's first candidate is the whole SSSR
+        assert rings._candidate_cycles(g, first_only=True) == oracle_candidate_cycles(g)
     cycles = sssr_atom_cycles(g)
     assert cycles == oracle_sssr(g)
     ring_edges = {(min(a, b), max(a, b)) for c in cycles for a, b in zip(c, c[1:] + c[:1])}
@@ -565,6 +720,30 @@ AROMATIC_SYSTEMS = [
                                     *AROMATIC_SYSTEMS])
 def test_kekulization_matches_oracle(smiles, monkeypatch):
     assert_kekulized_as_oracle(smiles, monkeypatch)
+
+
+def tokenized(tokenize, text: str):
+    try:
+        return tuple(tokenize(text))
+    except ToolkitError as exc:
+        return type(exc).__name__, str(exc)
+
+
+SMILES_TOKENS = ["C", "N", "O", "F", "Cl", "c", "n", "o", "[N+]", "[O-]", "[nH]", "[NH2+]",
+                 "[C@@H]", "[13C]", "[Cl", "[Na]", "[]", "1", "2", "%12", "%1", "(", ")", "-",
+                 "=", "#", ":", "/", "\\", ".", "@", "x", "Br", "\u00b2"]
+
+
+@pytest.mark.parametrize("smiles", [*SMILES.values(), *(s for pair in SPELLING_PAIRS for s in pair),
+                                    "C11", "C12CC12", "C1CC1C1", "c1:c", "C:C", "=C", ".C", "C=1CC-1"])
+def test_tokenizer_matches_oracle(smiles):
+    assert tokenized(parser._tokenize_and_build, smiles) == tokenized(oracle_tokenize, smiles)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(SMILES_TOKENS), min_size=1, max_size=12).map("".join))
+def test_tokenizer_of_generated_text_matches_oracle(text):
+    assert tokenized(parser._tokenize_and_build, text) == tokenized(oracle_tokenize, text)
 
 
 FRAMEWORKS = ["c1ccccc1", "c1cccc1", "c1ccc2ccccc2c1", "c1ccc2cccc2c1", "c1cc2cccc3cccc1c23",

@@ -183,7 +183,10 @@ def test_round_trip_over_corpus():
         assert sorted(r.size for r in g.rings) == sorted(r.size for r in g2.rings)
 
 
-@given(st.text(alphabet="CNOFclnoCl()[]=#+-1234%@/\\.H5 x", min_size=1, max_size=14))
+@given(st.text(alphabet="CNOFclnoCl()[]=#+-1234%@/\\.H5 x\u00b2\u0661", min_size=1, max_size=14))
+@example("C\u00b2")
+@example("C\u0661CC\u0661")
+@example("[N+\u0661]")
 @settings(max_examples=300, deadline=None)
 def test_parsing_is_total(text):
     # arbitrary input either parses or raises a typed error, never anything else
@@ -194,6 +197,21 @@ def test_parsing_is_total(text):
     assert g.atoms
     for atom in g.atoms:
         assert atom.implicit_h >= 0
+
+
+# Superscript two and Arabic-Indic one and two: str.isdigit and the \\d of a
+# str pattern accept them, SMILES does not.
+@pytest.mark.parametrize("text, message", [
+    ("C\u00b2", "unexpected character '\u00b2' at position 1"),
+    ("C\u0661CC\u0661", "unexpected character '\u0661' at position 1"),
+    ("C%\u0661\u0662CC%\u0661\u0662", "%% ring closure needs two digits at position 1"),
+    ("[N+\u0661]", "malformed bracket atom '[N+\u0661]' at position 0"),
+    ("[NH\u0662]", "malformed bracket atom '[NH\u0662]' at position 0"),
+])
+def test_ring_closure_and_bracket_digits_are_ascii(text, message):
+    with pytest.raises(SmilesSyntaxError) as info:
+        parse_smiles(text)
+    assert str(info.value) == message
 
 
 @given(st.text(alphabet="CNOc()[]=#+-1%@.H\n\r\x00\x85x", min_size=1, max_size=10))
