@@ -23,6 +23,7 @@ import numpy as np
 from emprops.errors import MissingDensity, MultiFragment, UnknownBondType, ZeroDenominator
 from emprops.molgraph.elements import (
     ELECTRONEGATIVITY,
+    HEAVY_ELEMENTS,
     PRINCIPAL_QUANTUM,
     VALENCE_ELECTRONS,
     VDW_AROMATIC_RING_CORRECTION,
@@ -30,10 +31,11 @@ from emprops.molgraph.elements import (
     VDW_BOND_CORRECTION,
     VDW_NONAROMATIC_RING_CORRECTION,
 )
-from emprops.molgraph.graph import ElementCounts, MolGraph, molecular_formula
+from emprops.molgraph.graph import BOND_ORDERS, ElementCounts, MolGraph, molecular_formula
 from emprops.molgraph.match import PatternAtom, PatternBond, SubstructurePattern, match_pattern
 
 BondKey = tuple[str, str, str]  # (element_a, element_b, order), elements sorted
+_BOND_ELEMENTS = (*HEAVY_ELEMENTS, "H")  # hydrogens count as pseudo-bonds
 
 RING_SIZES = (3, 4, 5, 6, 7, 8)
 
@@ -491,8 +493,14 @@ class FeatureSchema:
             raise UnknownBondType(
                 f"unsupported schema version {manifest.get('schema_version')!r}"
             )
-        vocab = tuple(tuple(entry) for entry in manifest["bond_vocabulary"])
-        return cls(bond_vocabulary=vocab, include_density=bool(manifest["include_density"]))
+        vocab = manifest["bond_vocabulary"]
+        for entry in vocab:
+            if not (isinstance(entry, list) and len(entry) == 3 and entry[0] in _BOND_ELEMENTS
+                    and entry[1] in _BOND_ELEMENTS and entry[2] in BOND_ORDERS):
+                raise ValueError(f"bond vocabulary entry {entry!r} is not an "
+                                 f"(element, element, order) triple")
+        return cls(bond_vocabulary=tuple(map(tuple, vocab)),
+                   include_density=bool(manifest["include_density"]))
 
 
 def fit_schema(corpus: list[MolGraph], include_density: bool) -> FeatureSchema:

@@ -20,7 +20,7 @@ from emprops.molgraph.match import (
     SubstructurePattern,
     match_pattern,
 )
-from emprops.molgraph.parser import parse_smiles, to_smiles
+from emprops.molgraph.parser import parse_smiles
 from emprops.molgraph.rings import sssr_rings
 
 __all__ = [
@@ -36,5 +36,4 @@ __all__ = [
     "molecular_formula",
     "parse_smiles",
     "sssr_rings",
-    "to_smiles",
 ]

@@ -5,7 +5,9 @@ bracket atoms with an explicit hydrogen count and charge (e.g. [N+],
 [O-], [NH2], [nH]), bonds - = # :, branches, ring closures as digits or
 %nn, and dot-separated fragments. Stereo markers (/ \\ @) are accepted
 and ignored. Aromaticity is taken from the notation itself; no electron
-counting is attempted.
+counting is attempted. Fragments and branches hold at least one atom, a
+bond symbol needs an atom before it in its fragment, and a bracket atom is
+read up to its ']' in full, so a line break inside one is malformed.
 
 Perception normalizes neutral nitro spellings N(=O)=O to the
 charge-separated form [N+](=O)[O-], kekulizes aromatic systems by perfect
@@ -38,8 +40,8 @@ _ORGANIC = {"C": ("C", False), "N": ("N", False), "O": ("O", False), "F": ("F", 
 _DIGITS = frozenset("0123456789")
 
 _BRACKET_RE = re.compile(
-    r"^(?P<sym>Cl|[CNOF]|[cno])(?P<stereo>@{1,2})?(?P<h>H\d*)?"
-    r"(?P<charge>\+\+|--|[+-]\d+|[+-])?$",
+    r"(?P<sym>Cl|[CNOF]|[cno])(?P<stereo>@{1,2})?(?P<h>H\d*)?"
+    r"(?P<charge>\+\+|--|[+-]\d+|[+-])?",
     re.ASCII,
 )
 
@@ -59,7 +61,7 @@ def _parse_bracket(body: str, pos: int) -> tuple[str, bool, int, int]:
     """
     if body[:1] in _DIGITS:
         raise SmilesSyntaxError(f"isotope specifications are not supported at position {pos}")
-    m = _BRACKET_RE.match(body)
+    m = _BRACKET_RE.fullmatch(body)
     if m is None:
         attempt = _ELEMENT_ATTEMPT_RE.match(body)
         if attempt and attempt.group(0) not in HEAVY_ELEMENTS and attempt.group(0) not in AROMATIC_TOKENS:
@@ -102,7 +104,7 @@ def _tokenize_and_build(text: str) -> _Built:
     closed: set[tuple[int, int]] = set()
     prev: int | None = None
     pending: str | None = None
-    branch_stack: list[int] = []
+    branch_stack: list[tuple[int, int]] = []  # (branch parent, atom count at '(')
     ring_open: dict[int, tuple[int, str | None]] = {}
 
     i = 0
@@ -125,6 +127,8 @@ def _tokenize_and_build(text: str) -> _Built:
             i = end + 1
         else:
             if ch in _BOND_SYMBOLS:
+                if prev is None:
+                    raise SmilesSyntaxError(f"bond symbol before any atom at position {i}")
                 if pending is not None:
                     raise SmilesSyntaxError(f"two bond symbols in a row at position {i}")
                 pending = ch
@@ -134,14 +138,16 @@ def _tokenize_and_build(text: str) -> _Built:
                     raise SmilesSyntaxError(f"branch before any atom at position {i}")
                 if pending is not None:
                     raise SmilesSyntaxError(f"bond symbol before branch open at position {i}")
-                branch_stack.append(prev)
+                branch_stack.append((prev, len(atoms)))
                 i += 1
             elif ch == ")":
                 if not branch_stack:
                     raise SmilesSyntaxError(f"unbalanced ')' at position {i}")
                 if pending is not None:
                     raise SmilesSyntaxError(f"dangling bond before ')' at position {i}")
-                prev = branch_stack.pop()
+                prev, atoms_at_open = branch_stack.pop()
+                if len(atoms) == atoms_at_open:
+                    raise SmilesSyntaxError(f"empty branch closed at position {i}")
                 i += 1
             elif ch in _DIGITS or ch == "%":
                 if ch == "%":
@@ -172,6 +178,8 @@ def _tokenize_and_build(text: str) -> _Built:
             elif ch == ".":
                 if pending is not None or branch_stack:
                     raise SmilesSyntaxError(f"misplaced fragment separator at position {i}")
+                if prev is None or i + 1 == n:
+                    raise SmilesSyntaxError(f"empty fragment next to '.' at position {i}")
                 prev = None
                 i += 1
             elif ch == "@":
@@ -193,7 +201,7 @@ def _tokenize_and_build(text: str) -> _Built:
         if prev is not None:
             _add_bond(atoms, bonds, default_aromatic, prev, idx, pending)
         prev = idx
-        pending = None  # a bond symbol with no atom before it is dropped
+        pending = None
 
     if branch_stack:
         raise SmilesSyntaxError("unbalanced '(' in input")
@@ -405,83 +413,3 @@ def parse_smiles(text: str) -> MolGraph:
     _kekulize(g, built.explicit_h)
     _assign_hydrogens(g, built.explicit_h)
     return g
-
-
-def _closure_token(number: int) -> str:
-    return str(number) if number < 10 else f"%{number:02d}"
-
-
-_KEKULE_SYMBOL = {1: "", 2: "=", 3: "#"}
-
-
-def _atom_token(atom: Atom) -> str:
-    if atom.formal_charge == 0:
-        return atom.element
-    if atom.formal_charge == 1:
-        charge = "+"
-    elif atom.formal_charge == -1:
-        charge = "-"
-    elif atom.formal_charge > 0:
-        charge = f"+{atom.formal_charge}"
-    else:
-        charge = str(atom.formal_charge)
-    if atom.implicit_h == 0:
-        h_part = ""
-    elif atom.implicit_h == 1:
-        h_part = "H"
-    else:
-        h_part = f"H{atom.implicit_h}"
-    return f"[{atom.element}{h_part}{charge}]"
-
-
-def to_smiles(g: MolGraph) -> str:
-    """Emit a kekulized, non-canonical SMILES for a perceived graph.
-
-    Round-trip guarantee: parsing the emission gives a graph with the same
-    formula, kekulized bond multiset, and ring sizes.
-    """
-    visited: set[int] = set()
-    tree_children: dict[int, list[tuple[int, Bond]]] = {}
-    closures: dict[int, list[tuple[int, int]]] = {}  # atom -> [(number, kekule order)]
-    counter = [0]
-
-    def explore(root: int) -> None:
-        used_bonds: set[int] = set()
-        stack = [root]
-        visited.add(root)
-        order: list[int] = []
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            for v, bond in sorted(g.neighbors(u), key=lambda p: p[0], reverse=True):
-                if id(bond) in used_bonds:
-                    continue
-                if v not in visited:
-                    used_bonds.add(id(bond))
-                    tree_children.setdefault(u, []).append((v, bond))
-                    visited.add(v)
-                    stack.append(v)
-                else:
-                    used_bonds.add(id(bond))
-                    counter[0] += 1
-                    closures.setdefault(u, []).append((counter[0], bond.kekule_order))
-                    closures.setdefault(v, []).append((counter[0], bond.kekule_order))
-
-    def emit(u: int) -> str:
-        parts = [_atom_token(g.atoms[u])]
-        for number, korder in closures.get(u, []):
-            parts.append(_KEKULE_SYMBOL[korder] + _closure_token(number))
-        children = tree_children.get(u, [])
-        for v, bond in children[:-1]:
-            parts.append("(" + _KEKULE_SYMBOL[bond.kekule_order] + emit(v) + ")")
-        if children:
-            v, bond = children[-1]
-            parts.append(_KEKULE_SYMBOL[bond.kekule_order] + emit(v))
-        return "".join(parts)
-
-    pieces = []
-    for root in range(len(g.atoms)):  # a fragment's lowest atom starts it
-        if root not in visited:
-            explore(root)
-            pieces.append(emit(root))
-    return ".".join(pieces)

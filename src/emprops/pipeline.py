@@ -48,7 +48,8 @@ def load_model(path: str | Path) -> ModelBundle:
     """Read a model file. A header field that is missing or does not decode,
     a model whose input width is not its schema's, a standardizer whose
     lengths are not the network's, or a forest whose tree count is not its
-    config's n_trees, is CorruptFile."""
+    config's n_trees or whose tree sizes are not positive integers, is
+    CorruptFile."""
     magic, header, payload = modelio.read_any_container(path)
     try:
         return _decode(magic, header, payload)
@@ -74,10 +75,12 @@ def _decode(magic: bytes, header: dict, payload: bytes) -> ModelBundle:
     else:
         width = header["n_features"]
         config = rf.ForestConfig(**config)
-        if len(header["tree_sizes"]) != config.n_trees:
-            raise CorruptFile(f"forest file holds {len(header['tree_sizes'])} trees, "
-                              f"its config {config.n_trees}")
-        trees = modelio.split_payload(payload, [(size, 5) for size in header["tree_sizes"]])
+        sizes = header["tree_sizes"]
+        if len(sizes) != config.n_trees:
+            raise CorruptFile(f"forest file holds {len(sizes)} trees, its config {config.n_trees}")
+        if not all(type(size) is int and size > 0 for size in sizes):
+            raise CorruptFile("tree_sizes in forest file are not all positive integers")
+        trees = modelio.split_payload(payload, [(size, 5) for size in sizes])
         for tree in trees:
             _check_tree(tree, width)
         forest = rf.RandomForest(config=config, trees=trees, n_features=width)

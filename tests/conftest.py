@@ -2,7 +2,9 @@
 
 CORPUS holds one spelling per molecule; SPELLING_PAIRS holds molecules
 written two ways (different traversal, ring-closure labels, or the neutral
-versus charge-separated nitro form) for representation-invariance checks.
+versus charge-separated nitro form) for representation-invariance checks;
+MALFORMED_SMILES holds texts that break the grammar's rules on brackets,
+fragments, branches and bonds, with the parser's message for each.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import example
 
 from emprops.molgraph import parse_smiles
 
@@ -61,6 +64,28 @@ SPELLING_PAIRS = [
     (PETN, "C(CON(=O)=O)(CON(=O)=O)(CON(=O)=O)CON(=O)=O"),
     (PICRIC_ACID, "Oc1c(cc(cc1N(=O)=O)N(=O)=O)N(=O)=O"),
 ]
+
+MALFORMED_SMILES = {
+    "[NH4+\n]": "malformed bracket atom '[NH4+\\n]' at position 0",
+    "C[N+\n](=O)[O-]": "malformed bracket atom '[N+\\n]' at position 1",
+    ".C": "empty fragment next to '.' at position 0",
+    "C1CC1.": "empty fragment next to '.' at position 5",
+    "C..C": "empty fragment next to '.' at position 2",
+    "C()C": "empty branch closed at position 2",
+    "C(1)CC1": "empty branch closed at position 3",
+    "C(=1)CC1": "empty branch closed at position 4",
+    "=C": "bond symbol before any atom at position 0",
+    "#N": "bond symbol before any atom at position 0",
+    "C.=C": "bond symbol before any atom at position 2",
+    ":c1ccccc1": "bond symbol before any atom at position 0",
+}
+
+
+def malformed_examples(test):
+    """The test with each MALFORMED_SMILES text as an explicit Hypothesis example."""
+    for text in MALFORMED_SMILES:
+        test = example(text)(test)
+    return test
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import struct
 import subprocess
@@ -12,6 +13,8 @@ import pytest
 import emprops
 from emprops import cli, dataset as ds, descriptors, evaluation, modelio
 from emprops.errors import InvalidConfig
+
+from conftest import MALFORMED_SMILES
 
 
 MOLS = [
@@ -433,6 +436,43 @@ HEADER_KEYS += [(modelio.MAGIC_FOREST, key)
                 for key in ("config", "registry", "schema", "tree_sizes", "n_features")]
 
 
+def set_first(key, value, section=None):
+    """A header edit that sets the first entry of header[section][key]."""
+    def edit(header):
+        (header[section] if section else header)[key][0] = value
+    return edit
+
+
+_TREE_SIZES = "tree_sizes in forest file are not all positive integers"
+_VOCABULARY = ("malformed model header (ValueError: bond vocabulary entry {} is not an "
+               "(element, element, order) triple)")
+# (magic, header edit, error message) of header values that once ended in a
+# traceback or loaded silently
+HEADER_VALUE_ERRORS = {
+    "EMRF-tree-size-infinity": (modelio.MAGIC_FOREST, set_first("tree_sizes", math.inf),
+                                _TREE_SIZES),
+    "EMRF-tree-size-true": (modelio.MAGIC_FOREST, set_first("tree_sizes", True), _TREE_SIZES),
+    "EMRF-tree-size-zero": (modelio.MAGIC_FOREST, set_first("tree_sizes", 0), _TREE_SIZES),
+    "EMRF-tree-size-float": (modelio.MAGIC_FOREST, set_first("tree_sizes", 3.0), _TREE_SIZES),
+    "EMRF-vocabulary-nested-list": (modelio.MAGIC_FOREST,
+                                    set_first("bond_vocabulary", [[1, 2]], "schema"),
+                                    _VOCABULARY.format("[[1, 2]]")),
+    "EMMT-vocabulary-nested-list": (modelio.MAGIC_MTNN,
+                                    set_first("bond_vocabulary", [[1, 2]], "schema"),
+                                    _VOCABULARY.format("[[1, 2]]")),
+    "EMMT-vocabulary-one-number": (modelio.MAGIC_MTNN, set_first("bond_vocabulary", [1], "schema"),
+                                   _VOCABULARY.format("[1]")),
+    "EMMT-vocabulary-unknown-element": (modelio.MAGIC_MTNN,
+                                        set_first("bond_vocabulary", ["C", "S", "single"],
+                                                  "schema"),
+                                        _VOCABULARY.format("['C', 'S', 'single']")),
+    "EMMT-vocabulary-unknown-order": (modelio.MAGIC_MTNN,
+                                      set_first("bond_vocabulary", ["C", "C", "quadruple"],
+                                                "schema"),
+                                      _VOCABULARY.format("['C', 'C', 'quadruple']")),
+}
+
+
 class TestModelHeader:
     @pytest.mark.parametrize("magic", [modelio.MAGIC_MTNN, modelio.MAGIC_FOREST])
     def test_unedited_copy_predicts(self, tmp_path, capsys, model_files, magic):
@@ -513,6 +553,15 @@ class TestModelHeader:
         assert code == 1
         assert err.startswith("error CorruptFile: forest file holds") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("case", HEADER_VALUE_ERRORS)
+    def test_bad_header_value_is_corrupt_file(self, tmp_path, capsys, model_files, case):
+        magic, edit, message = HEADER_VALUE_ERRORS[case]
+        path = tmp_path / "edited"
+        rewrite_header(model_files[magic], path, magic, edit)
+        code = cli.main(["predict", "--model", str(path), "--smiles", "CC[N+](=O)[O-]"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error CorruptFile: {message}\n"
+
     def test_forest_width_must_match_schema(self, tmp_path, capsys, model_files):
         path = tmp_path / "wide.emrf"
         rewrite_header(model_files[modelio.MAGIC_FOREST], path, modelio.MAGIC_FOREST,
@@ -548,6 +597,20 @@ class TestMoleculeErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(expected) and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("smiles", MALFORMED_SMILES, ids=repr)
+    def test_malformed_smiles_is_one_error_line(self, tmp_path, capsys, model_files, smiles):
+        """Through predict --smiles and through a quoted featurize field."""
+        message = MALFORMED_SMILES[smiles]
+        code = cli.main(["predict", "--model", str(model_files[modelio.MAGIC_MTNN]),
+                         "--smiles", smiles])
+        assert code == 1
+        assert capsys.readouterr().err == f"error SmilesSyntaxError: {message}\n"
+        data = tmp_path / "mols.csv"
+        data.write_text(f'material_id,smiles\nX1,CCO\nX3,"{smiles}"\n', encoding="utf-8")
+        code = cli.main(["featurize", "--data", str(data), "--out", str(tmp_path / "f")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error ParseFailure: row 2: SMILES {smiles!r}: {message}\n"
 
     def test_featurize_missing_density(self, tmp_path, capsys):
         data = tmp_path / "mols.csv"

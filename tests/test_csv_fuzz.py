@@ -44,6 +44,18 @@ def test_featurize_exits_0_or_1_with_one_error_line(rows, density, bad_byte):
         assert err.getvalue().startswith("error ") and len(err.getvalue().splitlines()) == 1
 
 
+def test_line_break_in_a_quoted_bracket_atom_is_parse_failure(tmp_path):
+    smiles = "[NH4+\n]"
+    path = tmp_path / "mols.csv"
+    path.write_text(f"material_id,smiles\nM1,{csv_field(smiles)}\n", encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["featurize", "--data", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert err.getvalue() == ("error ParseFailure: row 1: SMILES '[NH4+\\n]': "
+                              "malformed bracket atom '[NH4+\\n]' at position 0\n")
+
+
 CHANNELS = [("det_velocity", "exp"), ("det_velocity", "calc"), ("impact_h50", "exp"),
             ("heat_form_gas", "calc")]
 BAD_CHANNELS = [("bogus", "exp"), ("", "calc"), ("det\nvelocity", "exp"), ("det_velocity", "x,y")]

@@ -8,6 +8,8 @@ spellings, and multi-fragment inputs, whose featurization fails. Bad
 inputs pin the parser's error types and messages. The digests were recorded from the implementation before the
 perception passes were cut, so any change of a feature bit, a ring tuple,
 the order of the rings, an error type or an error message shows here.
+The errors digest was recorded again when empty fragments became syntax
+errors: "C..C", which parsed before, is the one outcome that moved.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ BAD_SMILES = (
 GOLDEN_DIGESTS = {
     "features": "23a704e0f9b8ac1afef734106fd1ef2edfb155a325ee667b366f1a1103e94f86",
     "rings": "5b077c3c6e2e39a832357a420dbd3c3f8bfb272b57cd0c044063586b994676a5",
-    "errors": "947460113961c3f18ddf45235ac7fe4ff2382c5911da8a7437f03aad4646ac7b",
+    "errors": "0288d385277ca36f4ddfa76643fd22503717051afcecb2181c0d7de17ee079a7",
 }
 
 

@@ -56,7 +56,7 @@ from emprops.molgraph.graph import BOND_ORDERS, ORDER_VALUE, bfs
 from emprops.molgraph.match import _atom_ok, _bond_ok, match_atom_sets
 from emprops.molgraph.rings import _edge_mask, cyclomatic_number, sssr_atom_cycles
 
-from conftest import CORPUS, SPELLING_PAIRS
+from conftest import CORPUS, SPELLING_PAIRS, malformed_examples
 
 RING_SYSTEMS = {
     "cubane": "C12C3C4C1C5C2C3C45",
@@ -286,7 +286,8 @@ def oracle_match_atom_sets(g, pattern) -> set[frozenset[int]]:
 
 def oracle_tokenize(text: str):
     """The builder-based tokenizer: (atoms, bonds, explicit H counts,
-    default-aromatic bond indices), with ASCII digits."""
+    default-aromatic bond indices), with ASCII digits, non-empty fragments
+    and branches, and no bond symbol before a fragment's first atom."""
     atoms, bonds, explicit_h, default_aromatic, pairs = [], [], [], [], set()
     prev = pending = None
     branch_stack, ring_open = [], {}
@@ -338,6 +339,8 @@ def oracle_tokenize(text: str):
             attach(ch.upper(), True, 0, None, i)
             i += 1
         elif ch in parser._BOND_SYMBOLS:
+            if prev is None:
+                raise SmilesSyntaxError(f"bond symbol before any atom at position {i}")
             if pending is not None:
                 raise SmilesSyntaxError(f"two bond symbols in a row at position {i}")
             pending = ch
@@ -364,18 +367,22 @@ def oracle_tokenize(text: str):
                 raise SmilesSyntaxError(f"branch before any atom at position {i}")
             if pending is not None:
                 raise SmilesSyntaxError(f"bond symbol before branch open at position {i}")
-            branch_stack.append(prev)
+            branch_stack.append((prev, len(atoms)))
             i += 1
         elif ch == ")":
             if not branch_stack:
                 raise SmilesSyntaxError(f"unbalanced ')' at position {i}")
             if pending is not None:
                 raise SmilesSyntaxError(f"dangling bond before ')' at position {i}")
-            prev = branch_stack.pop()
+            prev, atoms_at_open = branch_stack.pop()
+            if len(atoms) == atoms_at_open:
+                raise SmilesSyntaxError(f"empty branch closed at position {i}")
             i += 1
         elif ch == ".":
             if pending is not None or branch_stack:
                 raise SmilesSyntaxError(f"misplaced fragment separator at position {i}")
+            if prev is None or i == n - 1:
+                raise SmilesSyntaxError(f"empty fragment next to '.' at position {i}")
             prev = None
             i += 1
         elif ch == "@":
@@ -742,6 +749,7 @@ def test_tokenizer_matches_oracle(smiles):
 
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.sampled_from(SMILES_TOKENS), min_size=1, max_size=12).map("".join))
+@malformed_examples
 def test_tokenizer_of_generated_text_matches_oracle(text):
     assert tokenized(parser._tokenize_and_build, text) == tokenized(oracle_tokenize, text)
 

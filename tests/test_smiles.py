@@ -12,15 +12,107 @@ from emprops.errors import (
     UnsupportedElement,
     ValenceError,
 )
-from emprops.molgraph import molecular_formula, parse_smiles, to_smiles
+from emprops.molgraph import Atom, MolGraph, molecular_formula, parse_smiles
 from emprops.molgraph.elements import effective_valence
 
-from conftest import CORPUS, RDX, TNT
+from conftest import CORPUS, MALFORMED_SMILES, RDX, TNT, malformed_examples
+from test_featurize_golden import GOLDEN_SMILES
 
 
 def formula_tuple(g):
     f = molecular_formula(g)
     return (f.n_C, f.n_H, f.n_N, f.n_O, f.n_Cl, f.n_F)
+
+
+def _closure_token(number: int) -> str:
+    return str(number) if number < 10 else f"%{number:02d}"
+
+
+_KEKULE_SYMBOL = {1: "", 2: "=", 3: "#"}
+
+
+def _atom_token(atom: Atom) -> str:
+    if atom.formal_charge == 0:
+        return atom.element
+    if atom.formal_charge == 1:
+        charge = "+"
+    elif atom.formal_charge == -1:
+        charge = "-"
+    elif atom.formal_charge > 0:
+        charge = f"+{atom.formal_charge}"
+    else:
+        charge = str(atom.formal_charge)
+    if atom.implicit_h == 0:
+        h_part = ""
+    elif atom.implicit_h == 1:
+        h_part = "H"
+    else:
+        h_part = f"H{atom.implicit_h}"
+    return f"[{atom.element}{h_part}{charge}]"
+
+
+def to_smiles(g: MolGraph) -> str:
+    """The round-trip oracle: a kekulized, non-canonical SMILES for a
+    perceived graph, written with the parser's own tokens only (organic
+    atoms, bracket atoms with H count and charge, = and #, branches, ring
+    closures and dots), so parsing it must give the same molecule back."""
+    visited: set[int] = set()
+    tree_children: dict[int, list] = {}
+    closures: dict[int, list[tuple[int, int]]] = {}  # atom -> [(number, kekule order)]
+    counter = [0]
+
+    def explore(root: int) -> None:
+        used_bonds: set[int] = set()
+        stack = [root]
+        visited.add(root)
+        while stack:
+            u = stack.pop()
+            for v, bond in sorted(g.neighbors(u), key=lambda p: p[0], reverse=True):
+                if id(bond) in used_bonds:
+                    continue
+                used_bonds.add(id(bond))
+                if v not in visited:
+                    tree_children.setdefault(u, []).append((v, bond))
+                    visited.add(v)
+                    stack.append(v)
+                else:
+                    counter[0] += 1
+                    closures.setdefault(u, []).append((counter[0], bond.kekule_order))
+                    closures.setdefault(v, []).append((counter[0], bond.kekule_order))
+
+    def emit(u: int) -> str:
+        parts = [_atom_token(g.atoms[u])]
+        for number, korder in closures.get(u, []):
+            parts.append(_KEKULE_SYMBOL[korder] + _closure_token(number))
+        children = tree_children.get(u, [])
+        for v, bond in children[:-1]:
+            parts.append("(" + _KEKULE_SYMBOL[bond.kekule_order] + emit(v) + ")")
+        if children:
+            v, bond = children[-1]
+            parts.append(_KEKULE_SYMBOL[bond.kekule_order] + emit(v))
+        return "".join(parts)
+
+    pieces = []
+    for root in range(len(g.atoms)):  # a fragment's lowest atom starts it
+        if root not in visited:
+            explore(root)
+            pieces.append(emit(root))
+    return ".".join(pieces)
+
+
+def assert_round_trips(g, source: str) -> None:
+    """Parsing to_smiles(g) gives the same formula, kekulized bond
+    multiset and ring sizes as g, parsed from source."""
+    emitted = to_smiles(g)
+    g2 = parse_smiles(emitted)
+    assert formula_tuple(g) == formula_tuple(g2), (source, emitted)
+
+    def kekule(graph):
+        return sorted((tuple(sorted((graph.atoms[b.i].element, graph.atoms[b.j].element))),
+                       b.kekule_order) for b in graph.bonds)
+
+    assert kekule(g) == kekule(g2), (source, emitted)
+    assert sorted(r.size for r in g.rings) == sorted(r.size for r in g2.rings), (source, emitted)
 
 
 def test_methane():
@@ -166,30 +258,19 @@ def test_valence_invariant_over_corpus():
 
 
 def test_round_trip_over_corpus():
-    for smiles in CORPUS.values():
-        g = parse_smiles(smiles)
-        emitted = to_smiles(g)
-        g2 = parse_smiles(emitted)
-        assert formula_tuple(g) == formula_tuple(g2), (smiles, emitted)
-        kekule = sorted(
-            (tuple(sorted((g.atoms[b.i].element, g.atoms[b.j].element))), b.kekule_order)
-            for b in g.bonds
-        )
-        kekule2 = sorted(
-            (tuple(sorted((g2.atoms[b.i].element, g2.atoms[b.j].element))), b.kekule_order)
-            for b in g2.bonds
-        )
-        assert kekule == kekule2, (smiles, emitted)
-        assert sorted(r.size for r in g.rings) == sorted(r.size for r in g2.rings)
+    for smiles in (*CORPUS.values(), *GOLDEN_SMILES):
+        assert_round_trips(parse_smiles(smiles), smiles)
 
 
 @given(st.text(alphabet="CNOFclnoCl()[]=#+-1234%@/\\.H5 x\u00b2\u0661", min_size=1, max_size=14))
 @example("C\u00b2")
 @example("C\u0661CC\u0661")
 @example("[N+\u0661]")
+@malformed_examples
 @settings(max_examples=300, deadline=None)
 def test_parsing_is_total(text):
-    # arbitrary input either parses or raises a typed error, never anything else
+    # arbitrary input either parses, and then round-trips, or raises a typed
+    # error, never anything else
     try:
         g = parse_smiles(text)
     except ToolkitError:
@@ -197,6 +278,14 @@ def test_parsing_is_total(text):
     assert g.atoms
     for atom in g.atoms:
         assert atom.implicit_h >= 0
+    assert_round_trips(g, text)
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_SMILES.items(), ids=repr)
+def test_malformed_smiles_is_syntax_error(text, message):
+    with pytest.raises(SmilesSyntaxError) as info:
+        parse_smiles(text)
+    assert str(info.value) == message
 
 
 # Superscript two and Arabic-Indic one and two: str.isdigit and the \\d of a
