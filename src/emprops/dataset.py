@@ -1,9 +1,12 @@
-"""Property channels, the molecule CSV reader, record ingestion, splits,
-standardization, and the cross-property correlation analysis.
+"""Property channels, the molecule CSV reader, record ingestion,
+material-level fold labels, standardization, and the cross-property
+correlation analysis.
 
 A channel is one (property, fidelity) pair; its position in the registry
 is the selector index of the multi-task model, so registry order is part
-of a trained model's contract and is persisted verbatim.
+of a trained model's contract and is persisted verbatim. A split is one
+fold label per design row (kfold_by_material): the rows of a fold are
+those whose label equals it, and every row of a material shares a label.
 """
 
 from __future__ import annotations
@@ -179,7 +182,6 @@ def default_registry() -> PropertyRegistry:
 @dataclass(frozen=True)
 class Record:
     material_id: str
-    smiles: str
     channel: PropertyChannel
     value: float
     density: float | None = None
@@ -194,10 +196,6 @@ class Dataset:
     registry: PropertyRegistry
     records: list[Record]
     graphs: dict[str, MolGraph]  # the parsed molecule of every material
-
-    @property
-    def material_ids(self) -> list[str]:
-        return sorted({record.material_id for record in self.records})
 
 
 CSV_COLUMNS = ("material_id", "smiles", "property", "fidelity", "value", "density")
@@ -335,8 +333,8 @@ def load_records(path: str | Path, registry: PropertyRegistry, dedupe: str = "er
         if channel.transform == "log10" and value <= 0:
             raise NonPositiveForLog(f"row {row_number}: {channel.key} value {value} is not positive")
 
-        record = Record(material_id=molecule.material_id, smiles=molecule.smiles,
-                        channel=channel, value=value, density=molecule.density)
+        record = Record(material_id=molecule.material_id, channel=channel, value=value,
+                        density=molecule.density)
         grouped.setdefault((molecule.material_id, channel.key), []).append(record)
 
     records: list[Record] = []
@@ -352,7 +350,6 @@ def load_records(path: str | Path, registry: PropertyRegistry, dedupe: str = "er
         records.append(
             Record(
                 material_id=material,
-                smiles=bucket[0].smiles,
                 channel=bucket[0].channel,
                 value=sum(r.value for r in bucket) / len(bucket),
                 density=sum(densities) / len(densities) if densities else None,
@@ -361,52 +358,24 @@ def load_records(path: str | Path, registry: PropertyRegistry, dedupe: str = "er
     return Dataset(registry=registry, records=records, graphs=graphs)
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    seed: int
-    k: int
-    assignment: dict[str, int]
-
-    def fold_materials(self, fold: int) -> set[str]:
-        return {m for m, f in self.assignment.items() if f == fold}
-
-    def train_test(self, fold: int) -> tuple[set[str], set[str]]:
-        test = self.fold_materials(fold)
-        train = set(self.assignment) - test
-        return train, test
-
-
 def check_fold_count(k: int) -> None:
     if k < 2:
         raise InvalidConfig(f"need at least 2 folds, got {k}")
 
 
-def kfold_by_material(material_ids: list[str], k: int, seed: int) -> SplitPlan:
-    """Material-level folds: sort ids, Fisher-Yates shuffle with
-    splitmix64(seed), deal round-robin. All records of one material land in
-    one fold, so no molecule can straddle train and test."""
+def kfold_by_material(material_ids: list[str], k: int, seed: int) -> np.ndarray:
+    """The fold in 0..k-1 of each entry of material_ids, an intp array
+    aligned with them. The distinct ids are sorted, Fisher-Yates shuffled
+    with splitmix64(seed) and dealt round-robin, so every fold holds at
+    least one material and every entry of a material shares its fold: no
+    molecule can straddle train and test."""
     check_fold_count(k)
-    ids = sorted(set(material_ids))
+    ids = sorted(set(material_ids))  # not np.unique, which drops trailing NULs
     if len(ids) < k:
         raise TooFewMaterials(f"{len(ids)} materials < {k} folds")
-    rng = SplitMix64(seed)
-    rng.shuffle(ids)
-    assignment = {material: position % k for position, material in enumerate(ids)}
-    return SplitPlan(seed=seed, k=k, assignment=assignment)
-
-
-def inner_folds(material_ids: list[str], inner_k: int,
-                seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (train, validation) row masks of each inner fold over rows with
-    these material ids, in fold order: material-level (kfold_by_material,
-    inner_k >= 2), so every fold has train and validation rows."""
-    plan = kfold_by_material(material_ids, inner_k, seed)
-    folds = []
-    for fold in range(inner_k):
-        train_mats, val_mats = plan.train_test(fold)
-        folds.append((np.array([m in train_mats for m in material_ids], dtype=bool),
-                      np.array([m in val_mats for m in material_ids], dtype=bool)))
-    return folds
+    SplitMix64(seed).shuffle(ids)
+    fold_of = {material: position % k for position, material in enumerate(ids)}
+    return np.array([fold_of[material] for material in material_ids], dtype=np.intp)
 
 
 @dataclass
@@ -420,7 +389,7 @@ def cv_select(cells: list[dict], scores) -> GridResult:
     """Inner k-fold selection over hyperparameter cells, for every model family.
 
     scores[cell_index] holds the cell's validation RMSE on each inner fold
-    (inner_folds), and a cell scores their mean: NaN when any fold is NaN,
+    (kfold_by_material), and a cell scores their mean: NaN when any fold is NaN,
     so such a cell never wins. The lowest mean wins and ties go to the
     earliest cell; when no cell has a finite score, cell 0 is chosen with +inf.
     """
@@ -624,9 +593,6 @@ class DesignMatrix:
     targets: np.ndarray        # (n_records,) transformed target values
     material_ids: list[str]
     registry: PropertyRegistry
-
-    def rows_for(self, materials: set[str]) -> np.ndarray:
-        return np.array([m in materials for m in self.material_ids], dtype=bool)
 
     def channel_rows(self, channels: range) -> np.ndarray:
         """The mask of the rows whose channel is in the range."""

@@ -489,18 +489,25 @@ class FeatureSchema:
 
     @classmethod
     def from_manifest(cls, manifest: dict) -> "FeatureSchema":
-        if manifest.get("schema_version") != SCHEMA_VERSION:
-            raise UnknownBondType(
-                f"unsupported schema version {manifest.get('schema_version')!r}"
-            )
+        """The schema a manifest describes, as manifest writes one: a
+        ValueError for another version, or for a bond vocabulary that is not
+        strictly increasing (element, element, order) triples with their
+        elements in order."""
+        version = manifest.get("schema_version")
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema version {version!r}")
         vocab = manifest["bond_vocabulary"]
         for entry in vocab:
             if not (isinstance(entry, list) and len(entry) == 3 and entry[0] in _BOND_ELEMENTS
                     and entry[1] in _BOND_ELEMENTS and entry[2] in BOND_ORDERS):
                 raise ValueError(f"bond vocabulary entry {entry!r} is not an "
                                  f"(element, element, order) triple")
-        return cls(bond_vocabulary=tuple(map(tuple, vocab)),
-                   include_density=bool(manifest["include_density"]))
+            if entry[0] > entry[1]:
+                raise ValueError(f"bond vocabulary entry {entry!r} has its elements out of order")
+        keys = tuple(map(tuple, vocab))
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise ValueError("bond vocabulary is not strictly increasing")
+        return cls(bond_vocabulary=keys, include_density=bool(manifest["include_density"]))
 
 
 def fit_schema(corpus: list[MolGraph], include_density: bool) -> FeatureSchema:

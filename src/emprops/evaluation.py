@@ -326,10 +326,10 @@ def plan(family: str, design: ds.DesignMatrix, seeds, k: int) -> list[Fit]:
     masks = [design.channel_rows(channels) for channels in units]
     fits = []
     for seed in seeds:
-        folds = ds.kfold_by_material(design.material_ids, k, seed)
+        fold_of = ds.kfold_by_material(design.material_ids, k, seed)
         for fold in range(k):
-            train_mats, test_mats = folds.train_test(fold)
-            fold_train, fold_test = design.rows_for(train_mats), design.rows_for(test_mats)
+            fold_test = fold_of == fold
+            fold_train = ~fold_test
             fold_seed = derive_seed(seed, fold)
             for pos, (channels, mask) in enumerate(zip(units, masks)):
                 unit_seed = fold_seed if family == "mt-nn" else derive_seed(fold_seed, pos + 17)
@@ -484,8 +484,9 @@ def _selection_jobs(design: ds.DesignMatrix, fit: Fit, grids: Grids, inner_k: in
     fold + 1) and its batch order derive_seed(that seed, 7)."""
     rows, folds, jobs = np.flatnonzero(fit.train_rows), [], []
     try:
-        folds = [(rows[train], rows[val]) for train, val in ds.inner_folds(
-            [design.material_ids[row] for row in rows], inner_k, fit.seed)]
+        fold_of = ds.kfold_by_material([design.material_ids[row] for row in rows], inner_k,
+                                       fit.seed)
+        folds = [(rows[fold_of != fold], rows[fold_of == fold]) for fold in range(inner_k)]
         for cell_index, cell in enumerate(grids.cells(fit.family, fit.channels)):
             for fold, (train, val) in enumerate(folds):
                 if fit.family == "st-rf":
@@ -555,10 +556,8 @@ def _channel_mean_rmse(pred: np.ndarray, actual: np.ndarray, channel_idx: np.nda
     scores = []
     for c in range(n_channels):
         mask = channel_idx == c
-        if not np.any(mask):
-            continue
-        residual = pred[mask] - actual[mask]
-        scores.append(math.sqrt(float(residual @ residual) / int(mask.sum())))
+        if np.any(mask):
+            scores.append(rmse(pred[mask], actual[mask]))
     return float(np.mean(scores)) if scores else math.nan
 
 

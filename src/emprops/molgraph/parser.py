@@ -6,8 +6,10 @@ bracket atoms with an explicit hydrogen count and charge (e.g. [N+],
 %nn, and dot-separated fragments. Stereo markers (/ \\ @) are accepted
 and ignored. Aromaticity is taken from the notation itself; no electron
 counting is attempted. Fragments and branches hold at least one atom, a
-bond symbol needs an atom before it in its fragment, and a bracket atom is
-read up to its ']' in full, so a line break inside one is malformed.
+branch starts with an atom rather than another branch (C((C)) is
+malformed), a bond symbol needs an atom before it in its fragment, and a
+bracket atom is read up to its ']' in full, so a line break inside one is
+malformed.
 
 Perception normalizes neutral nitro spellings N(=O)=O to the
 charge-separated form [N+](=O)[O-], kekulizes aromatic systems by perfect
@@ -138,6 +140,8 @@ def _tokenize_and_build(text: str) -> _Built:
                     raise SmilesSyntaxError(f"branch before any atom at position {i}")
                 if pending is not None:
                     raise SmilesSyntaxError(f"bond symbol before branch open at position {i}")
+                if text[i - 1] == "(":
+                    raise SmilesSyntaxError(f"branch open directly after '(' at position {i}")
                 branch_stack.append((prev, len(atoms)))
                 i += 1
             elif ch == ")":

@@ -9,7 +9,8 @@ the checksummed binary container of :mod:`emprops.modelio`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,14 +47,15 @@ def save_model(path: str | Path, bundle: ModelBundle) -> None:
 
 def load_model(path: str | Path) -> ModelBundle:
     """Read a model file. A header field that is missing or does not decode,
-    a model whose input width is not its schema's, a standardizer whose
-    lengths are not the network's, or a forest whose tree count is not its
-    config's n_trees or whose tree sizes are not positive integers, is
-    CorruptFile."""
+    a model whose input width is not its schema's, a standardizer that
+    Standardizer.fit could not have written (_check_standardizer), or a
+    forest whose tree count is not its config's n_trees or whose tree sizes
+    are not positive integers, is CorruptFile."""
     magic, header, payload = modelio.read_any_container(path)
     try:
         return _decode(magic, header, payload)
-    except (KeyError, TypeError, ValueError, AttributeError, InvalidConfig) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError,
+            InvalidConfig) as exc:
         raise CorruptFile(f"malformed model header ({type(exc).__name__}: {exc})") from exc
 
 
@@ -66,8 +68,8 @@ def _decode(magic: bytes, header: dict, payload: bytes) -> ModelBundle:
         if header["layer_shapes"] != [list(shape) for shape in mtnn.layer_shapes(config)]:
             raise CorruptFile("layer_shapes in network file do not match its config")
         (params,) = modelio.split_payload(payload, [(mtnn.parameter_count(config),)])
-        standardizer = ds.Standardizer.from_json(header["standardizer"])
-        _check_standardizer(standardizer, config.input_dim, len(registry))
+        standardizer = _check_standardizer(header["standardizer"], config.input_dim,
+                                           len(registry))
         bundle = ModelBundle(kind="mtnn", registry=registry, schema=schema,
                              net=mtnn.MTNet(config=config, params=params),
                              standardizer=standardizer)
@@ -90,14 +92,27 @@ def _decode(magic: bytes, header: dict, payload: bytes) -> ModelBundle:
     return bundle
 
 
-def _check_standardizer(std: ds.Standardizer, n_features: int, n_channels: int) -> None:
-    """One feature entry per network input and one target entry per channel."""
+def _check_standardizer(data: dict, n_features: int, n_channels: int) -> ds.Standardizer:
+    """The standardizer of a network header, as Standardizer.fit writes
+    one: one feature entry per network input and one target entry per
+    channel, each a finite JSON number (not a bool), every std above 0 and
+    every constant flag 0 or 1."""
+    std = ds.Standardizer.from_json(data)
     features = (std.feature_mean, std.feature_std, std.feature_constant)
     targets = (std.target_mean, std.target_std, std.target_constant)
     if any(a.shape != (n_features,) for a in features) \
             or any(a.shape != (n_channels,) for a in targets):
         raise CorruptFile(f"standardizer does not fit {n_features} features "
                           f"and {n_channels} channels")
+    for key in (array.name for array in fields(ds.Standardizer)):
+        values = data[key]
+        if not all(type(v) in (int, float) and math.isfinite(v) for v in values):
+            raise CorruptFile(f"standardizer {key} holds a value that is not a finite number")
+        if key.endswith("_std") and any(v <= 0 for v in values):
+            raise CorruptFile(f"standardizer {key} holds a value that is not above 0")
+        if key.endswith("_constant") and not set(values) <= {0, 1}:
+            raise CorruptFile(f"standardizer {key} holds a flag that is not 0 or 1")
+    return std
 
 
 def _check_tree(tree: np.ndarray, n_features: int) -> None:

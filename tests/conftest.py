@@ -78,6 +78,8 @@ MALFORMED_SMILES = {
     "#N": "bond symbol before any atom at position 0",
     "C.=C": "bond symbol before any atom at position 2",
     ":c1ccccc1": "bond symbol before any atom at position 0",
+    "C((C))": "branch open directly after '(' at position 2",
+    "C((C)C)": "branch open directly after '(' at position 2",
 }
 
 

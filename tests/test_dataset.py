@@ -1,13 +1,15 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emprops import dataset as ds
+from fold_oracle import kfold_by_material as oracle_kfold
 from emprops.errors import (
     DuplicateRecord,
     InvalidConfig,
@@ -32,7 +34,8 @@ class TestLoad:
         path = write_csv(tmp_path, ["M1,CC,det_velocity,exp,7.2,1.5"])
         data = ds.load_records(path, ds.default_registry())
         assert len(data.records) == 1
-        assert data.material_ids == ["M1"]
+        assert [record.material_id for record in data.records] == ["M1"]
+        assert list(data.graphs) == ["M1"]
         assert data.records[0].density == 1.5
 
     def test_unknown_channel(self, tmp_path):
@@ -168,15 +171,15 @@ class TestSelector:
 
 class TestKfold:
     def test_even_folds(self):
-        plan = ds.kfold_by_material([f"M{i}" for i in range(10)], 5, seed=3)
-        sizes = [len(plan.fold_materials(f)) for f in range(5)]
-        assert sizes == [2, 2, 2, 2, 2]
+        folds = ds.kfold_by_material([f"M{i}" for i in range(10)], 5, seed=3)
+        assert np.bincount(folds).tolist() == [2, 2, 2, 2, 2]
 
     def test_determinism(self):
         ids = [f"M{i}" for i in range(23)]
         a = ds.kfold_by_material(ids, 5, seed=11)
         b = ds.kfold_by_material(ids, 5, seed=11)
-        assert a.assignment == b.assignment
+        assert a.dtype == np.intp
+        assert a.tolist() == b.tolist()
 
     def test_too_few_materials(self):
         with pytest.raises(TooFewMaterials):
@@ -195,16 +198,40 @@ class TestKfold:
     @settings(max_examples=60, deadline=None)
     def test_partition_properties(self, n, k, seed):
         ids = [f"M{i:03d}" for i in range(n)]
-        plan = ds.kfold_by_material(ids, k, seed)
-        folds = [plan.fold_materials(f) for f in range(k)]
+        labels = ds.kfold_by_material(ids, k, seed)
+        folds = [{m for m, f in zip(ids, labels) if f == fold} for fold in range(k)]
         union = set().union(*folds)
         assert union == set(ids)
         assert sum(len(f) for f in folds) == n
         assert max(len(f) for f in folds) - min(len(f) for f in folds) <= 1
         for fold in range(k):
-            train, test = plan.train_test(fold)
+            train = {m for m, f in zip(ids, labels) if f != fold}
+            test = folds[fold]
             assert not (train & test)
             assert train | test == set(ids)
+
+    @given(
+        ids=st.lists(st.sampled_from(["M1", "M1\x00", "M2", "m2", "\x00", "ä", "Ä", "é",
+                                      "\u2603", "M10", " M1", "M1 "])
+                     | st.text(max_size=4), min_size=1, max_size=40),
+        k=st.integers(min_value=2, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @example(ids=["M1\x00", "M2", "M1", "M1\x00", "M3"], k=3, seed=0)
+    @settings(max_examples=200, deadline=None)
+    def test_labels_are_the_set_based_split(self, ids, k, seed):
+        """The fold of each entry is its material's fold in the set-based
+        split it replaced, for ids with repeats, in any order, non-ASCII
+        and NUL-suffixed; both reject too few materials alike."""
+        try:
+            plan = oracle_kfold(ids, k, seed)
+        except TooFewMaterials as exc:
+            with pytest.raises(TooFewMaterials, match=f"^{re.escape(str(exc))}$"):
+                ds.kfold_by_material(ids, k, seed)
+            return
+        labels = ds.kfold_by_material(ids, k, seed)
+        assert labels.shape == (len(ids),)
+        assert labels.tolist() == [plan.assignment[m] for m in ids]
 
 
 class TestCvSelect:
@@ -224,7 +251,7 @@ class TestCvSelect:
 
     def test_one_inner_fold_is_rejected(self):
         with pytest.raises(InvalidConfig, match="at least 2 folds"):
-            ds.inner_folds(self.MATERIAL_IDS, 1, 5)
+            ds.kfold_by_material(self.MATERIAL_IDS, 1, 5)
 
     def test_no_finite_score_falls_back_to_cell_zero(self):
         result = ds.cv_select(self.CELLS, [[math.nan] * 3] * 3)
@@ -240,8 +267,8 @@ class TestCvSelect:
         assert result.best_score == 8.0
 
     def test_inner_folds_split_every_material_once(self):
-        folds = ds.inner_folds(self.MATERIAL_IDS, 3, 5)
-        assert len(folds) == 3
+        labels = ds.kfold_by_material(self.MATERIAL_IDS, 3, 5)
+        folds = [(labels != fold, labels == fold) for fold in range(3)]
         for train_rows, val_rows in folds:
             assert train_rows.any() and val_rows.any()
             assert (train_rows ^ val_rows).all()

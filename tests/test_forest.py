@@ -14,6 +14,7 @@ from emprops.errors import (CorruptFile, DimensionMismatch, EmptyData, InvalidCo
                             TooFewMaterials, ToolkitError)
 from emprops.molgraph import parse_smiles
 from emprops.rng import SplitMix64, derive_seed
+from fold_oracle import rows_for
 from test_cli import write_dataset, write_grid
 from test_rng import scalar_sample_indices
 
@@ -838,7 +839,7 @@ class TestForestFailureOrder:
         """A fit of the channels' rows of their first materials."""
         in_channel = design.channel_rows(channels)
         mats = sorted({m for m, keep in zip(design.material_ids, in_channel) if keep})
-        rows = design.rows_for(set(mats[:materials])) & in_channel
+        rows = rows_for(design.material_ids, set(mats[:materials])) & in_channel
         return evaluation.Fit("st-rf", channels, rows, np.zeros_like(rows), 5, 6)
 
     @staticmethod

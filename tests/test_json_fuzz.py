@@ -1,22 +1,25 @@
 """Generated grid and registry JSON files: a grid file either loads into
 grids whose every cell is finite and builds its configs, or fails as
 InvalidConfig; a registry file run through the correlate command exits 0
-or 1, and a failure is one error line."""
+or 1, and a failure is one error line. A model file whose header holds a
+standardizer or schema value that Standardizer.fit or FeatureSchema.manifest
+never writes fails predict as one CorruptFile line."""
 
 import contextlib
 import io
 import json
 import math
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emprops import cli, evaluation, forest as rf, mtnn
+from emprops import cli, evaluation, forest as rf, modelio, mtnn
 from emprops.errors import InvalidConfig
-from test_cli import write_dataset
+from test_cli import model_files, rewrite_header, write_dataset  # noqa: F401 (a fixture)
 
 SCALARS = st.one_of(
     st.integers(-2, 12),
@@ -179,3 +182,65 @@ def test_registry_file_exits_0_or_1_with_one_error_line(dataset, text):
     assert code in (0, 1)
     if code == 1:
         assert err.getvalue().startswith("error ") and len(err.getvalue().splitlines()) == 1
+
+
+# standardizer values no fitted standardizer holds: every entry is a finite
+# JSON number, every std above 0 and every constant flag 0 or 1
+NOT_NUMBERS = [math.nan, math.inf, -math.inf, True, False, "1", None, 10**400]
+REJECTED_ENTRIES = {"mean": NOT_NUMBERS, "std": [*NOT_NUMBERS, 0, -0.0, -1, -1e-300],
+                    "constant": [*NOT_NUMBERS, -1, 2, 0.5]}
+STANDARDIZER_KEYS = [f"{part}_{kind}" for part in ("feature", "target")
+                     for kind in REJECTED_ENTRIES]
+
+
+@st.composite
+def rejected_header_value(draw):
+    """(magic, section, key, position, change): one standardizer entry set
+    to a rejected value, the schema version set to another, or the bond
+    vocabulary with one key repeated, two keys swapped or one key's
+    elements reversed."""
+    magic = draw(st.sampled_from([modelio.MAGIC_MTNN, modelio.MAGIC_FOREST]))
+    position = draw(st.integers(0, 1000))
+    if magic == modelio.MAGIC_MTNN and draw(st.booleans()):
+        key = draw(st.sampled_from(STANDARDIZER_KEYS))
+        change = draw(st.sampled_from(REJECTED_ENTRIES[key.split("_")[1]]))
+        return magic, "standardizer", key, position, change
+    if draw(st.booleans()):
+        return magic, "schema", "schema_version", None, draw(
+            st.sampled_from([0, 2, -1, 1.0, True, "1", None, math.nan]))
+    return magic, "schema", "bond_vocabulary", position, draw(
+        st.sampled_from(["repeat", "swap", "reverse"]))
+
+
+def apply_change(header, section, key, position, change):
+    values = header[section][key]
+    if key == "schema_version":
+        header[section][key] = change
+    elif key != "bond_vocabulary":
+        values[position % len(values)] = change
+    elif change == "repeat":
+        values.insert(position % len(values), list(values[position % len(values)]))
+    elif change == "swap":
+        at = position % (len(values) - 1)
+        values[at], values[at + 1] = values[at + 1], values[at]
+    else:
+        mixed = [entry for entry in values if entry[0] != entry[1]]
+        entry = mixed[position % len(mixed)]
+        entry[0], entry[1] = entry[1], entry[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=rejected_header_value())
+def test_rejected_header_value_is_one_corrupt_file_line(model_files, case):
+    magic = case[0]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edited"
+        rewrite_header(model_files[magic], path, magic, lambda header: apply_change(header, *case[1:]))
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main(["predict", "--model", str(path), "--smiles", "CCC"])
+    assert code == 1
+    assert err.getvalue().startswith("error CorruptFile: ") and len(err.getvalue().splitlines()) == 1
+    assert not caught

@@ -287,7 +287,8 @@ def oracle_match_atom_sets(g, pattern) -> set[frozenset[int]]:
 def oracle_tokenize(text: str):
     """The builder-based tokenizer: (atoms, bonds, explicit H counts,
     default-aromatic bond indices), with ASCII digits, non-empty fragments
-    and branches, and no bond symbol before a fragment's first atom."""
+    and branches, no branch opened directly after '(', and no bond symbol
+    before a fragment's first atom."""
     atoms, bonds, explicit_h, default_aromatic, pairs = [], [], [], [], set()
     prev = pending = None
     branch_stack, ring_open = [], {}
@@ -367,6 +368,8 @@ def oracle_tokenize(text: str):
                 raise SmilesSyntaxError(f"branch before any atom at position {i}")
             if pending is not None:
                 raise SmilesSyntaxError(f"bond symbol before branch open at position {i}")
+            if text[i - 1] == "(":
+                raise SmilesSyntaxError(f"branch open directly after '(' at position {i}")
             branch_stack.append((prev, len(atoms)))
             i += 1
         elif ch == ")":

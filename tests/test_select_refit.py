@@ -20,6 +20,7 @@ import pytest
 from emprops import cli, dataset as ds, evaluation, forest as rf, mtnn, pipeline
 from emprops.errors import InvalidConfig, ToolkitError
 from emprops.rng import derive_seed
+from fold_oracle import inner_folds, kfold_by_material, rows_for
 from test_cli import MOLS, write_dataset, write_grid
 
 SUBSET = 1
@@ -61,8 +62,8 @@ def every_channel(design):
 def cv_table(cells, material_ids, inner_k, seed, score):
     """The cells x inner folds score table that cv_select reduces:
     score(cell_index, fold, train_rows, val_rows) on each fold of
-    ds.inner_folds, cell by cell."""
-    folds = ds.inner_folds(material_ids, inner_k, seed)
+    the set-based inner folds, cell by cell."""
+    folds = inner_folds(material_ids, inner_k, seed)
     return [[score(cell_index, fold, train_rows, val_rows)
              for fold, (train_rows, val_rows) in enumerate(folds)]
             for cell_index in range(len(cells))]
@@ -133,8 +134,8 @@ def oracle_select_and_refit_net(design, train_rows, test_rows, grid, base_train,
 
 
 def oracle_mtnn_fold(report, design, train_mats, test_mats, grid, base_train, inner_k, seed):
-    train_rows = design.rows_for(train_mats)
-    test_rows = design.rows_for(test_mats)
+    train_rows = rows_for(design.material_ids, train_mats)
+    test_rows = rows_for(design.material_ids, test_mats)
     pred = oracle_select_and_refit_net(design, train_rows, test_rows, grid, base_train,
                                        inner_k, seed)
     evaluation._record_channel_metrics(report, design.registry, pred,
@@ -145,8 +146,8 @@ def oracle_st_fold(report, family, design, train_mats, test_mats, grid, forest_g
                    base_train, inner_k, seed):
     for pos in range(len(design.registry)):
         single = single_channel_design(design, pos)
-        train_rows = single.rows_for(train_mats)
-        test_rows = single.rows_for(test_mats)
+        train_rows = rows_for(single.material_ids, train_mats)
+        test_rows = rows_for(single.material_ids, test_mats)
         if not np.any(train_rows):
             test_rows = np.zeros_like(test_rows)
         pred = np.empty(0)
@@ -172,7 +173,7 @@ def oracle_run_protocol(family, data, subset_id, seeds, k, grid, forest_grid, ba
     _, _, design = ds.build_design(data, subset_id, False)
     report = evaluation.ProtocolReport(model_id=evaluation.model_identifier(family, subset_id))
     for seed in seeds:
-        plan = ds.kfold_by_material(design.material_ids, k, seed)
+        plan = kfold_by_material(design.material_ids, k, seed)
         for fold in range(k):
             train_mats, test_mats = plan.train_test(fold)
             if family == "mt-nn":
@@ -365,7 +366,7 @@ def test_select_scores_each_forest_fit_as_serial_inner_cv(inputs, monkeypatch):
         position = design.registry.index_of(design.registry.lookup(*channel.split(":")))
         rows = design.channel_rows(range(position, position + 1))
         if materials is not None:
-            rows &= design.rows_for(materials)
+            rows &= rows_for(design.material_ids, materials)
         return evaluation.Fit("st-rf", range(position, position + 1), rows, np.zeros_like(rows),
                               seed, 0)
 
@@ -402,7 +403,7 @@ def test_select_scores_each_forest_fit_as_serial_inner_cv(inputs, monkeypatch):
                                              one.seed)
         assert [bits(row) for row in tables.pop()] == [bits(row) for row in got]
         assert repr(result) == repr(expected)
-    assert {np.count_nonzero(val) for one in fits[::3] for _, val in ds.inner_folds(
+    assert {np.count_nonzero(val) for one in fits[::3] for _, val in inner_folds(
         [m for m, keep in zip(design.material_ids, one.train_rows) if keep], INNER_FOLDS,
         one.seed)} == {3, 4}  # the validation sizes differ
 
@@ -455,7 +456,8 @@ def test_network_grid_search_fails_as_serial_search(inputs, case, channel):
     design = network_unit(inputs, channel)
     grid = evaluation.GridSpec(**{**NETWORK_GRIDS["depths"], "l2_penalty": (0.0, 1e308)})
     if case == "too-few":
-        design = restrict(design, design.rows_for(set(design.material_ids[:INNER_FOLDS - 1])))
+        design = restrict(design, rows_for(design.material_ids,
+                                           set(design.material_ids[:INNER_FOLDS - 1])))
     with pytest.raises(ToolkitError) as serial:
         oracle_network_grid_search(grid, design, inputs["base_train"], INNER_FOLDS, 3)
     with pytest.raises(ToolkitError) as shim:
@@ -484,14 +486,14 @@ def unit_design(inputs, family):
 def test_one_cell_fit_selected_equals_select_then_refit(inputs, family):
     grids = inputs["one_cell"]
     schema, design, channels, unit = unit_design(inputs, family)
-    train_mats, _ = ds.kfold_by_material(unit.material_ids, FOLDS, 5).train_test(0)
-    train_rows = design.rows_for(train_mats) & design.channel_rows(channels)
+    train_mats, _ = kfold_by_material(unit.material_ids, FOLDS, 5).train_test(0)
+    train_rows = rows_for(design.material_ids, train_mats) & design.channel_rows(channels)
     (bundle,) = evaluation.fit_all(
         design, [evaluation.Fit(family, channels, train_rows, np.zeros_like(train_rows), 9, 10)],
         schema, grids, INNER_FOLDS)
     fitted = bundle.forest.trees if family == "st-rf" else [bundle.net.params]
-    expected = oracle_fit_selected(family, unit, unit.rows_for(train_mats), grids, INNER_FOLDS,
-                                   9, 10)
+    expected = oracle_fit_selected(family, unit, rows_for(unit.material_ids, train_mats), grids,
+                                   INNER_FOLDS, 9, 10)
     assert [a.tobytes() for a in fitted] == [a.tobytes() for a in expected]
 
 
