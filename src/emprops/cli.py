@@ -27,7 +27,7 @@ import numpy as np
 import emprops
 from emprops import dataset as ds
 from emprops import descriptors, evaluation, pipeline
-from emprops.errors import EmptyData, InvalidConfig, MissingFile, ToolkitError
+from emprops.errors import EmptyData, InvalidConfig, MissingFile, ParseFailure, ToolkitError
 from emprops.rng import derive_seed
 
 DEFAULT_SEEDS = "1,2,3"
@@ -99,12 +99,15 @@ def cmd_featurize(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     molecules = ds.read_molecules(args.data)
-    graphs = [mol.parse() for mol in molecules]
-    schema = descriptors.fit_schema(graphs, include_density=args.density)
+    perceptions = ds.perceive_molecules(molecules)
+    for perception in perceptions:
+        if isinstance(perception, ParseFailure):
+            raise perception
+    schema = descriptors.fit_schema(perceptions, include_density=args.density)
     lines = ["material_id," + ",".join(schema.names)]
-    for mol, graph in zip(molecules, graphs):
+    for mol, perception in zip(molecules, perceptions):
         with _naming(mol):
-            vector = descriptors.featurize(graph, schema, mol.density if args.density else None)
+            vector = perception.row(schema, mol.density if args.density else None)
         lines.append(mol.material_id + "," + ",".join(f"{v:.12g}" for v in vector))
     (out_dir / "features.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (out_dir / "schema_manifest.json").write_text(
@@ -248,10 +251,12 @@ def cmd_screen(args) -> int:
     prop, _, fidelity = args.by.partition(":")
     channel = bundle.registry.lookup(prop, fidelity)  # validates the channel
     ranked = []
-    for mol in ds.read_molecules(args.data):
-        graph = mol.parse()
+    molecules = ds.read_molecules(args.data)
+    for mol, perception in zip(molecules, ds.perceive_molecules(molecules)):
+        if isinstance(perception, ParseFailure):
+            raise perception
         with _naming(mol):
-            predictions = pipeline.predict_matrix(bundle, graph, mol.density)
+            predictions = pipeline.predict_matrix(bundle, perception, mol.density)
         ranked.append((mol.material_id, mol.smiles, predictions[channel.key]))
     # descending by prediction, ties by material_id; NaN (a forest's empty
     # leaf) breaks the float order, so NaN rows go last

@@ -14,13 +14,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from emprops import descriptors
+from emprops import descriptors, workers
 from emprops.errors import (
     DuplicateRecord,
     InvalidConfig,
@@ -32,7 +33,7 @@ from emprops.errors import (
     UnknownChannel,
     UnknownSubset,
 )
-from emprops.molgraph import MolGraph, parse_smiles
+from emprops.molgraph import parse_smiles
 from emprops.rng import SplitMix64
 
 PROPERTIES = (
@@ -195,7 +196,7 @@ class Record:
 class Dataset:
     registry: PropertyRegistry
     records: list[Record]
-    graphs: dict[str, MolGraph]  # the parsed molecule of every material
+    perceptions: dict[str, descriptors.Perception]  # of every material's molecule
 
 
 CSV_COLUMNS = ("material_id", "smiles", "property", "fidelity", "value", "density")
@@ -230,12 +231,6 @@ class Molecule:
     smiles: str
     density: float | None
     row: int
-
-    def parse(self) -> MolGraph:
-        try:
-            return parse_smiles(self.smiles)
-        except ToolkitError as exc:
-            raise ParseFailure(self.row, f"SMILES {self.smiles!r}: {exc}") from exc
 
 
 def _utf8_lines(handle):
@@ -292,7 +287,7 @@ def read_molecules(path: str | Path) -> list[Molecule]:
     """The materials of a CSV with material_id, smiles and optionally
     density columns, in order of first appearance. A material listed again
     keeps its first row and takes the first density given for it. SMILES
-    are not parsed here (Molecule.parse)."""
+    are not parsed here (perceive_molecules)."""
     molecules: dict[str, Molecule] = {}
     for _, molecule in _csv_molecules(path, MOLECULE_COLUMNS):
         first = molecules.setdefault(molecule.material_id, molecule)
@@ -301,41 +296,93 @@ def read_molecules(path: str | Path) -> list[Molecule]:
     return list(molecules.values())
 
 
+def _perceive_smiles(texts: Sequence[str]) -> list[descriptors.Perception | ToolkitError]:
+    """One part of perceive_molecules: the perception of each SMILES, or
+    the error parse_smiles raised for it, as a value. The bare error goes
+    back, since a ParseFailure does not survive pickling."""
+    out: list[descriptors.Perception | ToolkitError] = []
+    for text in texts:
+        try:
+            graph = parse_smiles(text)
+        except ToolkitError as exc:
+            out.append(exc)
+            continue
+        out.append(descriptors.perceive(graph))
+    return out
+
+
+def perceive_molecules(molecules: Sequence[Molecule]) -> list[descriptors.Perception | ParseFailure]:
+    """The perception of each molecule, or the ParseFailure of its SMILES
+    for its row, returned as a value so that the caller raises it in its own
+    order. Each distinct SMILES is parsed and perceived once, and the
+    distinct SMILES are split across the CPUs with workers.run, which gives
+    every one the bits it gets alone."""
+    distinct = list(dict.fromkeys(molecule.smiles for molecule in molecules))
+    outcomes = dict(zip(distinct, workers.run(_perceive_smiles, distinct)))
+    perceived: list[descriptors.Perception | ParseFailure] = []
+    for molecule in molecules:
+        outcome = outcomes[molecule.smiles]
+        if isinstance(outcome, ToolkitError):
+            failure = ParseFailure(molecule.row, f"SMILES {molecule.smiles!r}: {outcome}")
+            failure.__cause__ = outcome
+            outcome = failure
+        perceived.append(outcome)
+    return perceived
+
+
 def load_records(path: str | Path, registry: PropertyRegistry, dedupe: str = "error") -> Dataset:
     """Load the documented CSV schema into a Dataset.
 
-    SMILES are parsed eagerly so malformed rows fail at load time, with
-    the 1-based data row attached. Duplicate (material, channel) pairs are
-    an error by default; dedupe="mean" averages them instead.
+    Every SMILES is parsed at load time, so a malformed row fails here,
+    with its 1-based data row attached. The rows are read and checked up to
+    the first one that fails a check needing no molecule; the SMILES of the
+    materials read are then perceived (perceive_molecules: once per
+    distinct SMILES, across the CPUs); then the rows are replayed in order,
+    so the error raised is the one a row-by-row reader meets first.
+    Duplicate (material, channel) pairs are an error by default;
+    dedupe="mean" averages them instead.
     """
     if dedupe not in ("error", "mean"):
         raise InvalidConfig(f"dedupe must be 'error' or 'mean', got {dedupe!r}")
 
-    graphs: dict[str, MolGraph] = {}
-    grouped: dict[tuple[str, str], list[Record]] = {}
+    rows: list[tuple[Molecule, PropertyChannel, float]] = []
+    stop: ToolkitError | None = None  # raised once the rows before it are replayed
+    try:
+        for row, molecule in _csv_molecules(path, CSV_COLUMNS):
+            row_number = molecule.row
+            prop = (row["property"] or "").strip()
+            fidelity = (row["fidelity"] or "").strip()
+            try:
+                channel = registry.lookup(prop, fidelity)
+            except UnknownChannel as exc:
+                raise UnknownChannel(f"row {row_number}: {exc}") from exc
+            try:
+                value = float(row["value"])
+            except (TypeError, ValueError):
+                raise ParseFailure(row_number, f"bad value {row['value']!r}")
+            if not math.isfinite(value):
+                raise ParseFailure(row_number, f"non-finite value {value!r}")
+            rows.append((molecule, channel, value))
+    except ToolkitError as exc:
+        stop = exc
 
-    for row, molecule in _csv_molecules(path, CSV_COLUMNS):
-        row_number = molecule.row
-        prop = (row["property"] or "").strip()
-        fidelity = (row["fidelity"] or "").strip()
-        try:
-            channel = registry.lookup(prop, fidelity)
-        except UnknownChannel as exc:
-            raise UnknownChannel(f"row {row_number}: {exc}") from exc
-        try:
-            value = float(row["value"])
-        except (TypeError, ValueError):
-            raise ParseFailure(row_number, f"bad value {row['value']!r}")
-        if not math.isfinite(value):
-            raise ParseFailure(row_number, f"non-finite value {value!r}")
-        if molecule.material_id not in graphs:
-            graphs[molecule.material_id] = molecule.parse()
+    # every row of a material has its SMILES, so its first row raises its failure
+    perceived = perceive_molecules([molecule for molecule, _, _ in rows])
+    perceptions: dict[str, descriptors.Perception] = {}
+    grouped: dict[tuple[str, str], list[Record]] = {}
+    for (molecule, channel, value), perception in zip(rows, perceived):
+        if molecule.material_id not in perceptions:
+            if isinstance(perception, ParseFailure):
+                raise perception
+            perceptions[molecule.material_id] = perception
         if channel.transform == "log10" and value <= 0:
-            raise NonPositiveForLog(f"row {row_number}: {channel.key} value {value} is not positive")
+            raise NonPositiveForLog(f"row {molecule.row}: {channel.key} value {value} is not positive")
 
         record = Record(material_id=molecule.material_id, channel=channel, value=value,
                         density=molecule.density)
         grouped.setdefault((molecule.material_id, channel.key), []).append(record)
+    if stop is not None:
+        raise stop
 
     records: list[Record] = []
     for (material, channel_key), bucket in grouped.items():
@@ -355,7 +402,7 @@ def load_records(path: str | Path, registry: PropertyRegistry, dedupe: str = "er
                 density=sum(densities) / len(densities) if densities else None,
             )
         )
-    return Dataset(registry=registry, records=records, graphs=graphs)
+    return Dataset(registry=registry, records=records, perceptions=perceptions)
 
 
 def check_fold_count(k: int) -> None:
@@ -580,8 +627,8 @@ def subset_filter(dataset: Dataset, subset_id: int) -> Dataset:
     keys = {c.key for c in channels}
     records = [r for r in dataset.records if r.channel.key in keys]
     materials = {r.material_id for r in records}
-    graphs = {m: g for m, g in dataset.graphs.items() if m in materials}
-    return Dataset(registry=registry, records=records, graphs=graphs)
+    perceptions = {m: p for m, p in dataset.perceptions.items() if m in materials}
+    return Dataset(registry=registry, records=records, perceptions=perceptions)
 
 
 @dataclass
@@ -604,14 +651,14 @@ def build_design(dataset: Dataset, subset_id: int,
     """The design every command fits: the subset's records, featurized with a
     schema fitted on the subset's molecules in material-id order."""
     subset = subset_filter(dataset, subset_id)
-    corpus = [subset.graphs[m] for m in sorted(subset.graphs)]
+    corpus = [subset.perceptions[m] for m in sorted(subset.perceptions)]
     schema = descriptors.fit_schema(corpus, include_density=include_density)
     return subset, schema, assemble(subset, schema)
 
 
 def assemble(dataset: Dataset, schema: descriptors.FeatureSchema) -> DesignMatrix:
-    """Featurize every record against a fitted schema, once per distinct
-    (material, density) pair; without a density slot that is once per
+    """Lay every record's perception out against a fitted schema, once per
+    distinct (material, density) pair; without a density slot that is once per
     material, since the density key is then None."""
     cache: dict[tuple[str, float | None], np.ndarray] = {}
     rows = []
@@ -626,8 +673,7 @@ def assemble(dataset: Dataset, schema: descriptors.FeatureSchema) -> DesignMatri
             )
         key = (record.material_id, density)
         if key not in cache:
-            cache[key] = descriptors.featurize(dataset.graphs[record.material_id], schema,
-                                               density)
+            cache[key] = dataset.perceptions[record.material_id].row(schema, density)
         rows.append(cache[key])
         channel_idx.append(dataset.registry.index_of(record.channel))
         targets.append(record.transformed_value)

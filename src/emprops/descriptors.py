@@ -10,6 +10,13 @@ an optional trailing density slot.
 Bond vocabularies include X-H pseudo-bonds counted from implicit
 hydrogens; otherwise hydrogen chemistry would be invisible to the
 sum-over-bonds block. The same applies to the bond-polarity sum.
+
+Featurizing is two steps. perceive(g) computes what no schema changes:
+the fixed block, the bond-key counts and the fragment count; the commands
+run it once per distinct SMILES (dataset.perceive_molecules). Then
+Perception.row(schema, density) lays those out against a fitted schema,
+once per (material, density). featurize(g, schema, density) is both steps
+in one call.
 """
 
 from __future__ import annotations
@@ -397,22 +404,24 @@ def _bond_keys(g: MolGraph) -> dict[BondKey, int]:
     return counts
 
 
-def fit_bond_vocabulary(corpus: list[MolGraph]) -> list[BondKey]:
-    """All distinct bond keys in the corpus, sorted lexicographically."""
+def fit_bond_vocabulary(corpus: list[MolGraph | Perception]) -> list[BondKey]:
+    """All distinct bond keys in the corpus, sorted lexicographically; a
+    perceived molecule gives the keys it holds, a graph is counted here."""
     keys: set[BondKey] = set()
-    for g in corpus:
-        keys.update(_bond_keys(g))
+    for molecule in corpus:
+        keys.update(molecule.bond_keys if isinstance(molecule, Perception)
+                    else _bond_keys(molecule))
     return sorted(keys)
 
 
-def sum_over_bonds(g: MolGraph, index: dict[BondKey, int]) -> list[float]:
-    """Counts aligned to the fitted vocabulary, given as the position of
-    each of its keys (FeatureSchema.bond_index).
+def sum_over_bonds(counts: dict[BondKey, int], index: dict[BondKey, int]) -> list[float]:
+    """A molecule's bond-key counts (_bond_keys) aligned to the fitted
+    vocabulary, given as the position of each of its keys
+    (FeatureSchema.bond_index).
 
     A bond type outside the vocabulary raises UnknownBondType: silent
     drops would hide train/serve schema skew.
     """
-    counts = _bond_keys(g)
     out = [0.0] * len(index)
     for key, count in counts.items():
         if key not in index:
@@ -490,9 +499,10 @@ class FeatureSchema:
     @classmethod
     def from_manifest(cls, manifest: dict) -> "FeatureSchema":
         """The schema a manifest describes, as manifest writes one: a
-        ValueError for another version, or for a bond vocabulary that is not
+        ValueError for another version, for a bond vocabulary that is not
         strictly increasing (element, element, order) triples with their
-        elements in order."""
+        elements in order, or for an include_density that is not a JSON
+        true or false."""
         version = manifest.get("schema_version")
         if type(version) is not int or version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema version {version!r}")
@@ -507,10 +517,13 @@ class FeatureSchema:
         keys = tuple(map(tuple, vocab))
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("bond vocabulary is not strictly increasing")
-        return cls(bond_vocabulary=keys, include_density=bool(manifest["include_density"]))
+        include_density = manifest["include_density"]
+        if type(include_density) is not bool:
+            raise ValueError(f"include_density {include_density!r} is not true or false")
+        return cls(bond_vocabulary=keys, include_density=include_density)
 
 
-def fit_schema(corpus: list[MolGraph], include_density: bool) -> FeatureSchema:
+def fit_schema(corpus: list[MolGraph | Perception], include_density: bool) -> FeatureSchema:
     """Fit the bond vocabulary on a corpus and freeze the layout."""
     return FeatureSchema(
         bond_vocabulary=tuple(fit_bond_vocabulary(corpus)),
@@ -518,36 +531,72 @@ def fit_schema(corpus: list[MolGraph], include_density: bool) -> FeatureSchema:
     )
 
 
-def _fixed_block(g: MolGraph) -> list[float | int]:
+def _fixed_block(g: MolGraph) -> tuple[float | int, ...]:
     """The fixed block in FIXED_BLOCK_NAMES order: each helper's values, in
     the order its dict lists them."""
     counts = molecular_formula(g)
-    return [oxygen_balance(counts), gas_product_ratio(counts),
+    return (oxygen_balance(counts), gas_product_ratio(counts),
             *atom_count_features(counts).values(),
             *functional_group_counts(g).values(),
             *ring_count_features(g).values(),
             *topology_features(g).values(),
             *estate_vector(g).values(),
             vdw_volume(g, counts),
-            *acid_base_counts(g).values()]
+            *acid_base_counts(g).values())
+
+
+@dataclass(frozen=True)
+class Perception:
+    """Everything featurizing reads of a molecule that no schema changes.
+
+    fixed is the fixed block in FIXED_BLOCK_NAMES order; the
+    ZeroDenominator computing it raised, for a molecule without the atoms a
+    ratio needs; or None for a multi-fragment molecule, which is never
+    featurized. bond_keys holds the molecule's bond-key counts (_bond_keys),
+    multi-fragment or not, since fit_schema reads them.
+    """
+
+    fixed: tuple[float | int, ...] | ZeroDenominator | None
+    bond_keys: dict[BondKey, int]
+    fragment_count: int
+
+    def row(self, schema: FeatureSchema, density: float | None = None) -> np.ndarray:
+        """The float64 model input vector of a single-fragment molecule, laid
+        out as schema.names. The checks run in a fixed order: MultiFragment,
+        MissingDensity, then ZeroDenominator from the fixed block,
+        UnknownBondType, and ZeroDenominator for a value that is not finite."""
+        if self.fragment_count > 1:
+            raise MultiFragment("composite/multi-fragment inputs cannot be featurized")
+        if schema.include_density and density is None:
+            raise MissingDensity("schema includes density but none was provided")
+        if not schema.include_density and density is not None:
+            raise MissingDensity("schema does not include density but one was provided")
+        if isinstance(self.fixed, ZeroDenominator):
+            raise self.fixed.with_traceback(None)
+
+        values = [*self.fixed, *sum_over_bonds(self.bond_keys, schema.bond_index)]
+        if schema.include_density:
+            values.append(float(density))
+        array = np.asarray(values, dtype=np.float64)
+        if not np.isfinite(array).all():
+            bad = [schema.names[i] for i in np.where(~np.isfinite(array))[0]]
+            raise ZeroDenominator(f"non-finite descriptor values: {bad}")
+        return array
+
+
+def perceive(g: MolGraph) -> Perception:
+    """The schema-free part of featurizing g: its fixed block (unless it has
+    more than one fragment), its bond-key counts and its fragment count."""
+    fixed = None
+    if g.fragment_count <= 1:
+        try:
+            fixed = _fixed_block(g)
+        except ZeroDenominator as exc:
+            fixed = exc
+    return Perception(fixed, _bond_keys(g), g.fragment_count)
 
 
 def featurize(g: MolGraph, schema: FeatureSchema, density: float | None = None) -> np.ndarray:
     """The float64 model input vector of a single-fragment molecule, laid
-    out as schema.names."""
-    if g.fragment_count > 1:
-        raise MultiFragment("composite/multi-fragment inputs cannot be featurized")
-    if schema.include_density and density is None:
-        raise MissingDensity("schema includes density but none was provided")
-    if not schema.include_density and density is not None:
-        raise MissingDensity("schema does not include density but one was provided")
-
-    values = _fixed_block(g)
-    values += sum_over_bonds(g, schema.bond_index)
-    if schema.include_density:
-        values.append(float(density))
-    array = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(array).all():
-        bad = [schema.names[i] for i in np.where(~np.isfinite(array))[0]]
-        raise ZeroDenominator(f"non-finite descriptor values: {bad}")
-    return array
+    out as schema.names (Perception.row)."""
+    return perceive(g).row(schema, density)

@@ -6,10 +6,10 @@ bracket atoms with an explicit hydrogen count and charge (e.g. [N+],
 %nn, and dot-separated fragments. Stereo markers (/ \\ @) are accepted
 and ignored. Aromaticity is taken from the notation itself; no electron
 counting is attempted. Fragments and branches hold at least one atom, a
-branch starts with an atom rather than another branch (C((C)) is
-malformed), a bond symbol needs an atom before it in its fragment, and a
-bracket atom is read up to its ']' in full, so a line break inside one is
-malformed.
+branch starts with an atom rather than another branch or a ring closure
+(C((C)) and C(1CC1) are malformed), a bond symbol needs an atom before it
+in its fragment, and a bracket atom is read up to its ']' in full, so a
+line break inside one is malformed.
 
 Perception normalizes neutral nitro spellings N(=O)=O to the
 charge-separated form [N+](=O)[O-], kekulizes aromatic systems by perfect
@@ -108,6 +108,7 @@ def _tokenize_and_build(text: str) -> _Built:
     pending: str | None = None
     branch_stack: list[tuple[int, int]] = []  # (branch parent, atom count at '(')
     ring_open: dict[int, tuple[int, str | None]] = {}
+    branch_digit: int | None = None  # a ring closure's position in a branch without atoms
 
     i = 0
     n = len(text)
@@ -154,6 +155,8 @@ def _tokenize_and_build(text: str) -> _Built:
                     raise SmilesSyntaxError(f"empty branch closed at position {i}")
                 i += 1
             elif ch in _DIGITS or ch == "%":
+                if branch_stack and branch_stack[-1][1] == len(atoms) and branch_digit is None:
+                    branch_digit = i  # raised at the branch's first atom
                 if ch == "%":
                     if i + 2 >= n or text[i + 1] not in _DIGITS or text[i + 2] not in _DIGITS:
                         raise SmilesSyntaxError(f"%% ring closure needs two digits at position {i}")
@@ -198,6 +201,8 @@ def _tokenize_and_build(text: str) -> _Built:
                 raise SmilesSyntaxError(f"unexpected character {ch!r} at position {i}")
             continue
 
+        if branch_digit is not None:
+            raise SmilesSyntaxError(f"branch starts with a ring closure at position {branch_digit}")
         idx = len(atoms)
         atoms.append(Atom(element, charge, aromatic, 0, idx))
         explicit_h.append(h_count)

@@ -127,10 +127,14 @@ def _check_tree(tree: np.ndarray, n_features: int) -> None:
         raise CorruptFile("malformed tree in forest file")
 
 
-def features_for(bundle: ModelBundle, graph: MolGraph, density: float | None) -> np.ndarray:
-    """The model's input row; a density is dropped unless its schema takes one."""
-    return descriptors.featurize(graph, bundle.schema,
-                                 density if bundle.schema.include_density else None)
+def features_for(bundle: ModelBundle, molecule: MolGraph | descriptors.Perception,
+                 density: float | None) -> np.ndarray:
+    """The model's input row of a molecule or its perception; a density is
+    dropped unless its schema takes one."""
+    density = density if bundle.schema.include_density else None
+    if isinstance(molecule, descriptors.Perception):
+        return molecule.row(bundle.schema, density)
+    return descriptors.featurize(molecule, bundle.schema, density)
 
 
 def predict_rows(bundle: ModelBundle, features: np.ndarray, channel_idx: np.ndarray,
@@ -156,7 +160,7 @@ def predict_rows(bundle: ModelBundle, features: np.ndarray, channel_idx: np.ndar
     return bundle.standardizer.invert_targets(mtnn.forward(bundle.net, x, selector), channel_idx)
 
 
-def predict_matrix(bundle: ModelBundle, smiles_or_graph: str | MolGraph,
+def predict_matrix(bundle: ModelBundle, molecule: str | MolGraph | descriptors.Perception,
                    density: float | None = None) -> dict[str, float]:
     """Predictions for every registry channel, in original channel units.
 
@@ -164,10 +168,12 @@ def predict_matrix(bundle: ModelBundle, smiles_or_graph: str | MolGraph,
     has the bits of its own one-row call); a forest, which models one
     channel, is predicted once and serves them all. Then the channel
     transform is inverted (10^x for log channels), so log-channel outputs
-    are strictly positive.
+    are strictly positive. The molecule is a SMILES, a parsed graph or a
+    perception.
     """
-    graph = smiles_or_graph if isinstance(smiles_or_graph, MolGraph) else parse_smiles(smiles_or_graph)
-    row = features_for(bundle, graph, density)[None, :]
+    if isinstance(molecule, str):
+        molecule = parse_smiles(molecule)
+    row = features_for(bundle, molecule, density)[None, :]
     n_channels = len(bundle.registry)
     if bundle.kind == "forest":
         values = np.repeat(predict_rows(bundle, row, None), n_channels)

@@ -11,9 +11,11 @@ process's own part kills the children first. With one CPU, one job, a
 second Python thread, or no os.fork or os.sched_getaffinity, nothing is
 forked.
 
-The engines (forest.fit_forests, mtnn.train_many) give every job the bits
-it gets alone, so the split changes no output. What a part does in a
-child, such as a traced counter it bumps, stays in that child.
+Three callers split their work here: the engines (forest.fit_forests,
+mtnn.train_many) and perception (dataset.perceive_molecules, one job per
+distinct SMILES). Each gives every job the bits it gets alone, so the
+split changes no output. What a part does in a child, such as a traced
+counter it bumps, stays in that child.
 """
 
 from __future__ import annotations

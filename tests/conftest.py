@@ -80,6 +80,9 @@ MALFORMED_SMILES = {
     ":c1ccccc1": "bond symbol before any atom at position 0",
     "C((C))": "branch open directly after '(' at position 2",
     "C((C)C)": "branch open directly after '(' at position 2",
+    "C(1CC1)": "branch starts with a ring closure at position 2",
+    "C(=1CC1)": "branch starts with a ring closure at position 3",
+    "CC(%12C)C%12": "branch starts with a ring closure at position 3",
 }
 
 

@@ -164,7 +164,8 @@ def _linear_multitask_dataset():
         for i, mid in enumerate(graphs)
         for c, ch in enumerate(channels)
     ]
-    return ds.Dataset(registry=registry, records=records, graphs=graphs), targets
+    perceptions = {mid: d.perceive(g) for mid, g in graphs.items()}
+    return ds.Dataset(registry=registry, records=records, perceptions=perceptions), targets
 
 
 def test_criterion_07_overfit_sanity():

@@ -160,7 +160,7 @@ class TestTuneTrainPredictScreen:
 
         # the tuned design is the one channel alone, as train and evaluate fit it
         subset = ds.subset_filter(ds.load_records(data, ds.default_registry()), 1)
-        schema = descriptors.fit_schema([subset.graphs[m] for m in sorted(subset.graphs)],
+        schema = descriptors.fit_schema([subset.perceptions[m] for m in sorted(subset.perceptions)],
                                         include_density=False)
         design = ds.assemble(subset, schema)
         position = subset.registry.index_of(subset.registry.lookup("det_velocity", "calc"))
@@ -313,17 +313,24 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("density", ["--no-density", "--density"])
     def test_families_share_one_design(self, tmp_path, capsys, monkeypatch, density):
+        """One perception per molecule (on one CPU, so that none is perceived
+        in a child), one schema, one row per material."""
         calls = []
-        featurize, fit_schema = descriptors.featurize, descriptors.fit_schema
-        monkeypatch.setattr(descriptors, "featurize",
-                            lambda *a, **k: calls.append("featurize") or featurize(*a, **k))
+        perceive, fit_schema = descriptors.perceive, descriptors.fit_schema
+        row = descriptors.Perception.row
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(descriptors, "perceive",
+                            lambda *a, **k: calls.append("perceive") or perceive(*a, **k))
         monkeypatch.setattr(descriptors, "fit_schema",
                             lambda *a, **k: calls.append("fit_schema") or fit_schema(*a, **k))
+        monkeypatch.setattr(descriptors.Perception, "row",
+                            lambda *a, **k: calls.append("row") or row(*a, **k))
         assert cli.main(["evaluate", "--data", str(write_dataset(tmp_path)), "--subset", "2",
                          density, "--models", "st-rf,st-nn,mt-nn", "--seeds", "1",
                          "--folds", "3", "--inner-folds", "3", "--grid", str(write_grid(tmp_path)),
                          "--out", str(tmp_path / "ev")]) == 0
-        assert (calls.count("featurize"), calls.count("fit_schema")) == (len(MOLS), 1)
+        assert [calls.count(name) for name in ("perceive", "fit_schema", "row")] \
+            == [len(MOLS), 1, len(MOLS)]
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         data = write_dataset(tmp_path)

@@ -35,7 +35,7 @@ class TestLoad:
         data = ds.load_records(path, ds.default_registry())
         assert len(data.records) == 1
         assert [record.material_id for record in data.records] == ["M1"]
-        assert list(data.graphs) == ["M1"]
+        assert list(data.perceptions) == ["M1"]
         assert data.records[0].density == 1.5
 
     def test_unknown_channel(self, tmp_path):

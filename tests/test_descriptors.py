@@ -1,4 +1,5 @@
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -90,12 +91,12 @@ class TestBondVocabulary:
         assert d.fit_bond_vocabulary(corpus) == d.fit_bond_vocabulary(corpus)
 
     def test_sum_over_bonds_counts(self):
-        assert d.sum_over_bonds(parse_smiles("O=C=O"), {("C", "O", "double"): 0}) == [2.0]
-        assert d.sum_over_bonds(parse_smiles("C"), {("C", "H", "single"): 0}) == [4.0]
+        assert d.sum_over_bonds(d.perceive(parse_smiles("O=C=O")).bond_keys, {("C", "O", "double"): 0}) == [2.0]
+        assert d.sum_over_bonds(d.perceive(parse_smiles("C")).bond_keys, {("C", "H", "single"): 0}) == [4.0]
 
     def test_unknown_bond_type(self):
         with pytest.raises(UnknownBondType):
-            d.sum_over_bonds(parse_smiles("c1ccccc1"), {("C", "H", "single"): 0})
+            d.sum_over_bonds(d.perceive(parse_smiles("c1ccccc1")).bond_keys, {("C", "H", "single"): 0})
 
 
 class TestFunctionalGroups:
@@ -246,8 +247,39 @@ class TestSchema:
         schema = d.fit_schema([parse_smiles(s) for s in CORPUS.values()], True)
         assert d.FeatureSchema.from_manifest(schema.manifest()) == schema
 
+    def test_perceptions_fit_the_schema_of_their_graphs(self):
+        graphs = [parse_smiles(s) for s in [*CORPUS.values(), "CC.O", "FF"]]
+        assert d.fit_schema([d.perceive(g) for g in graphs], False) == d.fit_schema(graphs, False)
+
 
 class TestFeaturize:
+    def test_perceive_keeps_what_no_schema_changes(self):
+        whole = d.perceive(parse_smiles("CC"))
+        assert whole.fixed == d._fixed_block(parse_smiles("CC"))
+        assert whole.bond_keys == {("C", "C", "single"): 1, ("C", "H", "single"): 6}
+        apart = d.perceive(parse_smiles("CC.O"))
+        assert (apart.fixed, apart.fragment_count) == (None, 2)
+        assert apart.bond_keys == {("C", "C", "single"): 1, ("C", "H", "single"): 6,
+                                   ("H", "O", "single"): 2}
+
+    def test_row_checks_in_order(self):
+        """MultiFragment, MissingDensity, the fixed block's ZeroDenominator
+        (F2 has no C, H, N or O), then UnknownBondType."""
+        schema = d.fit_schema([parse_smiles("C")], include_density=False)
+        with pytest.raises(MultiFragment):
+            d.perceive(parse_smiles("CC.O")).row(schema, density=1.0)
+        with pytest.raises(MissingDensity):
+            d.perceive(parse_smiles("FF")).row(schema, density=1.0)
+        fluorine = d.perceive(parse_smiles("FF"))
+        depths = []
+        for _ in range(2):
+            with pytest.raises(ZeroDenominator, match="^gas product ratio") as raised:
+                fluorine.row(schema)
+            depths.append(len(list(traceback.walk_tb(raised.tb))))
+        assert depths[0] == depths[1]  # the stored error's traceback does not grow
+        with pytest.raises(UnknownBondType):
+            d.perceive(parse_smiles("CO")).row(schema)
+
     def test_density_is_last_component(self):
         g = parse_smiles(TNT)
         schema = d.fit_schema([g], include_density=True)

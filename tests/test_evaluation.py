@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from emprops import dataset as ds
-from emprops import evaluation, mtnn
+from emprops import descriptors, evaluation, mtnn
 from emprops.errors import ConstantTargets, InvalidConfig, LengthMismatch
 from emprops.molgraph import parse_smiles
 from emprops.rng import derive_seed
@@ -136,7 +136,8 @@ def tiny_dataset(n_materials=12):
     for i, mid in enumerate(graphs):
         for c, ch in enumerate(channels):
             records.append(ds.Record(material_id=mid, channel=ch, value=float(i + 10 * c)))
-    return ds.Dataset(registry=registry, records=records, graphs=graphs)
+    perceptions = {mid: descriptors.perceive(g) for mid, g in graphs.items()}
+    return ds.Dataset(registry=registry, records=records, perceptions=perceptions)
 
 
 def design_of(data):

@@ -10,13 +10,15 @@ perception passes were cut, so any change of a feature bit, a ring tuple,
 the order of the rings, an error type or an error message shows here.
 The errors digest was recorded again when empty fragments became syntax
 errors: "C..C", which parsed before, is the one outcome that moved.
+The feature bytes are those of descriptors.perceive(g).row(schema), the
+two steps featurize runs; they were recorded when featurize was one step.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from emprops.descriptors import featurize, fit_schema
+from emprops.descriptors import fit_schema, perceive
 from emprops.errors import ToolkitError
 from emprops.molgraph import parse_smiles
 
@@ -95,8 +97,9 @@ def _outcome(call, *args) -> bytes:
 
 def _digests() -> dict[str, str]:
     graphs = [parse_smiles(smiles) for smiles in GOLDEN_SMILES]
-    schema = fit_schema(graphs, include_density=False)
-    features = hashlib.sha256(b"".join(_outcome(featurize, g, schema) for g in graphs))
+    perceptions = [perceive(g) for g in graphs]
+    schema = fit_schema(perceptions, include_density=False)
+    features = hashlib.sha256(b"".join(_outcome(p.row, schema) for p in perceptions))
     rings = hashlib.sha256(repr([[(r.atoms, r.aromatic, r.hetero) for r in g.rings]
                                  for g in graphs]).encode())
     errors = hashlib.sha256(b"".join(_outcome(parse_smiles, s) for s in BAD_SMILES))

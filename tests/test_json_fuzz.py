@@ -191,30 +191,34 @@ REJECTED_ENTRIES = {"mean": NOT_NUMBERS, "std": [*NOT_NUMBERS, 0, -0.0, -1, -1e-
                     "constant": [*NOT_NUMBERS, -1, 2, 0.5]}
 STANDARDIZER_KEYS = [f"{part}_{kind}" for part in ("feature", "target")
                      for kind in REJECTED_ENTRIES]
+# schema values no manifest holds: another version, a density flag that is
+# not a JSON true or false
+REJECTED_SCHEMA_VALUES = {"schema_version": [0, 2, -1, 1.0, True, "1", None, math.nan],
+                          "include_density": ["false", "true", 0, 1, None]}
 
 
 @st.composite
 def rejected_header_value(draw):
     """(magic, section, key, position, change): one standardizer entry set
-    to a rejected value, the schema version set to another, or the bond
-    vocabulary with one key repeated, two keys swapped or one key's
-    elements reversed."""
+    to a rejected value, the schema version or the density flag set to a
+    rejected value, or the bond vocabulary with one key repeated, two keys
+    swapped or one key's elements reversed."""
     magic = draw(st.sampled_from([modelio.MAGIC_MTNN, modelio.MAGIC_FOREST]))
     position = draw(st.integers(0, 1000))
     if magic == modelio.MAGIC_MTNN and draw(st.booleans()):
         key = draw(st.sampled_from(STANDARDIZER_KEYS))
         change = draw(st.sampled_from(REJECTED_ENTRIES[key.split("_")[1]]))
         return magic, "standardizer", key, position, change
-    if draw(st.booleans()):
-        return magic, "schema", "schema_version", None, draw(
-            st.sampled_from([0, 2, -1, 1.0, True, "1", None, math.nan]))
+    key = draw(st.sampled_from([*REJECTED_SCHEMA_VALUES, "bond_vocabulary"]))
+    if key in REJECTED_SCHEMA_VALUES:
+        return magic, "schema", key, None, draw(st.sampled_from(REJECTED_SCHEMA_VALUES[key]))
     return magic, "schema", "bond_vocabulary", position, draw(
         st.sampled_from(["repeat", "swap", "reverse"]))
 
 
 def apply_change(header, section, key, position, change):
     values = header[section][key]
-    if key == "schema_version":
+    if key in REJECTED_SCHEMA_VALUES:
         header[section][key] = change
     elif key != "bond_vocabulary":
         values[position % len(values)] = change

@@ -287,11 +287,12 @@ def oracle_match_atom_sets(g, pattern) -> set[frozenset[int]]:
 def oracle_tokenize(text: str):
     """The builder-based tokenizer: (atoms, bonds, explicit H counts,
     default-aromatic bond indices), with ASCII digits, non-empty fragments
-    and branches, no branch opened directly after '(', and no bond symbol
-    before a fragment's first atom."""
+    and branches, no branch opened directly after '(' nor started with a
+    ring closure, and no bond symbol before a fragment's first atom."""
     atoms, bonds, explicit_h, default_aromatic, pairs = [], [], [], [], set()
     prev = pending = None
     branch_stack, ring_open = [], {}
+    branch_digit = None
 
     def add_bond(i, j, symbol, pos):
         if i == j:
@@ -313,6 +314,8 @@ def oracle_tokenize(text: str):
 
     def attach(element, aromatic, charge, h_count, pos):
         nonlocal prev, pending
+        if branch_digit is not None:
+            raise SmilesSyntaxError(f"branch starts with a ring closure at position {branch_digit}")
         atoms.append(Atom(element=element, formal_charge=charge, aromatic=aromatic,
                           index=len(atoms)))
         explicit_h.append(h_count)
@@ -347,6 +350,8 @@ def oracle_tokenize(text: str):
             pending = ch
             i += 1
         elif ch in "0123456789" or ch == "%":
+            if branch_stack and branch_stack[-1][1] == len(atoms) and branch_digit is None:
+                branch_digit = i
             if ch == "%":
                 if i + 2 >= n or not all(c in "0123456789" for c in text[i + 1:i + 3]):
                     raise SmilesSyntaxError(f"%% ring closure needs two digits at position {i}")

@@ -1,4 +1,5 @@
-"""Jobs split across forked processes: workers.run and the engines on it.
+"""Jobs split across forked processes: workers.run, the engines and
+perception on it.
 
 The CPU count is set by patching os.sched_getaffinity, so a split into
 two or three parts runs on any machine with os.fork. Each engine must
@@ -6,18 +7,37 @@ give the same bytes whatever the split, including the one-part run that
 forks nothing.
 """
 
+import contextlib
+import io
+import math
 import os
 import signal
+import tempfile
 import threading
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from emprops import cli, descriptors, pipeline, workers
+from emprops import dataset as ds
 from emprops import forest as rf
-from emprops import mtnn, workers
-from emprops.errors import InvalidConfig, NonFiniteLoss
+from emprops import mtnn
+from emprops.errors import (
+    DuplicateRecord,
+    InvalidConfig,
+    NonFiniteLoss,
+    NonPositiveForLog,
+    ParseFailure,
+    ToolkitError,
+    UnknownChannel,
+)
+from emprops.molgraph import parse_smiles
+from conftest import CORPUS
 from test_forest import mixed_jobs, tree_bytes
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -265,3 +285,253 @@ def test_train_many_checks_every_job_before_any_trains(cpus):
         mtnn.train_many(jobs)
     assert not forks
     assert all((job.net.params == params).all() for job, params in zip(jobs, before))
+
+
+# ---------------------------------------------------------------------------
+# Perception in parts: the same outcomes as one part, and the first error
+# of the row-by-row reader it replaced
+# ---------------------------------------------------------------------------
+
+# every CORPUS molecule, a repeat, a multi-fragment one, one whose fixed
+# block divides by zero, and three that do not parse
+PERCEIVED_SMILES = [*CORPUS.values(), "CC", "CC.O", "FF", "C1CC", "Br", "C(1CC1)"]
+
+
+def outcome_bits(outcome):
+    """A perception's exact contents, or an error's code and message."""
+    if isinstance(outcome, ToolkitError):
+        return outcome.code, str(outcome)
+    fixed = outcome.fixed
+    fixed = outcome_bits(fixed) if isinstance(fixed, ToolkitError) else repr(fixed)
+    return fixed, tuple(outcome.bond_keys.items()), outcome.fragment_count
+
+
+def test_perceive_molecules_is_the_same_split_or_not(cpus):
+    molecules = [ds.Molecule(f"M{i}", smiles, None, i + 1)
+                 for i, smiles in enumerate(PERCEIVED_SMILES)]
+    forks = cpus(1)
+    serial = [outcome_bits(outcome) for outcome in ds.perceive_molecules(molecules)]
+    assert not forks
+    expected = []
+    for molecule in molecules:
+        try:
+            expected.append(outcome_bits(descriptors.perceive(parse_smiles(molecule.smiles))))
+        except ToolkitError as exc:
+            expected.append(("ParseFailure", f"row {molecule.row}: SMILES "
+                                             f"{molecule.smiles!r}: {exc}"))
+    assert serial == expected
+    assert serial[1] == serial[len(CORPUS)]  # ethane and its repeat
+    for parts in PARTS:
+        forks = cpus(parts)
+        assert [outcome_bits(o) for o in ds.perceive_molecules(molecules)] == serial
+        assert len(forks) == parts - 1
+
+
+def write_records(path, smiles_list):
+    lines = ["material_id,smiles,property,fidelity,value,density"]
+    for i, smiles in enumerate(smiles_list):
+        lines.append(f"M{i:02d},{smiles},det_velocity,calc,{7 + i / 10},{1 + i / 100}")
+        lines.append(f"M{i:02d},{smiles},impact_h50,exp,{20 + i},{1 + i / 100}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def design_bits(data, include_density):
+    _, schema, design = ds.build_design(data, 6, include_density)
+    return (schema, design.features.tobytes(), design.channel_idx.tobytes(),
+            design.targets.tobytes(), design.material_ids,
+            {m: outcome_bits(p) for m, p in data.perceptions.items()})
+
+
+@pytest.mark.parametrize("include_density", [False, True])
+def test_load_records_and_the_design_are_the_same_split_or_not(cpus, tmp_path,
+                                                               include_density):
+    path = write_records(tmp_path / "data.csv", [*CORPUS.values(), "CC", "CCO"])
+    cpus(1)
+    serial = design_bits(ds.load_records(path, ds.default_registry()), include_density)
+    for parts in PARTS:
+        forks = cpus(parts)
+        assert design_bits(ds.load_records(path, ds.default_registry()),
+                           include_density) == serial
+        assert len(forks) == parts - 1
+
+
+@pytest.mark.parametrize("bad", ["C1CC", "CC.O", "FF"])
+def test_load_records_errors_are_the_same_split_or_not(cpus, tmp_path, bad):
+    """A SMILES that does not parse fails load_records with its row; one
+    that parses but cannot be featurized fails build_design."""
+    smiles_list = [*CORPUS.values()]
+    smiles_list.insert(7, bad)
+    path = write_records(tmp_path / "data.csv", smiles_list)
+    outcomes = []
+    for parts in [1, *PARTS]:
+        cpus(parts)
+        try:
+            design_bits(ds.load_records(path, ds.default_registry()), False)
+        except ToolkitError as exc:
+            outcomes.append(outcome_bits(exc))
+    assert len(outcomes) == 1 + len(PARTS) and len(set(outcomes)) == 1
+    assert outcomes[0][0] == {"C1CC": "ParseFailure", "CC.O": "MultiFragment",
+                              "FF": "ZeroDenominator"}[bad]
+    if bad == "C1CC":
+        assert outcomes[0][1].startswith("row 15: SMILES 'C1CC': ")
+
+
+def oracle_parse(molecule):
+    """A molecule's graph, or the ParseFailure for its row."""
+    try:
+        return parse_smiles(molecule.smiles)
+    except ToolkitError as exc:
+        raise ParseFailure(molecule.row, f"SMILES {molecule.smiles!r}: {exc}") from exc
+
+
+def oracle_load_records(path, registry):
+    """The row-by-row reader that load_records replaced: each material's
+    SMILES is parsed at its first row, between the row's value checks and
+    its log check. Returns the records and the graphs."""
+    graphs, grouped = {}, {}
+    for row, molecule in ds._csv_molecules(path, ds.CSV_COLUMNS):
+        try:
+            channel = registry.lookup((row["property"] or "").strip(),
+                                      (row["fidelity"] or "").strip())
+        except UnknownChannel as exc:
+            raise UnknownChannel(f"row {molecule.row}: {exc}") from exc
+        try:
+            value = float(row["value"])
+        except (TypeError, ValueError):
+            raise ParseFailure(molecule.row, f"bad value {row['value']!r}")
+        if not math.isfinite(value):
+            raise ParseFailure(molecule.row, f"non-finite value {value!r}")
+        if molecule.material_id not in graphs:
+            graphs[molecule.material_id] = oracle_parse(molecule)
+        if channel.transform == "log10" and value <= 0:
+            raise NonPositiveForLog(f"row {molecule.row}: {channel.key} value {value} "
+                                    "is not positive")
+        grouped.setdefault((molecule.material_id, channel.key), []).append(
+            ds.Record(molecule.material_id, channel, value, molecule.density))
+    for (material, key), bucket in grouped.items():
+        if len(bucket) > 1:
+            raise DuplicateRecord(f"{len(bucket)} records for material {material!r} "
+                                  f"channel {key}")
+    return [bucket[0] for bucket in grouped.values()], graphs
+
+
+def oracle_naming(molecule, call):
+    try:
+        return call()
+    except ToolkitError as exc:
+        raise type(exc)(f"material {molecule.material_id!r} (row {molecule.row}): "
+                        f"{exc}") from exc
+
+
+def oracle_featurize(path):
+    """featurize before perception was split: parse every molecule in
+    order, fit the schema on their bond keys, then featurize in order."""
+    molecules = ds.read_molecules(path)
+    graphs = [oracle_parse(molecule) for molecule in molecules]
+    keys = set().union(*(descriptors._bond_keys(g) for g in graphs))
+    schema = descriptors.FeatureSchema(tuple(sorted(keys)), False)
+    for molecule, graph in zip(molecules, graphs):
+        oracle_naming(molecule, lambda: descriptors.featurize(graph, schema))
+
+
+def oracle_screen(path, model):
+    """screen before perception was split: parse and predict one molecule
+    at a time, in order."""
+    bundle = pipeline.load_model(model)
+    for molecule in ds.read_molecules(path):
+        graph = oracle_parse(molecule)
+        oracle_naming(molecule, lambda: pipeline.predict_matrix(bundle, graph,
+                                                                molecule.density))
+
+
+def first_error(call):
+    try:
+        call()
+    except ToolkitError as exc:
+        return f"error {exc.code}: {exc}\n"
+    return ""
+
+
+def cli_error(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code == 0) == (err.getvalue() == "")
+    return err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def screen_model(tmp_path_factory):
+    """A one-leaf forest over a schema fitted on three molecules, so that a
+    nitrile or a ring has bonds outside its vocabulary."""
+    corpus = [descriptors.perceive(parse_smiles(s)) for s in ("CC", "CCO", "C[N+](=O)[O-]")]
+    schema = descriptors.fit_schema(corpus, include_density=False)
+    forest = rf.RandomForest(config=rf.ForestConfig(n_trees=1),
+                             trees=[np.array([[-1, 0.0, 1.0, -1, -1]])], n_features=len(schema))
+    registry = ds.PropertyRegistry(channels=(ds.PropertyChannel("det_velocity", "calc"),))
+    path = tmp_path_factory.mktemp("model") / "model.emrf"
+    pipeline.save_model(path, pipeline.ModelBundle(kind="forest", registry=registry,
+                                                   schema=schema, forest=forest))
+    return path
+
+
+SMILES_POOL = ["CC", "CCO", "C[N+](=O)[O-]", "CC#N", "c1ccccc1", "CC.O", "C1CC", "Br",
+               "C(1CC1)", "FF"]
+CHANNEL_POOL = ["det_velocity,calc"] * 2 + ["impact_h50,exp"] * 2 + ["det_pressure,calc",
+                                                                   "bogus,exp"]
+VALUE_POOL = ["7.5"] * 4 + ["2", "x", "-1", "inf"]
+DENSITY_POOL = [""] * 3 + ["1.2", "0"]
+
+
+@st.composite
+def records_csv(draw):
+    """A records CSV over a few materials: SMILES shared between materials,
+    SMILES that do not parse, multi-fragment ones, a material given another
+    SMILES in a later row, bad values, unknown channels, bad densities,
+    non-positive log values and repeated (material, channel) pairs."""
+    assigned = draw(st.lists(st.sampled_from(SMILES_POOL), min_size=1, max_size=5))
+    lines = ["material_id,smiles,property,fidelity,value,density"]
+    for _ in range(draw(st.integers(1, 9))):
+        material = draw(st.integers(0, len(assigned) - 1))
+        smiles = assigned[material]
+        if draw(st.integers(0, 7)) == 0:
+            smiles = draw(st.sampled_from(SMILES_POOL))
+        lines.append(",".join([f"M{material}", smiles, draw(st.sampled_from(CHANNEL_POOL)),
+                               draw(st.sampled_from(VALUE_POOL)),
+                               draw(st.sampled_from(DENSITY_POOL))]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+@settings(max_examples=150, deadline=None)
+@given(text=records_csv())
+@example(text="material_id,smiles,property,fidelity,value,density\n"
+              "M0,CC,impact_h50,exp,-1,\nM1,C1CC,det_velocity,calc,7.5,\n")
+@example(text="material_id,smiles,property,fidelity,value,density\n"
+              "M0,CC.O,det_velocity,calc,7.5,\nM1,CC#N,det_velocity,calc,7.5,\n"
+              "M2,Br,det_velocity,calc,x,\n")
+def test_the_first_error_is_the_row_by_row_readers(screen_model, parts, text):
+    """load_records, featurize and screen raise the error (code, row and
+    message) that reading, parsing and featurizing row by row raised
+    first, or none when it raised none."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+        path = Path(tmp) / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        registry = ds.default_registry()
+
+        expected = first_error(lambda: oracle_load_records(path, registry))
+        assert first_error(lambda: ds.load_records(path, registry)) == expected
+        if not expected:
+            records, graphs = oracle_load_records(path, registry)
+            data = ds.load_records(path, registry)
+            assert data.records == records
+            assert {m: outcome_bits(p) for m, p in data.perceptions.items()} == \
+                {m: outcome_bits(descriptors.perceive(g)) for m, g in graphs.items()}
+
+        assert cli_error(["featurize", "--data", str(path), "--out", tmp]) == \
+            first_error(lambda: oracle_featurize(path))
+        assert cli_error(["screen", "--model", str(screen_model), "--data", str(path),
+                          "--by", "det_velocity:calc", "--out", tmp]) == \
+            first_error(lambda: oracle_screen(path, screen_model))
