@@ -30,7 +30,7 @@ _OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_
                          "openblas_set_num_threads")
 
 
-def _one_blas_thread() -> None:
+def _one_blas_thread(maps_path: str = "/proc/self/maps") -> None:
     """Run BLAS on one thread here and in the processes started from here.
 
     The engines already split their jobs across the CPUs by forking
@@ -41,7 +41,8 @@ def _one_blas_thread() -> None:
     count. Before numpy loads, the thread variables do it, overriding a
     setting of the user's; once numpy has loaded, an OpenBLAS it mapped is
     set to one thread through ctypes. Another BLAS loaded before emprops
-    keeps its threads.
+    keeps its threads, and so does a mapped OpenBLAS that cannot be loaded
+    again by its path, such as one deleted since it was mapped.
     """
     for name in _BLAS_THREAD_VARIABLES:
         os.environ[name] = "1"
@@ -50,13 +51,16 @@ def _one_blas_thread() -> None:
     import ctypes
 
     try:  # a mapping's path is the last field of its line
-        with open("/proc/self/maps", encoding="utf-8") as maps:
+        with open(maps_path, encoding="utf-8") as maps:
             paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps
                             if "openblas" in line and ".so" in line})
     except OSError:
         return
     for path in paths:
-        library = ctypes.CDLL(path)
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
         for symbol in _OPENBLAS_SET_THREADS:
             if hasattr(library, symbol):
                 set_threads = getattr(library, symbol)

@@ -131,9 +131,11 @@ def cmd_correlate(args) -> int:
 
 def _load_design(args):
     """(subset id, subset, schema, design) of --data, --registry, --dedupe,
-    --subset and --density: the one design a command fits."""
-    data = ds.load_records(args.data, _load_registry(args.registry), dedupe=args.dedupe)
+    --subset and --density: the one design a command fits. Only the
+    subset's molecules are perceived."""
+    registry = _load_registry(args.registry)
     subset_id = _parse_subset(args.subset)
+    data = ds.load_records(args.data, registry, dedupe=args.dedupe, subset_id=subset_id)
     return (subset_id, *ds.build_design(data, subset_id, args.density))
 
 

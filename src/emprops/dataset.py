@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -196,7 +196,7 @@ class Record:
 class Dataset:
     registry: PropertyRegistry
     records: list[Record]
-    perceptions: dict[str, descriptors.Perception]  # of every material's molecule
+    perceptions: dict[str, descriptors.Perception]  # of the subset it was loaded for
 
 
 CSV_COLUMNS = ("material_id", "smiles", "property", "fidelity", "value", "density")
@@ -296,54 +296,77 @@ def read_molecules(path: str | Path) -> list[Molecule]:
     return list(molecules.values())
 
 
-def _perceive_smiles(texts: Sequence[str]) -> list[descriptors.Perception | ToolkitError]:
-    """One part of perceive_molecules: the perception of each SMILES, or
-    the error parse_smiles raised for it, as a value. The bare error goes
-    back, since a ParseFailure does not survive pickling."""
-    out: list[descriptors.Perception | ToolkitError] = []
-    for text in texts:
+# The fewest distinct SMILES perceive_molecules gives a forked part. A fork
+# round trip took about 2.7 ms on a two-CPU host, where a molecule of the
+# benchmark library takes about 130 us to parse and 320 us to parse and
+# perceive; split at 64 SMILES or more, both were faster than one part, and
+# at 16-48 perceiving was about even and parsing alone slower.
+PERCEPTION_PART = 32
+
+
+def _perceive_smiles(jobs: Sequence[tuple[str, bool]]
+                     ) -> list[descriptors.Perception | ToolkitError | None]:
+    """One part of perceive_molecules: for each (SMILES, perceive) job, the
+    perception of the SMILES, or None when it is only parsed; or the error
+    parse_smiles raised for it, as a value. The bare error goes back, since
+    a ParseFailure does not survive pickling."""
+    out: list[descriptors.Perception | ToolkitError | None] = []
+    for text, perceive in jobs:
         try:
             graph = parse_smiles(text)
         except ToolkitError as exc:
             out.append(exc)
             continue
-        out.append(descriptors.perceive(graph))
+        out.append(descriptors.perceive(graph) if perceive else None)
     return out
 
 
-def perceive_molecules(molecules: Sequence[Molecule]) -> list[descriptors.Perception | ParseFailure]:
-    """The perception of each molecule, or the ParseFailure of its SMILES
-    for its row, returned as a value so that the caller raises it in its own
-    order. Each distinct SMILES is parsed and perceived once, and the
-    distinct SMILES are split across the CPUs with workers.run, which gives
-    every one the bits it gets alone."""
-    distinct = list(dict.fromkeys(molecule.smiles for molecule in molecules))
-    outcomes = dict(zip(distinct, workers.run(_perceive_smiles, distinct)))
-    perceived: list[descriptors.Perception | ParseFailure] = []
+def perceive_molecules(molecules: Sequence[Molecule], wanted: Collection[str] | None = None
+                       ) -> list[descriptors.Perception | ParseFailure | None]:
+    """The perception of each molecule whose material is in wanted (of every
+    molecule when wanted is None), None for the others, or the ParseFailure
+    of its SMILES for its row, returned as a value so that the caller
+    raises it in its own order. Each distinct SMILES is parsed once, and
+    perceived once if any of its materials is wanted. The distinct SMILES
+    are split across the CPUs with workers.run, PERCEPTION_PART or more to
+    a part, which gives every one the bits it gets alone."""
+    jobs: dict[str, bool] = {}
+    for molecule in molecules:
+        want = wanted is None or molecule.material_id in wanted
+        jobs[molecule.smiles] = jobs.get(molecule.smiles, False) or want
+    outcomes = dict(zip(jobs, workers.run(_perceive_smiles, list(jobs.items()),
+                                          min_part=PERCEPTION_PART)))
+    perceived: list[descriptors.Perception | ParseFailure | None] = []
     for molecule in molecules:
         outcome = outcomes[molecule.smiles]
         if isinstance(outcome, ToolkitError):
             failure = ParseFailure(molecule.row, f"SMILES {molecule.smiles!r}: {outcome}")
             failure.__cause__ = outcome
             outcome = failure
+        elif wanted is not None and molecule.material_id not in wanted:
+            outcome = None
         perceived.append(outcome)
     return perceived
 
 
-def load_records(path: str | Path, registry: PropertyRegistry, dedupe: str = "error") -> Dataset:
+def load_records(path: str | Path, registry: PropertyRegistry, dedupe: str = "error",
+                 subset_id: int | None = None) -> Dataset:
     """Load the documented CSV schema into a Dataset.
 
     Every SMILES is parsed at load time, so a malformed row fails here,
     with its 1-based data row attached. The rows are read and checked up to
-    the first one that fails a check needing no molecule; the SMILES of the
-    materials read are then perceived (perceive_molecules: once per
-    distinct SMILES, across the CPUs); then the rows are replayed in order,
-    so the error raised is the one a row-by-row reader meets first.
-    Duplicate (material, channel) pairs are an error by default;
-    dedupe="mean" averages them instead.
+    the first one that fails a check needing no molecule; then each
+    distinct SMILES of the materials read is parsed once, across the CPUs
+    (perceive_molecules), and perceived in the same pass, for build_design,
+    if a material with a record in subset_id's channels (subset_filter) has
+    it; with no subset_id none is, since correlate reads only the records.
+    Then the rows are replayed in order, so the error raised is the one a
+    row-by-row reader meets first. Duplicate (material, channel) pairs are
+    an error by default; dedupe="mean" averages them instead.
     """
     if dedupe not in ("error", "mean"):
         raise InvalidConfig(f"dedupe must be 'error' or 'mean', got {dedupe!r}")
+    keys = () if subset_id is None else {c.key for c in subset_registry(registry, subset_id)}
 
     rows: list[tuple[Molecule, PropertyChannel, float]] = []
     stop: ToolkitError | None = None  # raised once the rows before it are replayed
@@ -367,13 +390,14 @@ def load_records(path: str | Path, registry: PropertyRegistry, dedupe: str = "er
         stop = exc
 
     # every row of a material has its SMILES, so its first row raises its failure
-    perceived = perceive_molecules([molecule for molecule, _, _ in rows])
+    wanted = {molecule.material_id for molecule, channel, _ in rows if channel.key in keys}
+    perceived = perceive_molecules([molecule for molecule, _, _ in rows], wanted)
     perceptions: dict[str, descriptors.Perception] = {}
     grouped: dict[tuple[str, str], list[Record]] = {}
     for (molecule, channel, value), perception in zip(rows, perceived):
-        if molecule.material_id not in perceptions:
-            if isinstance(perception, ParseFailure):
-                raise perception
+        if isinstance(perception, ParseFailure):
+            raise perception
+        if perception is not None:
             perceptions[molecule.material_id] = perception
         if channel.transform == "log10" and value <= 0:
             raise NonPositiveForLog(f"row {molecule.row}: {channel.key} value {value} is not positive")
@@ -609,22 +633,27 @@ SUBSET_CHANNELS: dict[int, tuple[tuple[str, str], ...]] = {
 }
 
 
-def subset_filter(dataset: Dataset, subset_id: int) -> Dataset:
-    """Restrict registry and records to one of the six output subsets.
-
-    Subset 6 is the identity. The registry keeps its original channel
-    order, so selector indices stay stable within the filtered view.
-    """
+def subset_registry(registry: PropertyRegistry, subset_id: int) -> PropertyRegistry:
+    """The channels of the registry in one of the six output subsets, in
+    registry order, so selector indices stay stable within the subset.
+    Subset 6 is every channel."""
     if subset_id == 6:
-        return dataset
+        return registry
     if subset_id not in SUBSET_CHANNELS:
         raise UnknownSubset(f"subset must be 1..6, got {subset_id!r}")
     wanted = set(SUBSET_CHANNELS[subset_id])
-    channels = tuple(
-        c for c in dataset.registry if (c.property, c.fidelity) in wanted
-    )
-    registry = PropertyRegistry(channels=channels)
-    keys = {c.key for c in channels}
+    return PropertyRegistry(channels=tuple(
+        c for c in registry if (c.property, c.fidelity) in wanted
+    ))
+
+
+def subset_filter(dataset: Dataset, subset_id: int) -> Dataset:
+    """Restrict registry, records and perceptions to one of the six output
+    subsets (subset_registry); subset 6 is the identity."""
+    if subset_id == 6:
+        return dataset
+    registry = subset_registry(dataset.registry, subset_id)
+    keys = {c.key for c in registry}
     records = [r for r in dataset.records if r.channel.key in keys]
     materials = {r.material_id for r in records}
     perceptions = {m: p for m, p in dataset.perceptions.items() if m in materials}
@@ -649,9 +678,14 @@ class DesignMatrix:
 def build_design(dataset: Dataset, subset_id: int,
                  include_density: bool) -> tuple[Dataset, descriptors.FeatureSchema, DesignMatrix]:
     """The design every command fits: the subset's records, featurized with a
-    schema fitted on the subset's molecules in material-id order."""
+    schema fitted on the subset's molecules in material-id order. The
+    dataset holds their perceptions when load_records was given subset_id
+    or 6."""
     subset = subset_filter(dataset, subset_id)
-    corpus = [subset.perceptions[m] for m in sorted(subset.perceptions)]
+    materials = sorted({record.material_id for record in subset.records})
+    if not subset.perceptions.keys() >= set(materials):
+        raise InvalidConfig(f"the dataset was loaded without the molecules of subset {subset_id}")
+    corpus = [subset.perceptions[m] for m in materials]
     schema = descriptors.fit_schema(corpus, include_density=include_density)
     return subset, schema, assemble(subset, schema)
 

@@ -12,7 +12,7 @@ hydrogens; otherwise hydrogen chemistry would be invisible to the
 sum-over-bonds block. The same applies to the bond-polarity sum.
 
 Featurizing is two steps. perceive(g) computes what no schema changes:
-the fixed block, the bond-key counts and the fragment count; the commands
+the fixed block and the bond-key counts; the commands
 run it once per distinct SMILES (dataset.perceive_molecules). Then
 Perception.row(schema, density) lays those out against a fitted schema,
 once per (material, density). featurize(g, schema, density) is both steps
@@ -558,14 +558,13 @@ class Perception:
 
     fixed: tuple[float | int, ...] | ZeroDenominator | None
     bond_keys: dict[BondKey, int]
-    fragment_count: int
 
     def row(self, schema: FeatureSchema, density: float | None = None) -> np.ndarray:
         """The float64 model input vector of a single-fragment molecule, laid
         out as schema.names. The checks run in a fixed order: MultiFragment,
         MissingDensity, then ZeroDenominator from the fixed block,
         UnknownBondType, and ZeroDenominator for a value that is not finite."""
-        if self.fragment_count > 1:
+        if self.fixed is None:
             raise MultiFragment("composite/multi-fragment inputs cannot be featurized")
         if schema.include_density and density is None:
             raise MissingDensity("schema includes density but none was provided")
@@ -586,14 +585,14 @@ class Perception:
 
 def perceive(g: MolGraph) -> Perception:
     """The schema-free part of featurizing g: its fixed block (unless it has
-    more than one fragment), its bond-key counts and its fragment count."""
+    more than one fragment) and its bond-key counts."""
     fixed = None
     if g.fragment_count <= 1:
         try:
             fixed = _fixed_block(g)
         except ZeroDenominator as exc:
             fixed = exc
-    return Perception(fixed, _bond_keys(g), g.fragment_count)
+    return Perception(fixed, _bond_keys(g))
 
 
 def featurize(g: MolGraph, schema: FeatureSchema, density: float | None = None) -> np.ndarray:

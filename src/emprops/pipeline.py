@@ -131,10 +131,9 @@ def features_for(bundle: ModelBundle, molecule: MolGraph | descriptors.Perceptio
                  density: float | None) -> np.ndarray:
     """The model's input row of a molecule or its perception; a density is
     dropped unless its schema takes one."""
-    density = density if bundle.schema.include_density else None
-    if isinstance(molecule, descriptors.Perception):
-        return molecule.row(bundle.schema, density)
-    return descriptors.featurize(molecule, bundle.schema, density)
+    if isinstance(molecule, MolGraph):
+        molecule = descriptors.perceive(molecule)
+    return molecule.row(bundle.schema, density if bundle.schema.include_density else None)
 
 
 def predict_rows(bundle: ModelBundle, features: np.ndarray, channel_idx: np.ndarray,

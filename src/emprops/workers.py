@@ -1,8 +1,9 @@
 """Independent jobs split across the CPUs this process may run on.
 
-run(work, jobs) cuts a job list into min(CPUs in the affinity mask, jobs)
-parts, job i going to part i mod parts. This process computes part 0
-itself and forks one child per other part, so no more processes are busy
+run(work, jobs, min_part) cuts a job list into as many parts as there are
+CPUs in the affinity mask, but no more than give each part min_part jobs
+(one by default), job i going to part i mod parts. This process computes
+part 0 itself and forks one child per other part, so no more processes are busy
 than there are CPUs. A child pickles work's results, or the exception it
 raised, back through a pipe and always leaves through os._exit: it runs
 none of the parent's exit handlers and flushes none of its buffers. Every
@@ -12,9 +13,11 @@ second Python thread, or no os.fork or os.sched_getaffinity, nothing is
 forked.
 
 Three callers split their work here: the engines (forest.fit_forests,
-mtnn.train_many) and perception (dataset.perceive_molecules, one job per
-distinct SMILES). Each gives every job the bits it gets alone, so the
-split changes no output. What a part does in a child, such as a traced
+mtnn.train_many), one fit to a job, and perception
+(dataset.perceive_molecules), one distinct SMILES to a job and at least
+dataset.PERCEPTION_PART jobs to a part, since a fork costs more than
+perceiving a few molecules. Each gives every job the bits it gets alone,
+so the split changes no output. What a part does in a child, such as a traced
 counter it bumps, stays in that child.
 """
 
@@ -30,22 +33,22 @@ class WorkerDied(RuntimeError):
     """A forked part ended without sending back its results."""
 
 
-def _part_count(n_jobs: int) -> int:
-    """How many parts run splits n_jobs jobs into: one while other Python
-    threads run, since a child would inherit their held locks and
-    half-done state."""
-    if (n_jobs < 2 or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
+def _part_count(n_jobs: int, min_part: int) -> int:
+    """How many parts run splits n_jobs jobs into, min_part or more to a
+    part: one while other Python threads run, since a child would inherit
+    their held locks and half-done state."""
+    if (n_jobs < 2 * min_part or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
             or threading.active_count() > 1):
         return 1
-    return min(len(os.sched_getaffinity(0)), n_jobs)
+    return min(len(os.sched_getaffinity(0)), n_jobs // min_part)
 
 
-def run(work: Callable[[Sequence], list], jobs: Sequence) -> list:
+def run(work: Callable[[Sequence], list], jobs: Sequence, min_part: int = 1) -> list:
     """work's results over the jobs, in job order; work maps a part of the
-    jobs to one result per job. An exception that work raises in any part
-    is raised here with its type and message; of several, the lowest
-    part's."""
-    parts = _part_count(len(jobs))
+    jobs to one result per job. A part gets min_part jobs or more. An
+    exception that work raises in any part is raised here with its type
+    and message; of several, the lowest part's."""
+    parts = _part_count(len(jobs), min_part)
     if parts == 1:
         return list(work(jobs))
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)

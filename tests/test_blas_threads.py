@@ -86,3 +86,15 @@ def test_importing_emprops_sets_one_openblas_thread(tmp_path, order):
     if reported == "none":
         pytest.skip("numpy loaded no OpenBLAS with a thread-count symbol")
     assert reported == "1"
+
+
+def test_an_openblas_that_cannot_be_loaded_is_skipped(tmp_path):
+    """A mapping whose library is gone, as after an upgrade under a running
+    process, leaves the import working: it is skipped, not raised."""
+    import numpy  # noqa: F401  (the ctypes route runs once numpy has loaded)
+
+    maps = tmp_path / "maps"
+    maps.write_text("7f0000000000-7f0000001000 r-xp 00000000 00:00 0    "
+                    f"{tmp_path}/gone/libscipy_openblas64_-0.so (deleted)\n", encoding="utf-8")
+    emprops._one_blas_thread(str(maps))
+    assert all(os.environ[name] == "1" for name in emprops._BLAS_THREAD_VARIABLES)

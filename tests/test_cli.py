@@ -159,7 +159,7 @@ class TestTuneTrainPredictScreen:
         assert [line.split(",")[2] for line in lines[1:]] == ["1", "2"]
 
         # the tuned design is the one channel alone, as train and evaluate fit it
-        subset = ds.subset_filter(ds.load_records(data, ds.default_registry()), 1)
+        subset = ds.subset_filter(ds.load_records(data, ds.default_registry(), subset_id=1), 1)
         schema = descriptors.fit_schema([subset.perceptions[m] for m in sorted(subset.perceptions)],
                                         include_density=False)
         design = ds.assemble(subset, schema)

@@ -32,7 +32,7 @@ def write_csv(tmp_path, rows, name="data.csv"):
 class TestLoad:
     def test_single_row(self, tmp_path):
         path = write_csv(tmp_path, ["M1,CC,det_velocity,exp,7.2,1.5"])
-        data = ds.load_records(path, ds.default_registry())
+        data = ds.load_records(path, ds.default_registry(), subset_id=6)
         assert len(data.records) == 1
         assert [record.material_id for record in data.records] == ["M1"]
         assert list(data.perceptions) == ["M1"]
@@ -409,6 +409,33 @@ class TestSubsets:
     def test_unknown_subset(self, tmp_path):
         with pytest.raises(UnknownSubset):
             ds.subset_filter(self.make_dataset(tmp_path), 9)
+        with pytest.raises(UnknownSubset, match="^subset must be 1..6, got 9$"):
+            ds.load_records(tmp_path / "absent.csv", ds.default_registry(), subset_id=9)
+
+    def test_only_the_subsets_molecules_are_perceived(self, tmp_path):
+        """load_records perceives the materials with a record in its
+        subset's channels: none without a subset, every one for subset 6."""
+        rows = ["M1,CC,det_velocity,exp,7,", "M2,CCC,impact_h50,exp,20,",
+                "M3,CC,heat_form_gas,calc,5,", "M4,CCO,det_pressure,exp,30,",
+                "M4,CCO,impact_h50,exp,40,"]
+        path = write_csv(tmp_path, rows)
+        registry = ds.default_registry()
+        expected = {None: [], 1: ["M1", "M4"], 4: ["M3"], 5: ["M2", "M3", "M4"],
+                    6: ["M1", "M2", "M3", "M4"]}
+        for subset_id, materials in expected.items():
+            data = ds.load_records(path, registry, subset_id=subset_id)
+            assert sorted(data.perceptions) == materials
+            assert data.records == ds.load_records(path, registry).records
+        whole = ds.load_records(path, registry, subset_id=6)
+        for subset_id in (1, 4, 5):
+            data = ds.load_records(path, registry, subset_id=subset_id)
+            (_, schema, design), (_, whole_schema, whole_design) = (
+                ds.build_design(data, subset_id, False), ds.build_design(whole, subset_id, False))
+            assert schema == whole_schema
+            assert design.features.tobytes() == whole_design.features.tobytes()
+        with pytest.raises(InvalidConfig, match="^the dataset was loaded without the "
+                                                "molecules of subset 4$"):
+            ds.build_design(ds.load_records(path, registry, subset_id=1), 4, False)
 
 
 class TestRegistryPersistence:

@@ -258,7 +258,7 @@ class TestFeaturize:
         assert whole.fixed == d._fixed_block(parse_smiles("CC"))
         assert whole.bond_keys == {("C", "C", "single"): 1, ("C", "H", "single"): 6}
         apart = d.perceive(parse_smiles("CC.O"))
-        assert (apart.fixed, apart.fragment_count) == (None, 2)
+        assert apart.fixed is None
         assert apart.bond_keys == {("C", "C", "single"): 1, ("C", "H", "single"): 6,
                                    ("H", "O", "single"): 2}
 

@@ -829,7 +829,7 @@ class TestForestFailureOrder:
     @pytest.fixture
     def units(self, tmp_path):
         """(schema, design, channels): the experimental h50 channel of the design."""
-        data = ds.load_records(write_dataset(tmp_path), ds.default_registry())
+        data = ds.load_records(write_dataset(tmp_path), ds.default_registry(), subset_id=2)
         schema, design = ds.build_design(data, 2, False)[1:]
         position = design.registry.index_of(design.registry.lookup("impact_h50", "exp"))
         return schema, design, range(position, position + 1)

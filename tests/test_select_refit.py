@@ -242,7 +242,7 @@ def inputs(tmp_path_factory):
     two_cells["forest"]["min_samples_leaf"] = [1, 2]
     grid_path.write_text(json.dumps(two_cells), encoding="utf-8")
     grids = evaluation.Grids.load(str(grid_path))
-    data = ds.load_records(data_path, ds.default_registry())
+    data = ds.load_records(data_path, ds.default_registry(), subset_id=SUBSET)
     return {"data_path": data_path, "grid_path": grid_path, "data": data, "grids": grids,
             "grid": grids.mtnn, "forest_grid": grids.forest, "base_train": grids.train,
             "one_cell_path": one_cell_path,

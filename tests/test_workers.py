@@ -48,9 +48,11 @@ COUNTS = [1, 2, 3, 7]  # jobs per engine call
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """cpus(n) makes the affinity mask hold n CPUs; returns the list that
-    records each os.fork the parent makes."""
+    """cpus(n) makes the affinity mask hold n CPUs and perception split at
+    any job count; returns the list that records each os.fork the parent
+    makes."""
     forks = []
+    monkeypatch.setattr(ds, "PERCEPTION_PART", 1)
     fork = os.fork
 
     def counting_fork():
@@ -106,6 +108,16 @@ def test_results_come_back_in_job_order(cpus, parts, count):
     assert workers.run(lambda part: [(job, job * job) for job in part], jobs) == \
         [(job, job * job) for job in jobs]
     assert len(forks) == max(0, min(parts, count) - 1)
+
+
+@pytest.mark.parametrize("count, min_part, parts", [
+    (7, 3, 2), (6, 3, 2), (5, 3, 1), (9, 3, 3), (40, 3, 3), (1, 1, 1), (0, 2, 1)])
+def test_a_part_gets_min_part_jobs_or_more(cpus, count, min_part, parts):
+    forks = cpus(3)
+    jobs = list(range(count))
+    assert workers.run(lambda part: [-job for job in part], jobs, min_part=min_part) == \
+        [-job for job in jobs]
+    assert len(forks) == parts - 1
 
 
 def test_an_exception_in_a_child_part_comes_back_with_its_type_and_message(cpus):
@@ -303,7 +315,7 @@ def outcome_bits(outcome):
         return outcome.code, str(outcome)
     fixed = outcome.fixed
     fixed = outcome_bits(fixed) if isinstance(fixed, ToolkitError) else repr(fixed)
-    return fixed, tuple(outcome.bond_keys.items()), outcome.fragment_count
+    return fixed, tuple(outcome.bond_keys.items())
 
 
 def test_perceive_molecules_is_the_same_split_or_not(cpus):
@@ -327,6 +339,41 @@ def test_perceive_molecules_is_the_same_split_or_not(cpus):
         assert len(forks) == parts - 1
 
 
+@pytest.mark.parametrize("parts", [1, *PARTS])
+def test_perceive_molecules_parses_all_and_perceives_the_wanted(cpus, parts):
+    """A molecule whose material is not wanted is parsed, so its SMILES can
+    fail, but not perceived; a SMILES it shares with a wanted one is
+    perceived for that one."""
+    cpus(parts)
+    molecules = [ds.Molecule(f"M{i}", smiles, None, i + 1)
+                 for i, smiles in enumerate(PERCEIVED_SMILES)]
+    wanted = {"M1", "M3", f"M{len(CORPUS)}", f"M{len(PERCEIVED_SMILES) - 2}"}
+    everything = ds.perceive_molecules(molecules)
+    outcomes = ds.perceive_molecules(molecules, wanted)
+    for molecule, whole, outcome in zip(molecules, everything, outcomes):
+        if isinstance(whole, ParseFailure) or molecule.material_id in wanted:
+            assert outcome_bits(outcome) == outcome_bits(whole)
+        else:
+            assert outcome is None
+    assert [outcome is None for outcome in ds.perceive_molecules(molecules, ())] == \
+        [not isinstance(whole, ParseFailure) for whole in everything]
+
+
+def test_perception_of_a_few_molecules_is_not_split(monkeypatch):
+    """Below two parts of PERCEPTION_PART distinct SMILES, a fork would cost
+    more than the part saves, so nothing is forked."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    smiles = [f"C{'C' * i}O" for i in range(2 * ds.PERCEPTION_PART)]
+    few = [ds.Molecule(f"M{i}", text, None, i + 1) for i, text in enumerate(smiles[:-1])]
+    ds.perceive_molecules(few + few)  # repeats are one job
+    assert not forks
+    ds.perceive_molecules([*few, ds.Molecule("X", smiles[-1], None, len(smiles))])
+    assert len(forks) == 1
+
+
 def write_records(path, smiles_list):
     lines = ["material_id,smiles,property,fidelity,value,density"]
     for i, smiles in enumerate(smiles_list):
@@ -348,10 +395,11 @@ def test_load_records_and_the_design_are_the_same_split_or_not(cpus, tmp_path,
                                                                include_density):
     path = write_records(tmp_path / "data.csv", [*CORPUS.values(), "CC", "CCO"])
     cpus(1)
-    serial = design_bits(ds.load_records(path, ds.default_registry()), include_density)
+    serial = design_bits(ds.load_records(path, ds.default_registry(), subset_id=6),
+                         include_density)
     for parts in PARTS:
         forks = cpus(parts)
-        assert design_bits(ds.load_records(path, ds.default_registry()),
+        assert design_bits(ds.load_records(path, ds.default_registry(), subset_id=6),
                            include_density) == serial
         assert len(forks) == parts - 1
 
@@ -367,7 +415,7 @@ def test_load_records_errors_are_the_same_split_or_not(cpus, tmp_path, bad):
     for parts in [1, *PARTS]:
         cpus(parts)
         try:
-            design_bits(ds.load_records(path, ds.default_registry()), False)
+            design_bits(ds.load_records(path, ds.default_registry(), subset_id=6), False)
         except ToolkitError as exc:
             outcomes.append(outcome_bits(exc))
     assert len(outcomes) == 1 + len(PARTS) and len(set(outcomes)) == 1
@@ -517,15 +565,18 @@ def test_the_first_error_is_the_row_by_row_readers(screen_model, parts, text):
     first, or none when it raised none."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+        patch.setattr(ds, "PERCEPTION_PART", 1)
         path = Path(tmp) / "data.csv"
         path.write_text(text, encoding="utf-8")
         registry = ds.default_registry()
 
         expected = first_error(lambda: oracle_load_records(path, registry))
-        assert first_error(lambda: ds.load_records(path, registry)) == expected
+        for subset_id in (None, 6):
+            assert first_error(lambda: ds.load_records(path, registry,
+                                                       subset_id=subset_id)) == expected
         if not expected:
             records, graphs = oracle_load_records(path, registry)
-            data = ds.load_records(path, registry)
+            data = ds.load_records(path, registry, subset_id=6)
             assert data.records == records
             assert {m: outcome_bits(p) for m, p in data.perceptions.items()} == \
                 {m: outcome_bits(descriptors.perceive(g)) for m, g in graphs.items()}
