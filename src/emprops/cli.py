@@ -130,13 +130,13 @@ def cmd_correlate(args) -> int:
 
 
 def _load_design(args):
-    """(subset id, subset, schema, design) of --data, --registry, --dedupe,
-    --subset and --density: the one design a command fits. Only the
-    subset's molecules are perceived."""
+    """(subset id, dataset, schema, design) of --data, --registry, --dedupe,
+    --subset and --density: the subset's dataset (ds.load_records, which
+    perceives only its molecules) and the one design a command fits."""
     registry = _load_registry(args.registry)
     subset_id = _parse_subset(args.subset)
     data = ds.load_records(args.data, registry, dedupe=args.dedupe, subset_id=subset_id)
-    return (subset_id, *ds.build_design(data, subset_id, args.density))
+    return (subset_id, data, *ds.build_design(data, args.density))
 
 
 def _prepare_fit(args):
@@ -149,11 +149,11 @@ def _prepare_fit(args):
         raise InvalidConfig(f"--channel is required for family {args.family}")
     if not single_task and args.channel:
         raise InvalidConfig(f"--channel applies to st-rf and st-nn only, not {args.family}")
-    subset_id, subset, schema, design = _load_design(args)
+    subset_id, data, schema, design = _load_design(args)
     channels = range(len(design.registry))
     if single_task:
         prop, _, fidelity = args.channel.partition(":")
-        position = subset.registry.index_of(subset.registry.lookup(prop, fidelity))
+        position = data.registry.index_of(data.registry.lookup(prop, fidelity))
         channels = range(position, position + 1)
     rows = design.channel_rows(channels)
     if single_task and not rows.any():

@@ -196,7 +196,7 @@ class Record:
 class Dataset:
     registry: PropertyRegistry
     records: list[Record]
-    perceptions: dict[str, descriptors.Perception]  # of the subset it was loaded for
+    perceptions: dict[str, descriptors.Perception]  # of the records' materials, for a subset
 
 
 CSV_COLUMNS = ("material_id", "smiles", "property", "fidelity", "value", "density")
@@ -351,22 +351,25 @@ def perceive_molecules(molecules: Sequence[Molecule], wanted: Collection[str] | 
 
 def load_records(path: str | Path, registry: PropertyRegistry, dedupe: str = "error",
                  subset_id: int | None = None) -> Dataset:
-    """Load the documented CSV schema into a Dataset.
+    """Load the documented CSV schema into the Dataset of one output subset
+    (subset_registry), or of every channel when subset_id is None.
 
     Every SMILES is parsed at load time, so a malformed row fails here,
     with its 1-based data row attached. The rows are read and checked up to
     the first one that fails a check needing no molecule; then each
     distinct SMILES of the materials read is parsed once, across the CPUs
     (perceive_molecules), and perceived in the same pass, for build_design,
-    if a material with a record in subset_id's channels (subset_filter) has
-    it; with no subset_id none is, since correlate reads only the records.
-    Then the rows are replayed in order, so the error raised is the one a
-    row-by-row reader meets first. Duplicate (material, channel) pairs are
-    an error by default; dedupe="mean" averages them instead.
+    if a material with a record in the subset has it; with no subset_id
+    none is, since correlate reads only the records. Then the rows are
+    replayed in order, so the error raised is the one a row-by-row reader
+    meets first, and deduplicated: a repeated (material, channel) pair is
+    an error by default; dedupe="mean" averages it. Only then are the
+    records outside the subset dropped, so no error depends on the subset.
     """
     if dedupe not in ("error", "mean"):
         raise InvalidConfig(f"dedupe must be 'error' or 'mean', got {dedupe!r}")
-    keys = () if subset_id is None else {c.key for c in subset_registry(registry, subset_id)}
+    subset = registry if subset_id is None else subset_registry(registry, subset_id)
+    keys = {c.key for c in subset}
 
     rows: list[tuple[Molecule, PropertyChannel, float]] = []
     stop: ToolkitError | None = None  # raised once the rows before it are replayed
@@ -390,7 +393,8 @@ def load_records(path: str | Path, registry: PropertyRegistry, dedupe: str = "er
         stop = exc
 
     # every row of a material has its SMILES, so its first row raises its failure
-    wanted = {molecule.material_id for molecule, channel, _ in rows if channel.key in keys}
+    wanted = () if subset_id is None else {
+        molecule.material_id for molecule, channel, _ in rows if channel.key in keys}
     perceived = perceive_molecules([molecule for molecule, _, _ in rows], wanted)
     perceptions: dict[str, descriptors.Perception] = {}
     grouped: dict[tuple[str, str], list[Record]] = {}
@@ -426,7 +430,8 @@ def load_records(path: str | Path, registry: PropertyRegistry, dedupe: str = "er
                 density=sum(densities) / len(densities) if densities else None,
             )
         )
-    return Dataset(registry=registry, records=records, perceptions=perceptions)
+    return Dataset(registry=subset, records=[r for r in records if r.channel.key in keys],
+                   perceptions=perceptions)
 
 
 def check_fold_count(k: int) -> None:
@@ -647,19 +652,6 @@ def subset_registry(registry: PropertyRegistry, subset_id: int) -> PropertyRegis
     ))
 
 
-def subset_filter(dataset: Dataset, subset_id: int) -> Dataset:
-    """Restrict registry, records and perceptions to one of the six output
-    subsets (subset_registry); subset 6 is the identity."""
-    if subset_id == 6:
-        return dataset
-    registry = subset_registry(dataset.registry, subset_id)
-    keys = {c.key for c in registry}
-    records = [r for r in dataset.records if r.channel.key in keys]
-    materials = {r.material_id for r in records}
-    perceptions = {m: p for m, p in dataset.perceptions.items() if m in materials}
-    return Dataset(registry=registry, records=records, perceptions=perceptions)
-
-
 @dataclass
 class DesignMatrix:
     """Record-aligned training arrays assembled from a dataset."""
@@ -675,19 +667,15 @@ class DesignMatrix:
         return (self.channel_idx >= channels.start) & (self.channel_idx < channels.stop)
 
 
-def build_design(dataset: Dataset, subset_id: int,
-                 include_density: bool) -> tuple[Dataset, descriptors.FeatureSchema, DesignMatrix]:
-    """The design every command fits: the subset's records, featurized with a
-    schema fitted on the subset's molecules in material-id order. The
-    dataset holds their perceptions when load_records was given subset_id
-    or 6."""
-    subset = subset_filter(dataset, subset_id)
-    materials = sorted({record.material_id for record in subset.records})
-    if not subset.perceptions.keys() >= set(materials):
-        raise InvalidConfig(f"the dataset was loaded without the molecules of subset {subset_id}")
-    corpus = [subset.perceptions[m] for m in materials]
-    schema = descriptors.fit_schema(corpus, include_density=include_density)
-    return subset, schema, assemble(subset, schema)
+def build_design(dataset: Dataset,
+                 include_density: bool) -> tuple[descriptors.FeatureSchema, DesignMatrix]:
+    """The design every command fits: the dataset's records, featurized with
+    a schema fitted on their molecules in material-id order, whose
+    perceptions load_records gave the dataset of a subset_id."""
+    materials = sorted({record.material_id for record in dataset.records})
+    schema = descriptors.fit_schema([dataset.perceptions[m] for m in materials],
+                                    include_density=include_density)
+    return schema, assemble(dataset, schema)
 
 
 def assemble(dataset: Dataset, schema: descriptors.FeatureSchema) -> DesignMatrix:

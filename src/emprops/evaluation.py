@@ -349,10 +349,10 @@ def run_protocol(family: str, schema: descriptors.FeatureSchema, design: ds.Desi
                  subset_id: int, seeds=DEFAULT_SEEDS, k: int = DEFAULT_FOLDS,
                  grids: Grids = Grids(), inner_k: int = 5) -> ProtocolReport:
     """Full evaluation protocol for one model family on the schema and
-    design ds.build_design gives for subset_id: fit_all selects and refits
-    every fit of the plan that has test rows on its training rows, and
-    predict_rows predicts its held-out rows, recorded in plan order. A fit
-    without test rows records NaN."""
+    design ds.build_design gives of the dataset of subset_id: fit_all
+    selects and refits every fit of the plan that has test rows on its
+    training rows, and predict_rows predicts its held-out rows, recorded in
+    plan order. A fit without test rows records NaN."""
     report = ProtocolReport(model_id=model_identifier(family, subset_id))
     fits = plan(family, design, seeds, k)
     bundles = iter(fit_all(design, [fit for fit in fits if np.any(fit.test_rows)], schema,

@@ -47,10 +47,11 @@ def save_model(path: str | Path, bundle: ModelBundle) -> None:
 
 def load_model(path: str | Path) -> ModelBundle:
     """Read a model file. A header field that is missing or does not decode,
-    a model whose input width is not its schema's, a standardizer that
-    Standardizer.fit could not have written (_check_standardizer), or a
-    forest whose tree count is not its config's n_trees or whose tree sizes
-    are not positive integers, is CorruptFile."""
+    a model whose input width is not its schema's, a network parameter that
+    is not finite, a standardizer that Standardizer.fit could not have
+    written (_check_standardizer), or a forest whose tree count is not its
+    config's n_trees or whose tree sizes are not positive integers, is
+    CorruptFile."""
     magic, header, payload = modelio.read_any_container(path)
     try:
         return _decode(magic, header, payload)
@@ -68,6 +69,8 @@ def _decode(magic: bytes, header: dict, payload: bytes) -> ModelBundle:
         if header["layer_shapes"] != [list(shape) for shape in mtnn.layer_shapes(config)]:
             raise CorruptFile("layer_shapes in network file do not match its config")
         (params,) = modelio.split_payload(payload, [(mtnn.parameter_count(config),)])
+        if not np.isfinite(params).all():  # train_many returns only finite parameters
+            raise CorruptFile("network parameters in file are not all finite")
         standardizer = _check_standardizer(header["standardizer"], config.input_dim,
                                            len(registry))
         bundle = ModelBundle(kind="mtnn", registry=registry, schema=schema,
@@ -153,10 +156,13 @@ def predict_rows(bundle: ModelBundle, features: np.ndarray, channel_idx: np.ndar
         return rf.predict_forest(bundle.forest, features)
     selector_dim = bundle.net.config.selector_dim
     selector = np.eye(selector_dim)[channel_idx] if selector_dim else None
-    x = bundle.standardizer.apply_features(features)
-    if channel_idx.ndim == 2 and x.ndim == 2:
-        x = np.broadcast_to(x, channel_idx.shape + x.shape[1:])
-    return bundle.standardizer.invert_targets(mtnn.forward(bundle.net, x, selector), channel_idx)
+    # finite values can overflow to inf and NaN, which the prediction shows
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = bundle.standardizer.apply_features(features)
+        if channel_idx.ndim == 2 and x.ndim == 2:
+            x = np.broadcast_to(x, channel_idx.shape + x.shape[1:])
+        return bundle.standardizer.invert_targets(mtnn.forward(bundle.net, x, selector),
+                                                  channel_idx)
 
 
 def predict_matrix(bundle: ModelBundle, molecule: str | MolGraph | descriptors.Perception,

@@ -186,7 +186,7 @@ def test_criterion_07_overfit_sanity():
     grid = evaluation.GridSpec(hidden_sizes=((64,),), selector_layer_index=("last",),
                                learning_rate=(1e-2,), batch_size=(64,), l2_penalty=(0.0,))
     base = mtnn.TrainConfig(max_epochs=2000, patience=250)
-    _, schema, design = ds.build_design(data, 6, False)
+    schema, design = ds.build_design(data, False)
     protocol = evaluation.run_protocol("mt-nn", schema, design, 6, seeds=(1, 2, 3), k=5,
                                        grids=evaluation.Grids(mtnn=grid, train=base))
     worst_ratio = 0.0

@@ -16,6 +16,7 @@ from emprops.errors import (
     NonPositiveForLog,
     ParseFailure,
     TooFewMaterials,
+    ToolkitError,
     UnknownChannel,
     UnknownSubset,
 )
@@ -373,44 +374,114 @@ class TestPearson:
                 assert r_matrix[i, i] == pytest.approx(1.0, abs=1e-12)
 
 
+def subset_filter(dataset, subset_id):
+    """The reference subset load: the whole load with the records outside
+    the subset's channels dropped, and the perceptions of the materials
+    left; subset 6 is the identity."""
+    if subset_id == 6:
+        return dataset
+    registry = ds.subset_registry(dataset.registry, subset_id)
+    keys = {c.key for c in registry}
+    records = [r for r in dataset.records if r.channel.key in keys]
+    materials = {r.material_id for r in records}
+    perceptions = {m: p for m, p in dataset.perceptions.items() if m in materials}
+    return ds.Dataset(registry=registry, records=records, perceptions=perceptions)
+
+
+def first_error(load) -> tuple[str, str] | None:
+    try:
+        load()
+    except ToolkitError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
 class TestSubsets:
-    def make_dataset(self, tmp_path):
-        rows = []
-        registry = ds.default_registry()
-        for i, channel in enumerate(registry):
-            rows.append(f"M{i},CC,{channel.property},{channel.fidelity},5.0,1.2")
-        return ds.load_records(write_csv(tmp_path, rows), registry)
+    # a record in every channel, and materials with records in several
+    ROWS = [f"M{i},{'C' * (i % 4 + 1)},{c.property},{c.fidelity},{5.0 + i},1.2"
+            for i, c in enumerate(ds.default_registry())] + [
+        "M20,CCO,det_pressure,exp,30,1.1", "M20,CCO,impact_h50,exp,40,1.1",
+        "M21,CCN,heat_form_gas,calc,3,", "M21,CCN,det_velocity,calc,8,",
+        "M22,CC#N,heat_sublimation,calc,2,1.3"]
+
+    @staticmethod
+    def keys(subset_id, tmp_path):
+        path = write_csv(tmp_path, TestSubsets.ROWS)
+        return {c.key for c in ds.load_records(path, ds.default_registry(),
+                                                   subset_id=subset_id).registry}
 
     def test_subset_1_detonation_only(self, tmp_path):
-        data = self.make_dataset(tmp_path)
-        sub = ds.subset_filter(data, 1)
-        keys = {c.key for c in sub.registry}
-        assert keys == {
+        assert self.keys(1, tmp_path) == {
             "det_velocity:exp", "det_velocity:calc", "det_pressure:exp",
             "det_pressure:calc", "heat_detonation:exp", "heat_detonation:calc",
             "gurney_energy:calc",
         }
 
     def test_subset_4_thermo_only(self, tmp_path):
-        data = self.make_dataset(tmp_path)
-        keys = {c.key for c in ds.subset_filter(data, 4).registry}
-        assert keys == {"heat_sublimation:calc", "heat_form_gas:calc", "heat_form_crystal:exp"}
+        assert self.keys(4, tmp_path) == {"heat_sublimation:calc", "heat_form_gas:calc",
+                                          "heat_form_crystal:exp"}
 
     def test_subset_2_adds_h50(self, tmp_path):
-        data = self.make_dataset(tmp_path)
-        keys = {c.key for c in ds.subset_filter(data, 2).registry}
+        keys = self.keys(2, tmp_path)
         assert "impact_h50:exp" in keys
         assert len(keys) == 8
 
     def test_subset_6_identity(self, tmp_path):
-        data = self.make_dataset(tmp_path)
-        assert ds.subset_filter(data, 6) is data
+        path = write_csv(tmp_path, self.ROWS)
+        registry = ds.default_registry()
+        data = ds.load_records(path, registry, subset_id=6)
+        assert data.registry is registry
+        assert data.records == ds.load_records(path, registry).records
 
     def test_unknown_subset(self, tmp_path):
-        with pytest.raises(UnknownSubset):
-            ds.subset_filter(self.make_dataset(tmp_path), 9)
-        with pytest.raises(UnknownSubset, match="^subset must be 1..6, got 9$"):
-            ds.load_records(tmp_path / "absent.csv", ds.default_registry(), subset_id=9)
+        path = write_csv(tmp_path, self.ROWS)
+        for absent_or_not in (path, tmp_path / "absent.csv"):
+            with pytest.raises(UnknownSubset, match="^subset must be 1..6, got 9$"):
+                ds.load_records(absent_or_not, ds.default_registry(), subset_id=9)
+
+    @pytest.mark.parametrize("subset_id", range(1, 7))
+    def test_the_subsets_load_is_the_whole_load_filtered(self, tmp_path, subset_id):
+        """load_records of a subset holds the registry, the records in file
+        order and the perceptions that the reference filter leaves of the
+        subset 6 load, and build_design gives the same schema and features."""
+        path = write_csv(tmp_path, self.ROWS)
+        registry = ds.default_registry()
+        data = ds.load_records(path, registry, subset_id=subset_id)
+        whole = subset_filter(ds.load_records(path, registry, subset_id=6), subset_id)
+        assert [c.key for c in data.registry] == [c.key for c in whole.registry]
+        assert data.records == whole.records
+        assert list(data.perceptions) == list(whole.perceptions)
+        # the channels are the whole registry's own objects
+        own = {id(c) for c in registry}
+        assert {id(c) for c in data.registry} <= own
+        assert {id(r.channel) for r in data.records} <= own
+        (schema, design), (whole_schema, whole_design) = (
+            ds.build_design(data, False), ds.build_design(whole, False))
+        assert schema == whole_schema
+        assert design.features.tobytes() == whole_design.features.tobytes()
+
+    @pytest.mark.parametrize("subset_id, fault", [
+        *((k, fault) for k in range(1, 6) for fault in ("duplicate", "unparsable")),
+        *((k, "non-positive") for k in (1, 3, 4))])  # the subsets without impact_h50
+    def test_an_error_outside_the_subset_is_still_raised(self, tmp_path, subset_id, fault):
+        """A fault only in channels outside the subset raises the error,
+        with its text, that loading every channel raises."""
+        registry = ds.default_registry()
+        inside = {c.key for c in ds.subset_registry(registry, subset_id)}
+        outside = [c for c in registry if c.key not in inside]
+        if fault == "non-positive":
+            assert "impact_h50:exp" not in inside
+            extra = ["M30,CCCl,impact_h50,exp,0,"]
+        elif fault == "duplicate":
+            c = outside[-1]
+            extra = [f"M30,CCCl,{c.property},{c.fidelity},{value}," for value in (1, 2)]
+        else:
+            c = outside[0]
+            extra = [f"M30,C(,{c.property},{c.fidelity},1,"]
+        path = write_csv(tmp_path, self.ROWS + extra)
+        expected = first_error(lambda: ds.load_records(path, registry, subset_id=6))
+        assert expected is not None
+        assert first_error(lambda: ds.load_records(path, registry, subset_id=subset_id)) == expected
 
     def test_only_the_subsets_molecules_are_perceived(self, tmp_path):
         """load_records perceives the materials with a record in its
@@ -425,17 +496,8 @@ class TestSubsets:
         for subset_id, materials in expected.items():
             data = ds.load_records(path, registry, subset_id=subset_id)
             assert sorted(data.perceptions) == materials
-            assert data.records == ds.load_records(path, registry).records
-        whole = ds.load_records(path, registry, subset_id=6)
-        for subset_id in (1, 4, 5):
-            data = ds.load_records(path, registry, subset_id=subset_id)
-            (_, schema, design), (_, whole_schema, whole_design) = (
-                ds.build_design(data, subset_id, False), ds.build_design(whole, subset_id, False))
-            assert schema == whole_schema
-            assert design.features.tobytes() == whole_design.features.tobytes()
-        with pytest.raises(InvalidConfig, match="^the dataset was loaded without the "
-                                                "molecules of subset 4$"):
-            ds.build_design(ds.load_records(path, registry, subset_id=1), 4, False)
+            owners = sorted({r.material_id for r in data.records})
+            assert owners == (expected[6] if subset_id is None else materials)
 
 
 class TestRegistryPersistence:

@@ -140,12 +140,6 @@ def tiny_dataset(n_materials=12):
     return ds.Dataset(registry=registry, records=records, perceptions=perceptions)
 
 
-def design_of(data):
-    """The (schema, design) run_protocol takes for the whole dataset."""
-    _, schema, design = ds.build_design(data, 6, False)
-    return schema, design
-
-
 FAST_GRID = evaluation.GridSpec(hidden_sizes=((8,),), selector_layer_index=("last",),
                                 learning_rate=(1e-2,), batch_size=(16,), l2_penalty=(0.0,))
 FAST_TRAIN = mtnn.TrainConfig(max_epochs=30, patience=10)
@@ -156,17 +150,17 @@ FAST_GRIDS = evaluation.Grids(FAST_GRID, FAST_FOREST, FAST_TRAIN)
 
 class TestProtocol:
     def test_fold_counts(self):
-        data = tiny_dataset()
-        report = evaluation.run_protocol("mt-nn", *design_of(data), 6, seeds=(1, 2), k=3,
+        built = ds.build_design(tiny_dataset(), False)
+        report = evaluation.run_protocol("mt-nn", *built, 6, seeds=(1, 2), k=3,
                                          grids=FAST_GRIDS, inner_k=3)
         for metrics in report.channels.values():
             assert len(metrics.rmse_values) == 2 * 3
 
     def test_seed_order_swap_leaves_summary_unchanged(self):
-        data = tiny_dataset()
-        a = evaluation.run_protocol("mt-nn", *design_of(data), 6, seeds=(1, 2), k=3,
+        built = ds.build_design(tiny_dataset(), False)
+        a = evaluation.run_protocol("mt-nn", *built, 6, seeds=(1, 2), k=3,
                                     grids=FAST_GRIDS, inner_k=3)
-        b = evaluation.run_protocol("mt-nn", *design_of(data), 6, seeds=(2, 1), k=3,
+        b = evaluation.run_protocol("mt-nn", *built, 6, seeds=(2, 1), k=3,
                                     grids=FAST_GRIDS, inner_k=3)
         for key in a.channels:
             assert sorted(a.channels[key].rmse_values) == sorted(b.channels[key].rmse_values)
@@ -175,8 +169,8 @@ class TestProtocol:
             )
 
     def test_st_families_run_per_channel(self):
-        data = tiny_dataset()
-        report = evaluation.run_protocol("st-rf", *design_of(data), 6, seeds=(1,), k=3,
+        built = ds.build_design(tiny_dataset(), False)
+        report = evaluation.run_protocol("st-rf", *built, 6, seeds=(1,), k=3,
                                          grids=FAST_GRIDS, inner_k=3)
         assert set(report.channels) == {"det_velocity:calc", "det_pressure:calc"}
         assert report.model_id == "ST-RF"
@@ -187,10 +181,10 @@ class TestProtocol:
         assert evaluation.model_identifier("st-rf", 6) == "ST-RF"
 
     def test_deterministic_repeat(self):
-        data = tiny_dataset()
-        a = evaluation.run_protocol("mt-nn", *design_of(data), 6, seeds=(3,), k=3,
+        built = ds.build_design(tiny_dataset(), False)
+        a = evaluation.run_protocol("mt-nn", *built, 6, seeds=(3,), k=3,
                                     grids=FAST_GRIDS, inner_k=3)
-        b = evaluation.run_protocol("mt-nn", *design_of(data), 6, seeds=(3,), k=3,
+        b = evaluation.run_protocol("mt-nn", *built, 6, seeds=(3,), k=3,
                                     grids=FAST_GRIDS, inner_k=3)
         for key in a.channels:
             assert a.channels[key].rmse_values == b.channels[key].rmse_values

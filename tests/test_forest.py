@@ -830,7 +830,7 @@ class TestForestFailureOrder:
     def units(self, tmp_path):
         """(schema, design, channels): the experimental h50 channel of the design."""
         data = ds.load_records(write_dataset(tmp_path), ds.default_registry(), subset_id=2)
-        schema, design = ds.build_design(data, 2, False)[1:]
+        schema, design = ds.build_design(data, False)
         position = design.registry.index_of(design.registry.lookup("impact_h50", "exp"))
         return schema, design, range(position, position + 1)
 

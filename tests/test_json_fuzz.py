@@ -3,7 +3,8 @@ grids whose every cell is finite and builds its configs, or fails as
 InvalidConfig; a registry file run through the correlate command exits 0
 or 1, and a failure is one error line. A model file whose header holds a
 standardizer or schema value that Standardizer.fit or FeatureSchema.manifest
-never writes fails predict as one CorruptFile line."""
+never writes fails predict as one CorruptFile line; any header field set to
+an odd JSON value predicts or fails as one error line, without a warning."""
 
 import contextlib
 import io
@@ -14,6 +15,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -248,3 +250,76 @@ def test_rejected_header_value_is_one_corrupt_file_line(model_files, case):
     assert code == 1
     assert err.getvalue().startswith("error CorruptFile: ") and len(err.getvalue().splitlines()) == 1
     assert not caught
+
+
+# odd JSON values for any header field
+ODD_VALUES = st.sampled_from([None, True, False, 0, -1, 1.5, 1e308, 10**400, math.nan,
+                              math.inf, -math.inf, "", "x", "last", [], [[]], [0, [1.5]],
+                              [[None]], {}, {"a": {"b": []}}, {"property": "x"}])
+
+
+def predict_outcome(path) -> tuple[int, str, list]:
+    """(exit code, stderr, warnings) of predict on the model file."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(["predict", "--model", str(path), "--smiles", "CCC"])
+    return code, err.getvalue(), caught
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), magic=st.sampled_from([modelio.MAGIC_MTNN, modelio.MAGIC_FOREST]))
+def test_odd_value_in_any_header_field_predicts_or_is_one_error_line(model_files, data, magic):
+    """One field of the header, at any key path down to list entries, set to
+    an odd JSON value: predict exits 0, or 1 with one error line, and numpy
+    and Python warn of nothing."""
+    path = []
+    node, _ = modelio.read_container(model_files[magic], magic)
+    while isinstance(node, (dict, list)) and node and (not path or data.draw(st.booleans())):
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        path.append(key)
+        node = node[key]
+    value = data.draw(ODD_VALUES)
+
+    def edit(header):
+        for key in path[:-1]:
+            header = header[key]
+        header[path[-1]] = value
+
+    with tempfile.TemporaryDirectory() as tmp:
+        edited = Path(tmp) / "edited"
+        rewrite_header(model_files[magic], edited, magic, edit)
+        code, err, caught = predict_outcome(edited)
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 1 and err.startswith("error ") and len(err.splitlines()) == 1
+    assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("change", ["parameter-inf", "parameter-nan", "parameter-1e308",
+                                    "feature-mean-1e308"])
+def test_network_values_that_overflow(tmp_path, model_files, change):
+    """A network parameter that is not finite, which training never writes,
+    is CorruptFile; finite values that overflow in prediction predict
+    without a warning."""
+    magic = modelio.MAGIC_MTNN
+    header, payload = modelio.read_container(model_files[magic], magic)
+    params = np.frombuffer(payload, dtype="<f8").copy()
+    kind, _, value = change.rpartition("-")
+    if kind == "parameter":
+        params[:] = float(value)
+    else:
+        means = header["standardizer"]["feature_mean"]
+        means[:] = [float(value)] * len(means)
+    path = tmp_path / "edited.emmt"
+    modelio.write_container(path, magic, header, [params])
+    code, err, caught = predict_outcome(path)
+    assert not caught, [str(w.message) for w in caught]
+    if value in ("inf", "nan"):
+        assert (code, err) == (1, "error CorruptFile: network parameters in file are not all "
+                                  "finite\n")
+    else:
+        assert (code, err) == (0, "")

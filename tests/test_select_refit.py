@@ -170,7 +170,7 @@ def oracle_st_fold(report, family, design, train_mats, test_mats, grid, forest_g
 
 def oracle_run_protocol(family, data, subset_id, seeds, k, grid, forest_grid, base_train,
                         inner_k):
-    _, _, design = ds.build_design(data, subset_id, False)
+    _, design = ds.build_design(data, False)
     report = evaluation.ProtocolReport(model_id=evaluation.model_identifier(family, subset_id))
     for seed in seeds:
         plan = kfold_by_material(design.material_ids, k, seed)
@@ -188,10 +188,10 @@ def oracle_run_protocol(family, data, subset_id, seeds, k, grid, forest_grid, ba
 def oracle_train(path, family, data, subset_id, channel, grid, forest_grid, base_train,
                  inner_k, seed):
     """`train`'s forest and network branches, writing the model to path."""
-    subset, schema, design = ds.build_design(data, subset_id, False)
+    schema, design = ds.build_design(data, False)
     if channel:
         prop, _, fidelity = channel.partition(":")
-        position = subset.registry.index_of(subset.registry.lookup(prop, fidelity))
+        position = data.registry.index_of(data.registry.lookup(prop, fidelity))
         design = single_channel_design(design, position)
     if family == "st-rf":
         search = oracle_forest_grid_search(forest_grid, design, inner_k, seed)
@@ -255,7 +255,7 @@ def bits(values):
 
 @pytest.mark.parametrize("family", evaluation.MODEL_FAMILIES)
 def test_run_protocol_equals_per_family_oracle(inputs, family):
-    _, schema, design = ds.build_design(inputs["data"], SUBSET, False)
+    schema, design = ds.build_design(inputs["data"], False)
     report = evaluation.run_protocol(family, schema, design, SUBSET, seeds=SEEDS, k=FOLDS,
                                      grids=inputs["grids"], inner_k=INNER_FOLDS)
     oracle = oracle_run_protocol(family, inputs["data"], SUBSET, SEEDS, FOLDS, grid=inputs["grid"],
@@ -281,7 +281,7 @@ def test_single_task_protocol_copies_no_design_rows(inputs, monkeypatch, family)
     """Every single-task fit of a protocol, in selection and refit alike,
     reaches its engine with the design's own feature and target arrays,
     not a copy of its channel's rows."""
-    _, schema, design = ds.build_design(inputs["data"], SUBSET, False)
+    schema, design = ds.build_design(inputs["data"], False)
     reached = []
     if family == "st-rf":
         fit_forests = rf.fit_forests
@@ -332,7 +332,7 @@ def test_tune_scores_the_two_cell_grid(inputs, tmp_path, capsys, family, channel
     if channel:
         argv += ["--channel", channel]
     assert cli.main(argv) == 0
-    _, _, design = ds.build_design(inputs["data"], SUBSET, False)
+    _, design = ds.build_design(inputs["data"], False)
     if channel:
         position = design.registry.index_of(design.registry.lookup(*channel.split(":")))
         design = single_channel_design(design, position)
@@ -359,7 +359,7 @@ def test_select_scores_each_forest_fit_as_serial_inner_cv(inputs, monkeypatch):
     every other fit's score table and GridResult are serial inner CV's, bit
     for bit. Only the fits whose plans hold have forests grown: one
     fit_forests call gets their cells x inner folds jobs, in order."""
-    _, _, design = ds.build_design(inputs["data"], SUBSET, False)
+    _, design = ds.build_design(inputs["data"], False)
     grid = replace(inputs["forest_grid"], min_samples_leaf=(1, 5))
 
     def fit(channel, seed, materials=None):
@@ -420,7 +420,7 @@ NETWORK_GRIDS = {
 
 def network_unit(inputs, channel):
     """The design of every channel (None), or a copy of one channel's rows."""
-    _, _, design = ds.build_design(inputs["data"], SUBSET, False)
+    _, design = ds.build_design(inputs["data"], False)
     if channel is None:
         return design
     return single_channel_design(design, design.registry.index_of(
@@ -474,7 +474,7 @@ def unit_design(inputs, family):
     """(schema, design, channels, unit): the design fit_all fits, the
     channels a fit of the family models, and the oracles' copy of their
     rows (the design itself for mt-nn)."""
-    _, schema, design = ds.build_design(inputs["data"], SUBSET, False)
+    schema, design = ds.build_design(inputs["data"], False)
     if family == "mt-nn":
         return schema, design, every_channel(design), design
     position = design.registry.index_of(design.registry.lookup("det_velocity", "calc"))
@@ -500,7 +500,7 @@ def test_one_cell_fit_selected_equals_select_then_refit(inputs, family):
 @pytest.mark.parametrize("family", evaluation.MODEL_FAMILIES)
 def test_one_cell_run_protocol_equals_select_then_refit(inputs, family):
     grids = inputs["one_cell"]
-    _, schema, design = ds.build_design(inputs["data"], SUBSET, False)
+    schema, design = ds.build_design(inputs["data"], False)
     report = evaluation.run_protocol(family, schema, design, SUBSET, seeds=SEEDS, k=FOLDS,
                                      grids=grids, inner_k=INNER_FOLDS)
     oracle = oracle_run_protocol(family, inputs["data"], SUBSET, SEEDS, FOLDS, grids.mtnn,
@@ -588,7 +588,7 @@ def test_fit_all_raises_the_first_failure_in_plan_order(inputs, name):
     one row): fit_all raises the error of the first in plan order, as
     fitting the fits one at a time does, although it trains the networks
     only after every selection forest grows."""
-    _, schema, design = ds.build_design(inputs["data"], SUBSET, False)
+    schema, design = ds.build_design(inputs["data"], False)
     names, code = FAILURE_ORDERS[name]
     forest_grid = inputs["forest_grid"]
     if "unplannable" in names:

@@ -384,7 +384,7 @@ def write_records(path, smiles_list):
 
 
 def design_bits(data, include_density):
-    _, schema, design = ds.build_design(data, 6, include_density)
+    schema, design = ds.build_design(data, include_density)
     return (schema, design.features.tobytes(), design.channel_idx.tobytes(),
             design.targets.tobytes(), design.material_ids,
             {m: outcome_bits(p) for m, p in data.perceptions.items()})
