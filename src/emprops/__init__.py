@@ -26,11 +26,10 @@ import sys
 __version__ = "0.1.0"
 
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-_OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                         "openblas_set_num_threads")
+_MAPS_PATH = "/proc/self/maps"
 
 
-def _one_blas_thread(maps_path: str = "/proc/self/maps") -> None:
+def _one_blas_thread(maps_path: str = _MAPS_PATH) -> None:
     """Run BLAS on one thread here and in the processes started from here.
 
     The engines already split their jobs across the CPUs by forking
@@ -50,23 +49,67 @@ def _one_blas_thread(maps_path: str = "/proc/self/maps") -> None:
         return
     import ctypes
 
+    for library in _mapped_openblas(maps_path):
+        set_threads = _openblas_function(library, "set_num_threads", None, [ctypes.c_int])
+        if set_threads is not None:
+            set_threads(1)
+
+
+def blas_info(maps_path: str = _MAPS_PATH) -> dict:
+    """The BLAS numpy was built with, for manifest.json: its name and
+    version from numpy's build configuration, and the core and thread count
+    of the first mapped OpenBLAS that reports them. What cannot be read is
+    None."""
+    import ctypes
+
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy without mode="dicts" or without the entry
+        blas = {}
+    info = {"name": blas.get("name"), "version": blas.get("version"), "core": None,
+            "threads": None}
+    for library in _mapped_openblas(maps_path):
+        core = _openblas_function(library, "get_corename", ctypes.c_char_p, [])
+        threads = _openblas_function(library, "get_num_threads", ctypes.c_int, [])
+        if core is not None and threads is not None:
+            info["core"] = core().decode("ascii", errors="replace")
+            info["threads"] = threads()
+            break
+    return info
+
+
+def _mapped_openblas(maps_path: str) -> list:
+    """The OpenBLAS libraries mapped into this process, loaded again by
+    their paths through ctypes; one that cannot be loaded is left out."""
+    import ctypes
+
     try:  # a mapping's path is the last field of its line
         with open(maps_path, encoding="utf-8") as maps:
             paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps
                             if "openblas" in line and ".so" in line})
     except OSError:
-        return
+        return []
+    libraries = []
     for path in paths:
         try:
-            library = ctypes.CDLL(path)
+            libraries.append(ctypes.CDLL(path))
         except OSError:
             continue
-        for symbol in _OPENBLAS_SET_THREADS:
-            if hasattr(library, symbol):
-                set_threads = getattr(library, symbol)
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                set_threads(1)
-                break
+    return libraries
+
+
+def _openblas_function(library, name: str, restype, argtypes):
+    """OpenBLAS's function `name` under the symbol this build exports
+    (scipy-openblas's 64-bit-integer prefix and suffix, or neither), or
+    None."""
+    for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+        if hasattr(library, symbol):
+            function = getattr(library, symbol)
+            function.argtypes, function.restype = argtypes, restype
+            return function
+    return None
 
 
 _one_blas_thread()

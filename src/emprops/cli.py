@@ -2,7 +2,7 @@
 
 Subcommands: featurize, correlate, tune, train, evaluate, predict,
 screen. Commands that train or evaluate write a run manifest (config
-snapshot, seeds, input checksums, schema manifest, tool version,
+snapshot, seeds, input checksums, schema manifest, tool version, BLAS,
 wall-clock) next to their artifacts; reproducing a run is re-invoking the
 same command on the same inputs, since every random draw is seeded.
 
@@ -31,6 +31,7 @@ from emprops.errors import EmptyData, InvalidConfig, MissingFile, ParseFailure, 
 from emprops.rng import derive_seed
 
 DEFAULT_SEEDS = "1,2,3"
+MAX_SEED = 2**64 - 1  # splitmix64 seeds are 64-bit: a wider one would alias one of these
 INPUT_FLAGS = ("data", "grid", "registry", "model")  # the flags that name input files
 
 
@@ -38,13 +39,22 @@ def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _check_seed(seed: int) -> int:
+    if not 0 <= seed <= MAX_SEED:
+        raise InvalidConfig(f"seed {seed} outside 0..2**64 - 1")
+    return seed
+
+
 def _parse_seeds(text: str) -> list[int]:
+    """Distinct seeds in 0..MAX_SEED: a repeated one would count its split twice."""
     try:
-        seeds = [int(part) for part in text.split(",") if part.strip() != ""]
+        seeds = [_check_seed(int(part)) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise InvalidConfig(f"bad seed list {text!r}")
     if not seeds:
         raise InvalidConfig("need at least one seed")
+    if len(set(seeds)) < len(seeds):
+        raise InvalidConfig(f"seed list {text!r} repeats a seed")
     return seeds
 
 
@@ -63,10 +73,11 @@ def _parse_subset(text: str) -> int:
 
 def _write_manifest(out_dir: Path, args, started: float, extra: dict | None = None) -> None:
     """manifest.json: the command, its options, the checksum of every input
-    file it names, and the time it took."""
+    file it names, the BLAS that ran it and the time it took."""
     manifest = {
         "tool": "emprops",
         "tool_version": emprops.__version__,
+        "blas": emprops.blas_info(),
         "command": args.command,
         "options": {k: v for k, v in vars(args).items() if k != "func"},
         "inputs": {flag: _sha256(getattr(args, flag)) for flag in INPUT_FLAGS
@@ -149,6 +160,7 @@ def _prepare_fit(args):
         raise InvalidConfig(f"--channel is required for family {args.family}")
     if not single_task and args.channel:
         raise InvalidConfig(f"--channel applies to st-rf and st-nn only, not {args.family}")
+    _check_seed(args.seed)
     subset_id, data, schema, design = _load_design(args)
     channels = range(len(design.registry))
     if single_task:
@@ -223,6 +235,8 @@ def cmd_evaluate(args) -> int:
     for family in families:
         if family not in evaluation.MODEL_FAMILIES:
             raise InvalidConfig(f"unknown model family {family!r}")
+    if len(set(families)) < len(families):
+        raise InvalidConfig(f"--models {args.models!r} repeats a family")
     subset_id, _, schema, design = _load_design(args)
 
     reports = [evaluation.run_protocol(family, schema, design, subset_id, seeds=seeds,

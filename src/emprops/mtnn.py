@@ -11,7 +11,9 @@ train_many is the one training loop: it takes networks of any configs,
 splits them across the CPUs this process may use, stacks those of a part
 that differ only in their seeds (the one place that groups them) and
 trains each stack in lockstep, every network with the bits it would get
-alone; train is its one-network case. It computes a loss only
+alone; train is its one-network case. A stack takes one Adam update per
+tick for each range of networks that took a batch, and draws every
+network's batch order for an epoch in one block. It computes a loss only
 where a result reads it: each batch's, each validating network's
 validation MSE per epoch, and one training-set MSE of the parameters a
 network returns.
@@ -32,7 +34,7 @@ import numpy as np
 
 from emprops import workers
 from emprops.errors import DimensionMismatch, InvalidConfig, NonFiniteLoss, check_number
-from emprops.rng import SplitMix64
+from emprops.rng import ShuffleDraws, SplitMix64, fisher_yates
 
 
 @dataclass(frozen=True)
@@ -393,11 +395,16 @@ def _train_stack(jobs: list[TrainJob]) -> list[TrainResult | NonFiniteLoss]:
     """train_many of checked jobs that differ only in their seeds.
 
     Parameters and Adam moments are (U, P) rows sorted by training-row
-    count, largest first, and epochs run in lockstep. At every step the
+    count, largest first, and epochs run in lockstep. At every tick the
     networks whose batch has the same size are consecutive rows, so each
-    such run takes one stacked forward, backward and in-place Adam update
-    on slice views; no padding row ever enters a product. Each network
-    keeps its own Adam step count and early-stopping state.
+    such run takes one stacked forward and backward on slice views; no
+    padding row ever enters a product. Adam is elementwise, so one in-place
+    update then serves each range of consecutive networks that took a
+    batch at that tick, leaving out those that failed at it or stopped
+    before. Each network keeps its own Adam step count and early-stopping
+    state. Each epoch's batch orders come from one ShuffleDraws block over
+    the live networks, each getting the offsets its own stream's shuffle
+    would draw.
     """
     net_config, config = jobs[0].net.config, jobs[0].config
     order = sorted(range(len(jobs)), key=lambda i: -len(jobs[i].targets))
@@ -419,7 +426,7 @@ def _train_stack(jobs: list[TrainJob]) -> list[TrainResult | NonFiniteLoss]:
     d_weights, d_biases = layer_views(net_config, grad)
     corrections = [(1.0, 1.0)]  # Adam's 1 - beta**step per step, filled as needed
 
-    rngs = [SplitMix64(job.config.seed) for job in stack]
+    shuffles = ShuffleDraws([job.config.seed for job in stack], count)
     histories: list[list[dict]] = [[] for _ in stack]
     best: list[np.ndarray | None] = [None] * len(stack)  # params at best_epoch
     best_val = [math.inf] * len(stack)
@@ -467,9 +474,9 @@ def _train_stack(jobs: list[TrainJob]) -> list[TrainResult | NonFiniteLoss]:
         while len(corrections) <= epoch * batches[0]:
             step = len(corrections)
             corrections.append((1.0 - ADAM_BETA1 ** step, 1.0 - ADAM_BETA2 ** step))
-        for g in live:
+        for g, offsets in zip(live, shuffles.offsets(live).tolist()):
             shuffled = list(range(count[g]))
-            rngs[g].shuffle(shuffled)
+            fisher_yates(shuffled, offsets)
             job, index = stack[g], np.array(shuffled)
             # the indices are in range: "clip" only skips take's buffered check
             job.features.take(index, axis=0, out=x_epoch[g, : count[g]], mode="clip")
@@ -484,15 +491,14 @@ def _train_stack(jobs: list[TrainJob]) -> list[TrainResult | NonFiniteLoss]:
                 loss = _backprop(net_config, *slab(lo, hi), x_epoch[lo:hi, rows],
                                  s_epoch[lo:hi, rows] if net_config.selector_dim else None,
                                  y_epoch[lo:hi, rows])
-                if math.isfinite(np.maximum.reduce(loss)):  # NaN propagates
-                    adam(lo, hi, epoch, tick)
-                    continue
-                for g, finite in zip(range(lo, hi), np.isfinite(loss)):
-                    if not finite:
-                        failed[g] = NonFiniteLoss(f"non-finite loss at epoch {epoch}")
-                        live.remove(g)
-                for good_lo, good_hi, _ in _runs(range(lo, hi), lambda g: failed[g] is None):
-                    adam(good_lo, good_hi, epoch, tick)
+                if not math.isfinite(np.maximum.reduce(loss)):  # NaN propagates
+                    for g, finite in zip(range(lo, hi), np.isfinite(loss)):
+                        if not finite:
+                            failed[g] = NonFiniteLoss(f"non-finite loss at epoch {epoch}")
+                            live.remove(g)
+            # Adam is elementwise: one update per range of live networks that took a batch
+            for lo, hi, _ in _runs(live, lambda g: count[g] > start):
+                adam(lo, hi, epoch, tick)
 
         for g in list(live):
             entry = {"epoch": epoch}

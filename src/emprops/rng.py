@@ -49,9 +49,8 @@ class SplitMix64:
         """In-place Fisher-Yates, walking from the highest index down; the
         swap partner of index i is draw % (i + 1), all n - 1 drawn in one block."""
         n = len(items)
-        offsets = (self.next_block(max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
-        for i, j in zip(range(n - 1, 0, -1), offsets):
-            items[i], items[j] = items[j], items[i]
+        fisher_yates(items, (self.next_block(max(n - 1, 0))
+                             % np.arange(n, 1, -1, dtype=np.uint64)).tolist())
 
     def sample_indices(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), order not meaningful."""
@@ -59,6 +58,14 @@ class SplitMix64:
             raise ValueError("need 0 <= k <= n")
         return partial_shuffle(n, (self.next_block(k)
                                    % np.arange(n, n - k, -1, dtype=np.uint64)).tolist())
+
+
+def fisher_yates(items: list, offsets: list[int]) -> None:
+    """Swap items[i] with items[offsets[k]] for i = n - 1 down to 1, k
+    counting up from 0: the swaps of a shuffle whose partners are drawn.
+    Offsets past the first n - 1 are ignored."""
+    for i, j in zip(range(len(items) - 1, 0, -1), offsets):
+        items[i], items[j] = items[j], items[i]
 
 
 def partial_shuffle(n: int, offsets: list[int]) -> list[int]:
@@ -78,6 +85,40 @@ def next_blocks(states: np.ndarray, k: int) -> np.ndarray:
     draws = _draws(states[:, None], k)
     states += np.uint64((k * _GOLDEN) & _MASK64)
     return draws
+
+
+class ShuffleDraws:
+    """The swap partners of the next shuffle of several splitmix64 streams,
+    stream i shuffling counts[i] items each time, drawn as one block.
+
+    A row of offsets(streams) equals the offsets SplitMix64(seed).shuffle
+    draws for that stream's next shuffle, and the stream then stands where
+    that shuffle's next_block(counts[i] - 1) leaves it: splitmix64 is
+    counter-based, so the streams are drawn together for the widest one's
+    n - 1 draws, reduced by each stream's moduli n, n - 1, ..., 2, and each
+    state is advanced by its own n - 1 draws. The moduli table is built
+    once; columns past a stream's n - 1 hold 1, so their offsets are 0."""
+
+    def __init__(self, seeds: list[int], counts: list[int]) -> None:
+        self.states = np.array([seed & _MASK64 for seed in seeds], dtype=np.uint64)
+        self.counts = [max(n, 1) for n in counts]  # shuffling no item draws what one does
+        self.moduli = np.maximum(np.array(self.counts, dtype=np.int64)[:, None]
+                                 - np.arange(max(self.counts, default=1) - 1), 1
+                                 ).astype(np.uint64)
+        self.advance = np.array([((n - 1) * _GOLDEN) & _MASK64 for n in self.counts],
+                                dtype=np.uint64)
+
+    def offsets(self, streams: list[int]) -> np.ndarray:
+        """A (len(streams), widest n - 1) uint64 block, row k the swap
+        partners of stream streams[k]'s next shuffle (fisher_yates takes
+        them) followed by zeros; those streams advance."""
+        rows = np.array(streams, dtype=np.intp)
+        width = max((self.counts[i] for i in streams), default=1) - 1
+        states = self.states[rows]
+        draws = _draws(states[:, None], width)
+        self.states[rows] = states + self.advance[rows]
+        draws %= self.moduli[rows, :width]
+        return draws
 
 
 def _draws(start, k: int) -> np.ndarray:

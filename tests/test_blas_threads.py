@@ -57,7 +57,7 @@ def run_python(args, threads, cwd):
     return result.stdout
 
 
-def test_network_bytes_do_not_depend_on_blas_threads(tmp_path):
+def write_dataset(tmp_path):
     rng = random.Random(5)
     lines = ["material_id,smiles,property,fidelity,value,density"]
     for i, smiles in enumerate(CORPUS.values()):
@@ -65,6 +65,10 @@ def test_network_bytes_do_not_depend_on_blas_threads(tmp_path):
             lines.append(f"M{i:02d},{smiles},{channel.replace(':', ',')},"
                          f"{rng.uniform(1, 9):.4f},")
     (tmp_path / "data.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_network_bytes_do_not_depend_on_blas_threads(tmp_path):
+    write_dataset(tmp_path)
     grid = {"mtnn": {"hidden_sizes": [[128, 64]], "selector_layer_index": ["last"],
                      "learning_rate": [0.001], "batch_size": [128], "l2_penalty": [0.0]},
             "train": {"max_epochs": 6, "patience": 1}}
@@ -98,3 +102,31 @@ def test_an_openblas_that_cannot_be_loaded_is_skipped(tmp_path):
                     f"{tmp_path}/gone/libscipy_openblas64_-0.so (deleted)\n", encoding="utf-8")
     emprops._one_blas_thread(str(maps))
     assert all(os.environ[name] == "1" for name in emprops._BLAS_THREAD_VARIABLES)
+
+
+def test_manifests_record_the_blas_on_one_thread(tmp_path):
+    """An evaluate and a train manifest, run where the environment asks for
+    two threads, name numpy's BLAS and read one thread from the OpenBLAS."""
+    write_dataset(tmp_path)
+    grid = {"forest": {"n_trees": [2], "max_depth": [3], "min_samples_leaf": [1],
+                       "max_features": [None]}}
+    (tmp_path / "grid.json").write_text(json.dumps(grid), encoding="utf-8")
+    common = ["--data", "data.csv", "--grid", "grid.json", "--folds", "2"]
+    run_python(["-m", "emprops", "evaluate", "--models", "st-rf", "--seeds", "1",
+                "--inner-folds", "2", "--out", "evaluated", *common], 2, tmp_path)
+    run_python(["-m", "emprops", "train", "--family", "st-rf", "--channel",
+                "det_velocity:exp", "--out", "trained", *common], 2, tmp_path)
+    import numpy
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    records = [json.loads((tmp_path / out / "manifest.json").read_text())["blas"]
+               for out in ("evaluated", "trained")]
+    for record in records:
+        assert set(record) == {"name", "version", "core", "threads"}
+        assert (record["name"], record["version"]) == (blas["name"], blas["version"])
+    if any(record["threads"] is None for record in records):
+        pytest.skip("numpy mapped no OpenBLAS that reports its core and threads: the "
+                    "manifests show only the BLAS name and version, and a null core and "
+                    "thread count")
+    for record in records:
+        assert record["threads"] == 1
+        assert isinstance(record["core"], str) and record["core"]

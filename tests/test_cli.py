@@ -369,6 +369,46 @@ def test_fold_counts_below_two_exit_1(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+# a repeated seed or family would count one fit twice in the report; a seed
+# outside 64 bits would alias one inside (2**64 is seed 0, -5 is 2**64 - 5)
+SEED_AND_FAMILY_CASES = {
+    "evaluate-repeated-seed": (["evaluate", "--models", "st-rf", "--seeds", "1,1"],
+                               "seed list '1,1' repeats a seed"),
+    "evaluate-seed-2**64": (["evaluate", "--models", "st-rf", "--seeds",
+                             "0,18446744073709551616"],
+                            "seed 18446744073709551616 outside 0..2**64 - 1"),
+    "evaluate-negative-seed": (["evaluate", "--models", "st-rf", "--seeds", "2,-1"],
+                               "seed -1 outside 0..2**64 - 1"),
+    "evaluate-repeated-family": (["evaluate", "--models", "st-rf,mt-nn,st-rf", "--seeds", "1"],
+                                 "--models 'st-rf,mt-nn,st-rf' repeats a family"),
+    "train-negative-seed": (["train", "--seed", "-5"], "seed -5 outside 0..2**64 - 1"),
+    "tune-seed-2**64": (["tune", "--family", "st-rf", "--channel", "det_velocity:calc",
+                         "--seed", "18446744073709551616"],
+                        "seed 18446744073709551616 outside 0..2**64 - 1"),
+}
+
+
+@pytest.mark.parametrize("argv,message", SEED_AND_FAMILY_CASES.values(),
+                         ids=SEED_AND_FAMILY_CASES.keys())
+def test_seeds_and_families_are_distinct_and_64_bit(tmp_path, capsys, argv, message):
+    code = cli.main([argv[0], "--data", str(write_dataset(tmp_path)), "--subset", "1",
+                     "--grid", str(write_grid(tmp_path)), "--out", str(tmp_path / "o"),
+                     *argv[1:]])
+    assert code == 1
+    assert capsys.readouterr().err == f"error InvalidConfig: {message}\n"
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_seeds_span_64_bits(tmp_path, capsys):
+    assert cli._parse_seeds("0, 18446744073709551615,7") == [0, 2**64 - 1, 7]
+    out = tmp_path / "rf"
+    assert cli.main(["train", "--data", str(write_dataset(tmp_path)), "--subset", "1",
+                     "--family", "st-rf", "--channel", "det_velocity:calc",
+                     "--grid", str(write_grid(tmp_path)), "--folds", "3",
+                     "--seed", "18446744073709551615", "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["options"]["seed"] == 2**64 - 1
+
+
 BAD_DENSITIES = ["abc", "nan", "inf", "0", "-1.2"]
 
 

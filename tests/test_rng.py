@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from emprops.rng import SplitMix64, next_blocks
+from emprops.rng import ShuffleDraws, SplitMix64, fisher_yates, next_blocks
 
 
 def scalar_shuffle(rng, items):
@@ -65,6 +66,56 @@ def test_shuffle_equals_scalar_loop(n):
         scalar_shuffle(scalar, expected)
         assert got == expected
         assert block.next_u64() == scalar.next_u64()
+
+
+SEEDS64 = st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def shuffle_stacks(draw):
+    """Seeds, row counts (equal or distinct) and the rounds of streams still
+    live, each a subset of the last, sometimes without the widest stream."""
+    size = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        counts = [draw(st.integers(1, 60))] * size
+    else:
+        counts = draw(st.lists(st.integers(1, 60), min_size=size, max_size=size))
+    seeds = draw(st.lists(SEEDS64, min_size=size, max_size=size))
+    live = list(range(size))
+    rounds = []
+    for _ in range(draw(st.integers(1, 4))):
+        rounds.append(live)
+        widest = max(live, key=lambda i: counts[i])
+        if draw(st.booleans()):
+            live = [i for i in live if i != widest]
+        live = [i for i in live if draw(st.integers(0, 4))]
+        if not live:
+            break
+    return seeds, counts, rounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(shuffle_stacks())
+def test_shuffle_draws_equal_each_streams_shuffle(stack):
+    seeds, counts, rounds = stack
+    draws = ShuffleDraws(seeds, counts)
+    streams = [SplitMix64(seed) for seed in seeds]
+    for live in rounds:
+        block = draws.offsets(live)
+        assert block.dtype == np.uint64
+        assert block.shape == (len(live), max(counts[i] for i in live) - 1)
+        for i, row in zip(live, block.tolist()):
+            n = counts[i]
+            expected, got = list(range(n)), list(range(n))
+            probe = SplitMix64(streams[i].state)
+            streams[i].shuffle(expected)
+            fisher_yates(got, row)
+            assert got == expected
+            assert row[n - 1:] == [0] * (len(row) - n + 1)
+            probe.next_block(n - 1)
+            assert int(draws.states[i]) == probe.state == streams[i].state
+    for i in range(len(seeds)):  # streams left out of a round do not move
+        assert int(draws.states[i]) == streams[i].state
 
 
 def test_sample_indices_rejects_k_above_n():
